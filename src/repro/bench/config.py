@@ -71,11 +71,6 @@ class BenchConfig:
     #: paper's every-rank-aggregates description (maps to IoHints.cb_nodes).
     #: A campaign sweep axis. Ignored by TCIO/MPI-IO methods.
     cb_nodes: "int | None" = None
-    #: Opt-in batched TCIO writeback (maps to
-    #: TcioConfig.batched_writeback; status in docs/performance.md).
-    #: Bytes are identical either way; a campaign sweep axis. Ignored by
-    #: OCIO/MPI-IO methods.
-    batched_writeback: bool = False
 
     def __post_init__(self) -> None:
         if self.aggregation not in ("flat", "node"):

@@ -130,8 +130,6 @@ def _tcio_config(cfg: BenchConfig, env: RankEnv) -> TcioConfig:
     sized = TcioConfig.sized_for(cfg.total_bytes, env.size, stripe)
     if cfg.journal != "off":
         sized = replace(sized, journal=cfg.journal)
-    if cfg.batched_writeback:
-        sized = replace(sized, batched_writeback=True)
     if cfg.aggregation == "flat":
         return sized
     # Node mode: size the staging buffer to hold a whole node's share of

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.perf.points import EXPERIMENTS, Point
+from repro.perf.points import EXPERIMENTS, Point, accepted_params
 from repro.util.errors import ReproError
 
 
@@ -67,6 +67,13 @@ class SweepSpec:
             raise SpecError(
                 f"unknown experiment {self.experiment!r} "
                 f"(choose from {list(EXPERIMENTS)})"
+            )
+        accepted = accepted_params(self.experiment)
+        unknown = {key for key, _ in (*self.base, *self.axes)} - accepted
+        if unknown:
+            raise SpecError(
+                f"experiment {self.experiment!r} does not read parameter(s) "
+                f"{sorted(unknown)} (accepted: {sorted(accepted)})"
             )
         seen: set[str] = set()
         for key, _ in self.base:

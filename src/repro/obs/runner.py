@@ -30,17 +30,6 @@ def _recorder() -> TraceRecorder:
     return TraceRecorder(tracer=Tracer(enabled=True))
 
 
-def _legacy_tcio_metrics(stats_dict: dict) -> Optional[dict]:
-    """Rank 0's legacy ``as_dict()`` snapshot re-keyed to dotted names."""
-    from repro.tcio.stats import FIELD_METRICS
-
-    if not stats_dict:
-        return None
-    return {
-        FIELD_METRICS[fld]: v for fld, v in stats_dict.items() if fld in FIELD_METRICS
-    }
-
-
 def _bench_point(method: str, procs: int, length: int):
     """One synthetic-benchmark point under a fresh enabled recorder."""
     from repro.bench import BenchConfig, Method, run_benchmark
@@ -63,10 +52,15 @@ def _bench_point(method: str, procs: int, length: int):
 def _write_pair(
     out: str, stem: str, recorder: TraceRecorder, *, tcio: Optional[dict] = None
 ) -> tuple[str, str]:
+    """Write one run's trace + metrics files; *tcio* is rank 0's
+    ``TcioStats.as_dict()``, stored under the dotted metric names."""
+    from repro.tcio.stats import FIELD_METRICS
+
     trace_path = os.path.join(out, f"{stem}.trace.json")
     metrics_path = os.path.join(out, f"{stem}.metrics.json")
     write_chrome_trace(recorder.tracer, trace_path)
-    write_metrics_json(recorder.registry, metrics_path, tcio=tcio)
+    dotted = {FIELD_METRICS[fld]: v for fld, v in tcio.items()} if tcio else None
+    write_metrics_json(recorder.registry, metrics_path, tcio=dotted)
     return trace_path, metrics_path
 
 
@@ -86,7 +80,7 @@ def run_traced(
         length = 64 if tiny else 256
         recorder, result = _bench_point("tcio", p, length)
         paths["trace"], paths["metrics"] = _write_pair(
-            out, target, recorder, tcio=_legacy_tcio_metrics(result.tcio_stats)
+            out, target, recorder, tcio=result.tcio_stats
         )
         ocio_rec, _ = _bench_point("ocio", p, length)
         paths["ocio_trace"], paths["ocio_metrics"] = _write_pair(
@@ -98,7 +92,7 @@ def run_traced(
         length = 128 if tiny else 1024
         recorder, result = _bench_point("tcio", p, length)
         paths["trace"], paths["metrics"] = _write_pair(
-            out, target, recorder, tcio=_legacy_tcio_metrics(result.tcio_stats)
+            out, target, recorder, tcio=result.tcio_stats
         )
         ocio_rec, _ = _bench_point("ocio", p, length)
         paths["ocio_trace"], paths["ocio_metrics"] = _write_pair(
@@ -120,14 +114,14 @@ def run_traced(
             ArtConfig(workload=workload, nprocs=p), trace=recorder
         )
         paths["trace"], paths["metrics"] = _write_pair(
-            out, target, recorder, tcio=_legacy_tcio_metrics(result.restart_stats)
+            out, target, recorder, tcio=result.restart_stats
         )
     else:  # bench
         p = procs or (4 if tiny else 8)
         length = 64 if tiny else 128
         recorder, result = _bench_point("tcio", p, length)
         paths["trace"], paths["metrics"] = _write_pair(
-            out, target, recorder, tcio=_legacy_tcio_metrics(result.tcio_stats)
+            out, target, recorder, tcio=result.tcio_stats
         )
 
     print(ascii_timeline(recorder.tracer))

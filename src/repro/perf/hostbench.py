@@ -115,7 +115,7 @@ def measure_point(name: str) -> dict:
     sim_seconds = sum(
         float(result.get(key) or 0.0)
         for key in ("write_seconds", "read_seconds", "dump_seconds",
-                    "restart_seconds", "scenario_elapsed")
+                    "restart_seconds", "scenario_elapsed", "elapsed")
     )
     return {
         "point": point.label(),

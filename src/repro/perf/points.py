@@ -153,7 +153,6 @@ def _run_bench_point(point: Point, *, verify: bool = True) -> dict:
         aggregation=str(point.get("aggregation") or "flat"),
         segment_bytes=None if segment_bytes is None else int(segment_bytes),  # type: ignore[arg-type]
         cb_nodes=None if cb_nodes is None else int(cb_nodes),  # type: ignore[arg-type]
-        batched_writeback=bool(point.get("batched_writeback") or False),
     )
     result = run_benchmark(cfg, verify=verify)
     return {
@@ -308,19 +307,51 @@ def _run_tenancy_point(point: Point, *, verify: bool = True) -> dict:
     }
 
 
+_BENCH_PARAMS = frozenset({
+    "method", "nprocs", "len_array", "journal", "aggregation",
+    "segment_bytes", "cb_nodes",
+})
+
+#: experiment -> (runner, the parameter names that runner reads). A sweep
+#: spec naming any other parameter is rejected (``campaign.spec``): the
+#: runners only ``point.get`` the names they know, so a misspelt axis
+#: would otherwise run identical cells.
 _RUNNERS = {
-    "fig5": _run_bench_point,
-    "fig67": _run_bench_point,
-    "fig910": _run_art_point,
-    "topo": _run_topo_point,
-    "ioserver": _run_ioserver_point,
-    "tenancy": _run_tenancy_point,
+    "fig5": (_run_bench_point, _BENCH_PARAMS),
+    "fig67": (_run_bench_point, _BENCH_PARAMS),
+    "fig910": (
+        _run_art_point,
+        frozenset({"method", "nprocs", "segments", "cell_scale"}),
+    ),
+    "topo": (
+        _run_topo_point,
+        frozenset({
+            "method", "aggregation", "nprocs", "cores_per_node", "len_array",
+            "net",
+        }),
+    ),
+    "ioserver": (
+        _run_ioserver_point,
+        frozenset({
+            "seed", "nclients", "epochs", "nranks", "cores_per_node",
+            "delegates", "queue_depth",
+        }),
+    ),
+    "tenancy": (
+        _run_tenancy_point,
+        frozenset({"seed", "nranks", "len_array", "qos"}),
+    ),
 }
+
+
+def accepted_params(experiment: str) -> frozenset[str]:
+    """The parameter names *experiment*'s runner reads."""
+    return _RUNNERS[experiment][1]
 
 
 def run_point(point: Point, *, verify: bool = True) -> dict:
     """Execute one point in this process; returns its JSON-able result."""
-    return _RUNNERS[point.experiment](point, verify=verify)
+    return _RUNNERS[point.experiment][0](point, verify=verify)
 
 
 def run_spec(spec: dict, *, verify: bool = True) -> dict:

@@ -293,98 +293,6 @@ class PfsClient:
         if self.pfs.trace is not None:
             self.pfs.trace.count("pfs.sieved_write", sum(len(b) for _, b in pieces))
 
-    def write_vec(
-        self,
-        file: PfsFile | str,
-        pieces: list[tuple[int, bytes]],
-        *,
-        owner: int = 0,
-        lock_timeout: Optional[float] = None,
-    ):
-        """Batched write of many extents of one file (coroutine).
-
-        Byte-equivalent to issuing one :meth:`write` per piece in order,
-        but the whole batch costs O(1) scheduler events instead of O(N):
-        piece timings chain on an analytic cursor (piece k's transfer is
-        reserved at piece k-1's completion, exactly as the unbatched
-        settle sequence would), every payload lands at submission, and a
-        single charge + a single scheduled release event close out all
-        extent locks at the batch's completion time. Locks are held to
-        batch end rather than per-piece finish, so contending writers may
-        observe slightly different (never earlier) grant times — callers
-        opt in via ``TcioConfig.batched_writeback``.
-        """
-        f = self._resolve(file)
-        if not pieces:
-            return
-        proc = active_process()
-        yield from proc.settle()
-        engine = self.pfs.engine
-        trace = self.pfs.trace
-        tracer = trace.tracer if trace is not None else None
-        emit = tracer is not None and tracer.enabled
-        lock_latency = self.pfs.spec.lock_latency
-        grants: list = []
-        released = False
-        cursor = engine.now
-        # Lock latency accrues lazily in the unbatched path (charged at
-        # piece k, elapsed before piece k+1's reservation), so it delays
-        # the *next* piece, not the one that paid it.
-        pending_latency = 0.0
-        try:
-            for offset, data in pieces:
-                nbytes = len(data)
-                if nbytes == 0:
-                    continue
-                extent = Extent(offset, offset + nbytes)
-                hits_before = f.locks.cache_hits
-                grant = yield from f.locks.acquire(
-                    owner, LockMode.EXCLUSIVE, extent, timeout=lock_timeout
-                )
-                grants.append(grant)
-                # A contended acquire parks the coroutine; the cursor never
-                # runs behind real (virtual) time.
-                if engine.now > cursor:
-                    cursor = engine.now
-                arrival = cursor + pending_latency
-                pending_latency = (
-                    lock_latency if f.locks.cache_hits == hits_before else 0.0
-                )
-                link_done = self._link.reserve(arrival, nbytes)
-                finish = link_done
-                for ost_idx, ost_pieces in f.layout.split_by_ost(extent).items():
-                    ost = self.pfs.osts[ost_idx]
-                    for piece in ost_pieces:
-                        t = ost.reserve(
-                            link_done, piece.length, write=True, client=owner,
-                            tenant=self.tenant,
-                        )
-                        if emit:
-                            tracer.complete(
-                                "ost.write", ost.last_start, t, f"ost{ost_idx}",
-                                bytes=piece.length, client=owner,
-                            )
-                        finish = max(finish, t)
-                if emit:
-                    tracer.complete("pfs.write", arrival, finish, bytes=nbytes)
-                f.write_bytes(offset, data)
-                cursor = finish
-                if trace is not None:
-                    trace.count("pfs.write", nbytes)
-                    trace.registry.histogram("pfs.write_bytes").observe(nbytes)
-            done = cursor + pending_latency
-            if done > engine.now:
-                proc.charge(done - engine.now)
-                batch = list(grants)
-                engine.schedule_at(
-                    done, lambda: [f.locks.done(g) for g in batch]
-                )
-                released = True
-        finally:
-            if not released:
-                for g in grants:
-                    f.locks.done(g)
-
     # ------------------------------------------------------------------
     def _resolve(self, file: PfsFile | str) -> PfsFile:
         return file if isinstance(file, PfsFile) else self.pfs.lookup(file)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.faults.retry import pfs_retry
 from repro.memsim.memory import Allocation
-from repro.obs.spans import NULL_TRACER
+from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.sim.api import run_coroutine
 from repro.sim.engine import active_process
 from repro.simmpi import collectives
@@ -53,7 +53,6 @@ from repro.util.errors import (
     RmaTransientError,
     TcioError,
 )
-from repro.util.intervals import Extent
 
 TCIO_RDONLY = 0x1
 TCIO_WRONLY = 0x2
@@ -117,18 +116,7 @@ class TcioFile:
         just that group — ParColl-style partitioned aggregation composes
         for free (see ``examples/partitioned_groups.py``).
         """
-        fh = cls.__new__(cls)
-        yield from fh._open(env, name, mode, config, comm)
-        return fh
-
-    def _open(
-        self,
-        env: RankEnv,
-        name: str,
-        mode: int,
-        config: Optional[TcioConfig],
-        comm,
-    ):
+        self = cls.__new__(cls)
         config = config or TcioConfig()
         config.validate()
         if mode not in (TCIO_RDONLY, TCIO_WRONLY):
@@ -141,8 +129,8 @@ class TcioFile:
         self.stats = TcioStats()
         self._closed = False
         self._position = 0
-        hub = getattr(env.world, "trace", None)
-        self._tracer = hub.tracer if hub is not None else NULL_TRACER
+        self._hub = getattr(env.world, "trace", None)
+        self._tracer = self._hub.tracer if self._hub is not None else NULL_TRACER
         self._plan = getattr(env.world, "faults", None)
         #: Survive-and-complete mode (``config.ft``): rank failures at
         #: collective points shrink the communicator and complete the
@@ -226,15 +214,8 @@ class TcioFile:
 
             self.level1 = Level1Buffer(segment_size)
             self.readlog = ReadLog(segment_size * config.read_window_segments)
-            self.level2 = yield from Level2Buffer.create(
-                self.comm,
-                self.mapping,
-                config.segments_per_process,
-                self.directory,
-                self.stats,
-                use_rma=config.use_rma,
-                combine_indexed=config.combine_indexed,
-                tracer=self._tracer,
+            self.level2 = yield from self._create_level2(
+                self.comm, self.mapping, config.segments_per_process
             )
             if (
                 config.aggregation == "node"
@@ -243,6 +224,20 @@ class TcioFile:
             ):
                 yield from self._setup_staging(segment_size, gen)
             yield from collectives.barrier(self.comm)
+        return self
+
+    def _create_level2(self, comm, mapping: SegmentMapping, segments_per_process: int):
+        """This handle's level-2 slice over *comm* (collective coroutine)."""
+        return Level2Buffer.create(
+            comm,
+            mapping,
+            segments_per_process,
+            self.directory,
+            self.stats,
+            use_rma=self.config.use_rma,
+            combine_indexed=self.config.combine_indexed,
+            tracer=self._tracer,
+        )
 
     def _setup_staging(self, segment_size: int, gen: int):
         """Arm the node-aggregation drain path (coroutine;
@@ -463,7 +458,10 @@ class TcioFile:
         )
         self._count("topo.deposit.bytes", nbytes)
         self._count("topo.deposit.blocks", len(blocks))
-        self._observe_occupancy(stage)
+        if self._hub is not None:
+            self._hub.registry.histogram("topo.staging.occupancy").observe(
+                stage.used
+            )
         return True
 
     def _node_drain(self):
@@ -508,8 +506,7 @@ class TcioFile:
                     )
                 yield from self._drain_fallback(owner, pieces)
                 continue
-            for g in sorted({g for g, _, _ in pieces}):
-                self.directory.dirty.add(g)
+            self.directory.dirty.update({g for g, _, _ in pieces})
             self._count("topo.drain.messages", 1)
             self._count("topo.drain.bytes", nbytes)
 
@@ -527,14 +524,8 @@ class TcioFile:
             yield from self._fallback_flush(g, by_seg[g])
 
     def _count(self, name: str, amount: float = 0.0) -> None:
-        hub = getattr(self.env.world, "trace", None)
-        if hub is not None:
-            hub.count(name, amount)
-
-    def _observe_occupancy(self, stage: StagingBuffer) -> None:
-        hub = getattr(self.env.world, "trace", None)
-        if hub is not None:
-            hub.registry.histogram("topo.staging.occupancy").observe(stage.used)
+        if self._hub is not None:
+            self._hub.count(name, amount)
 
     def _fallback_flush(self, gseg: int, blocks: list):
         """Write one drained level-1 buffer straight to the PFS (coroutine).
@@ -551,13 +542,8 @@ class TcioFile:
             "tcio.fallback_flush", segment=gseg, bytes=nbytes, rank=self.env.rank
         ):
             for disp, length, payload in blocks:
-                yield from pfs_retry(
-                    self.env.world,
-                    "tcio.fallback_flush",
-                    lambda t, _off=seg_start + disp, _p=payload: self.client.write(
-                        self.pfs_file, _off, _p,
-                        owner=self.env.rank, lock_timeout=t,
-                    ),
+                yield from self._pfs_write(
+                    "tcio.fallback_flush", seg_start + disp, payload
                 )
                 ranges.append((disp, disp + length))
         if self._plan is not None:
@@ -704,20 +690,10 @@ class TcioFile:
 
     def _ensure_segment(self, gseg: int):
         """Make sure *gseg* is resident in level 2 (coroutine)."""
-
-        def pfs_read(ext: Extent):
-            return (
-                yield from pfs_retry(
-                    self.env.world,
-                    "tcio.segment_load",
-                    lambda t: self.client.read(
-                        self.pfs_file, ext.start, ext.length,
-                        owner=self.env.rank, lock_timeout=t,
-                    ),
-                )
-            )
-
-        return (yield from self.level2.ensure_loaded(gseg, pfs_read))
+        return self.level2.ensure_loaded(
+            gseg,
+            lambda ext: self._pfs_read("tcio.segment_load", ext.start, ext.length),
+        )
 
     def _fetch_segment(
         self,
@@ -764,15 +740,9 @@ class TcioFile:
             "tcio.fallback_fetch", segment=gseg, bytes=nbytes, rank=self.env.rank
         ):
             for disp, length, dest in requests:
-                data = yield from pfs_retry(
-                    self.env.world,
-                    "tcio.fallback_fetch",
-                    lambda t, _off=seg_start + disp, _n=length: self.client.read(
-                        self.pfs_file, _off, _n,
-                        owner=self.env.rank, lock_timeout=t,
-                    ),
+                dest[:] = yield from self._pfs_read(
+                    "tcio.fallback_fetch", seg_start + disp, length
                 )
-                dest[:] = data
         self.stats.inc("fetched_bytes", nbytes)
         self._charge_memcpy(nbytes)
 
@@ -790,54 +760,96 @@ class TcioFile:
         self._check_open()
         with self._tracer.span("tcio.flush"):
             if self.mode == TCIO_WRONLY:
-                yield from self._ft_guard(self._flush_write_body)
+                yield from self._ft_guard(final=False)
             else:
                 yield from collectives.barrier(self.comm)
-
-    def _flush_write_body(self):
-        yield from self._flush_level1()
-        yield from self._node_drain()
-        yield from collectives.barrier(self.comm)
-        if self.config.journal == "epoch":
-            yield from self._flush_epoch()
 
     def close(self):
         """tcio_close: synchronize, then level-2 -> file system (coroutine)."""
         self._check_open()
         with self._tracer.span("tcio.close", file=self.name):
             if self.mode == TCIO_WRONLY:
-                yield from self._ft_guard(self._close_write_body)
+                yield from self._ft_guard(final=True)
             else:
                 if not self.readlog.empty:
                     yield from self.fetch()
                 yield from collectives.barrier(self.comm)
             self._release()
 
-    def _close_write_body(self):
+    def _collective_point(self, final: bool):
+        """The write side of ``flush`` (``final=False``) and ``close``
+        (``final=True``), one sequence (coroutine).
+
+        Drain level 1 and the node staging buffer, barrier ("issues
+        MPI_barrier to synchronize among processes before outputting data
+        from the level-2 buffers to file system"). A journal-off flush
+        stops there. Otherwise agree on eof and write every owned dirty
+        segment back in place, marking it ``flushed`` as it lands (fsck
+        counts dirty-but-unflushed segments as lost after a journal-off
+        crash). With ``journal="epoch"`` the write-back is phase 2 of an
+        epoch: first every owner appends a write-ahead record per segment
+        to its journal file and, after a barrier proving every record
+        durable, rank 0 appends the commit mark — only then does the epoch
+        count, and ``repro.crash.recover`` can replay it after a crash
+        anywhere (``docs/faults.md``).
+        """
+        from repro.crash.journal import commit_name, pack_commit, rank_journal
+
         yield from self._flush_level1()
         yield from self._node_drain()
-        # "issues MPI_barrier to synchronize among processes before
-        # outputting data from the level-2 buffers to file system."
         yield from collectives.barrier(self.comm)
-        if self.config.journal == "epoch":
-            yield from self._flush_epoch()
-        else:
-            eof = yield from collectives.allreduce(
-                self.comm, self.directory.eof, max
+        journaled = self.config.journal == "epoch"
+        if not (journaled or final):
+            return
+        d = self.directory
+        eof = yield from collectives.allreduce(self.comm, d.eof, max)
+        d.eof = eof
+        todo = self._owned_unflushed()
+        epoch = 0  # stays 0 when there is nothing to journal
+        if journaled:
+            total = yield from collectives.allreduce(
+                self.comm, len(todo), lambda a, b: a + b
             )
-            self.directory.eof = eof
-            segs = list(self.level2.owned_dirty_segments())
-            if self.config.batched_writeback:
-                yield from self._write_back_batch(segs, eof)
-                self.directory.flushed.update(segs)
-            else:
-                for gseg in segs:
-                    yield from self._write_back_segment(gseg, eof)
-                    # Progress marker for crash tooling: fsck counts
-                    # dirty-but-unflushed segments as lost after a
-                    # journal-off crash.
-                    self.directory.flushed.add(gseg)
+            if total:
+                epoch = d.committed_epoch + 1
+        span = (
+            self._tracer.span("tcio.flush_epoch", epoch=epoch, segments=len(todo))
+            if epoch
+            else NULL_SPAN
+        )
+        with span:
+            if epoch:
+                journal = self.env.pfs.create(rank_journal(self.name, self.env.rank))
+                for gseg in todo:
+                    yield from self._journal_segment(journal, epoch, gseg, eof)
+                yield from collectives.barrier(self.comm)
+                yield from self._crash_point("pre-commit")
+                # This barrier is what makes "pre-commit" mean what it says:
+                # no rank may write the commit mark until every rank survived
+                # its pre-commit crash point (otherwise resume order could let
+                # rank 0 commit before the victim even reaches the point).
+                yield from collectives.barrier(self.comm)
+                if self.comm.rank == 0:
+                    commit = self.env.pfs.create(commit_name(self.name))
+                    yield from self._pfs_write(
+                        "tcio.journal.commit", commit.size,
+                        pack_commit(epoch, eof), commit,
+                    )
+                    # Journal metrics live only under dotted registry names:
+                    # the legacy as_dict() key set is frozen by compat tests.
+                    self.stats.registry.counter("tcio.journal.commits").inc()
+                    self._count("crash.journal.commits", 1)
+                yield from collectives.barrier(self.comm)
+                yield from self._crash_point("post-commit")
+            for gseg in todo:
+                yield from self._write_back_segment(gseg, eof)
+                d.flushed.add(gseg)
+            if epoch:
+                d.committed_epoch = epoch
             yield from collectives.barrier(self.comm)
+        # Everything deposited so far is durable (committed + written
+        # back): survivors will never need to re-deposit it.
+        self._shadow.clear()
 
     def _write_back_segment(self, gseg: int, eof: int):
         """In-place PFS write of one owned dirty segment (clamped to eof;
@@ -852,118 +864,10 @@ class TcioFile:
             # (fallback flushes): the slot holds zeros there, and
             # a whole-segment write would clobber their data.
             for lo, hi in self._writeback_pieces(gseg, stop - extent.start):
-                yield from pfs_retry(
-                    self.env.world,
-                    "tcio.writeback",
-                    lambda t, _off=extent.start + lo,
-                    _p=slot[lo:hi].tobytes(): self.client.write(
-                        self.pfs_file, _off, _p,
-                        owner=self.env.rank, lock_timeout=t,
-                    ),
+                yield from self._pfs_write(
+                    "tcio.writeback", extent.start + lo, slot[lo:hi].tobytes()
                 )
         self.stats.inc("segment_writebacks")
-
-    def _write_back_batch(self, segments, eof: int):
-        """In-place PFS write of all owned dirty *segments* as ONE batched
-        ``write_vec`` (coroutine; the ``batched_writeback`` opt-in).
-
-        Byte-identical to calling :meth:`_write_back_segment` per segment
-        — the same pieces land, fallback skip ranges included — but the
-        whole drain costs O(1) scheduler events. A retried batch (lock
-        timeout under fault plans) re-writes the same bytes, so the
-        result stays idempotent.
-        """
-        pieces: list[tuple[int, bytes]] = []
-        nsegs = 0
-        for gseg in segments:
-            extent = self.mapping.segment_extent(gseg)
-            stop = min(extent.stop, eof)
-            if stop <= extent.start:
-                continue
-            slot = self.level2.local_slot(gseg)
-            for lo, hi in self._writeback_pieces(gseg, stop - extent.start):
-                pieces.append((extent.start + lo, slot[lo:hi].tobytes()))
-            nsegs += 1
-        if pieces:
-            with self._tracer.span(
-                "tcio.writeback_batch", segments=nsegs, pieces=len(pieces)
-            ):
-                yield from pfs_retry(
-                    self.env.world,
-                    "tcio.writeback",
-                    lambda t: self.client.write_vec(
-                        self.pfs_file, pieces,
-                        owner=self.env.rank, lock_timeout=t,
-                    ),
-                )
-        self.stats.inc("segment_writebacks", nsegs)
-
-    def _flush_epoch(self):
-        """One epoch of the two-phase journaled writeback protocol
-        (coroutine).
-
-        Phase 1: every owner appends a write-ahead record (extents +
-        checksummed payload) per owned dirty-unflushed segment to its
-        per-rank journal file. Then, after a barrier proving every record
-        is durable, rank 0 appends the epoch's commit mark; only now does
-        the epoch count. Phase 2 writes the data in place — a crash
-        anywhere re-creates a committed prefix: ``repro.crash.recover``
-        replays journals up to the last commit mark and truncates to that
-        epoch's eof. See ``docs/faults.md``.
-        """
-        from repro.crash.journal import commit_name, pack_commit, rank_journal
-
-        d = self.directory
-        eof = yield from collectives.allreduce(self.comm, d.eof, max)
-        d.eof = eof
-        todo = [g for g in self.level2.owned_dirty_segments() if g not in d.flushed]
-        total = yield from collectives.allreduce(
-            self.comm, len(todo), lambda a, b: a + b
-        )
-        if total == 0:
-            yield from collectives.barrier(self.comm)
-            self._shadow.clear()
-            return
-        epoch = d.committed_epoch + 1
-        with self._tracer.span("tcio.flush_epoch", epoch=epoch, segments=len(todo)):
-            journal = self.env.pfs.create(rank_journal(self.name, self.env.rank))
-            for gseg in todo:
-                yield from self._journal_segment(journal, epoch, gseg, eof)
-            yield from collectives.barrier(self.comm)
-            yield from self._crash_point("pre-commit")
-            # This barrier is what makes "pre-commit" mean what it says:
-            # no rank may write the commit mark until every rank survived
-            # its pre-commit crash point (otherwise resume order could let
-            # rank 0 commit before the victim even reaches the point).
-            yield from collectives.barrier(self.comm)
-            if self.comm.rank == 0:
-                commit = self.env.pfs.create(commit_name(self.name))
-                mark = pack_commit(epoch, eof)
-                yield from pfs_retry(
-                    self.env.world,
-                    "tcio.journal.commit",
-                    lambda t, _off=commit.size, _p=mark: self.client.write(
-                        commit, _off, _p, owner=self.env.rank, lock_timeout=t,
-                    ),
-                )
-                # Journal metrics live only under dotted registry names:
-                # the legacy as_dict() key set is frozen by compat tests.
-                self.stats.registry.counter("tcio.journal.commits").inc()
-                self._count("crash.journal.commits", 1)
-            yield from collectives.barrier(self.comm)
-            yield from self._crash_point("post-commit")
-            if self.config.batched_writeback:
-                yield from self._write_back_batch(todo, eof)
-                d.flushed.update(todo)
-            else:
-                for gseg in todo:
-                    yield from self._write_back_segment(gseg, eof)
-                    d.flushed.add(gseg)
-            d.committed_epoch = epoch
-            yield from collectives.barrier(self.comm)
-            # Everything deposited so far is durable (committed + written
-            # back): survivors will never need to re-deposit it.
-            self._shadow.clear()
 
     def _journal_segment(self, journal, epoch: int, gseg: int, eof: int):
         """Append one segment's write-ahead record to this rank's journal
@@ -989,21 +893,10 @@ class TcioFile:
             "tcio.journal_record", segment=gseg, epoch=epoch, bytes=len(payload)
         ):
             pos = self._journal_pos
-            yield from pfs_retry(
-                self.env.world,
-                "tcio.journal.head",
-                lambda t, _p=head: self.client.write(
-                    journal, pos, _p, owner=self.env.rank, lock_timeout=t,
-                ),
-            )
+            yield from self._pfs_write("tcio.journal.head", pos, head, journal)
             yield from self._crash_point("mid-flush")
-            yield from pfs_retry(
-                self.env.world,
-                "tcio.journal.payload",
-                lambda t, _p=payload: self.client.write(
-                    journal, pos + len(head), _p,
-                    owner=self.env.rank, lock_timeout=t,
-                ),
+            yield from self._pfs_write(
+                "tcio.journal.payload", pos + len(head), payload, journal
             )
         self._journal_pos = pos + len(head) + len(payload)
         self.stats.registry.counter("tcio.journal.records").inc()
@@ -1013,22 +906,22 @@ class TcioFile:
     # ------------------------------------------------------------------
     # survive-and-complete fault tolerance (``config.ft``)
     # ------------------------------------------------------------------
-    def _ft_guard(self, body):
-        """Run collective *body* (a coroutine factory), surviving rank
-        failures when FT is armed (coroutine).
+    def _ft_guard(self, final: bool):
+        """Run the collective point, surviving rank failures when FT is
+        armed (coroutine).
 
         A non-FT handle propagates :class:`RankUnreachable` unchanged (the
         job aborts). An FT handle shrinks to the survivor communicator,
-        re-partitions level 2, and reruns *body* — whose phases are all
+        re-partitions level 2, and reruns the point — whose stages are all
         idempotent over the shared directory (re-journaled records
         supersede, re-writebacks land the same bytes).
         """
-        if not self._ft:
-            return (yield from body())
         while True:
             try:
-                return (yield from body())
+                return (yield from self._collective_point(final))
             except RankUnreachable:
+                if not self._ft:
+                    raise
                 yield from self._ft_recover()
 
     def _ft_recover(self):
@@ -1133,13 +1026,8 @@ class TcioFile:
                         "tcio.ft.replay", segment=rec.gseg, epoch=rec.epoch
                     ):
                         for i, (lo, _hi) in enumerate(rec.extents):
-                            yield from pfs_retry(
-                                world,
-                                "tcio.ft.replay",
-                                lambda t, _off=lo, _p=rec.piece(i): self.client.write(
-                                    self.pfs_file, _off, _p,
-                                    owner=self.env.rank, lock_timeout=t,
-                                ),
+                            yield from self._pfs_write(
+                                "tcio.ft.replay", lo, rec.piece(i)
                             )
                     self._count("tcio.ft.replayed_bytes", rec.nbytes)
             yield from collectives.barrier(new_comm)
@@ -1172,27 +1060,15 @@ class TcioFile:
             )
             try:
                 old_level2, old_mapping = self.level2, self.mapping
-                new_level2 = yield from Level2Buffer.create(
-                    new_comm,
-                    new_mapping,
-                    per_rank,
-                    d,
-                    self.stats,
-                    use_rma=self.config.use_rma,
-                    combine_indexed=self.config.combine_indexed,
-                    tracer=self._tracer,
+                new_level2 = yield from self._create_level2(
+                    new_comm, new_mapping, per_rank
                 )
 
-                def read_base(g: int, limit: int):
-                    return (
-                        yield from pfs_retry(
-                            world,
-                            "tcio.ft.rebase",
-                            lambda t, _off=g * seg, _n=limit: self.client.read(
-                                self.pfs_file, _off, _n,
-                                owner=self.env.rank, lock_timeout=t,
-                            ),
-                        )
+                def rebase(g: int, limit: int):
+                    """Fill *g*'s new slot from the file image (coroutine)."""
+                    base = yield from self._pfs_read("tcio.ft.rebase", g * seg, limit)
+                    new_level2.local_slot(g)[: len(base)] = np.frombuffer(
+                        base, dtype=np.uint8
                     )
 
                 for g in pending:
@@ -1206,10 +1082,7 @@ class TcioFile:
                         # committed replay above); the shadow replay below
                         # re-applies every survivor's deposits.
                         if new_mapping.owner_of_segment(g) == new_comm.rank:
-                            base = yield from read_base(g, limit)
-                            new_level2.local_slot(g)[: len(base)] = np.frombuffer(
-                                base, dtype=np.uint8
-                            )
+                            yield from rebase(g, limit)
                     elif old_owner_world == self.env.rank:
                         # Alive owner: hand the full slot image (every
                         # rank's deposits, the dead one's included) to the
@@ -1236,10 +1109,7 @@ class TcioFile:
                     if limit <= 0:
                         continue
                     if new_mapping.owner_of_segment(g) == new_comm.rank:
-                        base = yield from read_base(g, limit)
-                        new_level2.local_slot(g)[: len(base)] = np.frombuffer(
-                            base, dtype=np.uint8
-                        )
+                        yield from rebase(g, limit)
                         d.dirty.add(g)
                         abandoned_bytes += limit
                 if abandoned_bytes:
@@ -1284,11 +1154,11 @@ class TcioFile:
         delegate server loses to a crash *minus* whatever the journal can
         replay. Zero right after a flush/close.
         """
-        return sum(
-            1
-            for g in self.level2.owned_dirty_segments()
-            if g not in self.directory.flushed
-        )
+        return len(self._owned_unflushed())
+
+    def _owned_unflushed(self) -> list[int]:
+        flushed = self.directory.flushed
+        return [g for g in self.level2.owned_dirty_segments() if g not in flushed]
 
     def abort(self) -> None:
         """Tear the handle down locally (no collectives; exception path).
@@ -1299,8 +1169,6 @@ class TcioFile:
         marked closed without any communication.
         """
         self._release()
-
-    _abort = abort  # backwards-compatible spelling
 
     def _release(self) -> None:
         memory = self.env.world.memory
@@ -1338,6 +1206,29 @@ class TcioFile:
         return pieces
 
     # ------------------------------------------------------------------
+    def _pfs_write(self, what: str, offset: int, payload: bytes, file=None):
+        """One retried PFS write on this rank's behalf (coroutine); *file*
+        defaults to the data file."""
+        target = file if file is not None else self.pfs_file
+        return pfs_retry(
+            self.env.world,
+            what,
+            lambda t: self.client.write(
+                target, offset, payload, owner=self.env.rank, lock_timeout=t
+            ),
+        )
+
+    def _pfs_read(self, what: str, offset: int, nbytes: int):
+        """One retried PFS read of the data file (coroutine returning the
+        bytes)."""
+        return pfs_retry(
+            self.env.world,
+            what,
+            lambda t: self.client.read(
+                self.pfs_file, offset, nbytes, owner=self.env.rank, lock_timeout=t
+            ),
+        )
+
     def _charge_memcpy(self, nbytes: int) -> None:
         if nbytes > 0:
             self.env.compute(nbytes / self.env.world.fabric.spec.memcpy_bandwidth)

@@ -97,35 +97,16 @@ class Level2Buffer:
         self.faults = getattr(comm.world, "faults", None)
 
     @classmethod
-    def create(
-        cls,
-        comm: Communicator,
-        mapping: SegmentMapping,
-        segments_per_process: int,
-        directory: SegmentDirectory,
-        stats: TcioStats,
-        *,
-        use_rma: bool = True,
-        combine_indexed: bool = True,
-        tracer: Optional[Tracer] = None,
-    ):
-        """Collectively construct one rank's level-2 slice (coroutine).
+    def create(cls, *args, **kwargs):
+        """Collectively construct one rank's level-2 slice (coroutine;
+        takes the constructor's arguments).
 
         Window registration itself is local; the trailing barrier makes
         creation collective, so every rank's window exists before any
         one-sided access targets it.
         """
-        buf = cls(
-            comm,
-            mapping,
-            segments_per_process,
-            directory,
-            stats,
-            use_rma=use_rma,
-            combine_indexed=combine_indexed,
-            tracer=tracer,
-        )
-        yield from barrier(comm)
+        buf = cls(*args, **kwargs)
+        yield from barrier(buf.comm)
         return buf
 
     def _retry_rma(self, what: str, op):
@@ -174,19 +155,58 @@ class Level2Buffer:
             return
         owner = self.mapping.owner_of_segment(global_segment)
         base = self._slot_base(global_segment)
-        nbytes = sum(length for _, length, _ in blocks)
+        yield from self._ship(
+            owner,
+            [(base + disp, payload) for disp, _length, payload in blocks],
+            self.tracer.span(
+                "tcio.push",
+                segment=global_segment,
+                target=owner,
+                bytes=sum(length for _, length, _ in blocks),
+            ),
+            f"tcio.push(seg={global_segment})",
+        )
+        self.directory.dirty.add(global_segment)
+
+    def push_window_blocks(
+        self, owner: int, blocks: list[tuple[int, bytes]]
+    ):
+        """Leader drain: one RMA sequence of pre-coalesced window blocks
+        (coroutine).
+
+        ``blocks`` is ``[(window offset, payload), ...]`` already merged
+        across this node's depositors (``repro.topo``) — the hierarchical
+        counterpart of :meth:`push_blocks`, shipping many ranks' flushes
+        to *owner* at once. The caller marks the segments dirty.
+        """
+        if not blocks:
+            return
+        yield from self._ship(
+            owner,
+            blocks,
+            self.tracer.span(
+                "topo.drain",
+                target=owner,
+                bytes=sum(len(payload) for _, payload in blocks),
+                blocks=len(blocks),
+            ),
+            f"topo.drain(owner={owner})",
+        )
+
+    def _ship(self, owner: int, blocks: list[tuple[int, bytes]], span, what: str):
+        """Land ``[(window offset, payload), ...]`` in *owner*'s slice
+        (coroutine): a memcpy when local, else one RMA sequence under an
+        exclusive lock, timed by *span*. :class:`RetryBudgetExceeded`
+        propagates to the caller's fallback.
+        """
         if owner == self.rank:
-            slot = self.local_slot(global_segment)
-            for disp, length, payload in blocks:
-                slot[disp : disp + length] = np.frombuffer(payload, dtype=np.uint8)
+            for off, payload in blocks:
+                self.data[off : off + len(payload)] = np.frombuffer(
+                    payload, dtype=np.uint8
+                )
             self.stats.inc("local_flushes")
         else:
-            with self.tracer.span(
-                "tcio.push", segment=global_segment, target=owner, bytes=nbytes
-            ):
-                targets = [
-                    (base + disp, payload) for disp, _length, payload in blocks
-                ]
+            with span:
                 if not self.use_rma:
                     # Ablation: pay two-sided receive-side matching costs.
                     finish = self.comm.world.charge_matching(owner)
@@ -198,76 +218,32 @@ class Level2Buffer:
                     yield from self.window.lock(owner, LOCK_EXCLUSIVE)
                     try:
                         if self.combine_indexed:
-                            self.window.put_indexed(targets, owner)
+                            self.window.put_indexed(blocks, owner)
                         else:
                             # Ablation: one Put per block ("a large number of
                             # network connections, which would in turn degrade
                             # performance").
-                            for off, payload in targets:
+                            for off, payload in blocks:
                                 self.window.put(payload, owner, off)
                     finally:
                         self.window.unlock(owner)
 
-                yield from self._retry_rma(
-                    f"tcio.push(seg={global_segment})", attempt
-                )
+                yield from self._retry_rma(what, attempt)
             self.stats.inc("remote_flushes")
             self.stats.inc("put_blocks", len(blocks))
-        self.stats.inc("flushed_bytes", nbytes)
-        d = self.directory
-        d.dirty.add(global_segment)
-        d.flushed.discard(global_segment)  # re-dirtied: next epoch re-journals
-        record = d.deposited.setdefault(global_segment, [])
-        for disp, length, _payload in blocks:
-            record.append((disp, length, self.rank))
-
-    def push_window_blocks(
-        self, owner: int, blocks: list[tuple[int, bytes]]
-    ):
-        """Leader drain: one indexed Put of pre-coalesced window blocks
-        (coroutine).
-
-        ``blocks`` is ``[(window offset, payload), ...]`` already merged
-        across this node's depositors (``repro.topo``) — the hierarchical
-        counterpart of :meth:`push_blocks`, shipping many ranks' flushes
-        to *owner* in a single RMA sequence. Same retry semantics:
-        :class:`RetryBudgetExceeded` propagates to the caller's fallback.
-        """
-        if not blocks:
-            return
-        nbytes = sum(len(payload) for _, payload in blocks)
-        if owner == self.rank:
-            for off, payload in blocks:
-                self.data[off : off + len(payload)] = np.frombuffer(
-                    payload, dtype=np.uint8
-                )
-            self.stats.inc("local_flushes")
-        else:
-            with self.tracer.span(
-                "topo.drain", target=owner, bytes=nbytes, blocks=len(blocks)
-            ):
-
-                def attempt(_attempt: int):
-                    yield from self.window.lock(owner, LOCK_EXCLUSIVE)
-                    try:
-                        self.window.put_indexed(blocks, owner)
-                    finally:
-                        self.window.unlock(owner)
-
-                yield from self._retry_rma(f"topo.drain(owner={owner})", attempt)
-            self.stats.inc("remote_flushes")
-            self.stats.inc("put_blocks", len(blocks))
-        self.stats.inc("flushed_bytes", nbytes)
         # Provenance: map each window block back to its global segment
-        # (slot s of rank o holds segment s * P + o). Staged blocks never
-        # cross a slot boundary (staging coalesces per segment).
+        # (slot s of rank o holds segment s * P + o). Blocks never cross a
+        # slot boundary (level 1 drains, and staging coalesces, per segment).
         d = self.directory
         nprocs = self.comm.size
+        nbytes = 0
         for off, payload in blocks:
             slot, disp = divmod(off, self.segment_size)
             g = slot * nprocs + owner
-            d.flushed.discard(g)
+            d.flushed.discard(g)  # re-dirtied: next epoch re-journals
             d.deposited.setdefault(g, []).append((disp, len(payload), self.rank))
+            nbytes += len(payload)
+        self.stats.inc("flushed_bytes", nbytes)
 
     # ------------------------------------------------------------------
     # read path: reader-loads-and-caches, then one-sided gets

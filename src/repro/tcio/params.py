@@ -75,13 +75,6 @@ class TcioConfig:
         only counts once its commit mark lands — ``repro.crash.recover``
         can then rebuild a consistent image after a fail-stop crash. See
         ``docs/faults.md``. Write handles only; must agree across ranks.
-    batched_writeback:
-        Opt-in: drain all of a rank's dirty segments through one batched
-        ``PfsClient.write_vec`` call at flush/close, so an N-segment
-        writeback costs O(1) scheduler events instead of O(N). Bytes are
-        identical to the per-segment path (gated by a differential test);
-        virtual timing may shift slightly because extent locks release at
-        batch end. Default off to keep existing runs bit-identical.
     ft:
         Opt-in survive-and-complete fault tolerance (ULFM-style). When a
         member of the collective dies mid-protocol, the survivors shrink
@@ -104,7 +97,6 @@ class TcioConfig:
     aggregation: str = "flat"
     staging_segments: int = 32
     journal: str = "off"
-    batched_writeback: bool = False
     ft: bool = False
 
     def validate(self) -> None:

@@ -7,15 +7,10 @@ metrics (``tcio.flush.remote``, ``tcio.write.bytes``, ...) through
 :meth:`TcioStats.inc`, and the legacy surface — ``stats.as_dict()``, the
 ``flushes`` property — reads the same registry, so existing benchmark
 assertions keep working and the registry is the single source of truth.
-
-Direct access to the old integer fields (``stats.remote_flushes``,
-``stats.write_calls = 3``) still works but emits ``DeprecationWarning``;
-new code should read ``stats.registry`` (or ``stats.as_dict()``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -43,21 +38,15 @@ FIELD_METRICS: dict[str, str] = {
 class TcioStats:
     """What one TCIO handle did — the mechanism evidence behind the figures."""
 
-    __slots__ = ("registry", "extra", "_counters")
+    __slots__ = ("registry", "_counters")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-        object.__setattr__(self, "extra", {})
+        self.registry = registry if registry is not None else MetricsRegistry()
         # Counter objects memoized per handle: ``inc`` runs a few times per
         # application I/O call, and the name translation + registry lookup
         # showed up in whole-run profiles.
-        object.__setattr__(self, "_counters", {})
+        self._counters: dict = {}
 
-    # ------------------------------------------------------------------
-    # the library's mutation/read paths (no deprecation)
-    # ------------------------------------------------------------------
     def inc(self, fld: str, n: int = 1) -> None:
         """Increment the legacy-named counter *fld* by *n*."""
         counter = self._counters.get(fld)
@@ -83,46 +72,11 @@ class TcioStats:
         over ``__dict__``, so the key set cannot silently drift (e.g. a
         future ``bool`` field sneaking in as an ``int``).
         """
-        out = {fld: self.value(fld) for fld in FIELD_METRICS}
-        out.update(self.extra)
-        return out
+        return {fld: self.value(fld) for fld in FIELD_METRICS}
 
     def as_metrics(self) -> dict[str, int]:
         """The same view keyed by dotted registry names (for metrics.json)."""
         return {metric: self.value(fld) for fld, metric in FIELD_METRICS.items()}
-
-    # ------------------------------------------------------------------
-    # deprecated legacy field access
-    # ------------------------------------------------------------------
-    def __getattr__(self, name: str) -> int:
-        # Only reached when normal lookup fails, i.e. for legacy fields.
-        if name in FIELD_METRICS:
-            warnings.warn(
-                f"reading TcioStats.{name} directly is deprecated; use "
-                f"stats.as_dict()[{name!r}] or "
-                f"stats.registry.counter({FIELD_METRICS[name]!r})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.value(name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in FIELD_METRICS:
-            warnings.warn(
-                f"assigning TcioStats.{name} directly is deprecated; use "
-                f"stats.inc({name!r}, n) or "
-                f"stats.registry.counter({FIELD_METRICS[name]!r})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            counter = self.registry.counter(FIELD_METRICS[name])
-            counter.count = int(value)
-            counter.total = float(value)
-            return
-        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TcioStats({self.as_dict()!r})"

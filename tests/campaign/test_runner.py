@@ -78,17 +78,6 @@ class TestSweepableParameters:
         assert narrow["file_sha256"] == default["file_sha256"]
         assert narrow["write_seconds"] != default["write_seconds"]
 
-    def test_fig5_batched_writeback_axis(self):
-        # opt-in flag (docs/performance.md): bytes must be identical to
-        # the per-segment path; only virtual timing is allowed to move
-        base = dict(
-            experiment="fig5", method="TCIO", nprocs=4, len_array=256
-        )
-        default = self._run(**base)
-        batched = self._run(**base, batched_writeback=True)
-        assert batched["file_sha256"] == default["file_sha256"]
-        assert not batched["failed"]
-
     def test_fig5_aggregation_axis(self):
         base = dict(
             experiment="fig5", method="TCIO", nprocs=4, len_array=256

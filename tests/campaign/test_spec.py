@@ -110,6 +110,31 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match="unknown experiment"):
             grid("fig99", len_array=[64])
 
+    def test_misspelt_parameter_rejected_naming_the_accepted_set(self):
+        # the runners only point.get() the names they know: a typo used
+        # to run identical cells instead of failing
+        with pytest.raises(SpecError, match="len_aray.*accepted.*len_array"):
+            grid(
+                "fig5", base=dict(method="TCIO", nprocs=2, len_array=64),
+                len_aray=[1, 2],
+            )
+        with pytest.raises(SpecError, match="segments"):
+            grid("fig5", base={"segments": 8}, len_array=[64])
+
+    def test_retired_batched_writeback_axis_rejected(self):
+        with pytest.raises(SpecError, match="batched_writeback"):
+            parse_spec(
+                "name: old\nexperiment: fig5\nbase:\n  method: TCIO\n  nprocs: 4\n"
+                "  len_array: 64\naxes:\n  batched_writeback: [false, true]\n"
+            )
+
+    def test_default_grids_use_only_accepted_parameters(self):
+        from repro.perf.points import EXPERIMENTS, accepted_params, points_for
+
+        for experiment in EXPERIMENTS:
+            for point in points_for(experiment):
+                assert {k for k, _ in point.params} <= accepted_params(experiment)
+
     def test_base_axis_overlap_rejected(self):
         with pytest.raises(SpecError, match="both base and axis"):
             grid("fig5", base={"len_array": 64}, len_array=[64])

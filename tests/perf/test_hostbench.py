@@ -34,6 +34,12 @@ class TestMeasurement:
         assert measured["sim_seconds"] > 0
         assert measured["point"] == PINNED["bench-mpiio-p8-len256"].label()
 
+    def test_no_pinned_point_reports_zero_sim_seconds(self):
+        # every family's result must feed the simulated-time sum: the
+        # ioserver family returns ``elapsed`` and read 0.0 for two baselines
+        zero = [n for n in PINNED if not measure_point(n)["sim_seconds"] > 0]
+        assert zero == []
+
     def test_run_hostbench_report_shape(self, tmp_path):
         report = run_hostbench(
             names=["bench-mpiio-p8-len256"],

@@ -30,12 +30,6 @@ class TestProfilePoints:
         stats, _ = profile_points(TINY)
         assert isinstance(stats, pstats.Stats)
 
-    def test_set_thread_hook_shim_warns(self):
-        from repro.sim.process import set_thread_hook
-
-        with pytest.warns(DeprecationWarning, match="set_thread_hook"):
-            set_thread_hook(None)
-
     def test_stats_are_pstats(self):
         stats, _ = profile_points(TINY)
         assert isinstance(stats, pstats.Stats)

@@ -184,19 +184,3 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             active_process()
 
-    def test_deprecated_shims_warn_but_work(self):
-        from repro.sim.engine import current_engine, current_process
-
-        engine = Engine()
-        seen = []
-
-        def body():
-            with pytest.warns(DeprecationWarning):
-                proc = current_process()
-            with pytest.warns(DeprecationWarning):
-                eng = current_engine()
-            seen.append((proc.name, eng is engine))
-
-        engine.spawn("p", body)
-        engine.run()
-        assert seen == [("p", True)]

@@ -1,9 +1,8 @@
-"""TcioStats compatibility view: exact key set, deprecations, registry.
+"""TcioStats compatibility view: exact key set, registry backing.
 
 Regression guard for the stats redesign: ``as_dict()`` must keep the
 historical key set byte for byte (experiments and DESIGN.md tables key on
-it), legacy field access must keep working — loudly — and everything must
-read through the backing :class:`MetricsRegistry`.
+it) and everything must read through the backing :class:`MetricsRegistry`.
 """
 
 import warnings
@@ -96,17 +95,7 @@ class TestRegistryBacking:
 
 
 class TestDeprecatedFieldAccess:
-    def test_read_warns_but_works(self):
-        s = TcioStats()
-        s.inc("read_calls", 7)
-        with pytest.warns(DeprecationWarning, match="read_calls"):
-            assert s.read_calls == 7
-
-    def test_write_warns_but_works(self):
-        s = TcioStats()
-        with pytest.warns(DeprecationWarning, match="write_calls"):
-            s.write_calls = 9
-        assert s.value("write_calls") == 9
+    """The deprecated per-field attribute view is gone, not half-alive."""
 
     def test_internal_paths_do_not_warn(self):
         s = TcioStats()
@@ -121,3 +110,5 @@ class TestDeprecatedFieldAccess:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             TcioStats().not_a_field
+        with pytest.raises(AttributeError):
+            TcioStats().write_calls  # a legacy field name: no longer readable
