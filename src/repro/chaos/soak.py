@@ -13,12 +13,12 @@ and checks the family's invariants. The three families:
   rank at a drawn protocol step and must complete degraded: survivor
   bytes identical to the crash-free reference outside the victim's
   uncommitted region, fsck clean, at least one survive round recorded
-  (:func:`repro.crash.harness.run_survive_cell`).
+  (:func:`repro.crash.harness.run_cell`, ``survive=True``).
 * ``server-failover`` — a delegate I/O-server session with
   ``IoServerConfig.failover`` loses one delegate at a drawn ``srv-*``
   step and must complete with the final image byte-identical to the
   analytic oracle — client-side replay loses *nothing*
-  (:func:`repro.crash.harness.run_server_survive_cell`).
+  (:func:`repro.crash.harness.run_cell`, ``kind="server"``).
 
 Everything is a pure function of the root seed: the drawn parameters,
 the virtual-clock schedules, the final bytes, and the metrics document
@@ -235,14 +235,14 @@ def _iterate_tenancy(out: IterationOutcome) -> None:
 
 def _iterate_tcio_survive(out: IterationOutcome) -> None:
     """FT TCIO: one rank dies at a drawn step, the job completes."""
-    from repro.crash.harness import STEPS, run_survive_cell
+    from repro.crash.harness import STEPS, run_cell
 
     s = out.seed
     step = STEPS[derive_seed(s, "step") % len(STEPS)]
     victim = derive_seed(s, "victim") % 4
     out.params = {"step": step, "victim": victim}
-    cell = run_survive_cell(
-        step, nranks=4, cores_per_node=2,
+    cell = run_cell(
+        step, survive=True, nranks=4, cores_per_node=2,
         seed=derive_seed(s, "plan") % (1 << 31), victim=victim,
     )
     if not cell.ok:
@@ -252,15 +252,15 @@ def _iterate_tcio_survive(out: IterationOutcome) -> None:
 
 def _iterate_server_failover(out: IterationOutcome) -> None:
     """Failover ioserver: one delegate dies, the session completes."""
-    from repro.crash.harness import SERVER_STEPS, run_server_survive_cell
+    from repro.crash.harness import SERVER_STEPS, run_cell
 
     s = out.seed
     step = SERVER_STEPS[derive_seed(s, "step") % len(SERVER_STEPS)]
     # The small shape has delegates (0, 2); draw which one dies.
     victim = (0, 2)[derive_seed(s, "victim") % 2]
     out.params = {"step": step, "victim": victim}
-    cell = run_server_survive_cell(
-        step, nclients=4, nranks=4, cores_per_node=2,
+    cell = run_cell(
+        step, kind="server", survive=True, nclients=4, nranks=4, cores_per_node=2,
         seed=derive_seed(s, "plan") % (1 << 31), victim=victim,
     )
     if not cell.ok:

@@ -15,13 +15,8 @@ from repro.crash.harness import (
     CrashCell,
     CrashMatrixResult,
     crash_free_reference,
-    run_crash_cell,
-    run_crash_matrix,
-    run_journal_off_cell,
-    run_server_survive_cell,
-    run_server_survive_matrix,
-    run_survive_cell,
-    run_survive_matrix,
+    run_cell,
+    run_matrix,
 )
 from repro.crash.journal import (
     JournalRecord,
@@ -51,11 +46,6 @@ __all__ = [
     "rank_journal",
     "read_commits",
     "recover",
-    "run_crash_cell",
-    "run_crash_matrix",
-    "run_journal_off_cell",
-    "run_server_survive_cell",
-    "run_server_survive_matrix",
-    "run_survive_cell",
-    "run_survive_matrix",
+    "run_cell",
+    "run_matrix",
 ]

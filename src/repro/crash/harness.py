@@ -1,32 +1,44 @@
 """The crash-differential harness: kill a rank at every protocol step.
 
-One *cell* of the matrix runs a fixed two-phase TCIO workload (phase 1
-writes a low region, ``tcio_flush`` commits epoch 1, phase 2 writes a
-disjoint higher region, ``tcio_close`` commits epoch 2), crashes one rank
-at a chosen protocol step, recovers the surviving PFS image with
-:func:`repro.crash.recover.recover`, and checks the result byte-for-byte
-against a crash-free reference run:
+There is one *cell*, :func:`run_cell`, and it always does the same thing:
 
-* crash at ``pre-deposit`` / ``post-deposit`` / ``mid-flush`` /
-  ``pre-commit`` (all during epoch 2, the last occurrence of the step)
-  → the recovered file must equal the crash-free file truncated to the
-  epoch-1 eof — phase 2 is gone, phase 1 is intact;
-* crash at ``post-commit`` → epoch 2 committed first, so the recovered
-  file must equal the full crash-free file.
+1. a crash-free **counting run** with an idle
+   :class:`~repro.faults.plan.FaultPlan` tallies how often the victim
+   reaches the step (``plan.step_hits``);
+2. the **armed run** sets ``crash_after`` to that count — the last
+   occurrence, which falls in the final epoch. Same seed + same spec →
+   same crash, every time;
+3. the outcome is **classified**: abort mode expects the job to abort,
+   runs :func:`repro.crash.recover.recover` on the surviving PFS image and
+   compares it byte-for-byte with the expected image rolled back to the
+   last committed epoch; survive mode (TCIO ``ft`` / delegate
+   ``failover`` on) expects the job to *complete* with exactly the victim
+   dead and compares the as-left image with no recovery pass at all.
+   Either way :func:`repro.crash.fsck.fsck` must come back *clean* (zero
+   torn, zero untracked bytes). With ``journal="off"`` — the control that
+   shows what the journal buys — the same crash loses deposited bytes, and
+   fsck (fed the aborted run's in-memory directory as a
+   :class:`~repro.crash.fsck.CrashContext`) must detect and report them.
 
-Each cell also runs :func:`repro.crash.fsck.fsck` on the recovered image
-and requires it *clean* (zero torn, zero untracked bytes).
+What is run, and what image is expected, comes from one of two *targets*:
 
-Crashes are aimed deterministically: a crash-free *counting run* with an
-idle :class:`~repro.faults.plan.FaultPlan` tallies how often the victim
-rank reaches each step (``plan.step_hits``), and the armed run sets
-``crash_after`` to that count — the last occurrence, which falls in the
-close-time epoch. Same seed + same spec → same crash, every time.
+* ``kind="tcio"`` — a fixed two-phase TCIO workload (phase 1 writes a low
+  region, ``tcio_flush`` commits epoch 1, phase 2 writes a disjoint higher
+  region, ``tcio_close`` commits epoch 2). A crash at ``pre-deposit`` /
+  ``post-deposit`` / ``mid-flush`` / ``pre-commit`` must recover the
+  crash-free file truncated to the epoch-1 eof; ``post-commit`` the full
+  file. In survive mode the victim's level-1-only phase-2 bytes may read
+  zero instead (legitimately lost) — except ``post-commit``, where its
+  records were committed and the survivors replay them.
+* ``kind="server"`` — a seeded request trace through the
+  ``repro.ioserver`` delegates, one of which dies at a service-loop or
+  commit step. The expected image is the analytic
+  :func:`~repro.ioserver.trace.expected_image` (the prior epoch's prefix
+  for rollback steps); nothing may be flagged ``data_at_risk``, and with
+  failover the clients' replay buffers mean **nothing** is lost at any
+  step.
 
-A final ``journal="off"`` cell shows what the journal buys: the same
-crash without it loses deposited bytes, and fsck (fed the aborted run's
-in-memory directory as a :class:`~repro.crash.fsck.CrashContext`) must
-detect and report them.
+:func:`run_matrix` is every step × every aggregation mode of one target.
 """
 
 from __future__ import annotations
@@ -137,229 +149,6 @@ class CrashMatrixResult:
         return "\n".join(lines)
 
 
-def _count_step_hits(config, nranks, cores_per_node, seed, step, victim) -> int:
-    """Crash-free counting run: how often *victim* reaches *step*."""
-    from repro.faults import FaultPlan, FaultSpec
-
-    plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    _run("count.dat", config, nranks, cores_per_node, faults=plan)
-    return plan.step_hits[(step, victim)]
-
-
-def run_crash_cell(
-    step: str,
-    *,
-    aggregation: str = "flat",
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-    reference: Optional[bytes] = None,
-) -> CrashCell:
-    """Run one journaled crash-differential cell (see module doc)."""
-    from repro.faults import FaultPlan, FaultSpec
-
-    name = "crash.dat"
-    config = _make_config(nranks, "epoch", aggregation)
-    if reference is None:
-        reference = crash_free_reference(
-            aggregation=aggregation, nranks=nranks, cores_per_node=cores_per_node
-        )
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, aggregation, "epoch", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is None:
-        return CrashCell(
-            step, aggregation, "epoch", False, "job did not abort", hits, False
-        )
-
-    report = recover(result.pfs, name)
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    eof_phase1 = nranks * PER_RANK
-    expected = reference[:eof_phase1] if step in ROLLBACK_STEPS else reference
-    recovered = result.pfs.lookup(name).contents()
-    ok = recovered == expected and check.clean
-    if recovered != expected:
-        detail = (
-            f"recovered image mismatch ({len(recovered)}b vs "
-            f"{len(expected)}b expected)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    else:
-        detail = (
-            f"epoch {report.committed_epoch} recovered, "
-            f"{report.replayed_bytes}b replayed, "
-            f"{report.skipped_uncommitted} uncommitted + "
-            f"{report.torn_records} torn discarded, fsck clean"
-        )
-    return CrashCell(
-        step, aggregation, "epoch", ok, detail, hits, True,
-        recovery=report, fsck=check,
-    )
-
-
-def run_survive_cell(
-    step: str,
-    *,
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-    reference: Optional[bytes] = None,
-) -> CrashCell:
-    """One survive-and-complete cell: same crash, ``TcioConfig.ft`` on.
-
-    The differential flips: instead of abort→recover→compare, the job
-    must *complete* (``aborted is None``) with the victim dead, the file
-    must match the crash-free reference everywhere outside the victim's
-    uncommitted region (inside it, a byte is either the reference value
-    or zero — the victim's level-1-only data is legitimately lost), and
-    fsck must come back clean with no offline recovery pass at all. A
-    ``post-commit`` crash demands full byte-identity: the victim's
-    records were committed, so the survivors replay them.
-    """
-    from repro.faults import FaultPlan, FaultSpec
-
-    name = "survive.dat"
-    config = replace(_make_config(nranks, "epoch", "flat"), ft=True)
-    if reference is None:
-        reference = crash_free_reference(
-            aggregation="flat", nranks=nranks, cores_per_node=cores_per_node
-        )
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is not None:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"FT run aborted anyway: {result.aborted}", hits, True,
-        )
-    if result.dead_ranks != {victim}:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"unexpected dead set {sorted(result.dead_ranks)}", hits, False,
-        )
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    survived = result.pfs.lookup(name).contents()
-    base = nranks * PER_RANK
-    lo, hi = base + victim * PER_RANK, base + (victim + 1) * PER_RANK
-    strict = step == "post-commit"
-    bad = -1
-    if len(survived) != len(reference):
-        bad = min(len(survived), len(reference))
-    else:
-        for i in range(len(reference)):
-            if survived[i] == reference[i]:
-                continue
-            if not strict and lo <= i < hi and survived[i] == 0:
-                continue  # the victim's uncommitted data: lost, not corrupt
-            bad = i
-            break
-    survives = int(result.trace.get("tcio.ft.survives").total)
-    ok = bad < 0 and check.clean and survives >= 1
-    if bad >= 0:
-        detail = (
-            f"survivor image diverges at byte {bad} "
-            f"({len(survived)}b vs {len(reference)}b reference)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    elif survives < 1:
-        detail = "run completed but no survive round was recorded"
-    else:
-        lost = sum(
-            1 for i in range(lo, min(hi, len(survived))) if survived[i] == 0
-        )
-        detail = (
-            f"completed degraded ({survives} survive round(s)), "
-            f"{lost}b of the victim's uncommitted data lost, fsck clean"
-        )
-    return CrashCell(
-        step, "flat", "epoch+ft", ok, detail, hits, False, fsck=check,
-    )
-
-
-def run_survive_matrix(
-    *,
-    steps=STEPS,
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-) -> CrashMatrixResult:
-    """The survive column: every protocol step, FT on, job must complete."""
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    reference = crash_free_reference(
-        aggregation="flat", nranks=nranks, cores_per_node=cores_per_node
-    )
-    for step in steps:
-        out.cells.append(
-            run_survive_cell(
-                step, nranks=nranks, cores_per_node=cores_per_node,
-                seed=seed, victim=victim, reference=reference,
-            )
-        )
-    return out
-
-
-def run_journal_off_cell(
-    *,
-    aggregation: str = "flat",
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-) -> CrashCell:
-    """The control cell: same crash, no journal — fsck must report loss."""
-    from repro.faults import FaultPlan, FaultSpec
-
-    name = "crash.dat"
-    step = "post-deposit"  # the only close-time step that exists unjournaled
-    config = _make_config(nranks, "off", aggregation)
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, aggregation, "off", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is None:
-        return CrashCell(
-            step, aggregation, "off", False, "job did not abort", hits, False
-        )
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    ok = check.lost_bytes > 0
-    detail = (
-        f"{check.lost_bytes}b lost detected (no journal to recover from)"
-        if ok
-        else "expected lost bytes, fsck found none"
-    )
-    return CrashCell(step, aggregation, "off", ok, detail, hits, True, fsck=check)
-
-
 def crash_free_reference(
     *, aggregation: str = "flat", nranks: int = 4, cores_per_node: int = 2
 ) -> bytes:
@@ -385,87 +174,204 @@ SERVER_STEPS = (
 SERVER_ROLLBACK_STEPS = ("srv-admit", "srv-apply", "srv-flush", "pre-commit")
 
 
-def run_server_crash_cell(
-    step: str,
-    *,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-    victim: Optional[int] = None,
-    trace=None,
-) -> CrashCell:
-    """Kill a delegate at one service-loop (or commit) step; recover.
+class _TcioTarget:
+    """Bare TCIO: the fixed two-phase workload; any rank may be the victim."""
 
-    Mirrors :func:`run_crash_cell` for ``repro.ioserver``: a crash-free
-    counting run tallies how often the victim delegate reaches *step*,
-    the armed run crashes there (last occurrence — during or after the
-    final epoch), and the recovered image must equal the analytic
-    :func:`~repro.ioserver.trace.expected_image` — full for post-commit
-    steps, the prior epoch's prefix for rollback steps. fsck must come
-    back clean and nothing may be flagged ``data_at_risk``.
-    """
+    steps, rollback_steps, modes = STEPS, ROLLBACK_STEPS, ("flat", "node")
+    control_step = "post-deposit"  # the only close-time step that exists unjournaled
+    noun, ft_noun, image_noun = "rank", "FT", "reference"
+    check_at_risk = False
+
+    def __init__(self, survive, journal, seed, *, aggregation="flat", nranks=4,
+                 cores_per_node=2, victim=1, reference=None):
+        if not 0 <= victim < nranks:
+            raise ValueError(
+                f"victim rank {victim} does not exist (choose from 0..{nranks - 1})"
+            )
+        self.survive, self.journal, self.seed = survive, journal, seed
+        self.column, self.victim = aggregation, victim
+        self.nranks, self.cores_per_node = nranks, cores_per_node
+        self.config = replace(_make_config(nranks, journal, aggregation), ft=survive)
+        self.name = "survive.dat" if survive else "crash.dat"
+        self.reference = reference
+        # A survive run may leave the victim's phase-2 region zero: its
+        # level-1-only bytes are legitimately lost before the commit.
+        base = (nranks + victim) * PER_RANK
+        self.victim_range = range(base, base + PER_RANK)
+
+    def run(self, faults):
+        return _run(
+            self.name, self.config, self.nranks, self.cores_per_node, faults=faults
+        )
+
+    def expected(self, rollback: bool) -> bytes:
+        if self.reference is None:
+            self.reference = crash_free_reference(
+                aggregation=self.column, nranks=self.nranks,
+                cores_per_node=self.cores_per_node,
+            )
+        return self.reference[: self.nranks * PER_RANK] if rollback else self.reference
+
+    def survive_detail(self, mpi, survives: int, image: bytes) -> str:
+        lost = sum(1 for i in self.victim_range if i < len(image) and image[i] == 0)
+        return (
+            f"completed degraded ({survives} survive round(s)), "
+            f"{lost}b of the victim's uncommitted data lost, fsck clean"
+        )
+
+
+class _ServerTarget:
+    """``repro.ioserver``: a request trace through the delegates; the
+    victim is a delegate (the last one unless named)."""
+
+    steps, rollback_steps, modes = SERVER_STEPS, SERVER_ROLLBACK_STEPS, ("server",)
+    control_step = None
+    noun, ft_noun, image_noun = "delegate", "failover", "expected"
+    check_at_risk = True
+
+    def __init__(self, survive, journal, seed, *, aggregation="server", nclients=6,
+                 nranks=6, cores_per_node=3, victim=None, trace=None):
+        from repro.ioserver import IoServerConfig, generate_trace, plan_for
+
+        if trace is None:
+            # Writes only (a read phase would push the last srv-* hits past
+            # every commit, degenerating the rollback cells) and dense (fsck
+            # cannot tell a sparse hole from an untracked byte).
+            trace = generate_trace(
+                seed, nclients, epochs=2, writes_per_epoch=3,
+                reads_per_client=0, dense=True,
+            )
+        self.survive, self.journal, self.seed = survive, journal, seed
+        self.column, self.trace, self.name = aggregation, trace, trace.file_name
+        self.nranks, self.cores_per_node = nranks, cores_per_node
+        self.config = IoServerConfig(failover=survive)
+        self.victim_range = range(0)  # client-side replay: failover loses nothing
+        delegates = plan_for(trace, nranks, cores_per_node, self.config).delegates
+        self.victim = delegates[-1] if victim is None else victim
+        if self.victim not in delegates:
+            raise ValueError(
+                f"victim rank {victim} is not a delegate "
+                f"(choose from {list(delegates)})"
+            )
+
+    def run(self, faults):
+        from repro.ioserver import run_ioserver
+
+        return run_ioserver(
+            self.trace, nranks=self.nranks, cores_per_node=self.cores_per_node,
+            config=self.config, faults=faults,
+        ).mpi
+
+    def expected(self, rollback: bool) -> bytes:
+        from repro.ioserver import expected_image
+
+        return expected_image(
+            self.trace, epochs=self.trace.epochs - 1 if rollback else None
+        )
+
+    def survive_detail(self, mpi, survives: int, image: bytes) -> str:
+        redirects = int(mpi.trace.get("ioserver.failover.redirects").total)
+        replayed = int(mpi.trace.get("ioserver.failover.replayed_bytes").total)
+        return (
+            f"completed degraded ({survives} survive round(s), "
+            f"{redirects} redirect(s), {replayed}b replayed by clients), "
+            f"image exact, fsck clean"
+        )
+
+
+_TARGETS = {"tcio": _TcioTarget, "server": _ServerTarget}
+
+
+def _check_step(target, step: str) -> None:
+    if step not in target.steps:
+        raise ValueError(
+            f"unknown crash step {step!r} (choose from {list(target.steps)})"
+        )
+
+
+def _first_divergence(image: bytes, expected: bytes, lossy: range) -> int:
+    """Index of the first byte of *image* that is neither the expected
+    value nor a zero inside *lossy*; -1 when the images agree."""
+    for i in range(min(len(image), len(expected))):
+        if image[i] != expected[i] and not (i in lossy and image[i] == 0):
+            return i
+    return -1 if len(image) == len(expected) else min(len(image), len(expected))
+
+
+def _run_cell(target, step: str) -> CrashCell:
+    """The one cell body: count → arm → run → classify (see module doc)."""
     from repro.faults import FaultPlan, FaultSpec
-    from repro.ioserver import (
-        IoServerConfig, expected_image, generate_trace, plan_for, run_ioserver,
-    )
 
-    if trace is None:
-        # Writes only (a read phase would push the last srv-* hits past
-        # every commit, degenerating the rollback cells) and dense (fsck
-        # cannot tell a sparse hole from an untracked byte).
-        trace = generate_trace(
-            seed, nclients, epochs=2, writes_per_epoch=3,
-            reads_per_client=0, dense=True,
+    survive, seed, victim, name = target.survive, target.seed, target.victim, target.name
+    label = target.journal + ("+ft" if survive else "")
+
+    def cell(ok, detail, hits=0, aborted=False, **reports):
+        return CrashCell(
+            step, target.column, label, ok, detail, hits, aborted, **reports
         )
-    config = IoServerConfig()
-    placement = plan_for(trace, nranks, cores_per_node, config)
-    if victim is None:
-        victim = placement.delegates[-1]
-    if victim not in placement.delegates:
-        raise ValueError(f"victim rank {victim} is not a delegate")
-    name = trace.file_name
 
-    plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=plan,
-    )
-    hits = plan.step_hits[(step, victim)]
+    counting = FaultPlan(FaultSpec(), seed, scope="crash-count")
+    target.run(counting)
+    hits = counting.step_hits[(step, victim)]
     if hits == 0:
-        return CrashCell(
-            step, "server", "epoch", False,
-            f"delegate {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    armed = FaultPlan(spec, seed, scope="crash")
-    result = run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=armed,
+        return cell(False, f"{target.noun} {victim} never reaches step")
+    armed = FaultPlan(
+        FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits),
+        seed, scope="crash",
     )
-    if result.aborted is None:
-        return CrashCell(
-            step, "server", "epoch", False, "job did not abort", hits, False
+    mpi = target.run(armed)
+    if not survive and mpi.aborted is None:
+        return cell(False, "job did not abort", hits)
+    if survive and mpi.aborted is not None:
+        return cell(
+            False, f"{target.ft_noun} run aborted anyway: {mpi.aborted}", hits, True
         )
+    if survive and mpi.dead_ranks != {victim}:
+        return cell(False, f"unexpected dead set {sorted(mpi.dead_ranks)}", hits)
 
-    pfs, world = result.mpi.pfs, result.mpi.world
-    report = recover(pfs, name)
-    check = fsck(pfs, name, context=CrashContext.from_world(world, name))
-    rollback = step in SERVER_ROLLBACK_STEPS
-    expected = expected_image(trace, epochs=trace.epochs - 1 if rollback else None)
-    recovered = pfs.lookup(name).contents() if pfs.exists(name) else b""
-    at_risk = result.mpi.trace.get("faults.data_at_risk").total
-    ok = recovered == expected and check.clean and at_risk == 0
-    if recovered != expected:
+    pfs = mpi.pfs
+    journaled = target.journal != "off"
+    report = recover(pfs, name) if journaled and not survive else None
+    check = fsck(pfs, name, context=CrashContext.from_world(mpi.world, name))
+    if not journaled:  # the control: nothing to recover from, the loss must show
+        ok = check.lost_bytes > 0
         detail = (
-            f"recovered image mismatch ({len(recovered)}b vs "
+            f"{check.lost_bytes}b lost detected (no journal to recover from)"
+            if ok
+            else "expected lost bytes, fsck found none"
+        )
+        return cell(ok, detail, hits, True, fsck=check)
+
+    image = pfs.lookup(name).contents() if pfs.exists(name) else b""
+    rollback = step in target.rollback_steps  # the crash beat the last commit
+    expected = target.expected(rollback and not survive)
+    bad = _first_divergence(
+        image, expected, target.victim_range if survive and rollback else range(0)
+    )
+    at_risk = survives = 0
+    if survive:
+        survives = int(mpi.trace.get("tcio.ft.survives").total)
+    elif target.check_at_risk:
+        at_risk = int(mpi.trace.get("faults.data_at_risk").total)
+    problem = None
+    if bad >= 0 and survive:
+        problem = (
+            f"survivor image diverges at byte {bad} "
+            f"({len(image)}b vs {len(expected)}b {target.image_noun})"
+        )
+    elif bad >= 0:
+        problem = (
+            f"recovered image mismatch ({len(image)}b vs "
             f"{len(expected)}b expected)"
         )
     elif not check.clean:
-        detail = check.summary()
+        problem = check.summary()
     elif at_risk:
-        detail = f"{int(at_risk)}b flagged data_at_risk in a journaled crash"
+        problem = f"{at_risk}b flagged data_at_risk in a journaled crash"
+    elif survive and survives < 1:
+        problem = "run completed but no survive round was recorded"
+    elif survive:
+        detail = target.survive_detail(mpi, survives, image)
     else:
         detail = (
             f"epoch {report.committed_epoch} recovered, "
@@ -473,204 +379,67 @@ def run_server_crash_cell(
             f"{report.skipped_uncommitted} uncommitted + "
             f"{report.torn_records} torn discarded, fsck clean"
         )
-    return CrashCell(
-        step, "server", "epoch", ok, detail, hits, True,
+    return cell(
+        problem is None, problem or detail, hits, not survive,
         recovery=report, fsck=check,
     )
 
 
-def run_server_crash_matrix(
-    *,
-    steps=SERVER_STEPS,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-) -> CrashMatrixResult:
-    """The server-mode campaign: one cell per service-loop step."""
-    from repro.ioserver import generate_trace
-
-    trace = generate_trace(
-        seed, nclients, epochs=2, writes_per_epoch=3,
-        reads_per_client=0, dense=True,
-    )
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for step in steps:
-        out.cells.append(
-            run_server_crash_cell(
-                step, nclients=nclients, nranks=nranks,
-                cores_per_node=cores_per_node, seed=seed, trace=trace,
-            )
-        )
-    return out
-
-
-def run_server_survive_cell(
+def run_cell(
     step: str,
     *,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
+    kind: str = "tcio",
+    survive: bool = False,
+    journal: str = "epoch",
     seed: int = 7,
-    victim: Optional[int] = None,
-    trace=None,
+    **shape,
 ) -> CrashCell:
-    """Kill a delegate at one service-loop step with failover armed.
+    """Run one crash cell (see module doc).
 
-    The survive column of the server matrix: same aimed crash as
-    :func:`run_server_crash_cell`, but ``IoServerConfig.failover`` is on,
-    so the job must *complete* — the dead delegate's clients redirect to
-    the standby and replay their acked-but-uncommitted writes, the
-    surviving delegates shrink the shared TCIO handle and flush on.
-    Unlike bare-TCIO survival (:func:`run_survive_cell`), client-side
-    replay means **nothing** is legitimately lost: the final image must
-    equal the full analytic :func:`~repro.ioserver.trace.expected_image`
-    byte-for-byte at *every* step, with fsck clean and no offline
-    recovery pass at all.
+    *kind* picks the target (``"tcio"`` or ``"server"``), *survive* arms
+    TCIO FT / delegate failover and demands completion instead of
+    abort-and-recover, ``journal="off"`` is the lost-bytes control, and
+    *shape* sizes the target: ``aggregation``, ``nranks``,
+    ``cores_per_node``, ``victim``, ``reference`` for TCIO; ``nclients``,
+    ``nranks``, ``cores_per_node``, ``victim``, ``trace`` for the server.
+    An unknown step or victim raises ``ValueError`` before any simulation.
     """
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.ioserver import (
-        IoServerConfig, expected_image, generate_trace, plan_for, run_ioserver,
-    )
-
-    if trace is None:
-        trace = generate_trace(
-            seed, nclients, epochs=2, writes_per_epoch=3,
-            reads_per_client=0, dense=True,
-        )
-    config = IoServerConfig(failover=True)
-    placement = plan_for(trace, nranks, cores_per_node, config)
-    if victim is None:
-        victim = placement.delegates[-1]
-    if victim not in placement.delegates:
-        raise ValueError(f"victim rank {victim} is not a delegate")
-    name = trace.file_name
-
-    plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=plan,
-    )
-    hits = plan.step_hits[(step, victim)]
-    if hits == 0:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"delegate {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    armed = FaultPlan(spec, seed, scope="crash")
-    result = run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=armed,
-    )
-    if result.aborted is not None:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"failover run aborted anyway: {result.aborted}", hits, True,
-        )
-    if result.mpi.dead_ranks != {victim}:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"unexpected dead set {sorted(result.mpi.dead_ranks)}", hits, False,
-        )
-    pfs, world = result.mpi.pfs, result.mpi.world
-    check = fsck(pfs, name, context=CrashContext.from_world(world, name))
-    expected = expected_image(trace)
-    survived = pfs.lookup(name).contents() if pfs.exists(name) else b""
-    survives = int(result.mpi.trace.get("tcio.ft.survives").total)
-    redirects = int(result.mpi.trace.get("ioserver.failover.redirects").total)
-    ok = survived == expected and check.clean and survives >= 1
-    if survived != expected:
-        bad = next(
-            (
-                i
-                for i in range(min(len(survived), len(expected)))
-                if survived[i] != expected[i]
-            ),
-            min(len(survived), len(expected)),
-        )
-        detail = (
-            f"survivor image diverges at byte {bad} "
-            f"({len(survived)}b vs {len(expected)}b expected)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    elif survives < 1:
-        detail = "run completed but no survive round was recorded"
-    else:
-        replayed = int(
-            result.mpi.trace.get("ioserver.failover.replayed_bytes").total
-        )
-        detail = (
-            f"completed degraded ({survives} survive round(s), "
-            f"{redirects} redirect(s), {replayed}b replayed by clients), "
-            f"image exact, fsck clean"
-        )
-    return CrashCell(
-        step, "server", "epoch+ft", ok, detail, hits, False, fsck=check,
-    )
+    target = _TARGETS[kind](survive, journal, seed, **shape)
+    _check_step(target, step)
+    return _run_cell(target, step)
 
 
-def run_server_survive_matrix(
+def run_matrix(
     *,
-    steps=SERVER_STEPS,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-) -> CrashMatrixResult:
-    """The server survive column: every step, failover on, zero loss."""
-    from repro.ioserver import generate_trace
-
-    trace = generate_trace(
-        seed, nclients, epochs=2, writes_per_epoch=3,
-        reads_per_client=0, dense=True,
-    )
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for step in steps:
-        out.cells.append(
-            run_server_survive_cell(
-                step, nclients=nclients, nranks=nranks,
-                cores_per_node=cores_per_node, seed=seed, trace=trace,
-            )
-        )
-    return out
-
-
-def run_crash_matrix(
-    *,
-    steps=STEPS,
-    modes=("flat", "node"),
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
+    kind: str = "tcio",
+    survive: bool = False,
+    steps=None,
+    modes=None,
     include_journal_off: bool = True,
+    seed: int = 7,
+    **shape,
 ) -> CrashMatrixResult:
-    """The full campaign: every step × every aggregation mode."""
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for mode in modes:
-        reference = crash_free_reference(
-            aggregation=mode, nranks=nranks, cores_per_node=cores_per_node
-        )
-        for step in steps:
-            out.cells.append(
-                run_crash_cell(
-                    step,
-                    aggregation=mode,
-                    nranks=nranks,
-                    cores_per_node=cores_per_node,
-                    seed=seed,
-                    victim=victim,
-                    reference=reference,
-                )
-            )
-    if include_journal_off:
+    """One campaign: every step × every mode of the target, plus (abort-
+    mode TCIO only) the ``journal="off"`` control cell.
+
+    *steps* defaults to all of the target's steps and *modes* to all of
+    its aggregation modes (FT and failover run flat only). The reference
+    image / request trace is built once per mode and shared by its cells.
+    """
+    cls = _TARGETS[kind]
+    if modes is None:
+        modes = cls.modes[:1] if survive else cls.modes
+    targets = [
+        cls(survive, "epoch", seed, **{**shape, "aggregation": mode})
+        for mode in modes
+    ]
+    steps = cls.steps if steps is None else tuple(steps)
+    for step in steps:
+        _check_step(cls, step)
+    out = CrashMatrixResult(nranks=targets[0].nranks, seed=seed)
+    out.cells = [_run_cell(target, step) for target in targets for step in steps]
+    if include_journal_off and cls.control_step and not survive:
         out.cells.append(
-            run_journal_off_cell(
-                nranks=nranks, cores_per_node=cores_per_node,
-                seed=seed, victim=victim,
-            )
+            run_cell(cls.control_step, kind=kind, journal="off", seed=seed, **shape)
         )
     return out

@@ -90,23 +90,27 @@ def run_faulted(
     return 0
 
 
-def run_crash_campaign(crash_at: str, *, seed: int = 7, procs: int = 4) -> int:
-    """``python -m repro faults --crash-at <step|each-step>``.
+def run_crash_campaign(crash_at: str, **matrix) -> int:
+    """``python -m repro faults --crash-at <step|each-step> [--ft]`` and
+    ``python -m repro ioserver --crash-step <step|each-step> [--failover]``.
 
-    Runs the crash-differential matrix (docs/faults.md): kill rank 1 at
-    the named protocol step (or every step) in both aggregation modes,
-    recover, and compare against a crash-free reference; 0 when every
-    cell is byte-identical and fsck-clean.
+    Runs one crash-differential matrix (docs/faults.md; *matrix* goes to
+    :func:`repro.crash.run_matrix`): kill the victim at the named protocol
+    step (or every step), then either recover and compare against the
+    crash-free reference or, in survive mode, require completion; 0 when
+    every cell is byte-identical and fsck-clean, 2 for a step or victim
+    that does not exist (nothing is simulated then).
     """
-    from repro.crash import STEPS, run_crash_matrix
+    from repro.crash import run_matrix
 
-    if crash_at != "each-step" and crash_at not in STEPS:
-        print(f"unknown crash step {crash_at!r} (choose from {list(STEPS)})")
+    steps = None if crash_at == "each-step" else (crash_at,)
+    try:
+        result = run_matrix(steps=steps, **matrix)
+    except ValueError as exc:
+        print(exc)
         return 2
-    steps = STEPS if crash_at == "each-step" else (crash_at,)
-    matrix = run_crash_matrix(steps=steps, nranks=procs, seed=seed)
-    print(matrix.render())
-    return 0 if matrix.ok else 1
+    print(result.render())
+    return 0 if result.ok else 1
 
 
 def run_fsck(

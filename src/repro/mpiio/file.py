@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.faults.retry import pfs_retry
 from repro.mpiio import independent, twophase
 from repro.mpiio.fileview import FileView
 from repro.mpiio.hints import IoHints
@@ -310,6 +311,31 @@ class MpiFile:
                 )
             payload = payload[:need]
         return payload
+
+    def _pfs_write(self, what: str, offset: int, payload: bytes):
+        """One retried PFS write on this rank's behalf (coroutine)."""
+        return pfs_retry(
+            self.env.world,
+            what,
+            lambda t: self.client.write(
+                self.pfs_file, offset, payload, owner=self.env.rank, lock_timeout=t
+            ),
+        )
+
+    def _pfs_read(self, what: str, offset: int, nbytes: int):
+        """One retried PFS read (coroutine returning the bytes)."""
+        return pfs_retry(
+            self.env.world,
+            what,
+            lambda t: self.client.read(
+                self.pfs_file, offset, nbytes, owner=self.env.rank, lock_timeout=t
+            ),
+        )
+
+    def _copy_cost(self, nbytes: int) -> None:
+        """Charge local pack/scatter/gather memcpy time."""
+        if nbytes > 0:
+            self.env.compute(nbytes / self.env.world.fabric.spec.memcpy_bandwidth)
 
     def _advance(self, nbytes: int) -> None:
         if nbytes % self.view.etype.size != 0:

@@ -44,7 +44,8 @@ class IoHints:
         fixed, data-independent edge set (no counts exchange), and spreads
         the ``cb_nodes`` aggregators round-robin across nodes instead of
         packing them onto the lowest ranks. See ``docs/topology.md``.
-        Incompatible with ``cb_rounds_buffer`` (rounds stay flat-only).
+        Rejected together with ``cb_rounds_buffer``: every round would
+        repeat the staging copy and the node barrier, unmeasured.
     """
 
     ds_read: bool = True

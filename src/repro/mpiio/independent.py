@@ -18,28 +18,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpiio.file import MpiFile
 
 
-def _copy_cost(mf: "MpiFile", nbytes: int) -> None:
-    """Charge local scatter/gather memcpy time."""
-    if nbytes > 0:
-        mf.env.compute(nbytes / mf.env.world.fabric.spec.memcpy_bandwidth)
-
-
 def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
     """Write *data* at view stream position *stream_pos* (coroutine)."""
     if not data:
         return
     pieces = mf.view.map_pieces(stream_pos, len(data))
-    rank = mf.env.rank
     world = mf.env.world
     if len(pieces) == 1:
         ext, _ = pieces[0]
-        yield from pfs_retry(
-            world,
-            "mpiio.write",
-            lambda t: mf.client.write(
-                mf.pfs_file, ext.start, data, owner=rank, lock_timeout=t
-            ),
-        )
+        yield from mf._pfs_write("mpiio.write", ext.start, data)
         return
     bounding = Extent(pieces[0][0].start, pieces[-1][0].stop)
     useful = sum(e.length for e, _ in pieces)
@@ -48,7 +35,7 @@ def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
         # Sieve: read-modify-write under one exclusive lock (the two
         # storage operations must be atomic against other sieving writers
         # whose bounding extents overlap ours).
-        _copy_cost(mf, useful)
+        mf._copy_cost(useful)
         sieved = [
             (ext.start, data[mem_off : mem_off + ext.length])
             for ext, mem_off in pieces
@@ -57,23 +44,15 @@ def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
             world,
             "mpiio.sieve_write",
             lambda t: mf.client.write_sieved(
-                mf.pfs_file, sieved, owner=rank, lock_timeout=t
+                mf.pfs_file, sieved, owner=mf.env.rank, lock_timeout=t
             ),
         )
         if world.trace is not None:
             world.trace.count("mpiio.sieve_write", useful)
         return
     for ext, mem_off in pieces:
-        yield from pfs_retry(
-            world,
-            "mpiio.write",
-            lambda t, _ext=ext, _off=mem_off: mf.client.write(
-                mf.pfs_file,
-                _ext.start,
-                data[_off : _off + _ext.length],
-                owner=rank,
-                lock_timeout=t,
-            ),
+        yield from mf._pfs_write(
+            "mpiio.write", ext.start, data[mem_off : mem_off + ext.length]
         )
 
 
@@ -83,45 +62,26 @@ def read_view(mf: "MpiFile", stream_pos: int, nbytes: int):
     if nbytes == 0:
         return b""
     pieces = mf.view.map_pieces(stream_pos, nbytes)
-    rank = mf.env.rank
     world = mf.env.world
     if len(pieces) == 1:
         ext, _ = pieces[0]
-        return (yield from pfs_retry(
-            world,
-            "mpiio.read",
-            lambda t: mf.client.read(
-                mf.pfs_file, ext.start, ext.length, owner=rank, lock_timeout=t
-            ),
-        ))
+        return (yield from mf._pfs_read("mpiio.read", ext.start, ext.length))
     bounding = Extent(pieces[0][0].start, pieces[-1][0].stop)
     useful = sum(e.length for e, _ in pieces)
     out = bytearray(nbytes)
     hints = mf.hints
     if hints.ds_read and useful >= hints.ds_hole_threshold * bounding.length:
-        blob = yield from pfs_retry(
-            world,
-            "mpiio.sieve_read",
-            lambda t: mf.client.read(
-                mf.pfs_file, bounding.start, bounding.length,
-                owner=rank, lock_timeout=t,
-            ),
+        blob = yield from mf._pfs_read(
+            "mpiio.sieve_read", bounding.start, bounding.length
         )
         for ext, mem_off in pieces:
             lo = ext.start - bounding.start
             out[mem_off : mem_off + ext.length] = blob[lo : lo + ext.length]
-        _copy_cost(mf, useful)
+        mf._copy_cost(useful)
         if world.trace is not None:
             world.trace.count("mpiio.sieve_read", useful)
     else:
         for ext, mem_off in pieces:
-            chunk = yield from pfs_retry(
-                world,
-                "mpiio.read",
-                lambda t, _ext=ext: mf.client.read(
-                    mf.pfs_file, _ext.start, _ext.length,
-                    owner=rank, lock_timeout=t,
-                ),
-            )
+            chunk = yield from mf._pfs_read("mpiio.read", ext.start, ext.length)
             out[mem_off : mem_off + ext.length] = chunk
     return bytes(out)

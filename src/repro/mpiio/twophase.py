@@ -16,6 +16,14 @@ Write path (Section III.A of the paper):
 
 The read path runs the phases in reverse: aggregators read their domains,
 then scatter requested blocks back to the requesting ranks.
+
+That sequence is spelt once per direction (:func:`write_all`,
+:func:`read_all`). Two hints parametrise it and nothing else varies:
+``cb_aggregation`` picks the *edge router* — who messages which
+aggregator, flat or through the node leaders (:class:`NodeExchange`) —
+and ``cb_rounds_buffer`` the *window* — steps 2–3 run once over whole
+domains, or once per bounded slice of them (ROMIO's ``cb_buffer_size``
+rounds). See ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 import bisect
 from typing import Optional, TYPE_CHECKING
 
-from repro.faults.retry import pfs_retry
 from repro.obs.spans import NULL_TRACER
 from repro.simmpi import collectives
 from repro.simmpi.comm import CTX_COLL, pack_object, unpack_object, wait_all
@@ -205,8 +212,11 @@ def _get_node_exchange(mf: "MpiFile"):
     return mf._nodex if mf._nodex.active else None
 
 
-def _setup(mf: "MpiFile", stream_pos: int, nbytes: int):
-    """Common prologue (coroutine): pieces, global region, file domains."""
+def _setup(mf: "MpiFile", nx: Optional[NodeExchange], stream_pos: int, nbytes: int):
+    """Common prologue (coroutine): this rank's pieces, the file domains,
+    each domain's aggregator (comm ranks) and the index of the domain this
+    rank aggregates (None for a non-aggregator). Domains are None when no
+    rank accesses anything."""
     comm = mf.comm
     pieces = mf.view.map_pieces(stream_pos, nbytes) if nbytes else []
     lo = pieces[0][0].start if pieces else None
@@ -215,153 +225,72 @@ def _setup(mf: "MpiFile", stream_pos: int, nbytes: int):
     los = [lo_ for lo_, _ in ranges if lo_ is not None]
     his = [h for _, h in ranges if h is not None]
     if not los:
-        return pieces, None
+        return pieces, None, (), None
     gmin, gmax = min(los), max(his)
     naggs = mf.hints.cb_nodes or comm.size
     naggs = min(naggs, comm.size)
     align = mf.pfs_file.layout.stripe_size if mf.hints.cb_align_stripes else 1
     domains = FileDomains(gmin, gmax, naggs, align)
-    return pieces, domains
+    aggs = range(naggs) if nx is None else spread_aggregators(nx.topo, naggs)
+    mine = aggs.index(comm.rank) if comm.rank in aggs else None
+    return pieces, domains, aggs, mine
 
 
-def _copy_cost(mf: "MpiFile", nbytes: int) -> None:
-    if nbytes > 0:
-        mf.env.compute(nbytes / mf.env.world.fabric.spec.memcpy_bandwidth)
-
-
-def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
-    """Collective write of *data* at view stream position *stream_pos*
-    (coroutine)."""
-    if mf.hints.cb_rounds_buffer is not None:
-        return (yield from write_all_rounds(mf, stream_pos, data))
-    nx = yield from _get_node_exchange(mf)
-    if nx is not None:
-        return (yield from _write_all_node(mf, stream_pos, data, nx))
-    comm = mf.comm
-    rank, size = comm.rank, comm.size
-    world = mf.env.world
-    tracer = world.trace.tracer if world.trace is not None else NULL_TRACER
-    t0 = world.engine.now
-    pieces, domains = yield from _setup(mf, stream_pos, len(data))
-    if domains is None:
-        yield from collectives.barrier(comm)
-        return
-
-    # ---- split local pieces by file domain --------------------------
-    send_lists: dict[int, list[tuple[int, bytes]]] = {}
+def _domain_pieces(pieces, domains: FileDomains):
+    """Cut a rank's (file extent, memory offset) pieces at the file-domain
+    boundaries: ``(domain index, file extent, memory offset)`` triples."""
     for ext, mem_off in pieces:
-        for agg, piece in domains.split(ext):
-            block = data[mem_off + (piece.start - ext.start) : mem_off + (piece.stop - ext.start)]
-            send_lists.setdefault(agg, []).append((piece.start, block))
-    _copy_cost(mf, sum(e.length for e, _ in pieces))  # pack into messages
+        for di, piece in domains.split(ext):
+            yield di, piece, mem_off + (piece.start - ext.start)
 
-    # ---- exchange counts, then the data (irecvs first, like ROMIO) --
-    out_counts = [0] * size
+
+def _paint(buf: bytearray, base: int, incoming) -> int:
+    """Copy every ``(file offset, block)`` of the *incoming* lists into
+    *buf*, which starts at file offset *base*; returns the bytes covered."""
+    covered = 0
+    for lst in incoming:
+        for off, block in lst:
+            buf[off - base : off - base + len(block)] = block
+            covered += len(block)
+    return covered
+
+
+# ----------------------------------------------------------------------
+# Edge routers — the only code that differs between cb_aggregation="flat"
+# and "node". Each posts its irecvs before its isends (like ROMIO) and
+# returns the posted receive requests. Flat aggregators are ranks
+# 0..naggs-1, so there a domain index *is* its aggregator's rank.
+# ----------------------------------------------------------------------
+
+
+def _flat_write_edges(mf: "MpiFile", send_lists: dict, reserve):
+    """Flat write router (coroutine): a counts alltoall, then one message
+    per (rank, aggregator) pair that has data. ``reserve()`` runs once the
+    incoming edges are known, before the first irecv."""
+    comm = mf.comm
+    out_counts = [0] * comm.size
     for agg, lst in send_lists.items():
         out_counts[agg] = sum(len(b) for _, b in lst)
     in_counts = yield from collectives.alltoall(comm, out_counts)
-
     tag = collectives._next_tag(comm)
-    my_domain: Optional[Extent] = None
-    tempbuf = None
-    alloc = None
-    if rank < domains.naggs:
-        my_domain = domains.domain(rank)
-        # The aggregator's temporary buffer spans its whole file domain —
-        # the allocation that OOMs at the paper's 48 GB point.
-        alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-        tempbuf = bytearray(my_domain.length)
+    reserve()
     recv_reqs = []
-    for src in range(size):
-        if in_counts[src] > 0 and src != rank:
-            req = yield from comm.irecv(src, tag, context=CTX_COLL)
-            recv_reqs.append((src, req))
+    for src in range(comm.size):
+        if in_counts[src] > 0 and src != comm.rank:
+            recv_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
     for agg, lst in send_lists.items():
-        if agg != rank:
+        if agg != comm.rank:
             yield from comm.isend(pack_object(lst), agg, tag, context=CTX_COLL)
-
-    covered = 0
-    if my_domain is not None and tempbuf is not None:
-        local = send_lists.get(rank, [])
-        with tracer.span("ocio.exchange", peers=len(recv_reqs)):
-            yield from wait_all([req for _, req in recv_reqs])
-        incoming = [local] + [
-            unpack_object(req.payload) for _, req in recv_reqs
-        ]
-        for lst in incoming:
-            for off, block in lst:
-                lo = off - my_domain.start
-                tempbuf[lo : lo + len(block)] = block
-                covered += len(block)
-        _copy_cost(mf, covered)
-
-        # ---- I/O phase ------------------------------------------------
-        if my_domain.length > 0:
-            with tracer.span("ocio.io", bytes=my_domain.length):
-                if covered < my_domain.length:
-                    # Holes in the domain: read-modify-write preserves them.
-                    existing = yield from pfs_retry(
-                        world,
-                        "ocio.io.read",
-                        lambda t: mf.client.read(
-                            mf.pfs_file, my_domain.start, my_domain.length,
-                            owner=rank, lock_timeout=t,
-                        ),
-                    )
-                    merged = bytearray(existing)
-                    for lst in incoming:
-                        for off, block in lst:
-                            lo = off - my_domain.start
-                            merged[lo : lo + len(block)] = block
-                    tempbuf = merged
-                payload = bytes(tempbuf)
-                yield from pfs_retry(
-                    world,
-                    "ocio.io.write",
-                    lambda t: mf.client.write(
-                        mf.pfs_file, my_domain.start, payload,
-                        owner=rank, lock_timeout=t,
-                    ),
-                )
-        world.memory.free(alloc)
-    else:
-        with tracer.span("ocio.exchange", peers=len(recv_reqs)):
-            yield from wait_all([req for _, req in recv_reqs])
-
-    if world.trace is not None:
-        world.trace.count("ocio.write_all", len(data))
-        world.trace.complete("ocio.write_all", t0, world.engine.now, bytes=len(data))
-    yield from collectives.barrier(comm)
+    return recv_reqs
 
 
-def _write_all_node(
-    mf: "MpiFile", stream_pos: int, data: bytes, nx: NodeExchange
-):
-    """Collective write with node-aggregated exchange (coroutine; see
-    NodeExchange)."""
+def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: dict, reserve):
+    """Node write router (coroutine): stage remote-bound pieces with the
+    node leader, then the fixed edge set of :class:`NodeExchange` — every
+    edge is always sent, even empty, so no counts round is needed."""
     comm = mf.comm
     rank = comm.rank
     world = mf.env.world
-    tracer = world.trace.tracer if world.trace is not None else NULL_TRACER
-    t0 = world.engine.now
-    pieces, domains = yield from _setup(mf, stream_pos, len(data))
-    if domains is None:
-        yield from collectives.barrier(comm)
-        return
-    aggs = spread_aggregators(nx.topo, domains.naggs)
-    my_agg = {a: i for i, a in enumerate(aggs)}.get(rank)
-
-    # ---- split local pieces by file domain --------------------------
-    send_lists: dict[int, list[tuple[int, bytes]]] = {}
-    for ext, mem_off in pieces:
-        for di, piece in domains.split(ext):
-            block = data[
-                mem_off + (piece.start - ext.start) : mem_off + (piece.stop - ext.start)
-            ]
-            send_lists.setdefault(di, []).append((piece.start, block))
-    _copy_cost(mf, sum(e.length for e, _ in pieces))  # pack into messages
-
-    # ---- stage remote-bound pieces with the node leader -------------
     seq = nx.next_seq()
     tag = collectives._next_tag(comm)
     for di, agg in enumerate(aggs):
@@ -369,224 +298,78 @@ def _write_all_node(
         if not lst or nx.routes_direct(rank, agg):
             continue
         nbytes = sum(len(b) for _, b in lst)
-        yield from charge_staging_copy(world, mf.env.rank, nbytes)
-        alloc = world.memory.allocate(mf.env.rank, nbytes, "topo.staging")
+        yield from charge_staging_copy(world, rank, nbytes)
+        alloc = world.memory.allocate(rank, nbytes, "topo.staging")
         nx.stage.deposit(("w", seq, di), lst, nbytes, allocation=alloc)
     yield from collectives.barrier(nx.node_comm)  # deposits visible to leader
-
-    # ---- fixed-edge exchange ----------------------------------------
-    my_domain: Optional[Extent] = None
-    tempbuf = None
-    alloc = None
+    reserve()
     recv_reqs = []
-    if my_agg is not None:
-        my_domain = domains.domain(my_agg)
-        alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-        tempbuf = bytearray(my_domain.length)
+    if mine is not None:
         for src in nx.senders_for(rank):
-            req = yield from comm.irecv(src, tag, context=CTX_COLL)
-            recv_reqs.append((src, req))
-    for di, agg in enumerate(aggs):  # direct edges: always send, even empty
+            recv_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
+    for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
             yield from comm.isend(
                 pack_object(send_lists.get(di, [])), agg, tag, context=CTX_COLL
             )
     if nx.is_leader and not nx.leader_down(nx.node):
-        # One coalesced message per remote-node aggregator (always sent:
-        # the edge set is fixed, so empty drains still close the edge).
+        # One coalesced message per remote-node aggregator.
         for di, agg in enumerate(aggs):
             if nx.topo.node_of_rank(agg) == nx.node:
                 continue
             staged = nx.stage.drain(("w", seq, di))
             nbytes = sum(len(b) for _, b in staged)
             if nbytes:
-                yield from charge_staging_copy(world, mf.env.rank, nbytes)
-            merged = coalesce_blocks(staged)
-            yield from comm.isend(pack_object(merged), agg, tag, context=CTX_COLL)
+                yield from charge_staging_copy(world, rank, nbytes)
+            yield from comm.isend(
+                pack_object(coalesce_blocks(staged)), agg, tag, context=CTX_COLL
+            )
             for stale in nx.stage.drain_allocs(("w", seq, di)):
                 world.memory.free(stale)
             if world.trace is not None:
                 world.trace.count("topo.drain.messages")
                 world.trace.count("topo.drain.bytes", nbytes)
-
-    # ---- aggregator assembly + I/O phase ----------------------------
-    if my_domain is not None and tempbuf is not None:
-        local = send_lists.get(my_agg, [])
-        with tracer.span("topo.exchange", peers=len(recv_reqs)):
-            yield from wait_all([req for _, req in recv_reqs])
-        incoming = [local] + [unpack_object(req.payload) for _, req in recv_reqs]
-        covered = 0
-        for lst in incoming:
-            for off, block in lst:
-                lo = off - my_domain.start
-                tempbuf[lo : lo + len(block)] = block
-                covered += len(block)
-        _copy_cost(mf, covered)
-        if my_domain.length > 0:
-            with tracer.span("ocio.io", bytes=my_domain.length):
-                if covered < my_domain.length:
-                    existing = yield from pfs_retry(
-                        world,
-                        "ocio.io.read",
-                        lambda t: mf.client.read(
-                            mf.pfs_file, my_domain.start, my_domain.length,
-                            owner=rank, lock_timeout=t,
-                        ),
-                    )
-                    merged_buf = bytearray(existing)
-                    for lst in incoming:
-                        for off, block in lst:
-                            lo = off - my_domain.start
-                            merged_buf[lo : lo + len(block)] = block
-                    tempbuf = merged_buf
-                payload = bytes(tempbuf)
-                yield from pfs_retry(
-                    world,
-                    "ocio.io.write",
-                    lambda t: mf.client.write(
-                        mf.pfs_file, my_domain.start, payload,
-                        owner=rank, lock_timeout=t,
-                    ),
-                )
-        world.memory.free(alloc)
-
-    if world.trace is not None:
-        world.trace.count("ocio.write_all", len(data))
-        world.trace.complete("ocio.write_all", t0, world.engine.now, bytes=len(data))
-    yield from collectives.barrier(comm)
+    return recv_reqs
 
 
-def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
-    """Collective read (coroutine); returns the view-stream bytes."""
-    nx = yield from _get_node_exchange(mf)
-    if nx is not None:
-        return (yield from _read_all_node(mf, stream_pos, nbytes, nx))
+def _flat_read_edges(mf: "MpiFile", request_lists: dict):
+    """Flat read router (coroutine): the requests travel inside one
+    alltoall, so nothing stays posted. Returns ``(reply tag, posted request
+    receives, (requester, requests) pairs already at this aggregator)``."""
     comm = mf.comm
-    rank, size = comm.rank, comm.size
-    world = mf.env.world
-    t0 = world.engine.now
-    pieces, domains = yield from _setup(mf, stream_pos, nbytes)
-    if domains is None:
-        return b""
-
-    # ---- send my requests to the owning aggregators -----------------
-    request_lists: dict[int, list[tuple[int, int]]] = {}
-    for ext, _mem in pieces:
-        for agg, piece in domains.split(ext):
-            request_lists.setdefault(agg, []).append((piece.start, piece.length))
-    out_reqs = [request_lists.get(agg, []) for agg in range(size)]
+    out_reqs = [request_lists.get(agg, []) for agg in range(comm.size)]
     in_reqs = yield from collectives.alltoall(comm, out_reqs)
-
-    # ---- aggregators read their domains and serve --------------------
     tag = collectives._next_tag(comm)
-    reply_reqs = []
-    for agg in sorted(request_lists):
-        if agg != rank:
-            req = yield from comm.irecv(agg, tag, context=CTX_COLL)
-            reply_reqs.append((agg, req))
-    served_local: list[tuple[int, bytes]] = []
-    if rank < domains.naggs:
-        my_domain = domains.domain(rank)
-        needed = any(in_reqs[src] for src in range(size))
-        if needed and my_domain.length > 0:
-            alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-            blob = yield from pfs_retry(
-                world,
-                "ocio.read.domain",
-                lambda t: mf.client.read(
-                    mf.pfs_file, my_domain.start, my_domain.length,
-                    owner=rank, lock_timeout=t,
-                ),
-            )
-            for src in range(size):
-                if not in_reqs[src]:
-                    continue
-                blocks = [
-                    (off, blob[off - my_domain.start : off - my_domain.start + ln])
-                    for off, ln in in_reqs[src]
-                ]
-                _copy_cost(mf, sum(ln for _, ln in in_reqs[src]))
-                if src == rank:
-                    served_local = blocks
-                else:
-                    yield from comm.isend(
-                        pack_object(blocks), src, tag, context=CTX_COLL
-                    )
-            world.memory.free(alloc)
-
-    # ---- assemble the local result ------------------------------------
-    received: dict[int, list[tuple[int, bytes]]] = {}
-    if served_local:
-        received[rank] = served_local
-    yield from wait_all([req for _, req in reply_reqs])
-    for agg, req in reply_reqs:
-        received[agg] = unpack_object(req.payload)
-    out = bytearray(nbytes)
-    by_offset: dict[int, bytes] = {}
-    for blocks in received.values():
-        for off, block in blocks:
-            by_offset[off] = block
-    for ext, mem_off in pieces:
-        for _agg, piece in domains.split(ext):
-            block = by_offset[piece.start]
-            lo = mem_off + (piece.start - ext.start)
-            out[lo : lo + len(block)] = block
-    _copy_cost(mf, sum(e.length for e, _ in pieces))
-    if world.trace is not None:
-        world.trace.count("ocio.read_all", nbytes)
-        world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
-    return bytes(out)
+    return tag, [], [(src, lst) for src, lst in enumerate(in_reqs) if lst]
 
 
-def _read_all_node(
-    mf: "MpiFile", stream_pos: int, nbytes: int, nx: NodeExchange
-):
-    """Collective read with node-aggregated requests (coroutine; see
-    NodeExchange).
-
-    Requests ride the same fixed edge set as the write exchange — same-node
-    ranks ask their aggregator directly, every other node's leader merges
-    its members' requests into one message. Request messages are lists of
-    ``(src, [(offset, length), ...])`` pairs so the aggregator can reply to
-    each requester directly; replies exist only for nonempty requests (the
-    requester knows whether it asked, so the edge needs no counts round).
-    """
+def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, request_lists: dict):
+    """Node read router (coroutine): requests ride the write exchange's
+    fixed edges — same-node ranks ask their aggregator directly, every
+    other node's leader merges its members' requests into one message.
+    A request message is a list of ``(requester, [(offset, length), ...])``
+    pairs so the aggregator can reply to each requester directly; replies
+    exist only for nonempty requests (the requester knows whether it
+    asked, so the reply edge needs no counts round either)."""
     comm = mf.comm
-    rank, size = comm.rank, comm.size
+    rank = comm.rank
     world = mf.env.world
-    t0 = world.engine.now
-    pieces, domains = yield from _setup(mf, stream_pos, nbytes)
-    if domains is None:
-        return b""
-    aggs = spread_aggregators(nx.topo, domains.naggs)
-    my_agg = {a: i for i, a in enumerate(aggs)}.get(rank)
-
-    request_lists: dict[int, list[tuple[int, int]]] = {}
-    for ext, _mem in pieces:
-        for di, piece in domains.split(ext):
-            request_lists.setdefault(di, []).append((piece.start, piece.length))
-
-    # ---- ship requests over the fixed edges -------------------------
     seq = nx.next_seq()
     tag = collectives._next_tag(comm)  # requests
-    tag2 = collectives._next_tag(comm)  # replies
+    reply_tag = collectives._next_tag(comm)
+    asks = {di: [(rank, lst)] for di, lst in request_lists.items()}
     for di, agg in enumerate(aggs):
-        lst = request_lists.get(di)
-        if lst and not nx.routes_direct(rank, agg):
-            nx.stage.deposit(("r", seq, di), [(rank, lst)], 0)
+        if di in asks and not nx.routes_direct(rank, agg):
+            nx.stage.deposit(("r", seq, di), asks[di], 0)
     yield from collectives.barrier(nx.node_comm)
-
     req_reqs = []
-    if my_agg is not None:
+    if mine is not None:
         for src in nx.senders_for(rank):
-            req = yield from comm.irecv(src, tag, context=CTX_COLL)
-            req_reqs.append((src, req))
-    for di, agg in enumerate(aggs):  # direct request edges: always send
+            req_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
+    for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
-            lst = request_lists.get(di)
             yield from comm.isend(
-                pack_object([(rank, lst)] if lst else []),
-                agg, tag, context=CTX_COLL,
+                pack_object(asks.get(di, [])), agg, tag, context=CTX_COLL
             )
     if nx.is_leader and not nx.leader_down(nx.node):
         for di, agg in enumerate(aggs):
@@ -596,184 +379,208 @@ def _read_all_node(
             yield from comm.isend(pack_object(merged), agg, tag, context=CTX_COLL)
             if world.trace is not None:
                 world.trace.count("topo.drain.messages")
+    return reply_tag, req_reqs, asks.get(mine, [])
 
-    # Reply irecvs: one per aggregator this rank asked (nonempty only).
-    reply_reqs = []
+
+# ----------------------------------------------------------------------
+# the two-phase sequence
+# ----------------------------------------------------------------------
+
+
+def _assemble_and_write(mf: "MpiFile", window: Extent, incoming, what: str, tracer):
+    """I/O phase for one aggregator extent (coroutine): paint the received
+    blocks into a buffer the size of *window*, read-modify-write when they
+    leave holes, and issue one large contiguous write."""
+    chunk = bytearray(window.length)
+    covered = _paint(chunk, window.start, incoming)
+    mf._copy_cost(covered)
+    if window.is_empty():
+        return
+    with tracer.span("ocio.io", bytes=window.length):
+        if covered < window.length:
+            # Holes in the extent: read-modify-write preserves them.
+            chunk = bytearray(
+                (yield from mf._pfs_read(what + ".read", window.start, window.length))
+            )
+            _paint(chunk, window.start, incoming)
+        yield from mf._pfs_write(what + ".write", window.start, bytes(chunk))
+
+
+def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
+    """Collective write of *data* at view stream position *stream_pos*
+    (coroutine).
+
+    With ``hints.cb_rounds_buffer`` the exchange + I/O phases repeat over
+    successive slices of every file domain (ROMIO's ``cb_buffer_size``
+    rounds): the aggregator's buffer is capped at that many bytes at the
+    price of one synchronized exchange per round. The paper's memory
+    analysis assumes the whole-domain buffer — one window, the allocation
+    behind Fig. 6's OOM.
+    """
+    nx = yield from _get_node_exchange(mf)
+    comm = mf.comm
+    rank = comm.rank
+    world = mf.env.world
+    tracer = world.trace.tracer if world.trace is not None else NULL_TRACER
+    t0 = world.engine.now
+    cap = mf.hints.cb_rounds_buffer
+    # counter/span name and PFS retry prefix: rounds mode keeps its own
+    name = "ocio.write_all" + ("" if cap is None else "_rounds")
+    what = "ocio.io" if cap is None else "ocio.rounds"
+    pieces, domains, aggs, mine = yield from _setup(mf, nx, stream_pos, len(data))
+    if domains is None:
+        yield from collectives.barrier(comm)
+        return
+    my_domain = domains.domain(mine) if mine is not None else None
+
+    # The aggregator's buffer: a whole file domain (the allocation that
+    # OOMs at the paper's 48 GB point) once the exchange's edges are
+    # known, or one round's worth held across all the rounds.
+    allocs = []
+    if my_domain is not None and cap is not None and my_domain.length:
+        allocs.append(
+            world.memory.allocate(
+                rank, min(cap, my_domain.length), "ocio.round_buffer"
+            )
+        )
+
+    def reserve():
+        if my_domain is not None and cap is None:
+            allocs.append(
+                world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
+            )
+
+    longest = max(domains.domain(di).length for di in range(domains.naggs))
+    span = cap if cap is not None else max(1, longest)
+    for rnd in range(max(1, -(-longest // span))):
+
+        def window(di: int) -> Extent:
+            d = domains.domain(di)
+            lo = min(d.stop, d.start + rnd * span)
+            return Extent(lo, min(d.stop, lo + span))
+
+        # ---- split local pieces by file domain (this window of it) ----
+        send_lists: dict[int, list[tuple[int, bytes]]] = {}
+        packed = 0
+        for di, piece, mem_off in _domain_pieces(pieces, domains):
+            part = piece
+            if cap is not None:  # only what this round's window holds
+                part = piece.intersect(window(di))
+                if part.is_empty():
+                    continue
+                mem_off += part.start - piece.start
+            block = data[mem_off : mem_off + part.stop - part.start]
+            send_lists.setdefault(di, []).append((part.start, block))
+            packed += len(block)
+        mf._copy_cost(packed)  # pack into messages
+
+        # ---- data exchange phase --------------------------------------
+        if nx is None:
+            recv_reqs = yield from _flat_write_edges(mf, send_lists, reserve)
+        else:
+            recv_reqs = yield from _node_write_edges(
+                mf, nx, aggs, mine, send_lists, reserve
+            )
+        if nx is None or mine is not None:  # node: only aggregators wait
+            with tracer.span(
+                "ocio.exchange" if nx is None else "topo.exchange",
+                peers=len(recv_reqs),
+            ):
+                yield from wait_all(recv_reqs)
+
+        # ---- I/O phase ------------------------------------------------
+        if mine is not None:
+            incoming = [send_lists.get(mine, [])] + [
+                unpack_object(req.payload) for req in recv_reqs
+            ]
+            yield from _assemble_and_write(mf, window(mine), incoming, what, tracer)
+
+    for alloc in allocs:
+        world.memory.free(alloc)
+    if world.trace is not None:
+        world.trace.count(name, len(data))
+        world.trace.complete(name, t0, world.engine.now, bytes=len(data))
+    yield from collectives.barrier(comm)
+
+
+def _read_and_serve(mf: "MpiFile", domain: Extent, in_pairs, tag: int):
+    """Aggregator side of a collective read (coroutine): read the whole
+    file domain once and send each requester its blocks. Returns the
+    blocks this rank asked of itself."""
+    comm = mf.comm
+    world = mf.env.world
+    served_local: list[tuple[int, bytes]] = []
+    if not in_pairs or domain.is_empty():
+        return served_local
+    alloc = world.memory.allocate(comm.rank, domain.length, "ocio.tempbuf")
+    blob = yield from mf._pfs_read("ocio.read.domain", domain.start, domain.length)
+    for src, lst in in_pairs:
+        blocks = [
+            (off, blob[off - domain.start : off - domain.start + ln])
+            for off, ln in lst
+        ]
+        mf._copy_cost(sum(ln for _, ln in lst))
+        if src == comm.rank:
+            served_local = blocks
+        else:
+            yield from comm.isend(pack_object(blocks), src, tag, context=CTX_COLL)
+    world.memory.free(alloc)
+    return served_local
+
+
+def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
+    """Collective read (coroutine); returns the view-stream bytes.
+
+    The write sequence run backwards: requests travel to the aggregators,
+    each aggregator reads its whole domain once (``cb_rounds_buffer`` does
+    not apply) and scatters the requested blocks back.
+    """
+    nx = yield from _get_node_exchange(mf)
+    comm = mf.comm
+    rank = comm.rank
+    world = mf.env.world
+    t0 = world.engine.now
+    pieces, domains, aggs, mine = yield from _setup(mf, nx, stream_pos, nbytes)
+    if domains is None:
+        return b""
+
+    # ---- send my requests to the owning aggregators -----------------
+    request_lists: dict[int, list[tuple[int, int]]] = {}
+    for di, piece, _mem in _domain_pieces(pieces, domains):
+        request_lists.setdefault(di, []).append((piece.start, piece.length))
+    if nx is None:
+        tag, req_reqs, in_pairs = yield from _flat_read_edges(mf, request_lists)
+    else:
+        tag, req_reqs, in_pairs = yield from _node_read_edges(
+            mf, nx, aggs, mine, request_lists
+        )
+    reply_reqs = []  # one per aggregator this rank asked (nonempty only)
     for di in sorted(request_lists):
         if aggs[di] != rank:
-            req = yield from comm.irecv(aggs[di], tag2, context=CTX_COLL)
-            reply_reqs.append((aggs[di], req))
+            reply_reqs.append(
+                (yield from comm.irecv(aggs[di], tag, context=CTX_COLL))
+            )
 
     # ---- aggregators read their domains and serve --------------------
-    served_local: list[tuple[int, bytes]] = []
-    if my_agg is not None:
-        my_domain = domains.domain(my_agg)
-        yield from wait_all([req for _, req in req_reqs])
-        in_pairs: list[tuple[int, list[tuple[int, int]]]] = []
-        local = request_lists.get(my_agg)
-        if local:
-            in_pairs.append((rank, local))
-        for _src, req in req_reqs:
+    by_offset: dict[int, bytes] = {}
+    if mine is not None:
+        yield from wait_all(req_reqs)
+        for req in req_reqs:
             in_pairs.extend(unpack_object(req.payload))
-        if in_pairs and my_domain.length > 0:
-            alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-            blob = yield from pfs_retry(
-                world,
-                "ocio.read.domain",
-                lambda t: mf.client.read(
-                    mf.pfs_file, my_domain.start, my_domain.length,
-                    owner=rank, lock_timeout=t,
-                ),
-            )
-            for src, lst in in_pairs:
-                blocks = [
-                    (off, blob[off - my_domain.start : off - my_domain.start + ln])
-                    for off, ln in lst
-                ]
-                _copy_cost(mf, sum(ln for _, ln in lst))
-                if src == rank:
-                    served_local = blocks
-                else:
-                    yield from comm.isend(
-                        pack_object(blocks), src, tag2, context=CTX_COLL
-                    )
-            world.memory.free(alloc)
+        by_offset.update(
+            (yield from _read_and_serve(mf, domains.domain(mine), in_pairs, tag))
+        )
 
     # ---- assemble the local result ------------------------------------
-    received: dict[int, list[tuple[int, bytes]]] = {}
-    if served_local:
-        received[rank] = served_local
-    yield from wait_all([req for _, req in reply_reqs])
-    for agg, req in reply_reqs:
-        received[agg] = unpack_object(req.payload)
+    yield from wait_all(reply_reqs)
+    for req in reply_reqs:
+        by_offset.update(unpack_object(req.payload))
     out = bytearray(nbytes)
-    by_offset: dict[int, bytes] = {}
-    for blocks in received.values():
-        for off, block in blocks:
-            by_offset[off] = block
-    for ext, mem_off in pieces:
-        for _di, piece in domains.split(ext):
-            block = by_offset[piece.start]
-            lo = mem_off + (piece.start - ext.start)
-            out[lo : lo + len(block)] = block
-    _copy_cost(mf, sum(e.length for e, _ in pieces))
+    for _di, piece, mem_off in _domain_pieces(pieces, domains):
+        block = by_offset[piece.start]
+        out[mem_off : mem_off + len(block)] = block
+    mf._copy_cost(sum(e.length for e, _ in pieces))
     if world.trace is not None:
         world.trace.count("ocio.read_all", nbytes)
         world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
     return bytes(out)
-
-
-def write_all_rounds(mf: "MpiFile", stream_pos: int, data: bytes):
-    """Two-phase write in ROMIO's rounds (coroutine; ``cb_buffer_size``).
-
-    The aggregator's temporary buffer is capped at
-    ``hints.cb_rounds_buffer`` bytes: the exchange + I/O phases repeat over
-    successive slices of every file domain, bounding memory at the price
-    of one synchronized exchange per round — ROMIO's real memory/latency
-    trade-off (the paper's memory analysis assumes the whole-domain buffer,
-    hence Fig. 6's OOM; this is the ablation counterpart).
-    """
-    comm = mf.comm
-    rank, size = comm.rank, comm.size
-    world = mf.env.world
-    t0 = world.engine.now
-    cap = mf.hints.cb_rounds_buffer
-    assert cap is not None
-    pieces, domains = yield from _setup(mf, stream_pos, len(data))
-    if domains is None:
-        yield from collectives.barrier(comm)
-        return
-
-    longest = max(domains.domain(a).length for a in range(domains.naggs))
-    n_rounds = max(1, -(-longest // cap))
-    my_domain = domains.domain(rank) if rank < domains.naggs else None
-    alloc = None
-    if my_domain is not None and my_domain.length:
-        alloc = world.memory.allocate(
-            rank, min(cap, my_domain.length), "ocio.round_buffer"
-        )
-
-    for rnd in range(n_rounds):
-        # This round's slice of every aggregator's domain.
-        def round_slice(agg: int) -> Extent:
-            d = domains.domain(agg)
-            lo = min(d.stop, d.start + rnd * cap)
-            hi = min(d.stop, lo + cap)
-            return Extent(lo, hi)
-
-        send_lists: dict[int, list[tuple[int, bytes]]] = {}
-        sent_bytes = 0
-        for ext, mem_off in pieces:
-            for agg, piece in domains.split(ext):
-                sl = round_slice(agg)
-                part = piece.intersect(sl)
-                if part.is_empty():
-                    continue
-                block = data[
-                    mem_off + (part.start - ext.start) : mem_off + (part.stop - ext.start)
-                ]
-                send_lists.setdefault(agg, []).append((part.start, block))
-                sent_bytes += len(block)
-        _copy_cost(mf, sent_bytes)
-
-        out_counts = [0] * size
-        for agg, lst in send_lists.items():
-            out_counts[agg] = sum(len(b) for _, b in lst)
-        in_counts = yield from collectives.alltoall(comm, out_counts)
-
-        tag = collectives._next_tag(comm)
-        recv_reqs = []
-        for src in range(size):
-            if in_counts[src] > 0 and src != rank:
-                req = yield from comm.irecv(src, tag, context=CTX_COLL)
-                recv_reqs.append((src, req))
-        for agg, lst in send_lists.items():
-            if agg != rank:
-                yield from comm.isend(pack_object(lst), agg, tag, context=CTX_COLL)
-        yield from wait_all([req for _, req in recv_reqs])
-
-        if my_domain is not None:
-            sl = round_slice(rank)
-            if not sl.is_empty():
-                chunk = bytearray(sl.length)
-                covered = 0
-                incoming = [send_lists.get(rank, [])] + [
-                    unpack_object(req.payload) for _, req in recv_reqs
-                ]
-                for lst in incoming:
-                    for off, block in lst:
-                        lo = off - sl.start
-                        chunk[lo : lo + len(block)] = block
-                        covered += len(block)
-                _copy_cost(mf, covered)
-                if covered < sl.length:
-                    existing = yield from pfs_retry(
-                        world,
-                        "ocio.rounds.read",
-                        lambda t, _sl=sl: mf.client.read(
-                            mf.pfs_file, _sl.start, _sl.length,
-                            owner=rank, lock_timeout=t,
-                        ),
-                    )
-                    merged = bytearray(existing)
-                    for lst in incoming:
-                        for off, block in lst:
-                            lo = off - sl.start
-                            merged[lo : lo + len(block)] = block
-                    chunk = merged
-                payload = bytes(chunk)
-                yield from pfs_retry(
-                    world,
-                    "ocio.rounds.write",
-                    lambda t, _sl=sl, _p=payload: mf.client.write(
-                        mf.pfs_file, _sl.start, _p, owner=rank, lock_timeout=t
-                    ),
-                )
-    if alloc is not None:
-        world.memory.free(alloc)
-    if world.trace is not None:
-        world.trace.count("ocio.write_all_rounds", len(data))
-        world.trace.complete(
-            "ocio.write_all_rounds", t0, world.engine.now, bytes=len(data)
-        )
-    yield from collectives.barrier(comm)

@@ -17,8 +17,7 @@ from repro.crash.harness import (
     PER_RANK,
     ROLLBACK_STEPS,
     crash_free_reference,
-    run_crash_cell,
-    run_journal_off_cell,
+    run_cell,
 )
 
 NRANKS = 4
@@ -35,7 +34,7 @@ def references():
 @pytest.mark.parametrize("mode", ["flat", "node"])
 @pytest.mark.parametrize("step", STEPS)
 def test_crash_matrix_cell(step, mode, references):
-    cell = run_crash_cell(
+    cell = run_cell(
         step, aggregation=mode, nranks=NRANKS, reference=references[mode]
     )
     assert cell.aborted, f"{step}/{mode}: job must abort on the crash"
@@ -55,7 +54,7 @@ def test_rollback_steps_cover_everything_but_post_commit():
 
 
 def test_journal_off_crash_loses_bytes_and_fsck_reports_them():
-    cell = run_journal_off_cell(nranks=NRANKS)
+    cell = run_cell("post-deposit", journal="off", nranks=NRANKS)
     assert cell.aborted
     assert cell.ok, cell.summary()
     assert cell.fsck.lost_bytes > 0
@@ -63,7 +62,7 @@ def test_journal_off_crash_loses_bytes_and_fsck_reports_them():
 
 
 def test_recovery_is_idempotent_and_safe_on_clean_files():
-    cell = run_crash_cell("post-commit", nranks=NRANKS)
+    cell = run_cell("post-commit", nranks=NRANKS)
     assert cell.ok, cell.summary()
     # the harness already recovered once inside the cell; the reports
     # prove a committed epoch and a clean classification
@@ -75,12 +74,14 @@ def test_recover_second_pass_is_a_noop():
     # Failover retry paths may call recover() again on a file a first
     # pass already repaired; the second pass must not touch a byte.
     from repro.crash import recover
-    from repro.crash.harness import _count_step_hits, _make_config, _run
+    from repro.crash.harness import _make_config, _run
     from repro.faults import FaultPlan, FaultSpec
 
     name = "crash.dat"
     config = _make_config(NRANKS, "epoch", "flat")
-    hits = _count_step_hits(config, NRANKS, 2, 7, "mid-flush", 1)
+    count = FaultPlan(FaultSpec(), 7, scope="crash-count")
+    _run("count.dat", config, NRANKS, 2, faults=count)
+    hits = count.step_hits[("mid-flush", 1)]
     plan = FaultPlan(
         FaultSpec(crash_rank=1, crash_step="mid-flush", crash_after=hits),
         7, scope="crash",

@@ -16,7 +16,7 @@ import pytest
 from repro.crash.harness import (
     SERVER_ROLLBACK_STEPS,
     SERVER_STEPS,
-    run_server_crash_cell,
+    run_cell,
 )
 from repro.ioserver import expected_image, generate_trace
 
@@ -37,7 +37,9 @@ def trace():
 
 @pytest.mark.parametrize("step", SERVER_STEPS)
 def test_server_crash_cell(step, trace):
-    cell = run_server_crash_cell(step, nclients=NCLIENTS, seed=SEED, trace=trace)
+    cell = run_cell(
+        step, kind="server", nclients=NCLIENTS, seed=SEED, trace=trace
+    )
     assert cell.aborted, f"{step}: job must abort on the delegate crash"
     assert cell.ok, cell.summary()
     assert cell.fsck is not None and cell.fsck.clean
@@ -55,13 +57,15 @@ def test_server_crash_cell(step, trace):
 def test_counting_run_aims_at_a_real_step(trace):
     # Each cell's crash_after comes from a crash-free counting run; a
     # zero count would mean the armed run never fires. Guard the aim.
-    cell = run_server_crash_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                 trace=trace)
+    cell = run_cell(
+        "srv-apply", kind="server", nclients=NCLIENTS, seed=SEED, trace=trace
+    )
     assert cell.crash_after >= 1
 
 
 def test_unknown_victim_rejected(trace):
     with pytest.raises(ValueError):
-        run_server_crash_cell(
-            "srv-apply", nclients=NCLIENTS, seed=SEED, trace=trace, victim=1
+        run_cell(
+            "srv-apply", kind="server", nclients=NCLIENTS, seed=SEED,
+            trace=trace, victim=1,
         )

@@ -18,7 +18,7 @@ from repro.crash.harness import (
     PER_RANK,
     STEPS,
     crash_free_reference,
-    run_survive_cell,
+    run_cell,
 )
 
 
@@ -30,7 +30,7 @@ def reference() -> bytes:
 class TestSurviveCells:
     @pytest.mark.parametrize("step", STEPS)
     def test_every_step_survives(self, step, reference):
-        cell = run_survive_cell(step, reference=reference)
+        cell = run_cell(step, survive=True, reference=reference)
         assert cell.ok, cell.summary()
         assert not cell.aborted  # the whole point: the job completed
         assert cell.fsck is not None and cell.fsck.clean
@@ -38,14 +38,14 @@ class TestSurviveCells:
     def test_post_commit_loses_nothing(self, reference):
         # The victim's epoch-2 records were committed before it died, so
         # the survivors replay them: full byte-identity, zero loss.
-        cell = run_survive_cell("post-commit", reference=reference)
+        cell = run_cell("post-commit", survive=True, reference=reference)
         assert cell.ok, cell.summary()
         assert "0b of the victim's uncommitted data lost" in cell.detail
 
     def test_loss_is_bounded_to_the_victims_region(self, reference):
         # Even at the worst step (pre-deposit: the victim's level-1 data
         # never reached anyone), loss stays within one rank-region.
-        cell = run_survive_cell("pre-deposit", reference=reference)
+        cell = run_cell("pre-deposit", survive=True, reference=reference)
         assert cell.ok, cell.summary()
         assert cell.fsck.lost_bytes <= PER_RANK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crash.harness import SERVER_STEPS, run_server_survive_cell
+from repro.crash.harness import SERVER_STEPS, run_cell
 from repro.ioserver import (
     IoServerConfig,
     Placement,
@@ -48,8 +48,8 @@ def trace():
 
 @pytest.mark.parametrize("step", SERVER_STEPS)
 def test_server_survive_cell(step, trace):
-    cell = run_server_survive_cell(step, nclients=NCLIENTS, seed=SEED,
-                                   trace=trace)
+    cell = run_cell(step, kind="server", survive=True, nclients=NCLIENTS,
+                    seed=SEED, trace=trace)
     assert not cell.aborted, f"{step}: failover run must complete"
     assert cell.ok, cell.summary()
     assert cell.fsck is not None and cell.fsck.clean
@@ -57,10 +57,10 @@ def test_server_survive_cell(step, trace):
 
 
 def test_survive_cell_is_deterministic(trace):
-    a = run_server_survive_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                trace=trace)
-    b = run_server_survive_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                trace=trace)
+    a = run_cell("srv-apply", kind="server", survive=True, nclients=NCLIENTS,
+                 seed=SEED, trace=trace)
+    b = run_cell("srv-apply", kind="server", survive=True, nclients=NCLIENTS,
+                 seed=SEED, trace=trace)
     assert a.ok and b.ok
     assert a.crash_after == b.crash_after
     assert a.detail == b.detail
