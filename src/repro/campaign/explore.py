@@ -14,8 +14,8 @@ frontier on the ``rma-heavy`` network profile
 (:data:`repro.experiments.topo_ablation.NET_PROFILES`): flat mode's many
 per-rank RMA epochs win at small scale, node mode's coalesced leader
 pushes win at large scale, and the explorer pins down where — with
-every evaluation flowing through the ordinary point pipeline (cache,
-pool, store), so the adaptive path stays bit-deterministic.
+every evaluation flowing through the ordinary point pipeline (store,
+pool), so the adaptive path stays bit-deterministic.
 """
 
 from __future__ import annotations
@@ -168,7 +168,6 @@ def aggregation_crossover(
     len_array: int = 1024,
     cores_per_node: int = 4,
     net: str = "rma-heavy",
-    store=None,
 ) -> CrossoverReport:
     """Where node aggregation starts beating flat, in write seconds.
 
@@ -176,10 +175,9 @@ def aggregation_crossover(
     for the topo-ablation workload on the *net* profile: positive while
     flat wins, negative once node's coalesced leader traffic amortizes
     the RMA epoch tax. Each evaluation resolves a flat/node point pair
-    through :func:`repro.experiments.common.resolve_points`, so a cache
-    or pool *runner* composes; pass a
-    :class:`repro.campaign.store.CampaignStore` to land every evaluated
-    pair in the store as it happens.
+    through :func:`repro.experiments.common.resolve_points`, so a
+    store-backed :class:`repro.perf.campaign.CampaignRunner` lands every
+    evaluated pair in its store as it happens and serves it on a rerun.
     """
     from repro.experiments.common import resolve_points
     from repro.perf.points import Point
@@ -194,9 +192,6 @@ def aggregation_crossover(
             for aggregation in ("flat", "node")
         ]
         results = resolve_points(pair, runner)
-        if store is not None:
-            for point in pair:
-                store.add_result(point, results[point])
         flat, node = results[pair[0]], results[pair[1]]
         return float(node["write_seconds"]) - float(flat["write_seconds"])
 

@@ -1,12 +1,12 @@
-"""Glue: run a sweep spec through the perf pipeline into the store.
+"""Glue: run a sweep spec through the campaign runner into the store.
 
 :func:`run_sweep` is the one-call path behind ``python -m repro campaign
-run``: enumerate a :class:`repro.campaign.spec.SweepSpec` into points,
-execute them (serial, or pooled+cached via
-:class:`repro.perf.campaign.CampaignRunner`), and land every result in a
-:class:`repro.campaign.store.CampaignStore` with the sweep recorded as
-provenance. :func:`smoke_store` builds the tiny deterministic store the
-CI bit-determinism check renders reports from.
+run``: enumerate a :class:`repro.campaign.spec.SweepSpec` into points
+and execute them through :class:`repro.perf.campaign.CampaignRunner`,
+which serves what the :class:`repro.campaign.store.CampaignStore`
+already holds and lands every fresh result there with the sweep recorded
+as provenance. :func:`smoke_store` builds the tiny deterministic store
+the CI bit-determinism check renders reports from.
 """
 
 from __future__ import annotations
@@ -15,47 +15,32 @@ from typing import Optional
 
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import CampaignStore
+from repro.perf.campaign import CampaignRunner
 
 
 def run_sweep(
     spec: SweepSpec,
     *,
     store: Optional[CampaignStore] = None,
-    jobs: Optional[int] = None,
-    cache=None,
+    jobs: Optional[int] = 1,
     verbose: bool = False,
 ) -> dict:
     """Execute one sweep spec; returns ``{point: result dict}``.
 
-    ``jobs``/``cache`` select the pooled+cached executor (both optional;
-    the default is the serial in-process reference path). With *store*,
-    every result is recorded with the sweep's name and grid as
-    provenance metadata — queryable but never part of record identity,
-    so a re-run under a different sweep name updates the same records.
+    ``jobs`` is the worker-process count (default: serial in-process;
+    ``None`` = one per CPU). With *store*, points it already holds are
+    served from it and every fresh result is recorded with the sweep's
+    name and grid as provenance metadata — queryable but never part of
+    record identity, so the same point reached by another sweep, a
+    ``report`` run or the explorer is the same record.
     """
-    from repro.experiments.common import resolve_points
-
-    points = spec.points()
-    runner = None
-    if jobs is not None or cache is not None:
-        from repro.perf.campaign import CampaignRunner
-
-        runner = CampaignRunner(jobs, cache=cache, verbose=verbose)
-    results = resolve_points(points, runner)
-    if store is not None:
-        config = getattr(cache, "_config", "")
-        for point in points:
-            store.add_result(
-                point,
-                results[point],
-                config=config,
-                meta={"sweep": spec.name, "spec": spec.to_dict()},
-            )
-    return results
+    runner = CampaignRunner(jobs, store=store, verbose=verbose)
+    runner.meta = {"sweep": spec.name, "spec": spec.to_dict()}
+    return runner.run(spec.points())
 
 
-#: The two cached points the CI determinism check runs on: one TCIO and
-#: one OCIO fig5 point at SMOKE sizes (fractions of a second each).
+#: The two points the CI determinism check runs on: one TCIO and one
+#: OCIO fig5 point at SMOKE sizes (fractions of a second each).
 def smoke_spec() -> SweepSpec:
     """The tiny sweep the ``--smoke`` store is built from."""
     from repro.campaign.spec import grid
@@ -69,19 +54,14 @@ def smoke_spec() -> SweepSpec:
     )
 
 
-def smoke_store(
-    root,
-    *,
-    cache=None,
-    verbose: bool = False,
-) -> CampaignStore:
+def smoke_store(root, *, verbose: bool = False) -> CampaignStore:
     """Build (or refresh) the two-point smoke store at *root*.
 
-    Runs :func:`smoke_spec` — via *cache* when given, so a second build
-    is a pure cache replay — and returns the populated store. This is
-    what ``python -m repro campaign report --smoke`` renders from; CI
-    builds it twice and asserts the rendered bytes are identical.
+    Runs :func:`smoke_spec` into the store — a second build over the
+    same *root* is a pure replay — and returns it. This is what
+    ``python -m repro campaign report --smoke`` renders from; CI builds
+    it twice and asserts the rendered bytes are identical.
     """
     store = CampaignStore(root)
-    run_sweep(smoke_spec(), store=store, cache=cache, verbose=verbose)
+    run_sweep(smoke_spec(), store=store, verbose=verbose)
     return store

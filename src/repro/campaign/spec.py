@@ -3,7 +3,7 @@
 A sweep spec names one experiment and a parameter grid: fixed ``base``
 parameters plus ``axes`` whose values are swept as a cartesian product.
 The spec enumerates into ordinary :class:`repro.perf.points.Point`
-values, so every sweep runs through the same pool runner, result cache
+values, so every sweep runs through the same pool runner, result store
 and differential guarantees as the figure campaigns.
 
 The file format is a deliberately small YAML subset parsed by
@@ -41,7 +41,7 @@ class SpecError(ReproError):
 
 
 #: Parameter values a spec may carry: JSON-able scalars only, so points
-#: stay hashable, picklable and cache-addressable.
+#: stay hashable, picklable and content-addressable.
 _SCALARS = (str, int, float, bool, type(None))
 
 

@@ -1,21 +1,22 @@
-"""The queryable on-disk result store behind campaign analysis.
+"""The one on-disk home of point results: result store *and* cache.
 
-A store is a directory of schema-versioned JSON records — one per
-executed point — plus an ``index.json`` summary. Records arrive from
-three sources and meet behind one schema:
+A store is a directory of schema-versioned JSON records, one per
+executed point. Records come from two sources behind one schema:
 
-* ``campaign`` — sweep/figure points, via :meth:`CampaignStore.add_result`
-  or wholesale :meth:`CampaignStore.ingest_cache` of a
-  :class:`repro.perf.cache.ResultCache` directory;
-* ``hostbench`` — ``BENCH_*.json`` host-performance baselines
-  (:meth:`CampaignStore.ingest_bench`);
+* ``campaign`` — sweep/figure points (:meth:`CampaignStore.add_result`),
+  always keyed under the current :func:`repro.perf.points.config_hash`;
 * ``metrics`` — ``*.metrics.json`` observability snapshots
   (:meth:`CampaignStore.ingest_metrics`).
 
-Queries (:meth:`CampaignStore.query`, :meth:`CampaignStore.series`,
-:meth:`CampaignStore.distinct`) return deterministically ordered data,
-so everything rendered from a store — tables, charts, EXPERIMENTS.md
-sections — is byte-reproducible. :class:`StoreRunner` adapts a store to
+:meth:`CampaignStore.get` is the cache lookup — one direct file read
+under the current config hash — so
+:class:`repro.perf.campaign.CampaignRunner` reruns skip completed points
+and a recalibration can never serve a stale one. Queries
+(:meth:`CampaignStore.query`, :meth:`CampaignStore.series`,
+:meth:`CampaignStore.distinct`) return deterministically ordered data
+over the records of every config, so everything rendered from a store —
+tables, charts, EXPERIMENTS.md sections — is byte-reproducible and old
+evidence stays queryable. :class:`StoreRunner` adapts a store to
 the figure harnesses' pluggable-runner protocol
 (:func:`repro.experiments.common.resolve_points`): the same code that
 renders a section from fresh simulations renders it from stored results.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from repro.perf.points import Point
+from repro.perf.points import Point, config_hash
 from repro.util.errors import ReproError
 
 #: Bump on intentional record-format changes; old records are skipped.
@@ -51,7 +52,7 @@ class Record:
     ``params`` mirrors :class:`repro.perf.points.Point.params` (sorted
     scalar pairs); ``metrics`` is the point's JSON-able result dict.
     ``config`` is the simulation config hash the result was produced
-    under (``""`` for host-side sources), and ``meta`` carries
+    under (``""`` for metrics snapshots), and ``meta`` carries
     provenance (sweep name, source file, host timing) that is *never*
     part of the record key or of rendered reports.
     """
@@ -116,7 +117,7 @@ def record_key(source: str, experiment: str, params: dict, config: str) -> str:
 
 
 class CampaignStore:
-    """A directory of :class:`Record` JSON files plus an index.
+    """A directory of :class:`Record` JSON files.
 
     Parameters
     ----------
@@ -147,104 +148,24 @@ class CampaignStore:
             encoding="utf-8",
         )
         os.replace(tmp, path)
-        self._write_index()
         return record
 
     def add_result(
-        self,
-        point: Point,
-        result: dict,
-        *,
-        source: str = "campaign",
-        config: str = "",
-        meta: Optional[dict] = None,
+        self, point: Point, result: dict, *, meta: Optional[dict] = None
     ) -> Record:
-        """Store one executed point's result dict."""
-        params = dict(point.params)
+        """Store one executed point's result under the current config."""
+        config = config_hash()
         return self.put(Record(
-            key=record_key(source, point.experiment, params, config),
-            source=source,
+            key=record_key(
+                "campaign", point.experiment, dict(point.params), config
+            ),
+            source="campaign",
             experiment=point.experiment,
-            params=tuple(sorted(params.items())),
+            params=point.params,
             metrics=dict(result),
             config=config,
             meta=dict(meta or {}),
         ))
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-
-    def ingest_cache(self, cache_dir: "str | Path | None" = None) -> int:
-        """Import every readable entry of a perf result cache.
-
-        Entries are keyed like campaign results, carrying the cache's
-        config hash, so re-ingesting after a recalibration adds new
-        records instead of clobbering old evidence. Returns how many
-        records were imported.
-        """
-        from repro.perf.cache import DEFAULT_CACHE_DIR
-
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        cache_dir = Path(cache_dir)
-        if not cache_dir.is_dir():
-            raise StoreError(f"no cache directory at {cache_dir}")
-        count = 0
-        for path in sorted(cache_dir.iterdir()):
-            if path.suffix != ".json":
-                continue
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                experiment = entry["experiment"]
-                params = dict(entry["params"])
-                result = dict(entry["result"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # truncated/foreign file: not part of the cache
-            config = str(entry.get("config", ""))
-            self.put(Record(
-                key=record_key("campaign", experiment, params, config),
-                source="campaign",
-                experiment=experiment,
-                params=tuple(sorted(params.items())),
-                metrics=result,
-                config=config,
-                meta={"from": path.name, **dict(entry.get("meta") or {})},
-            ))
-            count += 1
-        return count
-
-    def ingest_bench(self, path: "str | Path") -> int:
-        """Import one ``BENCH_*.json`` host-performance baseline.
-
-        Each named bench point becomes a ``hostbench`` record with
-        ``name`` and ``platform`` parameters, so baselines from several
-        platforms/eras coexist and stay queryable side by side.
-        """
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            points = dict(doc["points"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise StoreError(f"unreadable bench file {path}: {exc}") from exc
-        platform = str(doc.get("platform", "unknown"))
-        count = 0
-        for name in sorted(points):
-            metrics = dict(points[name])
-            params = {"name": name, "platform": platform, "file": path.name}
-            self.put(Record(
-                key=record_key("hostbench", "hostbench", params, ""),
-                source="hostbench",
-                experiment="hostbench",
-                params=tuple(sorted(params.items())),
-                metrics=metrics,
-                meta={
-                    "from": path.name,
-                    "calibration_seconds": doc.get("calibration_seconds"),
-                },
-            ))
-            count += 1
-        return count
 
     def ingest_metrics(self, path: "str | Path", name: Optional[str] = None) -> Record:
         """Import one ``*.metrics.json`` observability snapshot."""
@@ -341,14 +262,34 @@ class CampaignStore:
         pairs.sort(key=lambda p: _value_key(p[0]))
         return [p[0] for p in pairs], [p[1] for p in pairs]
 
+    def get(self, point: Point) -> Optional[dict]:
+        """The stored result for *point* under the current config, or
+        ``None`` on a miss.
+
+        One direct read of the record the point's key names. Unreadable,
+        truncated or wrong-schema files (e.g. a killed writer) count as
+        misses and are overwritten by the next :meth:`add_result`; a
+        record produced under another config hash has another key, so
+        it is never served.
+        """
+        key = record_key(
+            "campaign", point.experiment, dict(point.params), config_hash()
+        )
+        try:
+            data = json.loads(
+                (self.records_dir / f"{key}.json").read_text(encoding="utf-8")
+            )
+            if data["schema"] != STORE_SCHEMA:
+                return None
+            return dict(data["metrics"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
     def results_for(self, points: Iterable[Point]) -> dict:
-        """Stored metrics for campaign *points*; raises listing any missing."""
-        by_identity: dict[tuple, dict] = {}
-        for record in self.query(source="campaign"):
-            by_identity[(record.experiment, record.params)] = record.metrics
+        """:meth:`get` for every point; raises listing any missing."""
         results, missing = {}, []
         for point in points:
-            found = by_identity.get((point.experiment, point.params))
+            found = self.get(point)
             if found is None:
                 missing.append(point.label())
             else:
@@ -356,7 +297,7 @@ class CampaignStore:
         if missing:
             raise StoreError(
                 "store is missing results for: " + ", ".join(missing)
-                + " (run the sweep first, or ingest the cache)"
+                + " (run them under the current configuration first)"
             )
         return results
 
@@ -367,7 +308,7 @@ class CampaignStore:
         return sum(1 for p in self.records_dir.iterdir() if p.suffix == ".json")
 
     def summary(self) -> dict:
-        """Counts by source and experiment (what index.json holds)."""
+        """Counts by source and experiment."""
         by_source: dict[str, int] = {}
         by_experiment: dict[str, int] = {}
         for record in self.records():
@@ -381,15 +322,6 @@ class CampaignStore:
             "by_source": dict(sorted(by_source.items())),
             "by_experiment": dict(sorted(by_experiment.items())),
         }
-
-    def _write_index(self) -> None:
-        path = self.root / "index.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(self.summary(), sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
 
 
 def _value_key(value) -> tuple:
@@ -411,8 +343,8 @@ class StoreRunner:
     ``resolve_points(points, StoreRunner(store))`` serves every point
     from stored results without simulating anything — which is how
     report generation replays EXPERIMENTS.md sections byte-identically
-    from cached evidence. Missing points raise :class:`StoreError`
-    naming each absent point.
+    from stored evidence. Points the store lacks under the current
+    config raise :class:`StoreError` naming each one.
     """
 
     def __init__(self, store: CampaignStore):

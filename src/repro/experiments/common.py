@@ -52,7 +52,7 @@ def resolve_points(points, runner=None, *, verify: bool = True) -> dict:
     """Results for *points* via *runner* (default: in-process, in order).
 
     Every figure harness funnels through here so the serial path, the
-    pooled :class:`repro.perf.campaign.CampaignRunner` and the cache-warm
+    pooled :class:`repro.perf.campaign.CampaignRunner` and the store-warm
     path execute exactly the same point definitions — the differential
     determinism tests rely on that. ``verify`` only applies to the
     default in-process path; a runner encapsulates its own settings.

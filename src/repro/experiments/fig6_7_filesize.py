@@ -78,7 +78,7 @@ def run_fig6_7(
 ) -> Fig67Data:
     """Regenerate Figs. 6 and 7; returns both series plus failure flags.
 
-    *runner* swaps in a pooled/cached executor; see :func:`run_fig5`.
+    *runner* swaps in a pooled/store-backed executor; see :func:`run_fig5`.
     """
     results = resolve_points(points_for("fig67", scale), runner, verify=verify)
     data = Fig67Data()

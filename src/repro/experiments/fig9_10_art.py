@@ -106,7 +106,7 @@ def run_fig9_10(
 ) -> Fig910Data:
     """Regenerate Figs. 9 and 10.
 
-    *runner* swaps in a pooled/cached executor; see :func:`run_fig5`.
+    *runner* swaps in a pooled/store-backed executor; see :func:`run_fig5`.
     """
     results = resolve_points(points_for("fig910", scale), runner, verify=verify)
     data = Fig910Data(proc_counts=list(scale.art_proc_counts))

@@ -193,7 +193,7 @@ def run_topo_ablation(
 ) -> TopoAblationData:
     """Measure flat vs node write-phase traffic for TCIO and OCIO.
 
-    *runner* swaps in a pooled/cached executor (see
+    *runner* swaps in a pooled/store-backed executor (see
     :func:`repro.experiments.fig5_scaling.run_fig5`); point execution
     lives in :func:`repro.perf.points.run_point`.
     """

@@ -1,38 +1,40 @@
-"""Host-performance subsystem: parallel campaigns, profiling, benchmarks.
+"""Host-performance subsystem: parallel campaigns and profiling.
 
 Everything under ``repro.perf`` is about *host* time — how fast the
-simulator itself runs — never about simulated time. The three tools:
+simulator itself runs — never about simulated time. The tools:
 
-* :mod:`repro.perf.campaign` — a :class:`CampaignRunner` that fans the
-  independent experiment points (``fig5``/``fig67``/``fig910``/``topo``)
-  across a ``multiprocessing`` pool, with an on-disk
-  :class:`~repro.perf.cache.ResultCache` keyed by
-  (experiment, params, config hash) so reruns skip completed points;
+* :mod:`repro.perf.campaign` — a :class:`CampaignRunner` that serves
+  the independent experiment points (``fig5``/``fig67``/``fig910``/
+  ``topo``/...) from a :class:`repro.campaign.store.CampaignStore` —
+  keyed by (experiment, params, config hash), so reruns skip completed
+  points — and fans the rest across a ``multiprocessing`` pool;
 * :mod:`repro.perf.profile` — ``python -m repro perf profile <target>``:
-  cProfile across the engine *and* every rank thread (rank programs run
-  on worker threads, invisible to a main-thread profiler);
-* :mod:`repro.perf.hostbench` — ``python -m repro perf bench``: pinned
-  SMOKE-scale points measured for wall-clock, events/sec and peak RSS,
-  written to ``BENCH_<n>.json`` and compared against a committed
-  baseline with tolerance (the CI regression gate).
+  one ``cProfile`` around the whole simulation (kernel and every rank
+  coroutine run on the calling thread, so it sees everything);
+* :mod:`repro.perf.hostbench` — :func:`~repro.perf.hostbench.calibrate`,
+  the host-speed yardstick the reference benchmark
+  (``benchmarks/e2e``, the one host-performance gate) records.
 
 The determinism contract is unaffected: a point computes identical
 simulated times and identical output bytes whether it runs serially,
-in a pool worker, or comes out of the cache (asserted in
-``tests/perf/test_determinism.py``).
+in a pool worker, or comes out of the store (asserted in
+``tests/perf/test_campaign.py``).
 """
 
-from repro.perf.cache import ResultCache, config_hash
-from repro.perf.campaign import CampaignRunner, serial_runner
-from repro.perf.points import Point, all_points, points_for, run_point
+from repro.perf.campaign import CampaignRunner
+from repro.perf.points import (
+    Point,
+    all_points,
+    config_hash,
+    points_for,
+    run_point,
+)
 
 __all__ = [
     "CampaignRunner",
     "Point",
-    "ResultCache",
     "all_points",
     "config_hash",
     "points_for",
     "run_point",
-    "serial_runner",
 ]

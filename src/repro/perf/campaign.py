@@ -1,13 +1,14 @@
-"""The parallel campaign runner: points -> pool -> cached results.
+"""The parallel campaign runner: points -> store hits + pool -> results.
 
 Every campaign point is an independent deterministic job (its simulated
 time depends only on its own parameters), so host-level parallelism is
-free of ordering hazards: :class:`CampaignRunner` fans cache misses
-across a ``multiprocessing`` pool and reassembles results keyed by
-point, and the figure assemblers consume them in grid order. A worker
-computes *exactly* what the serial path computes — the differential
-tests assert identical simulated times, throughputs and output-byte
-hashes across serial, pooled and cache-warm executions.
+free of ordering hazards: :class:`CampaignRunner` serves what the result
+store already holds, fans the misses across a ``multiprocessing`` pool
+and reassembles results keyed by point, and the figure assemblers
+consume them in grid order. A worker computes *exactly* what the serial
+path computes — the differential tests assert identical simulated times,
+throughputs and output-byte hashes across serial, pooled and store-warm
+executions.
 
 Workers use the ``spawn`` start method: a fresh interpreter per worker
 costs a few hundred milliseconds once, but never inherits engine threads
@@ -20,19 +21,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.perf.cache import ResultCache
 from repro.perf.points import Point, run_point, run_spec
-
-#: A runner maps points to their result dicts (the figure assemblers'
-#: only dependency — serial, pooled and cached runners are swappable).
-Runner = Callable[[Sequence[Point]], dict]
-
-
-def serial_runner(points: Sequence[Point]) -> dict:
-    """Run every point in-process, in order (the reference path)."""
-    return {point: run_point(point) for point in points}
 
 
 def _worker(spec: dict) -> tuple[dict, dict, float]:
@@ -43,26 +34,36 @@ def _worker(spec: dict) -> tuple[dict, dict, float]:
 
 
 class CampaignRunner:
-    """Runs campaign points through a process pool with a result cache.
+    """Turns campaign points into results: store hits, then fresh runs.
 
     Parameters
     ----------
     jobs: worker processes (default: the host's CPU count). ``1`` runs
-        in-process (no pool) but still uses the cache.
-    cache: a bound :class:`ResultCache`, or ``None`` to disable caching.
+        in-process (no pool) but still uses the store.
+    store: a :class:`repro.campaign.store.CampaignStore` that serves
+        already-computed points and receives every fresh result, or
+        ``None`` to keep nothing.
     verbose: print one line per completed point plus a summary.
+
+    ``meta`` is provenance stored with every fresh result next to its
+    ``host_seconds`` (``run_sweep`` sets the sweep's name and grid);
+    ``hits``/``misses`` count served and simulated points over the
+    runner's lifetime.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         *,
-        cache: Optional[ResultCache] = None,
+        store=None,
         verbose: bool = False,
     ):
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.cache = cache
+        self.store = store
         self.verbose = verbose
+        self.meta: dict = {}
+        self.hits = 0
+        self.misses = 0
         self.host_seconds = 0.0  # wall-clock of the last run() call
 
     # ------------------------------------------------------------------
@@ -70,15 +71,15 @@ class CampaignRunner:
         return self.run(points)
 
     def run(self, points: Sequence[Point]) -> dict:
-        """All results for *points* (cache hits + fresh pool runs)."""
+        """All results for *points* (store hits + fresh runs)."""
         t0 = time.perf_counter()
         results: dict[Point, dict] = {}
         misses: list[Point] = []
         for point in points:
-            cached = self.cache.get(point) if self.cache is not None else None
-            if cached is not None:
-                results[point] = cached
-                self._log(f"cached  {point.label()}")
+            stored = self.store.get(point) if self.store is not None else None
+            if stored is not None:
+                results[point] = stored
+                self._log(f"stored  {point.label()}")
             else:
                 misses.append(point)
         if misses:
@@ -86,10 +87,13 @@ class CampaignRunner:
                 self._run_serial(misses, results)
             else:
                 self._run_pool(misses, results)
+        served = len(points) - len(misses)
+        self.hits += served
+        self.misses += len(misses)
         self.host_seconds = time.perf_counter() - t0
         self._log(
             f"campaign: {len(points)} points "
-            f"({len(points) - len(misses)} cached, {len(misses)} run) "
+            f"({served} stored, {len(misses)} run) "
             f"in {self.host_seconds:.1f} s host wall-clock "
             f"[jobs={self.jobs}]"
         )
@@ -122,8 +126,10 @@ class CampaignRunner:
                 results[point] = result
 
     def _store(self, point: Point, result: dict, host: float) -> None:
-        if self.cache is not None:
-            self.cache.put(point, result, host_seconds=host)
+        if self.store is not None:
+            self.store.add_result(
+                point, result, meta={"host_seconds": host, **self.meta}
+            )
         self._log(f"ran     {point.label()}  [{host:.1f}s host]")
 
     def _log(self, message: str) -> None:

@@ -8,18 +8,48 @@ order. That makes a point the natural unit to fan across a process pool
 and to cache on disk.
 
 A :class:`Point` is a frozen, picklable value object; :func:`run_point`
-executes one and returns a plain JSON-able dict (what the cache stores
-and what the figure assemblers consume). The per-experiment grids live
-here too (:func:`points_for`), so the serial harnesses, the pool runner
-and the tests all enumerate exactly the same work.
+executes one and returns a plain JSON-able dict (what the result store
+keeps and what the figure assemblers consume). The per-experiment grids
+live here too (:func:`points_for`), so the serial harnesses, the pool
+runner and the tests all enumerate exactly the same work.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 EXPERIMENTS = ("fig5", "fig67", "fig910", "topo", "ioserver", "tenancy")
+
+#: Bump to invalidate every stored result (result-shape changes).
+RESULT_SCHEMA = 1
+
+
+def config_hash() -> str:
+    """Hash of the simulation configuration that determines results.
+
+    Covers the calibrated Lonestar preset (all per-event cost constants,
+    via the dataclass's repr), both global scale factors, and the result
+    schema version. It is part of every stored result's key, so a
+    calibration change yields a different hash and stale results are
+    never served.
+    """
+    from repro.cluster.lonestar import (
+        LONESTAR_SCALE,
+        LONESTAR_STRIPE_SCALE,
+        make_lonestar,
+    )
+
+    spec = make_lonestar()
+    parts = [
+        f"schema={RESULT_SCHEMA}",
+        f"scale={LONESTAR_SCALE}",
+        f"stripe_scale={LONESTAR_STRIPE_SCALE}",
+        repr(dataclasses.asdict(spec)),
+    ]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

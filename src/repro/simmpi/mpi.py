@@ -455,7 +455,7 @@ def run_mpi(
     # Only the *deterministic* host counter lands in the shared registry:
     # the number of engine events is a pure function of the workload, so
     # trace snapshots stay replay-identical. Wall-clock and events/sec are
-    # measured by the ``perf bench`` harness outside the registry.
+    # measured by the ``benchmarks/e2e`` harness outside the registry.
     trace.registry.counter("host.engine.events").inc(engine.events)
     return MpiRunResult(
         elapsed=elapsed, returns=returns, trace=trace, world=world, aborted=aborted

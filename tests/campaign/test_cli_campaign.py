@@ -68,11 +68,11 @@ class TestCampaignCli:
 
     def test_report_smoke_is_bit_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-        cache = str(tmp_path / "cache")
+        store = str(tmp_path / "store")
         for out in (out1, out2):
             assert main([
                 "campaign", "report", "--smoke",
-                "--cache-dir", cache, "--out", str(out),
+                "--store", store, "--out", str(out),
             ]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
@@ -81,24 +81,17 @@ class TestCampaignCli:
         assert "<svg " in body
 
     def test_report_section_replay(self, tmp_path, capsys):
+        from repro.campaign.store import CampaignStore
         from repro.experiments.common import SMOKE
         from repro.experiments.report import build_section
+        from repro.perf.campaign import CampaignRunner
         from repro.perf.points import points_for
 
         store = str(tmp_path / "store")
-        # warm a cache with the fig5 SMOKE grid, then ingest it
-        from repro.perf.cache import ResultCache
-        from repro.perf.campaign import CampaignRunner
-
-        cache_dir = tmp_path / "cache"
-        CampaignRunner(1, cache=ResultCache(cache_dir)).run(
+        # what ``report --store`` leaves behind: replay needs no ingest hop
+        CampaignRunner(1, store=CampaignStore(store)).run(
             points_for("fig5", SMOKE)
         )
-        assert main([
-            "campaign", "ingest", "--store", store,
-            "--cache-dir", str(cache_dir),
-        ]) == 0
-        capsys.readouterr()
         assert main([
             "campaign", "report", "--store", store,
             "--section", "fig5", "--scale", "smoke",
@@ -118,25 +111,36 @@ class TestCampaignCli:
         assert "frontier: between nprocs=12 and nprocs=16" in out
         assert "skipped vs the exhaustive grid" in out
 
-    def test_ingest_bench_baseline(self, tmp_path, capsys):
-        from pathlib import Path
+    def test_explore_store_rerun_simulates_nothing(self, tmp_path, capsys):
+        argv = [
+            "campaign", "explore", "--candidates", "8,12,16",
+            "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "0 point(s) served, 6 simulated" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "6 point(s) served, 0 simulated" in warm
+        # same search, same bracket: only the store line differs
+        assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
 
-        bench = Path(__file__).resolve().parents[2] / "BENCH_8.json"
+    def test_ingest_metrics_snapshot(self, tmp_path, capsys):
+        snap = tmp_path / "run.metrics.json"
+        snap.write_text(json.dumps({"engine.events": 42}))
         store = str(tmp_path / "store")
         assert main([
-            "campaign", "ingest", "--store", store, "--bench", str(bench),
+            "campaign", "ingest", "--store", store, "--metrics", str(snap),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "hostbench point(s)" in out
+        assert "ingested metrics snapshot" in capsys.readouterr().out
+        assert main([
+            "campaign", "query", "--store", store, "--source", "metrics",
+        ]) == 0
+        assert "-- 1 record(s) of 1" in capsys.readouterr().out
 
     def test_ingest_nothing_fails(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        empty_cache = tmp_path / "cache"
-        empty_cache.mkdir()
-        assert main([
-            "campaign", "ingest", "--store", store,
-            "--cache-dir", str(empty_cache),
-        ]) == 1
+        assert main(["campaign", "ingest", "--store", store]) == 1
         capsys.readouterr()
 
     def test_report_without_mode_exits(self, tmp_path):

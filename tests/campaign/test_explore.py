@@ -110,12 +110,21 @@ class TestAggregationCrossover:
 
     def test_store_records_every_evaluated_pair(self, tmp_path, reports):
         from repro.campaign.store import CampaignStore
+        from repro.perf.campaign import CampaignRunner
 
         bisect, _ = reports
         store = CampaignStore(tmp_path)
+        cold = CampaignRunner(1, store=store)
         report = aggregation_crossover(
-            candidates=AGGREGATION_CANDIDATES[:4], method="grid", store=store
+            candidates=AGGREGATION_CANDIDATES[:4], method="grid", runner=cold
         )
         assert len(store) == 2 * report.evaluations  # a flat+node pair each
         flat = store.query("topo", where={"aggregation": "flat"})
         assert {r.get("net") for r in flat} == {"rma-heavy"}
+        # a rerun over the same store finds the same bracket, simulating nothing
+        warm = CampaignRunner(1, store=store)
+        again = aggregation_crossover(
+            candidates=AGGREGATION_CANDIDATES[:4], method="grid", runner=warm
+        )
+        assert (again.bracket, again.margins) == (report.bracket, report.margins)
+        assert (warm.hits, warm.misses) == (cold.misses, 0)

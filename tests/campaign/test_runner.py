@@ -7,8 +7,8 @@ import pytest
 from repro.campaign.runner import run_sweep, smoke_spec, smoke_store
 from repro.campaign.spec import grid
 from repro.campaign.store import CampaignStore
-from repro.perf.cache import ResultCache
-from repro.perf.points import Point, run_point
+from repro.perf.campaign import CampaignRunner
+from repro.perf.points import Point, config_hash, run_point
 
 
 class TestRunSweep:
@@ -33,11 +33,34 @@ class TestRunSweep:
             len_array=[64],
         )
         serial = run_sweep(spec)
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_sweep(spec, cache=cache, jobs=1)
-        warm = run_sweep(spec, cache=cache, jobs=1)
+        store = CampaignStore(tmp_path / "store")
+        cold = run_sweep(spec, store=store)
+        warm = run_sweep(spec, store=store)
         assert cold == serial == warm
-        assert cache.hits >= 1
+        assert len(store) == 1
+
+    def test_one_record_identity_across_entry_points(self, tmp_path):
+        # A plain sweep, a pooled store-backed sweep and a bare runner
+        # (what ``report --store`` and ``campaign explore --store`` build)
+        # must all land a point on the same record.
+        store = CampaignStore(tmp_path / "store")
+        spec = smoke_spec()
+        run_sweep(spec, store=store)
+        run_sweep(spec, store=store, jobs=2)
+        CampaignRunner(1, store=store).run(spec.points())
+        assert len(store) == 2
+        assert {r.config for r in store.records()} == {config_hash()}
+        xs, _ = store.series("method", "write_throughput")
+        assert xs == ["OCIO", "TCIO"]
+
+    def test_warm_sweep_keeps_the_producing_sweeps_provenance(self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        spec = smoke_spec()
+        run_sweep(spec, store=store)
+        before = [(r.key, r.meta) for r in store.records()]
+        assert all(meta["host_seconds"] > 0 for _, meta in before)
+        run_sweep(spec, store=store)  # every point served: nothing rewritten
+        assert [(r.key, r.meta) for r in store.records()] == before
 
     def test_smoke_store_builds_two_points(self, tmp_path):
         store = smoke_store(tmp_path / "store")

@@ -1,4 +1,4 @@
-"""Result store: ingestion from every source, queries, the store runner."""
+"""Result store: the cache lookup, queries, ingestion, the store runner."""
 
 from __future__ import annotations
 
@@ -7,19 +7,37 @@ import json
 import pytest
 
 from repro.campaign.store import (
-    STORE_SCHEMA,
     CampaignStore,
+    Record,
     StoreError,
     StoreRunner,
+    record_key,
 )
 from repro.experiments.common import resolve_points
-from repro.perf.cache import ResultCache
-from repro.perf.points import Point
+from repro.perf.points import Point, config_hash
+
+POINT = Point.make("fig5", method="TCIO", nprocs=4, len_array=64)
+RESULT = {"write_throughput": 1.0, "file_sha256": "ab" * 32}
 
 
 def _fake_result(value: float) -> dict:
     return {"write_throughput": value, "write_seconds": 1.0 / value,
             "file_sha256": "00"}
+
+
+def _put_under_config(store: CampaignStore, point: Point, config: str,
+                      result: dict) -> Record:
+    """A campaign record as a run under another calibration left it."""
+    return store.put(Record(
+        key=record_key(
+            "campaign", point.experiment, dict(point.params), config
+        ),
+        source="campaign",
+        experiment=point.experiment,
+        params=point.params,
+        metrics=result,
+        config=config,
+    ))
 
 
 def _filled_store(tmp_path) -> CampaignStore:
@@ -73,13 +91,6 @@ class TestAddAndQuery:
         assert xs == [4, 8, 16]
         assert ys == [10.0, 20.0, 40.0]
 
-    def test_index_json_written(self, tmp_path):
-        store = _filled_store(tmp_path)
-        index = json.loads((store.root / "index.json").read_text())
-        assert index["schema"] == STORE_SCHEMA
-        assert index["records"] == 6
-        assert index["by_experiment"] == {"fig5": 6}
-
     def test_wrong_schema_records_skipped(self, tmp_path):
         store = _filled_store(tmp_path)
         rogue = store.records_dir / "rogue.json"
@@ -87,46 +98,124 @@ class TestAddAndQuery:
         assert len(store.records()) == 6
 
 
-class TestIngestion:
-    def test_ingest_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        point = Point.make("fig5", method="TCIO", nprocs=4, len_array=64)
-        cache.put(point, _fake_result(5.0), host_seconds=0.1)
+class TestStoreAsCache:
+    """The result-cache contract, asserted on the one store."""
+
+    def _record_path(self, store: CampaignStore, point: Point):
+        key = record_key(
+            "campaign", point.experiment, dict(point.params), config_hash()
+        )
+        return store.records_dir / f"{key}.json"
+
+    def test_miss_then_hit_round_trip(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        assert store.ingest_cache(tmp_path / "cache") == 1
-        record = store.query("fig5")[0]
-        assert record.metrics["write_throughput"] == 5.0
-        assert record.config  # carries the cache's config hash
-        assert record.meta["host_seconds"] == 0.1
+        assert store.get(POINT) is None
+        store.add_result(POINT, RESULT, meta={"host_seconds": 1.5})
+        assert store.get(POINT) == RESULT
+        assert len(store) == 1
 
-    def test_ingest_cache_missing_dir_raises(self, tmp_path):
-        with pytest.raises(StoreError, match="no cache directory"):
-            CampaignStore(tmp_path).ingest_cache(tmp_path / "nope")
+    def test_key_distinguishes_points(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        other = Point.make("fig5", method="OCIO", nprocs=4, len_array=64)
+        assert self._record_path(store, POINT) != self._record_path(store, other)
+        store.add_result(POINT, RESULT)
+        assert store.get(other) is None
 
-    def test_ingest_bench(self, tmp_path):
-        bench = tmp_path / "BENCH_9.json"
-        bench.write_text(json.dumps({
-            "calibration_seconds": 0.1,
-            "platform": "test-host",
-            "points": {
-                "bench-a": {"events": 10, "wall_seconds": 0.5},
-                "bench-b": {"events": 20, "wall_seconds": 0.7},
-            },
-        }))
-        store = CampaignStore(tmp_path / "store")
-        assert store.ingest_bench(bench) == 2
-        records = store.query("hostbench", source="hostbench")
-        assert [r.get("name") for r in records] == ["bench-a", "bench-b"]
-        assert records[0].metrics["events"] == 10
-        assert records[0].get("platform") == "test-host"
+    def test_key_is_stable_across_instances(self, tmp_path):
+        CampaignStore(tmp_path).add_result(POINT, RESULT)
+        assert CampaignStore(tmp_path).get(POINT) == RESULT
 
-    def test_ingest_real_committed_bench(self, tmp_path):
+    def test_config_hash_invalidation(self, tmp_path, monkeypatch):
+        store = CampaignStore(tmp_path)
+        store.add_result(POINT, RESULT)
+        # Simulate a calibration change: the key no longer matches the
+        # record written under the old configuration.
+        monkeypatch.setattr(
+            "repro.campaign.store.config_hash", lambda: "0" * 16
+        )
+        assert store.get(POINT) is None
+
+    def test_truncated_entry_is_a_miss(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.add_result(POINT, RESULT)
+        path = self._record_path(store, POINT)
+        path.write_text(path.read_text()[:10])
+        assert store.get(POINT) is None
+        store.add_result(POINT, RESULT)  # the next put overwrites it
+        assert store.get(POINT) == RESULT
+
+    def test_wrong_schema_entry_is_a_miss(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.add_result(POINT, RESULT)
+        path = self._record_path(store, POINT)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "schema": 999}))
+        assert store.get(POINT) is None
+
+    def test_entry_carries_provenance(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.add_result(POINT, RESULT, meta={"host_seconds": 2.0})
+        entry = json.loads(self._record_path(store, POINT).read_text())
+        assert entry["experiment"] == "fig5"
+        assert entry["meta"]["host_seconds"] == 2.0
+        assert entry["config"] == config_hash()
+
+    def test_atomic_put_leaves_no_tmp(self, tmp_path):
+        store = _filled_store(tmp_path)
+        assert not list(store.root.rglob("*.tmp"))
+
+    def test_env_var_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "from-env"))
+        assert CampaignStore().root == tmp_path / "from-env"
+
+    def test_put_touches_only_its_own_record(self, tmp_path, monkeypatch):
+        # put() used to re-read every record to rewrite a summary file,
+        # making N puts O(N^2); now it writes one file and reads none.
+        store = _filled_store(tmp_path)
         from pathlib import Path
 
-        bench = Path(__file__).resolve().parents[2] / "BENCH_8.json"
-        store = CampaignStore(tmp_path)
-        assert store.ingest_bench(bench) > 0
+        def no_reads(self, *args, **kwargs):
+            raise AssertionError(f"put read {self}")
 
+        monkeypatch.setattr(Path, "read_text", no_reads)
+        before = {p.name for p in store.records_dir.iterdir()}
+        fresh = Point.make("fig5", method="TCIO", nprocs=32, len_array=64)
+        record = store.add_result(fresh, RESULT)
+        after = {p.name for p in store.records_dir.iterdir()}
+        assert after - before == {f"{record.key}.json"}
+        assert sorted(p.name for p in store.root.iterdir()) == ["records"]
+
+
+class TestNoStaleEvidence:
+    """Records of another calibration stay queryable but are never served."""
+
+    def test_only_current_config_is_served(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        _put_under_config(store, POINT, "old-calibration", {"write_throughput": 9.0})
+        store.add_result(POINT, RESULT)
+        assert len(store) == 2
+        assert store.get(POINT) == RESULT
+        assert store.results_for([POINT]) == {POINT: RESULT}
+        assert StoreRunner(store)([POINT]) == {POINT: RESULT}
+
+    def test_foreign_config_only_raises_naming_the_point(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        _put_under_config(store, POINT, "old-calibration", {"write_throughput": 9.0})
+        _put_under_config(store, POINT, "", {"write_throughput": 8.0})
+        assert store.get(POINT) is None
+        with pytest.raises(StoreError, match=r"method=TCIO, nprocs=4"):
+            store.results_for([POINT])
+        with pytest.raises(StoreError, match=r"method=TCIO, nprocs=4"):
+            StoreRunner(store)([POINT])
+
+    def test_query_lists_every_config(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        _put_under_config(store, POINT, "old-calibration", {"write_throughput": 9.0})
+        store.add_result(POINT, RESULT)
+        configs = {r.config for r in store.query("fig5")}
+        assert configs == {"old-calibration", config_hash()}
+
+
+class TestIngestion:
     def test_ingest_metrics(self, tmp_path):
         snap = tmp_path / "run.metrics.json"
         snap.write_text(json.dumps({"engine.events": 42}))
@@ -134,12 +223,6 @@ class TestIngestion:
         record = store.ingest_metrics(snap)
         assert record.experiment == "metrics"
         assert record.metrics == {"engine.events": 42}
-
-    def test_ingest_bad_bench_raises(self, tmp_path):
-        bad = tmp_path / "BENCH_X.json"
-        bad.write_text("{not json")
-        with pytest.raises(StoreError, match="unreadable"):
-            CampaignStore(tmp_path / "store").ingest_bench(bad)
 
     def test_sources_coexist(self, tmp_path):
         store = _filled_store(tmp_path)

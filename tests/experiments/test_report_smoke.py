@@ -25,3 +25,28 @@ class TestReportGeneration:
         assert main(["--smoke", "--output", str(out)]) == 0
         assert out.exists()
         assert "EXPERIMENTS" in out.read_text()
+
+    def test_store_backed_report_matches_serial_and_replays(self, tmp_path, capsys):
+        from repro.cli import main as repro_main
+        from repro.experiments.report import build_section
+
+        def body(path):  # everything but the wall-clock footer
+            return path.read_text().rsplit("---", 1)[0]
+
+        serial, cold, warm = (tmp_path / n for n in ("a.md", "b.md", "c.md"))
+        store = str(tmp_path / "store")
+        assert main(["--smoke", "--output", str(serial)]) == 0
+        assert main(["--smoke", "--store", store, "--output", str(cold)]) == 0
+        assert main(["--smoke", "--store", store, "--output", str(warm)]) == 0
+        assert body(serial) == body(cold) == body(warm)
+        assert "store 0 hit(s)" in cold.read_text()
+        assert "0 miss(es)" in warm.read_text()
+        # the same store replays a section with no ingest step in between
+        capsys.readouterr()
+        assert repro_main([
+            "campaign", "report", "--store", store,
+            "--section", "fig5", "--scale", "smoke",
+        ]) == 0
+        assert capsys.readouterr().out.rstrip("\n") == build_section(
+            "fig5", SMOKE, verbose=False
+        ).rstrip("\n")

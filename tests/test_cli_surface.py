@@ -13,7 +13,6 @@ import argparse
 import re
 
 import repro.cli as cli
-from repro.perf.points import EXPERIMENTS
 
 
 def _subparser_actions(parser: argparse.ArgumentParser):
@@ -52,18 +51,6 @@ class TestDocstringParserSync:
                 assert f"``{group} {name}``" in cli.__doc__, (
                     f"docstring misses ``{group} {name}``"
                 )
-
-    def test_perf_campaign_experiments_help_lists_every_experiment(self):
-        commands = top_level_commands()
-        (perf_sub,) = _subparser_actions(commands["perf"])
-        campaign = perf_sub.choices["campaign"]
-        (option,) = [
-            a for a in campaign._actions if "--experiments" in a.option_strings
-        ]
-        for experiment in EXPERIMENTS:
-            assert experiment in (option.help or ""), (
-                f"perf campaign --experiments help misses {experiment!r}"
-            )
 
     def test_tenancy_and_ioserver_present(self):
         # the PR-6..8 subsystems must stay on the documented surface
