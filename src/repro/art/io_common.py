@@ -77,8 +77,3 @@ def parse_index(blob: bytes, n_segments: int) -> list[int]:
 def header_prefix_nbytes() -> int:
     """Bytes of a record's descriptor header array."""
     return _HEADER_FIELDS * 4
-
-
-def structure_nbytes(depth: int, total_cells: int) -> int:
-    """Bytes of the level-size + flag arrays that follow the header."""
-    return depth * 4 + total_cells

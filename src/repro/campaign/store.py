@@ -72,10 +72,6 @@ class Record:
                 return value
         return default
 
-    def point(self) -> Point:
-        """The :class:`Point` identity (campaign-source records only)."""
-        return Point.make(self.experiment, **dict(self.params))
-
     def to_json(self) -> dict:
         return {
             "schema": STORE_SCHEMA,

@@ -134,26 +134,6 @@ class ChaosReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.metrics_json())
 
-    def render(self) -> str:
-        lines = [
-            f"chaos soak: {len(self.iterations)} iterations, "
-            f"seed {self.config.seed}"
-        ]
-        for it in self.iterations:
-            state = "ok " if it.ok else "FAIL"
-            lines.append(
-                f"  [{it.index:>3}] {state} {it.family:<16} "
-                f"seed={it.seed} {it.detail}"
-            )
-            for v in it.violations:
-                lines.append(f"        violated: {v}")
-        bad = len(self.violations)
-        lines.append(
-            "  => zero invariant violations" if not bad
-            else f"  => {bad} iteration(s) violated invariants"
-        )
-        return "\n".join(lines)
-
 
 # ----------------------------------------------------------------------
 # the iteration families

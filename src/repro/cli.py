@@ -31,9 +31,6 @@ Commands
 ``report``    — run the full campaign and write EXPERIMENTS.md
                 (``--jobs N`` fans the points across a process pool,
                 ``--store D`` keeps results so reruns skip done points).
-``perf``      — host-performance tools (see docs/performance.md):
-                ``perf profile`` runs a whole-simulation cProfile
-                (generator kernel: every rank on one thread).
 ``campaign``  — campaign analysis platform (see docs/campaigns.md):
                 ``campaign run`` executes a declarative sweep spec into
                 the result store, ``campaign ingest`` imports
@@ -126,10 +123,7 @@ def cmd_bench(args) -> int:
 
     cfg = BenchConfig(
         method=Method.parse(args.method),
-        num_arrays=args.arrays,
-        type_codes=args.types,
         len_array=args.len,
-        size_access=args.access,
         nprocs=args.procs,
         aggregation=args.aggregation,
     )
@@ -167,7 +161,6 @@ def cmd_faults(args) -> int:
         procs=args.procs,
         len_array=args.len,
         method=args.method,
-        lock_timeout=args.lock_timeout,
         aggregation=args.aggregation,
     )
 
@@ -206,10 +199,8 @@ def cmd_ioserver(args) -> int:
         IoServerConfig,
         expected_image,
         generate_trace,
-        load_trace,
         replay_direct,
         run_ioserver,
-        save_trace,
     )
 
     if args.crash_step is not None:
@@ -219,21 +210,11 @@ def cmd_ioserver(args) -> int:
             args.crash_step, kind="server", survive=args.failover, seed=args.seed
         )
 
-    if args.trace_in:
-        trace = load_trace(args.trace_in)
-    else:
-        clients = 8 if args.smoke else args.clients
-        epochs = 2 if args.smoke else args.epochs
-        trace = generate_trace(
-            args.seed,
-            clients,
-            epochs=epochs,
-            writes_per_epoch=args.writes_per_epoch,
-            reads_per_client=args.reads,
-        )
-    if args.trace_out:
-        save_trace(trace, args.trace_out)
-        print(f"wrote {args.trace_out} ({len(trace.ops)} ops)")
+    trace = generate_trace(
+        args.seed,
+        8 if args.smoke else args.clients,
+        epochs=2 if args.smoke else 3,
+    )
 
     if args.ablate_delegates:
         import json
@@ -262,7 +243,6 @@ def cmd_ioserver(args) -> int:
     config = IoServerConfig(
         delegates="leaders" if not args.delegates
         else tuple(int(r) for r in args.delegates.split(",")),
-        queue_depth=args.queue_depth,
     )
     result = run_ioserver(
         trace,
@@ -437,22 +417,6 @@ def cmd_report(args) -> int:
     return report.main(argv)
 
 
-def cmd_perf_profile(args) -> int:
-    """Profile one target: one cProfile over kernel and rank coroutines."""
-    from repro.perf.profile import run_profile
-
-    run_profile(
-        args.target,
-        method=args.method,
-        procs=args.procs,
-        len_array=args.len,
-        sort=args.sort,
-        limit=args.limit,
-        out=args.out,
-    )
-    return 0
-
-
 def _campaign_errors(fn):
     """Expected campaign failures (bad spec, missing results) exit
     cleanly with the message instead of a traceback."""
@@ -579,16 +543,14 @@ def cmd_campaign_report(args) -> int:
     if args.svg:
         chart = store_svg_chart(
             store, args.experiment, x=args.x, y=args.y,
-            group_by=args.group_by, where=_parse_where(args.where),
-            log_y=args.log_y,
+            where=_parse_where(args.where),
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(chart)
         print(f"wrote {args.svg}")
     print(scaling_report(
         store, args.experiment, x=args.x, y=args.y,
-        group_by=args.group_by, where=_parse_where(args.where),
-        log_y=args.log_y,
+        where=_parse_where(args.where),
     ))
     return 0
 
@@ -627,9 +589,7 @@ def cmd_campaign_explore(args) -> int:
         from repro.perf.campaign import CampaignRunner
 
         runner = CampaignRunner(1, store=CampaignStore(args.store))
-    kwargs = dict(
-        method=args.search, collective=args.collective, runner=runner
-    )
+    kwargs = dict(method=args.search, runner=runner)
     if args.candidates:
         candidates = tuple(int(c) for c in args.candidates.split(","))
         report = aggregation_crossover(candidates, **kwargs)
@@ -672,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="tcio", help="ocio | tcio | mpiio (or 0|1|2)")
     p.add_argument("--procs", type=int, default=16)
     p.add_argument("--len", type=int, default=512, help="LENarray (elements)")
-    p.add_argument("--arrays", type=int, default=2, help="NUMarray")
-    p.add_argument("--types", default="i,d", help="TYPEarray codes")
-    p.add_argument("--access", type=int, default=1, help="SIZEaccess")
     p.add_argument(
         "--aggregation", choices=["flat", "node"], default="flat",
         help="intra-node aggregation mode (docs/topology.md)",
@@ -708,10 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", type=int, default=16)
     p.add_argument("--len", type=int, default=256, help="LENarray (elements)")
     p.add_argument("--method", default="tcio", help="ocio | tcio | mpiio")
-    p.add_argument(
-        "--lock-timeout", type=float, default=2e-3,
-        help="extent-lock wait bound (simulated seconds)",
-    )
     p.add_argument(
         "--aggregation", choices=["flat", "node"], default="flat",
         help="intra-node aggregation mode (docs/topology.md)",
@@ -753,27 +706,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true", help="small CI-sized run")
     p.add_argument("--seed", type=int, default=11, help="trace seed")
     p.add_argument("--clients", type=int, default=64, help="logical clients")
-    p.add_argument("--epochs", type=int, default=3, help="write epochs")
-    p.add_argument(
-        "--writes-per-epoch", type=int, default=3, help="writes per client epoch"
-    )
-    p.add_argument(
-        "--reads", type=int, default=2, help="read-phase fetches per client"
-    )
     p.add_argument("--ranks", type=int, default=6, help="simulated ranks")
     p.add_argument(
         "--cores-per-node", type=int, default=3, help="simulated ranks per node"
     )
     p.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="per-delegate admitted-request queue bound",
-    )
-    p.add_argument(
         "--delegates", default=None,
         help="comma-separated delegate ranks (default: node leaders)",
     )
-    p.add_argument("--trace-in", default=None, help="replay this saved trace")
-    p.add_argument("--trace-out", default=None, help="save the trace JSON here")
     p.add_argument(
         "--metrics-out", default=None, help="write the metrics JSON here"
     )
@@ -878,24 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("perf", help="host-performance tools (docs/performance.md)")
-    perf_sub = p.add_subparsers(dest="perf_command", required=True)
-
-    pp = perf_sub.add_parser(
-        "profile", help="cProfile a target (kernel + every rank, one thread)"
-    )
-    pp.add_argument(
-        "target", choices=["bench", "fig5", "fig67", "fig910", "topo"],
-        help="'bench' profiles one point; figures profile their SMOKE grid",
-    )
-    pp.add_argument("--method", default="tcio", help="ocio | tcio | mpiio")
-    pp.add_argument("--procs", type=int, default=None, help="simulated ranks")
-    pp.add_argument("--len", type=int, default=None, help="LENarray (elements)")
-    pp.add_argument("--sort", default="tottime", help="pstats sort key")
-    pp.add_argument("--limit", type=int, default=25, help="rows to print")
-    pp.add_argument("--out", default=None, help="dump raw pstats here")
-    pp.set_defaults(fn=cmd_perf_profile)
-
     p = sub.add_parser(
         "campaign",
         help="campaign analysis platform: sweeps, store, reports, explorer "
@@ -970,14 +892,10 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("-x", default=None, help="swept parameter (x axis)")
     cp.add_argument("-y", default=None, help="result metric (y axis)")
     cp.add_argument(
-        "--group-by", default=None, help="one series per value of this parameter"
-    )
-    cp.add_argument(
         "--where", action="append", default=None, metavar="K=V",
         help="parameter equality filter (repeatable)",
     )
     cp.add_argument("--svg", default=None, metavar="FILE", help="also write an SVG chart")
-    cp.add_argument("--log-y", action="store_true", help="log-scale y axis")
     cp.set_defaults(fn=cmd_campaign_report)
 
     ce = camp_sub.add_parser(
@@ -991,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument(
         "--search", choices=("bisect", "grid"), default="bisect",
         help="adaptive bisection or the exhaustive baseline",
-    )
-    ce.add_argument(
-        "--collective", choices=("TCIO", "OCIO"), default="TCIO",
-        help="which collective method's frontier to search",
     )
     ce.add_argument(
         "--candidates", default=None, metavar="P1,P2,...",

@@ -70,8 +70,8 @@ def recover(pfs: "Pfs", name: str, *, job: "str | None" = None) -> RecoveryRepor
     Idempotent: running it twice (or after a clean shutdown) is harmless —
     committed records rewrite the bytes the file already holds. ``job``
     attributes the pass (and any error it raises) to one tenant of a
-    shared PFS; pass it whenever recovering through a per-job namespace
-    view (:class:`repro.tenancy.TenantPfs`).
+    shared PFS; pass it with the qualified ``"<job>/<file>"`` name when
+    recovering a tenancy job's file.
     """
     if not pfs.exists(name):
         raise tag_job(PfsError(f"recover: no such file {name!r}"), job)

@@ -18,7 +18,7 @@ Injection kinds
 ``net.spike``    a per-message latency spike on an inter-node link.
 ``ost.slow``     an OST chosen at plan-install time serves every request
                  ``slow_factor`` times slower.
-``ost.stall``    one request of one OST hangs for ``ost_stall_seconds``.
+``ost.stall``    one request of one OST hangs for ``OST_STALL_SECONDS``.
 ``lock.timeout`` an extent-lock request expired before its grant.
 ``rma.put`` / ``rma.get``  a one-sided transfer failed retryably (either
                  probabilistically or because the target rank is in
@@ -42,6 +42,12 @@ from repro.util.rng import seeded_rng
 
 T = TypeVar("T")
 
+#: Fixed fault durations, in simulated seconds (no run sets another value).
+DROP_TIMEOUT = 5e-4  # retransmission delay of a dropped message
+SPIKE_SECONDS = 2e-4  # extra latency of one network spike
+OST_STALL_SECONDS = 1e-3  # extra service time of one stalled OST request
+RMA_FAIL_DELAY = 5e-5  # origin-side cost of a failed put/get
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -54,19 +60,15 @@ class FaultSpec:
 
     # network (netsim/fabric.py)
     drop_rate: float = 0.0
-    drop_timeout: float = 5e-4  # retransmission delay of a dropped message
     spike_rate: float = 0.0
-    spike_seconds: float = 2e-4
     # storage servers (pfs/ost.py)
     slow_osts: int = 0  # how many OSTs run degraded for the whole job
     slow_factor: float = 8.0
     ost_stall_rate: float = 0.0
-    ost_stall_seconds: float = 1e-3
     # lock manager (pfs/lockmgr.py); 0 = never time out
     lock_timeout: float = 0.0
     # one-sided transfers (simmpi/rma.py)
     rma_fail_rate: float = 0.0
-    rma_fail_delay: float = 5e-5  # origin-side cost of a failed put/get
     unreachable_ranks: Tuple[int, ...] = ()  # RMA targets that always fail
     # fail-stop process crashes (``crash.rank`` / ``crash.node`` kinds).
     # Targeted mode: crash_rank (or every rank of crash_node) dies at the
@@ -90,9 +92,8 @@ class FaultSpec:
                 raise PfsError(f"{name} must be in [0, 1], got {rate}")
         if self.slow_osts < 0 or self.slow_factor < 1.0:
             raise PfsError("slow_osts must be >= 0 and slow_factor >= 1")
-        if min(self.drop_timeout, self.spike_seconds, self.ost_stall_seconds,
-               self.lock_timeout, self.rma_fail_delay) < 0:
-            raise PfsError("fault durations must be >= 0")
+        if self.lock_timeout < 0:
+            raise PfsError("lock_timeout must be >= 0")
         if self.crash_after < 1:
             raise PfsError(f"crash_after must be >= 1, got {self.crash_after}")
         if self.crash_rank is not None and self.crash_node is not None:
@@ -202,13 +203,13 @@ class FaultPlan:
         extra = 0.0
         if self._decide("net.spike", spec.spike_rate):
             self.record("net.spike", src=src, dst=dst)
-            extra += spec.spike_seconds
+            extra += SPIKE_SECONDS
         if self._decide("net.drop", spec.drop_rate):
             # A dropped message is retransmitted after a delivery timeout:
             # it still arrives (two-sided matching stays deadlock-free),
             # just a retransmission window later.
             self.record("net.drop", src=src, dst=dst, bytes=nbytes)
-            extra += spec.drop_timeout
+            extra += DROP_TIMEOUT
         return extra
 
     def slow_osts_for(self, n_osts: int) -> frozenset:
@@ -229,7 +230,7 @@ class FaultPlan:
         """Extra service time for one OST request (0.0 = clean)."""
         if self._decide("ost.stall", self.spec.ost_stall_rate):
             self.record("ost.stall", ost=index, write=write)
-            return self.spec.ost_stall_seconds
+            return OST_STALL_SECONDS
         return 0.0
 
     def rma_fault(self, op: str, origin: int, target: int) -> bool:

@@ -4,8 +4,9 @@ A :class:`RetryPolicy` describes *how* to retry (attempts, base delay,
 growth factor, cap, jitter); the loop that applies it lives on
 :meth:`repro.faults.plan.FaultPlan.retry_call` so every backoff sleep is
 jittered from the run's named RNG streams and counted/spanned through the
-observability layer. :func:`pfs_retry` is the storage-side convenience
-used by TCIO's writeback and the two-phase I/O phase: it turns lock-grant
+observability layer. :func:`pfs_retry` (and its :func:`pfs_write` /
+:func:`pfs_read` spellings) is the storage-side convenience used by TCIO's
+writeback and the MPI-IO paths: it turns lock-grant
 timeouts into bounded retries, with the *last* attempt blocking without a
 timeout so a convoy of waiters still completes (the engine's deadlock
 detector remains the backstop).
@@ -76,3 +77,21 @@ def pfs_retry(world, what: str, op: Callable[[Optional[float]], T]):
         retry_on=LockTimeout,
         what=what,
     ))
+
+
+def pfs_write(world, client, rank: int, file, what: str, offset: int, payload: bytes):
+    """One retried PFS write of *file* on *rank*'s behalf (coroutine)."""
+    return pfs_retry(
+        world,
+        what,
+        lambda t: client.write(file, offset, payload, owner=rank, lock_timeout=t),
+    )
+
+
+def pfs_read(world, client, rank: int, file, what: str, offset: int, nbytes: int):
+    """One retried PFS read of *file* (coroutine returning the bytes)."""
+    return pfs_retry(
+        world,
+        what,
+        lambda t: client.read(file, offset, nbytes, owner=rank, lock_timeout=t),
+    )

@@ -23,11 +23,7 @@ def run_faulted(
     rate: float = 0.05,
     procs: int = 16,
     len_array: int = 256,
-    arrays: int = 2,
-    type_codes: str = "i,d",
-    access: int = 1,
     method: str = "tcio",
-    lock_timeout: float = 2e-3,
     aggregation: str = "flat",
 ) -> int:
     """Run one fault-injected benchmark point; 0 when it verified."""
@@ -38,10 +34,7 @@ def run_faulted(
         method = target
     cfg = BenchConfig(
         method=Method.parse(method),
-        num_arrays=arrays,
-        type_codes=type_codes,
         len_array=len_array,
-        size_access=access,
         nprocs=procs,
         aggregation=aggregation,
     )
@@ -51,7 +44,7 @@ def run_faulted(
     spec = FaultSpec.from_rate(
         rate,
         slow_osts=1,
-        lock_timeout=lock_timeout,
+        lock_timeout=2e-3,
         unreachable_ranks=(1,) if procs > 1 else (),
         audit_locks=True,
     )

@@ -53,7 +53,6 @@ from repro.ioserver.trace import (
     expected_image,
     generate_trace,
     load_trace,
-    merge_ops,
     payload_bytes,
     save_trace,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "expected_image",
     "generate_trace",
     "load_trace",
-    "merge_ops",
     "payload_bytes",
     "save_trace",
 ]

@@ -55,9 +55,9 @@ class IoServerConfig:
     ``delegates`` is either the string ``"leaders"`` (one delegate per
     node, via :func:`repro.topo.node_leader_ranks`) or an explicit tuple
     of world ranks. ``queue_depth`` bounds each delegate's admitted-but-
-    unapplied request queue — the backpressure knob. ``max_retries`` and
-    ``backoff_base`` govern the client-side reaction to ``BUSY``:
-    deterministic exponential backoff on the virtual clock, then
+    unapplied request queue — the backpressure knob. ``max_retries``
+    governs the client-side reaction to ``BUSY``: deterministic
+    exponential backoff on the virtual clock, then
     :class:`~repro.util.errors.ServerBusy` once the budget is spent
     (``max_retries=0`` surfaces the error on the first rejection).
     ``journal`` is handed to the delegates' shared
@@ -76,7 +76,6 @@ class IoServerConfig:
     delegates: Union[str, tuple[int, ...]] = "leaders"
     queue_depth: int = 8
     max_retries: int = 24
-    backoff_base: float = 25e-6
     journal: str = "epoch"
     segment_size: int = 64
     failover: bool = False
@@ -88,8 +87,6 @@ class IoServerConfig:
             raise IoServerError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.max_retries < 0:
             raise IoServerError("max_retries must be >= 0")
-        if self.backoff_base <= 0:
-            raise IoServerError("backoff_base must be positive")
         if isinstance(self.delegates, str):
             if self.delegates != "leaders":
                 raise IoServerError(

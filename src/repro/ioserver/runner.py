@@ -257,10 +257,6 @@ class DirectReplay:
     image: bytes
     fetched: dict[int, bytes] = field(default_factory=dict)
 
-    @property
-    def image_sha256(self) -> str:
-        return hashlib.sha256(self.image).hexdigest()
-
 
 def _batched(ops):
     """Group each run of consecutive same-verb barrier ops (open/flush/
@@ -302,12 +298,12 @@ def _tcio_main(trace, nranks):
                     fh = None
             elif a.op == "write":
                 if a.delay:
-                    yield from env.ctx.process.sleep(a.delay)
+                    yield from env.process.sleep(a.delay)
                 payload = payload_bytes(trace.seed, a.client, a.seq, a.nbytes)
                 yield from fh.write_at(a.offset, payload)
             else:  # fetch
                 if a.delay:
-                    yield from env.ctx.process.sleep(a.delay)
+                    yield from env.process.sleep(a.delay)
                 fetched[a.seq] = yield from fh.read_now(a.offset, a.nbytes)
         return fetched
 
@@ -369,7 +365,7 @@ def _mpiio_main(trace, collective: bool):
                     fh = None
             elif a.op == "write":
                 if a.delay:
-                    yield from env.ctx.process.sleep(a.delay)
+                    yield from env.process.sleep(a.delay)
                 if collective:
                     pending.append(a)
                 else:
@@ -379,7 +375,7 @@ def _mpiio_main(trace, collective: bool):
                     yield from fh.write_at(a.offset, payload)
             else:  # fetch
                 if a.delay:
-                    yield from env.ctx.process.sleep(a.delay)
+                    yield from env.process.sleep(a.delay)
                 if collective:
                     fetched[a.seq] = yield from fh.read_at_all(
                         a.offset, a.nbytes

@@ -67,6 +67,10 @@ SERVER_STEPS = ("srv-admit", "srv-apply", "srv-flush", "srv-close")
 #: Request verbs that park the client until a collective completes.
 BARRIER_OPS = ("open", "flush", "close")
 
+#: First client backoff after a ``BUSY`` reply, in simulated seconds; it
+#: doubles per attempt (capped at the attempt-6 tier), jittered per request.
+BACKOFF_BASE = 25e-6
+
 
 def _crash_point(env, step: str):
     """Named crash hook (one test when unfaulted); coroutine like TCIO's."""
@@ -537,8 +541,8 @@ def _submit(env, rpc: RpcEndpoint, delegate: int, envelope, config, seed, hub):
             derive_seed(seed, "busy", envelope.client, envelope.seq, attempt)
             % 1000
         ) / 1000.0
-        backoff = config.backoff_base * (2 ** min(attempt, 6)) * (1.0 + jitter)
-        yield from env.ctx.process.sleep(backoff)
+        backoff = BACKOFF_BASE * (2 ** min(attempt, 6)) * (1.0 + jitter)
+        yield from env.process.sleep(backoff)
         attempt += 1
 
 
@@ -605,7 +609,7 @@ class _ClientSession:
     def sleep(self, seconds: float):
         """Think-time/backoff sleep; a fail-stop interrupt cuts it short."""
         try:
-            yield from self.env.ctx.process.sleep(seconds)
+            yield from self.env.process.sleep(seconds)
         except RankUnreachable:
             if self._delegate_dead():
                 yield from self.redirect()
@@ -654,7 +658,7 @@ class _ClientSession:
                 % 1000
             ) / 1000.0
             backoff = (
-                self.config.backoff_base * (2 ** min(attempt, 6)) * (1.0 + jitter)
+                BACKOFF_BASE * (2 ** min(attempt, 6)) * (1.0 + jitter)
             )
             yield from self.sleep(backoff)
             attempt += 1
@@ -753,7 +757,7 @@ def run_clients(
             _observe(hub, latencies, op.op, env.now - t0, len(batch))
         elif op.op == "write":
             if op.delay:
-                yield from env.ctx.process.sleep(op.delay)
+                yield from env.process.sleep(op.delay)
             payload = payload_bytes(trace.seed, op.client, op.seq, op.nbytes)
             t0 = env.now
             reply = yield from _submit(
@@ -765,7 +769,7 @@ def run_clients(
             _observe(hub, latencies, "write", env.now - t0)
         elif op.op == "fetch":
             if op.delay:
-                yield from env.ctx.process.sleep(op.delay)
+                yield from env.process.sleep(op.delay)
             t0 = env.now
             reply = yield from _submit(
                 env, rpc, delegate,

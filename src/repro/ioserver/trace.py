@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.util.errors import IoServerError
 from repro.util.rng import seeded_rng
@@ -303,8 +303,3 @@ def load_trace(path: str) -> WorkloadTrace:
     )
     trace.validate()
     return trace
-
-
-def merge_ops(traces: Iterable[WorkloadTrace]) -> tuple[TraceOp, ...]:
-    """All ops of several traces in one global seq order (analysis aid)."""
-    return tuple(sorted((op for t in traces for op in t.ops), key=lambda o: o.seq))

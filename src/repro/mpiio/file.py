@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults.retry import pfs_retry
 from repro.mpiio import independent, twophase
 from repro.mpiio.fileview import FileView
 from repro.mpiio.hints import IoHints
@@ -234,47 +233,8 @@ class MpiFile:
         return out
 
     # ------------------------------------------------------------------
-    # shared pointers, nonblocking ops, size management
+    # size management
     # ------------------------------------------------------------------
-    def write_shared(self, data: object, count: Optional[int] = None,
-                     datatype: Datatype = BYTE):
-        """MPI_File_write_shared: write at the shared file pointer
-        (coroutine).
-
-        Returns the etype offset the write landed at.
-        """
-        self._check_open(writing=True)
-        from repro.mpiio import shared
-
-        return (
-            yield from shared.write_shared(
-                self, self._prepare(data, count, datatype)
-            )
-        )
-
-    def read_shared(self, count: int):
-        """MPI_File_read_shared: read at the shared pointer (coroutine);
-        returns (etype offset, data)."""
-        self._check_open(reading=True)
-        from repro.mpiio import shared
-
-        return (yield from shared.read_shared(self, count))
-
-    def iwrite_at(self, offset_etypes: int, data: object,
-                  count: Optional[int] = None, datatype: Datatype = BYTE):
-        """MPI_File_iwrite_at: nonblocking independent write (request)."""
-        self._check_open(writing=True)
-        from repro.mpiio import shared
-
-        return shared.iwrite_at(self, offset_etypes, self._prepare(data, count, datatype))
-
-    def iread_at(self, offset_etypes: int, count: int):
-        """MPI_File_iread_at: nonblocking independent read (request)."""
-        self._check_open(reading=True)
-        from repro.mpiio import shared
-
-        return shared.iread_at(self, offset_etypes, count)
-
     def set_size(self, nbytes: int):
         """MPI_File_set_size (collective coroutine): truncate or extend."""
         self._check_open()
@@ -292,13 +252,6 @@ class MpiFile:
             self.pfs_file.truncate(nbytes)
         yield from collectives.barrier(self.comm)
 
-    def sync(self):
-        """MPI_File_sync: flush (a no-op here: writes commit at their
-        simulated completion time) plus the collective synchronization
-        (coroutine)."""
-        self._check_open()
-        yield from collectives.barrier(self.comm)
-
     # ------------------------------------------------------------------
     def _prepare(self, data: object, count: Optional[int], datatype: Datatype) -> bytes:
         payload = _coerce_bytes(data)
@@ -311,26 +264,6 @@ class MpiFile:
                 )
             payload = payload[:need]
         return payload
-
-    def _pfs_write(self, what: str, offset: int, payload: bytes):
-        """One retried PFS write on this rank's behalf (coroutine)."""
-        return pfs_retry(
-            self.env.world,
-            what,
-            lambda t: self.client.write(
-                self.pfs_file, offset, payload, owner=self.env.rank, lock_timeout=t
-            ),
-        )
-
-    def _pfs_read(self, what: str, offset: int, nbytes: int):
-        """One retried PFS read (coroutine returning the bytes)."""
-        return pfs_retry(
-            self.env.world,
-            what,
-            lambda t: self.client.read(
-                self.pfs_file, offset, nbytes, owner=self.env.rank, lock_timeout=t
-            ),
-        )
 
     def _copy_cost(self, nbytes: int) -> None:
         """Charge local pack/scatter/gather memcpy time."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.retry import pfs_retry
+from repro.faults.retry import pfs_read, pfs_retry, pfs_write
 from repro.util.intervals import Extent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,7 +26,9 @@ def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
     world = mf.env.world
     if len(pieces) == 1:
         ext, _ = pieces[0]
-        yield from mf._pfs_write("mpiio.write", ext.start, data)
+        yield from pfs_write(
+            world, mf.client, mf.env.rank, mf.pfs_file, "mpiio.write", ext.start, data
+        )
         return
     bounding = Extent(pieces[0][0].start, pieces[-1][0].stop)
     useful = sum(e.length for e, _ in pieces)
@@ -51,8 +53,9 @@ def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
             world.trace.count("mpiio.sieve_write", useful)
         return
     for ext, mem_off in pieces:
-        yield from mf._pfs_write(
-            "mpiio.write", ext.start, data[mem_off : mem_off + ext.length]
+        yield from pfs_write(
+            world, mf.client, mf.env.rank, mf.pfs_file,
+            "mpiio.write", ext.start, data[mem_off : mem_off + ext.length],
         )
 
 
@@ -65,14 +68,18 @@ def read_view(mf: "MpiFile", stream_pos: int, nbytes: int):
     world = mf.env.world
     if len(pieces) == 1:
         ext, _ = pieces[0]
-        return (yield from mf._pfs_read("mpiio.read", ext.start, ext.length))
+        return (yield from pfs_read(
+            world, mf.client, mf.env.rank, mf.pfs_file,
+            "mpiio.read", ext.start, ext.length,
+        ))
     bounding = Extent(pieces[0][0].start, pieces[-1][0].stop)
     useful = sum(e.length for e, _ in pieces)
     out = bytearray(nbytes)
     hints = mf.hints
     if hints.ds_read and useful >= hints.ds_hole_threshold * bounding.length:
-        blob = yield from mf._pfs_read(
-            "mpiio.sieve_read", bounding.start, bounding.length
+        blob = yield from pfs_read(
+            world, mf.client, mf.env.rank, mf.pfs_file,
+            "mpiio.sieve_read", bounding.start, bounding.length,
         )
         for ext, mem_off in pieces:
             lo = ext.start - bounding.start
@@ -82,6 +89,9 @@ def read_view(mf: "MpiFile", stream_pos: int, nbytes: int):
             world.trace.count("mpiio.sieve_read", useful)
     else:
         for ext, mem_off in pieces:
-            chunk = yield from mf._pfs_read("mpiio.read", ext.start, ext.length)
+            chunk = yield from pfs_read(
+                world, mf.client, mf.env.rank, mf.pfs_file,
+                "mpiio.read", ext.start, ext.length,
+            )
             out[mem_off : mem_off + ext.length] = chunk
     return bytes(out)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional, TYPE_CHECKING
 
+from repro.faults.retry import pfs_read, pfs_write
 from repro.obs.spans import NULL_TRACER
 from repro.simmpi import collectives
 from repro.simmpi.comm import CTX_COLL, pack_object, unpack_object, wait_all
@@ -396,14 +397,19 @@ def _assemble_and_write(mf: "MpiFile", window: Extent, incoming, what: str, trac
     mf._copy_cost(covered)
     if window.is_empty():
         return
+    world, rank = mf.env.world, mf.env.rank
     with tracer.span("ocio.io", bytes=window.length):
         if covered < window.length:
             # Holes in the extent: read-modify-write preserves them.
-            chunk = bytearray(
-                (yield from mf._pfs_read(what + ".read", window.start, window.length))
-            )
+            chunk = bytearray((yield from pfs_read(
+                world, mf.client, rank, mf.pfs_file,
+                what + ".read", window.start, window.length,
+            )))
             _paint(chunk, window.start, incoming)
-        yield from mf._pfs_write(what + ".write", window.start, bytes(chunk))
+        yield from pfs_write(
+            world, mf.client, rank, mf.pfs_file,
+            what + ".write", window.start, bytes(chunk),
+        )
 
 
 def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
@@ -513,7 +519,10 @@ def _read_and_serve(mf: "MpiFile", domain: Extent, in_pairs, tag: int):
     if not in_pairs or domain.is_empty():
         return served_local
     alloc = world.memory.allocate(comm.rank, domain.length, "ocio.tempbuf")
-    blob = yield from mf._pfs_read("ocio.read.domain", domain.start, domain.length)
+    blob = yield from pfs_read(
+        world, mf.client, mf.env.rank, mf.pfs_file,
+        "ocio.read.domain", domain.start, domain.length,
+    )
     for src, lst in in_pairs:
         blocks = [
             (off, blob[off - domain.start : off - domain.start + ln])

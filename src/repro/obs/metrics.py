@@ -57,11 +57,6 @@ class Counter:
         self.count += n
         self.total += n
 
-    @property
-    def value(self) -> int:
-        """The counter as a plain integer (its occurrence count)."""
-        return self.count
-
     def merge_from(self, other: "Counter") -> None:
         """Accumulate another counter into this one."""
         self.count += other.count
@@ -241,12 +236,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Metric]:
         """The metric named *name*, or None (never creates)."""
         return self._metrics.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     def names(self) -> Iterator[str]:
         """All metric names, sorted."""

@@ -1,4 +1,4 @@
-"""Host-performance subsystem: parallel campaigns and profiling.
+"""Host-performance subsystem: parallel campaigns.
 
 Everything under ``repro.perf`` is about *host* time — how fast the
 simulator itself runs — never about simulated time. The tools:
@@ -8,9 +8,6 @@ simulator itself runs — never about simulated time. The tools:
   ``topo``/...) from a :class:`repro.campaign.store.CampaignStore` —
   keyed by (experiment, params, config hash), so reruns skip completed
   points — and fans the rest across a ``multiprocessing`` pool;
-* :mod:`repro.perf.profile` — ``python -m repro perf profile <target>``:
-  one ``cProfile`` around the whole simulation (kernel and every rank
-  coroutine run on the calling thread, so it sees everything);
 * :mod:`repro.perf.hostbench` — :func:`~repro.perf.hostbench.calibrate`,
   the host-speed yardstick the reference benchmark
   (``benchmarks/e2e``, the one host-performance gate) records.

@@ -19,9 +19,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
-EXPERIMENTS = ("fig5", "fig67", "fig910", "topo", "ioserver", "tenancy")
+EXPERIMENTS = ("fig5", "fig67", "fig910", "topo", "ioserver")
 
 #: Bump to invalidate every stored result (result-shape changes).
 RESULT_SCHEMA = 1
@@ -137,11 +136,6 @@ def points_for(experiment: str, scale=None) -> list[Point]:
             points.append(Point.make(
                 "ioserver", nclients=nclients, nranks=6, cores_per_node=3,
                 epochs=3, seed=11,
-            ))
-    elif experiment == "tenancy":
-        for qos in ("fifo", "fair"):
-            points.append(Point.make(
-                "tenancy", qos=qos, nranks=4, len_array=512, seed=3,
             ))
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -303,40 +297,6 @@ def _run_ioserver_point(point: Point, *, verify: bool = True) -> dict:
     }
 
 
-def _run_tenancy_point(point: Point, *, verify: bool = True) -> dict:
-    """A tenancy point: the 2-job interference matrix under one QoS policy."""
-    from repro.tenancy import (
-        clear_solo_cache,
-        interference_matrix,
-        two_job_scenario,
-    )
-
-    clear_solo_cache()  # a point must not depend on in-process history
-    scenario = two_job_scenario(
-        seed=int(point.get("seed")),  # type: ignore[arg-type]
-        nranks=int(point.get("nranks")),  # type: ignore[arg-type]
-        len_array=int(point.get("len_array")),  # type: ignore[arg-type]
-    )
-    report = interference_matrix(
-        scenario, qos=str(point.get("qos")), strict=verify
-    )
-    payload = report.to_json()
-    return {
-        "qos": payload["qos"],
-        "scenario_elapsed": payload["scenario_elapsed"],
-        "jain_index": payload["jain_index"],
-        "slowdowns": {
-            name: cell["slowdown"] for name, cell in payload["jobs"].items()
-        },
-        "identical": report.all_identical,
-        "fsck_clean": report.all_clean,
-        # the matrix's combined content identity (already oracle-checked)
-        "files": {
-            name: cell["files"] for name, cell in payload["jobs"].items()
-        },
-    }
-
-
 _BENCH_PARAMS = frozenset({
     "method", "nprocs", "len_array", "journal", "aggregation",
     "segment_bytes", "cb_nodes",
@@ -367,10 +327,6 @@ _RUNNERS = {
             "delegates", "queue_depth",
         }),
     ),
-    "tenancy": (
-        _run_tenancy_point,
-        frozenset({"seed", "nranks", "len_array", "qos"}),
-    ),
 }
 
 
@@ -387,9 +343,3 @@ def run_point(point: Point, *, verify: bool = True) -> dict:
 def run_spec(spec: dict, *, verify: bool = True) -> dict:
     """Worker-side entry: :func:`run_point` on a :meth:`Point.as_spec`."""
     return run_point(Point.from_spec(spec), verify=verify)
-
-
-def result_sha256(result: dict) -> Optional[str]:
-    """The output-bytes hash a point recorded, if its kind records one."""
-    value = result.get("file_sha256")
-    return str(value) if value else None

@@ -9,15 +9,13 @@ order, so simulations replay bit-identically.
 Stable public API (see docs/architecture.md):
 
 * :class:`Engine`, :class:`SimProcess` (constructed via
-  ``Engine.spawn`` / ``SimProcess.spawn``);
+  ``Engine.spawn``);
 * :func:`active_process` / :func:`active_engine` — documented accessors
   for code running inside a rank program;
-* :class:`SimContext` / :func:`context` — the facade handed to rank
-  programs that bundles clock + time primitives;
 * :func:`run_coroutine` — bridge for maybe-blocking thunks.
 """
 
-from repro.sim.api import SimContext, context, context_or_none, run_coroutine
+from repro.sim.api import run_coroutine
 from repro.sim.engine import (
     Engine,
     ProcessCrashed,
@@ -27,25 +25,20 @@ from repro.sim.engine import (
     events_executed_total,
 )
 from repro.sim.process import SimProcess
-from repro.sim.sync import SimEvent, SimSemaphore, SimBarrier, SimMutex
+from repro.sim.sync import SimEvent, SimBarrier
 from repro.sim.trace import TraceRecorder, Counter
 
 __all__ = [
     "Engine",
     "ProcessCrashed",
-    "SimContext",
     "SimProcess",
     "SimEvent",
-    "SimSemaphore",
     "SimBarrier",
-    "SimMutex",
     "TraceRecorder",
     "Counter",
     "active_engine",
     "active_process",
     "active_process_or_none",
-    "context",
-    "context_or_none",
     "events_executed_total",
     "run_coroutine",
 ]

@@ -1,9 +1,8 @@
-"""The stable ``repro.sim`` public API: contexts and coroutine helpers.
+"""The stable ``repro.sim`` public API: coroutine helpers.
 
-Rank programs are generator coroutines. Code that needs the simulation
-context (clock, sleep/charge/settle, spawn) should either receive a
-:class:`SimContext` explicitly or fetch one with :func:`context`, the
-documented accessor.
+Rank programs are generator coroutines; code running inside one reaches
+its process (clock, sleep/charge/settle) through
+:func:`repro.sim.engine.active_process`.
 
 Coroutine conventions
 ---------------------
@@ -17,10 +16,7 @@ Coroutine conventions
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Callable, Optional
-
-from repro.sim.engine import Engine, active_process, active_process_or_none
-from repro.sim.process import SimProcess
+from typing import Any
 
 
 def run_coroutine(value: Any):
@@ -33,73 +29,3 @@ def run_coroutine(value: Any):
     if isinstance(value, GeneratorType):
         value = yield from value
     return value
-
-
-class SimContext:
-    """The simulation facade handed to (or fetched by) rank programs.
-
-    A thin view over one ``(engine, process)`` pair: virtual clock,
-    time-charging primitives, and process metadata. Blocking methods are
-    coroutines (``yield from ctx.sleep(...)``); the rest are plain.
-    """
-
-    __slots__ = ("engine", "process")
-
-    def __init__(self, engine: Engine, process: SimProcess):
-        self.engine = engine
-        self.process = process
-
-    # -- identity ------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """The process name (``rank3``, ...)."""
-        return self.process.name
-
-    @property
-    def now(self) -> float:
-        """The engine's virtual clock."""
-        return self.engine.now
-
-    # -- time (blocking methods are coroutines) ------------------------
-    def sleep(self, duration: float):
-        """Occupy the process for *duration* simulated seconds."""
-        return self.process.sleep(duration)
-
-    def charge(self, duration: float) -> None:
-        """Accrue lazily-settled busy time (non-blocking)."""
-        self.process.charge(duration)
-
-    def settle(self):
-        """Pay accrued charges by sleeping them off."""
-        return self.process.settle()
-
-    def block(self, reason: str):
-        """Park until woken; returns the wake value (kernel primitive)."""
-        return self.process.block(reason)
-
-    # -- scheduling (engine-side, non-blocking) ------------------------
-    def schedule(self, delay: float, action: Callable[[], None]):
-        """Run *action* after *delay* simulated seconds."""
-        return self.engine.schedule(delay, action)
-
-    def schedule_at(self, time: float, action: Callable[[], None]):
-        """Run *action* at absolute virtual time *time*."""
-        return self.engine.schedule_at(time, action)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<SimContext {self.process.name} t={self.engine.now:g}>"
-
-
-def context() -> SimContext:
-    """The context of the currently executing simulated process.
-
-    Raises SimulationError outside any rank context.
-    """
-    proc = active_process()
-    return SimContext(proc.engine, proc)
-
-
-def context_or_none() -> Optional[SimContext]:
-    """Like :func:`context`, but None outside any rank context."""
-    proc = active_process_or_none()
-    return None if proc is None else SimContext(proc.engine, proc)

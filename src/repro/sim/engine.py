@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Callable, Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.util.errors import DeadlockError, SimulationError
 
@@ -119,11 +119,6 @@ class Timer:
         """Prevent the scheduled action from running."""
         self.engine._actions.pop(self.seq, None)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the action was cancelled or already consumed."""
-        return self.seq not in self.engine._actions
-
 
 class Engine:
     """Virtual clock + event heap + coroutine process scheduler."""
@@ -200,7 +195,7 @@ class Engine:
         self._running = True
         started = self.now
         # The loop below runs once per event across the whole simulation;
-        # local bindings and an inlined _pop keep the per-event constant
+        # local bindings and an inlined pop loop keep the per-event constant
         # cost down (measurably so at FULL-campaign event counts).
         heap = self._heap
         actions_pop = self._actions.pop
@@ -240,16 +235,6 @@ class Engine:
             )
         return self.now
 
-    def _pop(self) -> tuple[float, Callable[[], None]] | None:
-        heap = self._heap
-        actions = self._actions
-        while heap:
-            time, seq = heapq.heappop(heap)
-            action = actions.pop(seq, None)
-            if action is not None:
-                return time, action
-        return None
-
     def _check_deadlock(self) -> None:
         blocked = {
             i: proc.wait_reason or "blocked"
@@ -282,19 +267,3 @@ class Engine:
 
         delay = 0.0 if at is None else at - self.now
         return self.schedule(delay, fire)
-
-    # ------------------------------------------------------------------
-    # conveniences for assertions and reporting
-    # ------------------------------------------------------------------
-    @property
-    def processes(self) -> Sequence["SimProcess"]:
-        """All registered processes, in spawn order."""
-        return tuple(self._processes)
-
-    def run_processes(
-        self, targets: Iterable[Callable[[], object]], *, until: float | None = None
-    ) -> float:
-        """Spawn one process per callable and run; returns final clock."""
-        for i, target in enumerate(targets):
-            self.spawn(f"proc{i}", target)
-        return self.run(until=until)

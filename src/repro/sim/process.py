@@ -29,9 +29,9 @@ ProcessCrashed = _engine_mod.ProcessCrashed
 class SimProcess:
     """One simulated process: a coroutine driven by the engine.
 
-    The public construction path is :meth:`spawn` (or
-    ``Engine.spawn``); direct construction plus ``Engine.add_process``
-    remains supported for tests that build processes before the run.
+    The public construction path is ``Engine.spawn``; direct construction
+    plus ``Engine.add_process`` remains supported for tests that build
+    processes before the run.
     """
 
     def __init__(self, engine: "_engine_mod.Engine", name: str, target: Callable[[], object]):
@@ -47,15 +47,6 @@ class SimProcess:
         self.wait_reason: Optional[str] = None
         self.start_time = 0.0
         self.end_time: Optional[float] = None
-
-    @classmethod
-    def spawn(
-        cls, engine: "_engine_mod.Engine", name: str, target: Callable[[], object]
-    ) -> "SimProcess":
-        """Create *and register* a process on *engine* (starts at time 0)."""
-        proc = cls(engine, name, target)
-        engine.add_process(proc)
-        return proc
 
     def __repr__(self) -> str:  # pragma: no cover
         state = (

@@ -9,7 +9,7 @@ method is a generator coroutine — callers ``yield from`` it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.engine import active_process
 from repro.sim.process import SimProcess
@@ -31,11 +31,6 @@ class SimEvent:
         self._value: Any = None
         self._waiters: Deque[SimProcess] = deque()
 
-    @property
-    def fired(self) -> bool:
-        """Whether the event has fired at least once."""
-        return self._fired
-
     def wait(self):
         """Park the calling process until the next fire (returns its value)."""
         proc = active_process()
@@ -52,80 +47,6 @@ class SimEvent:
         waiters, self._waiters = self._waiters, deque()
         for proc in waiters:
             proc.wake(value)
-
-
-class SimSemaphore:
-    """Counting semaphore with FIFO wakeups."""
-
-    def __init__(self, value: int = 0, name: str = "sem"):
-        if value < 0:
-            raise SimulationError("semaphore initial value must be >= 0")
-        self.name = name
-        self._value = value
-        self._waiters: Deque[SimProcess] = deque()
-
-    @property
-    def value(self) -> int:
-        """Available permits."""
-        return self._value
-
-    def acquire(self):
-        """Take a permit, parking FIFO when none are available."""
-        if self._value > 0:
-            self._value -= 1
-            return
-        proc = active_process()
-        self._waiters.append(proc)
-        yield from proc.block(f"acquire:{self.name}")
-
-    def release(self, n: int = 1) -> None:
-        """Return *n* permits, waking FIFO waiters first."""
-        for _ in range(n):
-            if self._waiters:
-                self._waiters.popleft().wake()
-            else:
-                self._value += 1
-
-
-class SimMutex:
-    """FIFO mutual exclusion; the holder is tracked for diagnostics.
-
-    ``acquire`` is a coroutine; there is deliberately no context-manager
-    protocol (``__enter__`` cannot ``yield from``) — use
-    ``yield from m.acquire()`` / ``try: ... finally: m.release()``.
-    """
-
-    def __init__(self, name: str = "mutex"):
-        self.name = name
-        self._holder: Optional[SimProcess] = None
-        self._waiters: Deque[SimProcess] = deque()
-
-    @property
-    def locked(self) -> bool:
-        """Whether some process holds the mutex."""
-        return self._holder is not None
-
-    def acquire(self):
-        """Enter the mutex, parking FIFO while another process holds it."""
-        proc = active_process()
-        if self._holder is None:
-            self._holder = proc
-            return
-        if self._holder is proc:
-            raise SimulationError(f"{self.name}: recursive acquire")
-        self._waiters.append(proc)
-        yield from proc.block(f"lock:{self.name}")
-
-    def release(self) -> None:
-        """Leave the mutex, handing it to the oldest waiter."""
-        proc = active_process()
-        if self._holder is not proc:
-            raise SimulationError(f"{self.name}: release by non-holder")
-        if self._waiters:
-            self._holder = self._waiters.popleft()
-            self._holder.wake()
-        else:
-            self._holder = None
 
 
 class SimBarrier:

@@ -12,19 +12,17 @@ It now fronts the first-class observability subsystem in :mod:`repro.obs`:
   preserved as a thin delegation layer;
 * spans go to a :class:`~repro.obs.spans.Tracer` (``recorder.tracer``) on
   the engine's virtual clock, with the current simulated process resolving
-  the default track (one track per rank);
-* the optional flat event log (``record_events=True``) is unchanged.
+  the default track (one track per rank).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import Tracer
 
-__all__ = ["Counter", "TraceEvent", "TraceRecorder"]
+__all__ = ["Counter", "TraceRecorder"]
 
 
 def _current_track() -> str:
@@ -35,22 +33,12 @@ def _current_track() -> str:
     return proc.name if proc is not None else "engine"
 
 
-@dataclass
-class TraceEvent:
-    """One recorded event (only stored when event tracing is enabled)."""
-
-    time: float
-    name: str
-    detail: dict = field(default_factory=dict)
-
-
 class TraceRecorder:
-    """Collects counters, spans, and (optionally) a full event log."""
+    """Collects counters and spans."""
 
     def __init__(
         self,
         *,
-        record_events: bool = False,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -58,38 +46,18 @@ class TraceRecorder:
         self.tracer = tracer if tracer is not None else Tracer()
         if self.tracer.track_of is None:
             self.tracer.track_of = _current_track
-        self.record_events = record_events
-        self.events: list[TraceEvent] = []
 
     # ------------------------------------------------------------------
     # counters (legacy surface, now registry-backed)
     # ------------------------------------------------------------------
-    @property
-    def counters(self) -> dict[str, Counter]:
-        """Name -> Counter mapping of every counter seen so far."""
-        return self.registry.counters()
-
     def count(self, name: str, amount: float = 0.0) -> None:
         """Increment counter *name* by one occurrence of *amount* units."""
         self.registry.counter(name).add(amount)
-
-    def event(self, time: float, name: str, **detail: object) -> None:
-        """Count and (when enabled) record a timestamped event."""
-        self.count(name)
-        if self.record_events:
-            self.events.append(TraceEvent(time, name, dict(detail)))
-
-    def __getitem__(self, name: str) -> Counter:
-        return self.registry.counter(name)
 
     def get(self, name: str) -> Counter:
         """Counter for *name* without creating it (zero counter if absent)."""
         metric = self.registry.get(name)
         return metric if isinstance(metric, Counter) else Counter()
-
-    def names(self) -> Iterator[str]:
-        """Counter names, sorted."""
-        return iter(sorted(self.registry.counters()))
 
     def summary(self) -> dict[str, tuple[int, float]]:
         """Mapping of counter name to (count, total)."""
@@ -110,7 +78,3 @@ class TraceRecorder:
     ) -> None:
         """Record an analytically-timed interval (clock-space bounds)."""
         self.tracer.complete(name, start, end, track, **args)
-
-    def instant(self, name: str, track: Optional[str] = None, **args) -> None:
-        """Record a zero-duration marker."""
-        self.tracer.instant(name, track, **args)

@@ -13,12 +13,8 @@ from repro.simmpi.datatypes import (
     Primitive,
     Contiguous,
     Vector,
-    Hvector,
     Indexed,
-    Hindexed,
-    Struct,
     Subarray,
-    Resized,
     BYTE,
     CHAR,
     SHORT,
@@ -30,11 +26,9 @@ from repro.simmpi.datatypes import (
 )
 from repro.simmpi.comm import Communicator, Request, Status, ANY_SOURCE, ANY_TAG, wait_all
 from repro.simmpi.group import (
-    COMM_TYPE_SHARED,
     GroupSpec,
     SubCommunicator,
     comm_split,
-    comm_split_type,
     comm_from_ranks,
 )
 from repro.simmpi.ft import agree, failed_ranks, shrink
@@ -47,12 +41,8 @@ __all__ = [
     "Primitive",
     "Contiguous",
     "Vector",
-    "Hvector",
     "Indexed",
-    "Hindexed",
-    "Struct",
     "Subarray",
-    "Resized",
     "BYTE",
     "CHAR",
     "SHORT",
@@ -68,8 +58,6 @@ __all__ = [
     "GroupSpec",
     "SubCommunicator",
     "comm_split",
-    "comm_split_type",
-    "COMM_TYPE_SHARED",
     "comm_from_ranks",
     "ANY_SOURCE",
     "ANY_TAG",

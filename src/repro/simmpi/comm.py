@@ -104,10 +104,6 @@ class Request:
             group, self._group = self._group, None
             group.one_done()
 
-    def test(self) -> bool:
-        """Nonblocking completion check (MPI_Test)."""
-        return self.done
-
     def wait(self):
         """Park until complete; returns the payload for receive requests.
 
@@ -440,10 +436,6 @@ class Communicator:
         req = yield from self.isend(data, dest, tag, context=context)
         yield from req.wait()
 
-    def isend_object(self, obj: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
-        """Nonblocking send of a pickled Python object (coroutine)."""
-        return (yield from self.isend(pack_object(obj), dest, tag, context=context))
-
     def send_object(self, obj: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
         """Blocking send of a pickled Python object (coroutine)."""
         yield from self.send(pack_object(obj), dest, tag, context=context)
@@ -524,22 +516,6 @@ class Communicator:
             if _matches(env, probe):
                 return Status(source=env.src, tag=env.tag, count=env.size)
         return None
-
-    def sendrecv(
-        self,
-        data: Any,
-        dest: int,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ):
-        """MPI_Sendrecv: post the receive, send, then complete the receive
-        — the deadlock-free exchange primitive (coroutine)."""
-        req = yield from self.irecv(source, recvtag)
-        yield from self.isend(data, dest, sendtag)
-        payload = yield from req.wait()
-        assert payload is not None
-        return payload
 
     # ------------------------------------------------------------------
     def _ctx(self, context: int) -> object:

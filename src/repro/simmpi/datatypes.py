@@ -4,7 +4,7 @@ OCIO (and the MPI-IO file-view machinery it rests on) describes
 noncontiguous layouts with derived datatypes; TCIO uses ``Indexed`` to
 combine disjoint blocks into a single one-sided transfer. We implement the
 constructors the paper's Program 2 and Section IV use — contiguous, vector,
-indexed (plus the h-variants, struct, and extent resizing) — over a byte
+indexed (plus subarray) — over a byte
 *typemap*: an ordered list of ``(offset, length)`` byte segments relative to
 the type's origin, with an *extent* giving the stride when the type tiles.
 
@@ -74,23 +74,9 @@ class Datatype:
         return len(segs) == 1 and segs[0] == (0, self.extent)
 
     # -- constructors matching MPI_Type_* ------------------------------
-    def contiguous(self, count: int) -> "Contiguous":
-        """MPI_Type_contiguous over this type."""
-        return Contiguous(count, self)
-
     def vector(self, count: int, blocklength: int, stride: int) -> "Vector":
         """MPI_Type_vector over this type."""
         return Vector(count, blocklength, stride, self)
-
-    def indexed(
-        self, blocklengths: Sequence[int], displacements: Sequence[int]
-    ) -> "Indexed":
-        """MPI_Type_indexed over this type."""
-        return Indexed(blocklengths, displacements, self)
-
-    def resized(self, lb: int, extent: int) -> "Resized":
-        """MPI_Type_create_resized over this type."""
-        return Resized(self, lb, extent)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} size={self.size} extent={self.extent}>"
@@ -181,31 +167,6 @@ class Vector(Datatype):
         return out
 
 
-class Hvector(Datatype):
-    """``MPI_Type_create_hvector``: stride given in bytes, not elements."""
-
-    def __init__(self, count: int, blocklength: int, stride_bytes: int, base: Datatype):
-        if count < 0 or blocklength < 0:
-            raise DatatypeError("hvector count/blocklength must be >= 0")
-        self.count = count
-        self.blocklength = blocklength
-        self.stride_bytes = stride_bytes
-        self.base = base
-        self._size = count * blocklength * base.size
-        if count == 0:
-            self._extent = 0
-        else:
-            self._extent = (count - 1) * stride_bytes + blocklength * base.extent
-
-    def _build_segments(self) -> list[tuple[int, int]]:
-        block = Contiguous(self.blocklength, self.base)
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.stride_bytes
-            out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
-
-
 class Indexed(Datatype):
     """``MPI_Type_indexed``: variable-length blocks at element displacements.
 
@@ -238,70 +199,6 @@ class Indexed(Datatype):
             block = Contiguous(b, self.base)
             shift = d * self.base.extent
             out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
-
-
-class Hindexed(Datatype):
-    """``MPI_Type_create_hindexed``: displacements in bytes."""
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements_bytes: Sequence[int],
-        base: Datatype,
-    ):
-        if len(blocklengths) != len(displacements_bytes):
-            raise DatatypeError("hindexed: blocklengths/displacements length mismatch")
-        if any(b < 0 for b in blocklengths):
-            raise DatatypeError("hindexed: negative blocklength")
-        self.blocklengths = tuple(int(b) for b in blocklengths)
-        self.displacements_bytes = tuple(int(d) for d in displacements_bytes)
-        self.base = base
-        self._size = sum(self.blocklengths) * base.size
-        ext = 0
-        for b, d in zip(self.blocklengths, self.displacements_bytes):
-            ext = max(ext, d + b * base.extent)
-        self._extent = ext
-
-    def _build_segments(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for b, d in zip(self.blocklengths, self.displacements_bytes):
-            block = Contiguous(b, self.base)
-            out.extend((off + d, ln) for off, ln in block.segments)
-        return out
-
-
-class Struct(Datatype):
-    """``MPI_Type_create_struct``: heterogeneous blocks at byte displacements.
-
-    Section V.C notes one *could* describe a fixed FTT with this — before
-    explaining why per-tree type construction makes OCIO impractical there.
-    """
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements_bytes: Sequence[int],
-        types: Sequence[Datatype],
-    ):
-        if not (len(blocklengths) == len(displacements_bytes) == len(types)):
-            raise DatatypeError("struct: argument length mismatch")
-        if any(b < 0 for b in blocklengths):
-            raise DatatypeError("struct: negative blocklength")
-        self.blocklengths = tuple(int(b) for b in blocklengths)
-        self.displacements_bytes = tuple(int(d) for d in displacements_bytes)
-        self.types = tuple(types)
-        self._size = sum(b * t.size for b, t in zip(self.blocklengths, self.types))
-        ext = 0
-        for b, d, t in zip(self.blocklengths, self.displacements_bytes, self.types):
-            ext = max(ext, d + b * t.extent)
-        self._extent = ext
-
-    def _build_segments(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for b, d, t in zip(self.blocklengths, self.displacements_bytes, self.types):
-            block = Contiguous(b, t)
-            out.extend((off + d, ln) for off, ln in block.segments)
         return out
 
 
@@ -366,21 +263,6 @@ class Subarray(Datatype):
 
         emit(0, 0)
         return out
-
-
-class Resized(Datatype):
-    """``MPI_Type_create_resized``: override lb/extent for tiling."""
-
-    def __init__(self, base: Datatype, lb: int, extent: int):
-        if extent < 0:
-            raise DatatypeError("resized: negative extent")
-        self.base = base
-        self.lb = lb
-        self._size = base.size
-        self._extent = extent
-
-    def _build_segments(self) -> list[tuple[int, int]]:
-        return [(off - self.lb, ln) for off, ln in self.base.segments]
 
 
 # ----------------------------------------------------------------------

@@ -132,29 +132,6 @@ def comm_split(comm: Communicator, color: int, key: Optional[int] = None):
     return SubCommunicator(comm.world, group, my_world_rank, new_id)
 
 
-#: ``split_type`` for :func:`comm_split_type`: ranks sharing a node.
-COMM_TYPE_SHARED = "shared"
-
-
-def comm_split_type(
-    comm: Communicator, split_type: str = COMM_TYPE_SHARED,
-    key: Optional[int] = None,
-):
-    """``MPI_Comm_split_type``: split by hardware locality (collective).
-
-    Coroutine. Only ``COMM_TYPE_SHARED`` exists here — ranks placed on
-    the same node end up in one communicator, ordered by *key* (parent
-    rank by default, so each node's lowest parent rank becomes local
-    rank 0).
-    """
-    if split_type != COMM_TYPE_SHARED:
-        raise MpiError(f"unsupported split_type {split_type!r}")
-    node = comm.world.node_of[comm.world_rank(comm.rank)]
-    out = yield from comm_split(comm, node, key)
-    assert out is not None  # node ids are never negative
-    return out
-
-
 def comm_from_ranks(comm: Communicator, world_ranks: Sequence[int]):
     """Create a sub-communicator from an explicit rank list (collective).
 

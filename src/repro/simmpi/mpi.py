@@ -14,8 +14,9 @@ from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 from repro.memsim.memory import MemoryTracker
 from repro.netsim.fabric import Fabric
 from repro.netsim.model import NetworkSpec
-from repro.sim.api import SimContext, run_coroutine
+from repro.sim.api import run_coroutine
 from repro.sim.engine import Engine, ProcessCrashed
+from repro.sim.process import SimProcess
 from repro.sim.trace import TraceRecorder
 from repro.simmpi.comm import Communicator, Mailbox, Request, Status, _Envelope
 from repro.simmpi.rma import _TargetLock
@@ -67,7 +68,7 @@ class MpiWorld:
         self.job = job
         #: This world's rank processes in rank order, registered at spawn
         #: time. With several concurrent worlds on one engine, world rank r
-        #: is NOT ``engine.processes[r]`` — crash handling must only ever
+        #: is NOT the engine's r-th process — crash handling must only ever
         #: touch this world's own processes.
         self.procs: list = []
         self._mailboxes = [Mailbox() for _ in range(nranks)]
@@ -86,7 +87,6 @@ class MpiWorld:
         #: :class:`CommRevoked` so survivors bail out and shrink instead of
         #: parking in a collective the dead can never join.
         self.revoked: set = set()
-        self._comm_counter = 0
         self._windows: dict[tuple[int, int], memoryview] = {}
         self._window_locks: dict[tuple[int, int], _TargetLock] = {}
         self._windows_per_rank = [0] * nranks
@@ -94,11 +94,6 @@ class MpiWorld:
     # ------------------------------------------------------------------
     # communicators and mailboxes
     # ------------------------------------------------------------------
-    def next_comm_id(self) -> int:
-        """Allocate a fresh world-level communicator id."""
-        self._comm_counter += 1
-        return self._comm_counter
-
     def world_comm(self, rank: int) -> Communicator:
         """The world communicator as seen from *rank*."""
         return Communicator(self, rank, comm_id=0)
@@ -218,10 +213,7 @@ class MpiWorld:
         self.dead_ranks.update(fresh)
         if self.trace is not None:
             self.trace.count("crash.ranks", len(fresh))
-        # Fall back to the engine's process table only for hand-built
-        # worlds that never registered their processes (single-job case,
-        # where world rank == engine process index).
-        procs = self.procs if self.procs else self.engine.processes
+        procs = self.procs
         for peer in range(min(self.nranks, len(procs))):
             proc = procs[peer]
             if not proc.alive:
@@ -292,13 +284,13 @@ class MpiWorld:
 class RankEnv:
     """Everything a rank program sees: its communicator plus the substrate.
 
-    ``ctx`` is the rank's :class:`~repro.sim.api.SimContext` (clock +
-    time primitives), bound when the rank is spawned.
+    ``process`` is the rank's :class:`~repro.sim.process.SimProcess`
+    (sleep/charge/settle), bound when the rank is spawned.
     """
 
     comm: Communicator
     world: MpiWorld
-    ctx: Optional[SimContext] = None
+    process: Optional[SimProcess] = None
 
     @property
     def rank(self) -> int:
@@ -318,11 +310,11 @@ class RankEnv:
     def compute(self, seconds: float) -> None:
         """Charge local compute time (lazily; elapses at the next
         communication/storage call, or via :meth:`settle`)."""
-        self.ctx.process.charge(seconds)
+        self.process.charge(seconds)
 
     def settle(self):
         """Force accrued compute time to elapse now (coroutine)."""
-        return self.ctx.process.settle()
+        return self.process.settle()
 
     @property
     def pfs(self) -> "Pfs":
@@ -416,7 +408,7 @@ def run_mpi(
     def make_target(rank: int, env: RankEnv) -> Callable[[], Any]:
         def target():
             returns[rank] = yield from run_coroutine(main(env))
-            yield from env.ctx.process.settle()
+            yield from env.process.settle()
             finished[rank] = True
 
         return target
@@ -424,7 +416,7 @@ def run_mpi(
     for rank in range(nranks):
         env = RankEnv(comm=world.world_comm(rank), world=world)
         proc = engine.spawn(f"rank{rank}", make_target(rank, env))
-        env.ctx = SimContext(engine, proc)
+        env.process = proc
         world.procs.append(proc)
     aborted: Optional[BaseException] = None
     try:

@@ -20,6 +20,7 @@ from typing import Deque, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.faults.plan import RMA_FAIL_DELAY
 from repro.sim.engine import active_process
 from repro.sim.process import SimProcess
 from repro.util.errors import RmaError, RmaTransientError
@@ -329,33 +330,6 @@ class Window:
         return result
 
     # ------------------------------------------------------------------
-    def accumulate(
-        self, data: np.ndarray, target: int, target_offset: int, op: str = "sum"
-    ) -> None:
-        """MPI_Accumulate with a numpy reduction op applied at delivery."""
-        epoch = self._require_epoch(target)
-        world = self.world
-        target_w = self.comm.world_rank(target)
-        remote = world.window_buffer(self.win_id, target_w)
-        payload = np.ascontiguousarray(data)
-        nbytes = payload.nbytes
-        if target_offset < 0 or target_offset + nbytes > len(remote):
-            raise RmaError("accumulate outside window")
-        if op != "sum":
-            raise RmaError(f"unsupported accumulate op {op!r}")
-        dtype = payload.dtype
-        captured = payload.copy()
-
-        def land() -> None:
-            view = np.frombuffer(remote, dtype=dtype, count=captured.size, offset=target_offset)
-            view += captured
-
-        t = world.fabric.transfer(self.my_world_rank, target_w, nbytes, land, rma=True)
-        epoch.last_completion = max(epoch.last_completion, t)
-        if world.trace is not None:
-            world.trace.count("rma.accumulate", nbytes)
-
-    # ------------------------------------------------------------------
     # active-target synchronization (the alternative the paper rejects)
     # ------------------------------------------------------------------
     def fence(self):
@@ -382,7 +356,7 @@ class Window:
             self.world.check_alive(self.my_world_rank, target_w, f"rma.{op}")
         plan = getattr(self.world, "faults", None)
         if plan is not None and plan.rma_fault(op, self.my_world_rank, target_w):
-            active_process().charge(plan.spec.rma_fail_delay)
+            active_process().charge(RMA_FAIL_DELAY)
             raise RmaTransientError(op, self.my_world_rank, target_w)
 
     def _require_epoch(self, target: int) -> _Epoch:
@@ -397,7 +371,3 @@ class Window:
     def _check_target(self, target: int) -> None:
         if not (0 <= target < self.comm.size):
             raise RmaError(f"target rank {target} outside communicator")
-
-    def local_view(self) -> memoryview:
-        """This rank's own exposure buffer."""
-        return self.world.window_buffer(self.win_id, self.my_world_rank)

@@ -27,7 +27,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.faults.retry import pfs_retry
+from repro.faults.plan import RMA_FAIL_DELAY
+from repro.faults.retry import pfs_read, pfs_write
 from repro.memsim.memory import Allocation
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.sim.api import run_coroutine
@@ -53,6 +54,7 @@ from repro.util.errors import (
     RmaTransientError,
     TcioError,
 )
+from repro.util.intervals import merge_ranges
 
 TCIO_RDONLY = 0x1
 TCIO_WRONLY = 0x2
@@ -432,7 +434,7 @@ class TcioFile:
                 if self._plan.rma_fault(
                     "staging", self.env.rank, self._leader_world
                 ):
-                    active_process().charge(self._plan.spec.rma_fail_delay)
+                    active_process().charge(RMA_FAIL_DELAY)
                     raise RmaTransientError(
                         "staging", self.env.rank, self._leader_world
                     )
@@ -542,8 +544,9 @@ class TcioFile:
             "tcio.fallback_flush", segment=gseg, bytes=nbytes, rank=self.env.rank
         ):
             for disp, length, payload in blocks:
-                yield from self._pfs_write(
-                    "tcio.fallback_flush", seg_start + disp, payload
+                yield from pfs_write(
+                    self.env.world, self.client, self.env.rank, self.pfs_file,
+                    "tcio.fallback_flush", seg_start + disp, payload,
                 )
                 ranges.append((disp, disp + length))
         if self._plan is not None:
@@ -692,7 +695,10 @@ class TcioFile:
         """Make sure *gseg* is resident in level 2 (coroutine)."""
         return self.level2.ensure_loaded(
             gseg,
-            lambda ext: self._pfs_read("tcio.segment_load", ext.start, ext.length),
+            lambda ext: pfs_read(
+                self.env.world, self.client, self.env.rank, self.pfs_file,
+                "tcio.segment_load", ext.start, ext.length,
+            ),
         )
 
     def _fetch_segment(
@@ -740,8 +746,9 @@ class TcioFile:
             "tcio.fallback_fetch", segment=gseg, bytes=nbytes, rank=self.env.rank
         ):
             for disp, length, dest in requests:
-                dest[:] = yield from self._pfs_read(
-                    "tcio.fallback_fetch", seg_start + disp, length
+                dest[:] = yield from pfs_read(
+                    self.env.world, self.client, self.env.rank, self.pfs_file,
+                    "tcio.fallback_fetch", seg_start + disp, length,
                 )
         self.stats.inc("fetched_bytes", nbytes)
         self._charge_memcpy(nbytes)
@@ -831,9 +838,9 @@ class TcioFile:
                 yield from collectives.barrier(self.comm)
                 if self.comm.rank == 0:
                     commit = self.env.pfs.create(commit_name(self.name))
-                    yield from self._pfs_write(
-                        "tcio.journal.commit", commit.size,
-                        pack_commit(epoch, eof), commit,
+                    yield from pfs_write(
+                        self.env.world, self.client, self.env.rank, commit,
+                        "tcio.journal.commit", commit.size, pack_commit(epoch, eof),
                     )
                     # Journal metrics live only under dotted registry names:
                     # the legacy as_dict() key set is frozen by compat tests.
@@ -864,8 +871,9 @@ class TcioFile:
             # (fallback flushes): the slot holds zeros there, and
             # a whole-segment write would clobber their data.
             for lo, hi in self._writeback_pieces(gseg, stop - extent.start):
-                yield from self._pfs_write(
-                    "tcio.writeback", extent.start + lo, slot[lo:hi].tobytes()
+                yield from pfs_write(
+                    self.env.world, self.client, self.env.rank, self.pfs_file,
+                    "tcio.writeback", extent.start + lo, slot[lo:hi].tobytes(),
                 )
         self.stats.inc("segment_writebacks")
 
@@ -893,10 +901,14 @@ class TcioFile:
             "tcio.journal_record", segment=gseg, epoch=epoch, bytes=len(payload)
         ):
             pos = self._journal_pos
-            yield from self._pfs_write("tcio.journal.head", pos, head, journal)
+            yield from pfs_write(
+                self.env.world, self.client, self.env.rank, journal,
+                "tcio.journal.head", pos, head,
+            )
             yield from self._crash_point("mid-flush")
-            yield from self._pfs_write(
-                "tcio.journal.payload", pos + len(head), payload, journal
+            yield from pfs_write(
+                self.env.world, self.client, self.env.rank, journal,
+                "tcio.journal.payload", pos + len(head), payload,
             )
         self._journal_pos = pos + len(head) + len(payload)
         self.stats.registry.counter("tcio.journal.records").inc()
@@ -1026,8 +1038,9 @@ class TcioFile:
                         "tcio.ft.replay", segment=rec.gseg, epoch=rec.epoch
                     ):
                         for i, (lo, _hi) in enumerate(rec.extents):
-                            yield from self._pfs_write(
-                                "tcio.ft.replay", lo, rec.piece(i)
+                            yield from pfs_write(
+                                self.env.world, self.client, self.env.rank, self.pfs_file,
+                                "tcio.ft.replay", lo, rec.piece(i),
                             )
                     self._count("tcio.ft.replayed_bytes", rec.nbytes)
             yield from collectives.barrier(new_comm)
@@ -1066,7 +1079,10 @@ class TcioFile:
 
                 def rebase(g: int, limit: int):
                     """Fill *g*'s new slot from the file image (coroutine)."""
-                    base = yield from self._pfs_read("tcio.ft.rebase", g * seg, limit)
+                    base = yield from pfs_read(
+                        self.env.world, self.client, self.env.rank, self.pfs_file,
+                        "tcio.ft.rebase", g * seg, limit,
+                    )
                     new_level2.local_slot(g)[: len(base)] = np.frombuffer(
                         base, dtype=np.uint8
                     )
@@ -1186,18 +1202,12 @@ class TcioFile:
         skips = self.directory.fallback_ranges.get(gseg)
         if not skips:
             return [(0, limit)]
-        merged: list[list[int]] = []
-        for start, stop in sorted(skips):
-            start, stop = max(0, min(start, limit)), max(0, min(stop, limit))
-            if stop <= start:
-                continue
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], stop)
-            else:
-                merged.append([start, stop])
         pieces: list[tuple[int, int]] = []
         pos = 0
-        for start, stop in merged:
+        for start, stop in merge_ranges(
+            (max(0, min(start, limit)), max(0, min(stop, limit)))
+            for start, stop in skips
+        ):
             if start > pos:
                 pieces.append((pos, start))
             pos = stop
@@ -1206,29 +1216,6 @@ class TcioFile:
         return pieces
 
     # ------------------------------------------------------------------
-    def _pfs_write(self, what: str, offset: int, payload: bytes, file=None):
-        """One retried PFS write on this rank's behalf (coroutine); *file*
-        defaults to the data file."""
-        target = file if file is not None else self.pfs_file
-        return pfs_retry(
-            self.env.world,
-            what,
-            lambda t: self.client.write(
-                target, offset, payload, owner=self.env.rank, lock_timeout=t
-            ),
-        )
-
-    def _pfs_read(self, what: str, offset: int, nbytes: int):
-        """One retried PFS read of the data file (coroutine returning the
-        bytes)."""
-        return pfs_retry(
-            self.env.world,
-            what,
-            lambda t: self.client.read(
-                self.pfs_file, offset, nbytes, owner=self.env.rank, lock_timeout=t
-            ),
-        )
-
     def _charge_memcpy(self, nbytes: int) -> None:
         if nbytes > 0:
             self.env.compute(nbytes / self.env.world.fabric.spec.memcpy_bandwidth)

@@ -17,7 +17,12 @@ from repro.netsim.fabric import Fabric
 
 
 class JobFabric:
-    """One job's offset view of a shared :class:`Fabric`."""
+    """One job's offset view of a shared :class:`Fabric`.
+
+    Covers message delivery (``delivery_time``, ``transfer``,
+    ``control_delay``) and ``spec``; it has no ``staging_copy``, so node
+    aggregation is unsupported under tenancy.
+    """
 
     __slots__ = ("base", "offset", "nranks", "node_of")
 
@@ -31,25 +36,8 @@ class JobFabric:
 
     # -- passthrough ---------------------------------------------------
     @property
-    def engine(self):
-        return self.base.engine
-
-    @property
     def spec(self):
         return self.base.spec
-
-    @property
-    def trace(self):
-        return self.base.trace
-
-    @property
-    def faults(self):
-        return self.base.faults
-
-    @property
-    def n_connections(self) -> int:
-        """Distinct connected pairs fabric-wide (all jobs)."""
-        return self.base.n_connections
 
     # -- rank-translated operations ------------------------------------
     def delivery_time(
@@ -76,9 +64,6 @@ class JobFabric:
         return self.base.control_delay(
             src + self.offset, dst + self.offset, rma=rma
         )
-
-    def staging_copy(self, rank: int, nbytes: int) -> float:
-        return self.base.staging_copy(rank + self.offset, nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

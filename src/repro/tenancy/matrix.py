@@ -114,11 +114,7 @@ def interference_matrix(
     fsck_lines: dict[str, str] = {}
     fsck_clean: dict[str, bool] = {}
     for spec in scenario.jobs:
-        workload = build_workload(
-            spec,
-            scenario_seed=scenario.seed,
-            cores_per_node=scenario.cores_per_node,
-        )
+        workload = build_workload(spec)
         if not (workload.journaled and workload.data_file):
             continue
         if shared.jobs[spec.name].aborted is not None:

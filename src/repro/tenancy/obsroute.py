@@ -36,37 +36,6 @@ class _RoutedCounter:
     def add(self, amount: float = 0.0) -> None:
         self._hub.active_registry().counter(self._name).add(amount)
 
-    def inc(self, amount: int = 1) -> None:
-        self._hub.active_registry().counter(self._name).inc(amount)
-
-    @property
-    def count(self) -> int:
-        return self._hub.active_registry().counter(self._name).count
-
-    @property
-    def total(self) -> float:
-        return self._hub.active_registry().counter(self._name).total
-
-
-class _RoutedGauge:
-    """A gauge stand-in resolving the owning job per operation."""
-
-    __slots__ = ("_hub", "_name")
-
-    def __init__(self, hub: "JobTraceHub", name: str):
-        self._hub = hub
-        self._name = name
-
-    def set(self, value: float) -> None:
-        self._hub.active_registry().gauge(self._name).set(value)
-
-    def add(self, delta: float) -> None:
-        self._hub.active_registry().gauge(self._name).add(delta)
-
-    @property
-    def value(self) -> float:
-        return self._hub.active_registry().gauge(self._name).value
-
 
 class _RoutedHistogram:
     """A histogram stand-in resolving the owning job per operation."""
@@ -95,9 +64,6 @@ class _RoutedRegistry:
 
     def counter(self, name: str) -> _RoutedCounter:
         return _RoutedCounter(self._hub, name)
-
-    def gauge(self, name: str) -> _RoutedGauge:
-        return _RoutedGauge(self._hub, name)
 
     def histogram(self, name: str) -> _RoutedHistogram:
         return _RoutedHistogram(self._hub, name)
@@ -133,17 +99,15 @@ class _RoutedTracer:
     def complete(self, name, start, end, track=None, **args) -> None:
         self._hub.active_recorder().tracer.complete(name, start, end, track, **args)
 
-    def instant(self, name, track=None, **args) -> None:
-        self._hub.active_recorder().tracer.instant(name, track, **args)
-
 
 class JobTraceHub:
     """The shared-component recorder of a multi-job run.
 
-    Presents the ``TraceRecorder`` duck type (``registry``, ``tracer``,
-    ``count``, ``span``) but resolves the owning job from the currently
-    executing simulated process on every call. Register each rank process
-    with :meth:`register_process` at spawn time.
+    Presents the part of the ``TraceRecorder`` duck type shared components
+    use (``registry``, ``tracer``, ``count``, ``complete``) but resolves
+    the owning job from the currently executing simulated process on every
+    call. Register each rank process with :meth:`register_process` at
+    spawn time.
     """
 
     def __init__(self, shared: Optional[TraceRecorder] = None):
@@ -189,16 +153,5 @@ class JobTraceHub:
     def count(self, name: str, amount: float = 0.0) -> None:
         self.active_recorder().count(name, amount)
 
-    def span(self, name: str, track: Optional[str] = None, **args):
-        return self.tracer.span(name, track, **args)
-
     def complete(self, name, start, end, track=None, **args) -> None:
         self.tracer.complete(name, start, end, track, **args)
-
-    def instant(self, name, track=None, **args) -> None:
-        self.tracer.instant(name, track, **args)
-
-    def summary(self) -> dict[str, tuple[int, float]]:
-        """The *shared* recorder's counters (per-job data lives in the
-        per-job recorders; see :meth:`recorder`)."""
-        return self.shared.summary()

@@ -2,10 +2,9 @@
 
 Each tenant job sees the PFS through a :class:`TenantPfs`: every name it
 creates or looks up is transparently prefixed with ``"<job>/"``, so two
-jobs writing ``bench.dat`` land in distinct files, a crashing job's
-recovery tooling replays only its own journals, and ``unlink``/fsck can
-never touch a neighbor's data. Physics (OSTs, client links, locks) stays
-shared — that is the whole point of the tenancy model: namespace
+jobs writing ``bench.dat`` land in distinct files and a crashing job
+leaves only its own journals behind. Physics (OSTs, client links, locks)
+stays shared — that is the whole point of the tenancy model: namespace
 isolation with resource contention.
 """
 
@@ -23,11 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class TenantPfs:
     """One job's view of a shared :class:`~repro.pfs.filesystem.Pfs`.
 
-    Duck-type compatible with ``Pfs`` for everything rank-side libraries
-    (TCIO, MPI-IO, the crash tooling) touch: namespace operations carry
-    the job prefix, ``client()`` hands out tenant-tagged clients for QoS
-    attribution, and physical attributes (``spec``, ``osts``, ``engine``,
-    ``trace``) pass straight through to the shared instance.
+    Covers what a tenant job's ranks call on ``Pfs``: ``create``,
+    ``lookup`` and ``list_files`` carry the job prefix, ``client()`` hands
+    out tenant-tagged clients for QoS attribution, and ``spec`` passes
+    straight through to the shared instance. It has no ``exists``, so
+    TCIO's ``ft`` recovery is unsupported under tenancy, and fsck/recover
+    take the shared ``Pfs`` and the qualified ``"<job>/<file>"`` name.
     """
 
     def __init__(self, base: "Pfs", job: str):
@@ -39,28 +39,8 @@ class TenantPfs:
 
     # -- physical passthrough -----------------------------------------
     @property
-    def engine(self):
-        return self.base.engine
-
-    @property
     def spec(self):
         return self.base.spec
-
-    @property
-    def osts(self):
-        return self.base.osts
-
-    @property
-    def trace(self):
-        return self.base.trace
-
-    @property
-    def faults(self):
-        return self.base.faults
-
-    @property
-    def qos_policy(self) -> str:
-        return self.base.qos_policy
 
     # -- namespace (prefixed) -----------------------------------------
     def _qualify(self, name: str) -> str:
@@ -71,12 +51,6 @@ class TenantPfs:
 
     def lookup(self, name: str) -> "PfsFile":
         return self.base.lookup(self._qualify(name))
-
-    def exists(self, name: str) -> bool:
-        return self.base.exists(self._qualify(name))
-
-    def unlink(self, name: str) -> None:
-        self.base.unlink(self._qualify(name))
 
     def list_files(self) -> Sequence[str]:
         """This job's files only, prefix stripped (sorted)."""
@@ -89,13 +63,6 @@ class TenantPfs:
     def client(self, node: int) -> "PfsClient":
         """A tenant-tagged storage client of compute node *node*."""
         return self.base.client(node, tenant=self.job)
-
-    def install_faults(self, plan) -> None:
-        """Fault plans arm the *shared* file system; a per-tenant install
-        would let one job degrade its neighbors' hardware unilaterally."""
-        raise PfsError(
-            "install_faults on a TenantPfs view; arm the shared Pfs instead"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TenantPfs job={self.job!r} over {self.base!r}>"

@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional
 from repro.cluster.spec import ClusterSpec
 from repro.memsim.memory import MemoryTracker
 from repro.netsim.fabric import Fabric
-from repro.sim.api import SimContext, run_coroutine
+from repro.sim.api import run_coroutine
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
 from repro.simmpi.mpi import MpiWorld, RankEnv
@@ -246,10 +246,10 @@ def _make_rank_target(
 ):
     def target():
         if arrival > 0.0:
-            yield from env.ctx.process.sleep(arrival)
+            yield from env.process.sleep(arrival)
         try:
             state.returns[rank] = yield from run_coroutine(main(env))
-            yield from env.ctx.process.settle()
+            yield from env.process.settle()
         except RankUnreachable as exc:
             # Fail-stop containment: this JOB is dead, the scenario is
             # not. Record the abort and wind the rank down quietly so
@@ -283,12 +283,7 @@ def run_scenario(
     the workload oracle.
     """
     workloads: dict[str, Workload] = {
-        spec.name: build_workload(
-            spec,
-            scenario_seed=scenario.seed,
-            cores_per_node=scenario.cores_per_node,
-        )
-        for spec in scenario.jobs
+        spec.name: build_workload(spec) for spec in scenario.jobs
     }
 
     cluster = scenario_cluster(scenario)
@@ -347,7 +342,7 @@ def run_scenario(
                     engine, state, name, rank, env, workloads[name].main, arrival
                 ),
             )
-            env.ctx = SimContext(engine, proc)
+            env.process = proc
             world.procs.append(proc)
             hub.register_process(proc, name)
         states[name] = state

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.util.errors import TenancyError
 
-#: Workload kinds a job may run. ``tcio``/``ocio``/``mpiio`` replay the
-#: paper's synthetic benchmark (Programs 2/3) through the named I/O
-#: method; ``trace`` replays a seeded ioserver workload trace directly
-#: through TCIO; ``ioserver`` runs the delegate server session of
-#: :mod:`repro.ioserver` inside the job's rank set.
-WORKLOADS = ("tcio", "ocio", "mpiio", "trace", "ioserver")
+#: Workload kinds a job may run: the paper's synthetic benchmark
+#: (Programs 2/3) replayed through the named I/O method.
+WORKLOADS = ("tcio", "ocio", "mpiio")
 
 
 @dataclass(frozen=True)
@@ -45,11 +42,10 @@ class JobSpec:
         Fair-share weight under the ``"fair"`` QoS policy; higher means a
         faster per-tenant token line. Ignored under ``"fifo"``.
     journal:
-        TCIO durability mode for tcio/trace workloads ("off"/"epoch").
+        TCIO durability mode for tcio workloads ("off"/"epoch").
     params:
-        Workload-specific knobs. Benchmark kinds understand ``len_array``,
-        ``size_access``, ``num_arrays``, ``type_codes``; trace/ioserver
-        kinds understand ``epochs``, ``writes_per_epoch``, ``nclients``.
+        Workload knobs: ``len_array``, ``size_access``, ``num_arrays``,
+        ``type_codes``.
     """
 
     name: str

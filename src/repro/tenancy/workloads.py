@@ -7,8 +7,7 @@ matrix checks — contention may move virtual time, never data.
 
 The programs are the repo's existing drivers, reused unchanged: the
 synthetic benchmark writers of :mod:`repro.bench.synthetic` (Programs
-2/3), the direct TCIO trace replay of :mod:`repro.ioserver.runner`, and
-the delegate server session itself.
+2/3).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.bench.synthetic import (
     reference_file_contents,
 )
 from repro.tenancy.spec import JobSpec
-from repro.util.errors import TenancyError
 
 _BENCH_METHODS = {
     "tcio": Method.TCIO,
@@ -63,7 +61,9 @@ def bench_config(spec: JobSpec) -> BenchConfig:
     )
 
 
-def _bench_workload(spec: JobSpec) -> Workload:
+def build_workload(spec: JobSpec) -> Workload:
+    """Resolve *spec* (its kind already validated by :class:`JobSpec`) into
+    its runnable :class:`Workload`."""
     cfg = bench_config(spec)
     writer = {
         "tcio": _tcio_write, "ocio": _ocio_write, "mpiio": _mpiio_write,
@@ -78,80 +78,3 @@ def _bench_workload(spec: JobSpec) -> Workload:
         data_file=cfg.file_name,
         journaled=spec.workload == "tcio" and spec.journal == "epoch",
     )
-
-
-def _make_trace(spec: JobSpec, scenario_seed: int):
-    from repro.ioserver.trace import generate_trace
-
-    p = spec.param_dict
-    nclients = int(p.get("nclients", max(1, spec.nranks)))
-    return generate_trace(
-        int(p.get("trace_seed", scenario_seed)),
-        nclients,
-        epochs=int(p.get("epochs", 2)),
-        writes_per_epoch=int(p.get("writes_per_epoch", 3)),
-        max_write_bytes=int(p.get("max_write_bytes", 96)),
-        reads_per_client=int(p.get("reads_per_client", 0)),
-        file_name=f"{spec.name}.dat",
-    )
-
-
-def _trace_workload(spec: JobSpec, scenario_seed: int) -> Workload:
-    from repro.ioserver.runner import _tcio_main
-    from repro.ioserver.trace import expected_image
-
-    trace = _make_trace(spec, scenario_seed)
-    return Workload(
-        main=_tcio_main(trace, spec.nranks),
-        expected={trace.file_name: expected_image(trace)},
-        data_file=trace.file_name,
-        # _tcio_main derives its TCIO config from IoServerConfig, whose
-        # journal mode defaults to "epoch".
-        journaled=True,
-    )
-
-
-def _ioserver_workload(
-    spec: JobSpec, scenario_seed: int, cores_per_node: int
-) -> Workload:
-    from repro.ioserver.protocol import IoServerConfig
-    from repro.ioserver.runner import (
-        _session_main,
-        _tcio_config,
-        plan_for,
-    )
-    from repro.ioserver.trace import expected_image
-
-    ndelegates = -(-spec.nranks // cores_per_node)  # one leader per node
-    p = spec.param_dict
-    if "nclients" not in p and spec.nranks - ndelegates < 1:
-        raise TenancyError(
-            f"job {spec.name!r}: ioserver workload needs at least one "
-            "non-delegate rank (increase nranks)"
-        )
-    spec = spec.with_params(
-        nclients=int(p.get("nclients", spec.nranks - ndelegates))
-    )
-    trace = _make_trace(spec, scenario_seed)
-    config = IoServerConfig()
-    placement = plan_for(trace, spec.nranks, cores_per_node, config)
-    tcio_config = _tcio_config(trace, len(placement.delegates), config)
-    return Workload(
-        main=_session_main(trace, config, placement, tcio_config),
-        expected={trace.file_name: expected_image(trace)},
-        data_file=trace.file_name,
-        journaled=True,
-    )
-
-
-def build_workload(
-    spec: JobSpec, *, scenario_seed: int = 0, cores_per_node: int = 4
-) -> Workload:
-    """Resolve *spec* into its runnable :class:`Workload`."""
-    if spec.workload in _BENCH_METHODS:
-        return _bench_workload(spec)
-    if spec.workload == "trace":
-        return _trace_workload(spec, scenario_seed)
-    if spec.workload == "ioserver":
-        return _ioserver_workload(spec, scenario_seed, cores_per_node)
-    raise TenancyError(f"unknown workload {spec.workload!r}")

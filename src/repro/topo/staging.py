@@ -17,7 +17,7 @@ import bisect
 from typing import Iterable, Optional, Sequence
 
 from repro.sim.engine import active_process
-from repro.util.intervals import Extent, ExtentSet
+from repro.util.intervals import merge_ranges
 
 
 class StagingBuffer:
@@ -107,9 +107,9 @@ def coalesce_blocks(
     """
     if not pieces:
         return []
-    spans = ExtentSet(Extent(off, off + len(b)) for off, b in pieces if b)
-    starts = [e.start for e in spans]
-    bufs = [bytearray(e.length) for e in spans]
+    spans = merge_ranges((off, off + len(b)) for off, b in pieces)
+    starts = [lo for lo, _ in spans]
+    bufs = [bytearray(hi - lo) for lo, hi in spans]
     for off, blk in pieces:
         if not blk:
             continue

@@ -85,6 +85,21 @@ class Extent:
         return f"[{self.start},{self.stop})"
 
 
+def merge_ranges(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted, disjoint ``(lo, hi)`` ranges covering the same points as *pairs*.
+
+    Overlapping and touching ranges coalesce; empty ones are dropped.
+    """
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(pair for pair in pairs if pair[0] < pair[1]):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def _start_of(extent: Extent) -> int:
     """Bisect key (module-level: no per-call lambda allocation)."""
     return extent.start
@@ -94,7 +109,8 @@ class ExtentSet:
     """A normalized (sorted, disjoint, merged) set of extents.
 
     Supports union, subtraction, intersection and coverage queries in
-    O(n log n); used for lock conflict detection and sieving hole analysis.
+    O(n log n). No layer builds one since the staging coalescer moved to
+    :func:`merge_ranges`; what remains is the unit-tested algebra.
     """
 
     def __init__(self, extents: Iterable[Extent] = ()):
@@ -102,15 +118,9 @@ class ExtentSet:
 
     @staticmethod
     def _normalize(extents: Iterable[Extent]) -> list[Extent]:
-        items = sorted(e for e in extents if not e.is_empty())
-        merged: list[Extent] = []
-        for e in items:
-            if merged and merged[-1].touches(e):
-                last = merged.pop()
-                merged.append(Extent(last.start, max(last.stop, e.stop)))
-            else:
-                merged.append(e)
-        return merged
+        return [
+            Extent(lo, hi) for lo, hi in merge_ranges((e.start, e.stop) for e in extents)
+        ]
 
     def __iter__(self) -> Iterator[Extent]:
         return iter(self._extents)
@@ -145,8 +155,7 @@ class ExtentSet:
 
         Bisect insertion with a local splice — O(log n) to find the
         affected run plus one list splice — instead of re-sorting the
-        whole set per insert. Lock managers and sieving analyses call
-        ``add`` once per request, so this is a simulator hot path.
+        whole set per insert.
         """
         if extent.is_empty():
             return
@@ -224,10 +233,6 @@ class ExtentSet:
             return True
         i = bisect_right(self._extents, extent.start, key=_start_of) - 1
         return i >= 0 and self._extents[i].stop >= extent.stop
-
-    def overlaps(self, extent: Extent) -> bool:
-        """True when any member extent overlaps *extent*."""
-        return any(e.overlaps(extent) for e in self._extents)
 
     def holes_within(self, extent: Extent) -> "ExtentSet":
         """Gaps of *extent* not covered by the set (data-sieving holes)."""

@@ -31,7 +31,7 @@ def report() -> ChaosReport:
 
 
 def test_soak_has_zero_violations(report):
-    assert report.ok, report.render()
+    assert report.ok, report.violations
     assert len(report.iterations) == SOAK_ITERATIONS
 
 

@@ -18,6 +18,7 @@ from repro.ioserver import (
     generate_trace,
     run_ioserver,
 )
+from repro.ioserver.server import BACKOFF_BASE
 from repro.util.rng import derive_seed
 
 SEED = 3
@@ -56,7 +57,7 @@ def test_overload_schedule_replays_bit_identically():
 
 
 def test_backoff_jitter_stream_is_pinned():
-    # The client backoff is backoff_base * 2**min(attempt, 6) * (1 + j)
+    # The client backoff is BACKOFF_BASE * 2**min(attempt, 6) * (1 + j)
     # with j = (derive_seed(seed, "busy", client, seq, attempt) % 1000)
     # / 1000 — seeded per (client, seq, attempt), so concurrent clients
     # de-synchronize instead of stampeding in lockstep.
@@ -68,7 +69,7 @@ def test_backoff_jitter_stream_is_pinned():
     for (client, seq, attempt), expect in pinned.items():
         j = (derive_seed(SEED, "busy", client, seq, attempt) % 1000) / 1000.0
         assert j == expect
-    base = IoServerConfig().backoff_base
+    base = BACKOFF_BASE
     for attempt in (0, 1, 6, 9):
         j = (derive_seed(SEED, "busy", 0, 5, attempt) % 1000) / 1000.0
         backoff = base * (2 ** min(attempt, 6)) * (1.0 + j)

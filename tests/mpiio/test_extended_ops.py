@@ -1,4 +1,4 @@
-"""Shared pointers, nonblocking I/O, set_size, and rounds-based two-phase."""
+"""set_size/preallocate and rounds-based two-phase."""
 
 import pytest
 
@@ -13,76 +13,6 @@ from tests.conftest import make_test_cluster
 def run(n, fn, **kw):
     kw.setdefault("cluster", make_test_cluster())
     return run_mpi(n, fn, **kw)
-
-
-class TestSharedPointer:
-    def test_appends_claim_disjoint_regions(self):
-        def main(env):
-            fh = (yield from MpiFile.open(env, "log"))
-            offset = (yield from fh.write_shared(bytes([65 + env.rank]) * 8))
-            (yield from fh.close())
-            return offset
-
-        res = run(4, main)
-        assert sorted(res.returns) == [0, 8, 16, 24]
-        data = res.pfs.lookup("log").contents()
-        assert len(data) == 32
-        # every rank's record is intact somewhere
-        for r in range(4):
-            assert bytes([65 + r]) * 8 in data
-
-    def test_read_shared_advances(self):
-        def main(env):
-            fh = (yield from MpiFile.open(env, "log"))
-            if env.rank == 0:
-                (yield from fh.write_at(0, b"AAAABBBB"))
-            (yield from coll.barrier(env.comm))
-            off, data = (yield from fh.read_shared(4))
-            (yield from fh.close())
-            return off, data
-
-        res = run(2, main)
-        got = dict(res.returns)
-        assert set(got) == {0, 4}
-        assert got[0] == b"AAAA" and got[4] == b"BBBB"
-
-    def test_shared_write_needs_whole_etypes(self):
-        def main(env):
-            from repro.simmpi.datatypes import INT
-
-            fh = (yield from MpiFile.open(env, "log"))
-            (yield from fh.set_view(0, INT))
-            with pytest.raises(MpiIoError):
-                (yield from fh.write_shared(b"xyz"))  # 3 bytes, not a whole INT
-            (yield from fh.close())
-
-        run(2, main)
-
-
-class TestNonblockingIo:
-    def test_iwrite_then_wait(self):
-        def main(env):
-            fh = (yield from MpiFile.open(env, "f"))
-            req = fh.iwrite_at(env.rank * 4, bytes([env.rank]) * 4)
-            assert not req.test()
-            (yield from req.wait())
-            assert req.test()
-            (yield from fh.close())
-
-        res = run(3, main)
-        assert res.pfs.lookup("f").contents() == bytes(
-            [0] * 4 + [1] * 4 + [2] * 4
-        )
-
-    def test_iread_returns_data_at_wait(self):
-        def main(env):
-            fh = (yield from MpiFile.open(env, "f"))
-            (yield from fh.write_at(0, b"0123456789"))
-            req = fh.iread_at(2, 4)
-            assert (yield from req.wait()) == b"2345"
-            (yield from fh.close())
-
-        run(1, main)
 
 
 class TestSizeManagement:

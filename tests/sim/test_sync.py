@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, active_process
-from repro.sim.sync import SimBarrier, SimEvent, SimMutex, SimSemaphore
+from repro.sim.sync import SimBarrier, SimEvent
 from repro.util.errors import SimulationError
 
 
@@ -58,92 +58,6 @@ class TestSimEvent:
 
         with pytest.raises(DeadlockError):
             run_procs(firer, late)
-
-
-class TestSimSemaphore:
-    def test_initial_permits(self):
-        sem = SimSemaphore(2)
-        order = []
-
-        def body(name):
-            def run():
-                yield from sem.acquire()
-                order.append(name)
-
-            return run
-
-        run_procs(body("a"), body("b"))
-        assert sorted(order) == ["a", "b"]
-
-    def test_fifo_wakeup(self):
-        sem = SimSemaphore(0)
-        order = []
-
-        def waiter(name, delay):
-            def run():
-                yield from active_process().sleep(delay)
-                yield from sem.acquire()
-                order.append(name)
-
-            return run
-
-        def releaser():
-            yield from active_process().sleep(10.0)
-            sem.release(2)
-
-        run_procs(waiter("first", 1.0), waiter("second", 2.0), releaser)
-        assert order == ["first", "second"]
-
-    def test_rejects_negative_initial(self):
-        with pytest.raises(SimulationError):
-            SimSemaphore(-1)
-
-
-class TestSimMutex:
-    def test_mutual_exclusion_serializes(self):
-        m = SimMutex()
-        trace = []
-
-        def body(name):
-            def run():
-                yield from m.acquire()
-                try:
-                    trace.append((name, "in"))
-                    yield from active_process().sleep(1.0)
-                    trace.append((name, "out"))
-                finally:
-                    m.release()
-
-            return run
-
-        run_procs(body("a"), body("b"))
-        assert trace == [("a", "in"), ("a", "out"), ("b", "in"), ("b", "out")]
-
-    def test_recursive_acquire_rejected(self):
-        m = SimMutex()
-
-        def body():
-            yield from m.acquire()
-            with pytest.raises(SimulationError):
-                yield from m.acquire()
-            m.release()
-
-        run_procs(body)
-
-    def test_release_by_non_holder_rejected(self):
-        m = SimMutex()
-
-        def holder():
-            yield from m.acquire()
-            yield from active_process().sleep(5.0)
-            m.release()
-
-        def thief():
-            yield from active_process().sleep(1.0)
-            with pytest.raises(SimulationError):
-                m.release()
-
-        run_procs(holder, thief)
 
 
 class TestSimBarrier:

@@ -13,11 +13,7 @@ from repro.simmpi.datatypes import (
     LONG,
     SHORT,
     Contiguous,
-    Hindexed,
-    Hvector,
     Indexed,
-    Resized,
-    Struct,
     Vector,
     pack,
     type_from_code,
@@ -82,11 +78,6 @@ class TestVector:
         t = INT.vector(2, 2, 3)
         assert t.segments == ((0, 8), (12, 8))
 
-    def test_hvector_byte_stride(self):
-        t = Hvector(3, 1, 10, INT)
-        assert t.segments == ((0, 4), (10, 4), (20, 4))
-        assert t.extent == 24
-
 
 class TestIndexed:
     def test_blocks_at_displacements(self):
@@ -102,28 +93,6 @@ class TestIndexed:
     def test_negative_blocklength_rejected(self):
         with pytest.raises(DatatypeError):
             Indexed([-1], [0], INT)
-
-    def test_hindexed_byte_displacements(self):
-        t = Hindexed([1, 1], [0, 7], INT)
-        assert t.segments == ((0, 4), (7, 4))
-
-
-class TestStruct:
-    def test_mixed_types(self):
-        # one int at 0, one double at 8 (aligned struct)
-        t = Struct([1, 1], [0, 8], [INT, DOUBLE])
-        assert t.segments == ((0, 4), (8, 8))
-        assert t.size == 12
-        assert t.extent == 16
-
-
-class TestResized:
-    def test_overrides_extent(self):
-        t = Resized(INT, lb=0, extent=16)
-        assert t.size == 4
-        assert t.extent == 16
-        tiled = Contiguous(2, t)
-        assert tiled.segments == ((0, 4), (16, 4))
 
 
 class TestPackUnpack:

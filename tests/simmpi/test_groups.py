@@ -1,4 +1,4 @@
-"""Sub-communicators, probe/sendrecv, scatter, and fence."""
+"""Sub-communicators, probe, scatter, and fence."""
 
 import numpy as np
 import pytest
@@ -154,15 +154,6 @@ class TestProbeSendrecv:
                 (yield from env.comm.recv(0, 7))
 
         run(2, main)
-
-    def test_sendrecv_ring_has_no_deadlock(self):
-        def main(env):
-            right = (env.rank + 1) % env.size
-            left = (env.rank - 1) % env.size
-            got = (yield from env.comm.sendrecv(bytes([env.rank]), right, left))
-            assert got == bytes([left])
-
-        run(4, main)
 
 
 class TestScatter:

@@ -1,4 +1,4 @@
-"""One-sided communication semantics (windows, locks, put/get/accumulate)."""
+"""One-sided communication semantics (windows, locks, put/get)."""
 
 import numpy as np
 import pytest
@@ -65,19 +65,6 @@ class TestPutGet:
             assert got == [(4, bytes([4, 5])), (20, bytes([20, 21, 22]))]
 
         run(2, main)
-
-    def test_accumulate_sums(self):
-        def main(env):
-            buf = np.zeros(4, dtype=np.int64)
-            win = yield from Window.create(env.comm, buf)
-            (yield from win.lock(0))
-            win.accumulate(np.array([env.rank + 1], dtype=np.int64), 0, 0)
-            win.unlock(0)
-            (yield from coll.barrier(env.comm))
-            if env.rank == 0:
-                assert buf[0] == sum(r + 1 for r in range(env.size))
-
-        run(4, main)
 
 
 class TestEpochRules:

@@ -68,6 +68,24 @@ class TestCli:
         metrics = json.loads((out_dir / "bench.metrics.json").read_text())
         assert "tcio" in metrics and "counters" in metrics
 
+    @pytest.mark.parametrize("command, header", [
+        ("fig5", "Fig. 5 (left): write throughput (MB/s)"),
+        ("fig67", "Fig. 6: write throughput (MB/s); -- = failed run"),
+        ("fig910", "Fig. 9: ART write throughput (MB/s); -- = exceeded 90-min cap"),
+    ])
+    def test_figure_smoke_grids(self, capsys, command, header):
+        # the paper's figures, as README spells them
+        assert main([command, "--smoke"]) == 0
+        assert header in capsys.readouterr().out
+
+    def test_tenancy_job_strings(self, capsys):
+        # docs/tenancy.md's string form, without --matrix
+        assert main(["tenancy", "--jobs", "a:tcio:2:128 b:mpiio:2:128"]) == 0
+        out = capsys.readouterr().out
+        assert "tenancy: 2 jobs shared one PFS (qos=fifo, seed=3)" in out
+        assert "a (tcio x2)" in out and "b (mpiio x2)" in out
+        assert "[ok]" in out and "ABORTED" not in out
+
     def test_trace_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             main(["trace", "fig999"])

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.intervals import Extent, ExtentSet
+from repro.util.intervals import Extent, ExtentSet, merge_ranges
 
 
 def extents(max_coord=1000):
@@ -68,6 +68,23 @@ class TestExtent:
     def test_align_rejects_bad_granularity(self):
         with pytest.raises(ValueError):
             Extent(0, 1).align_down(0)
+
+
+class TestMergeRanges:
+    def test_touching_and_overlapping_coalesce(self):
+        assert merge_ranges([(5, 10), (0, 5), (20, 30), (25, 28)]) == [(0, 10), (20, 30)]
+
+    def test_empty_ranges_dropped(self):
+        assert merge_ranges([(3, 3), (7, 2)]) == []
+
+    @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200)), max_size=12))
+    def test_sorted_disjoint_same_cover(self, pairs):
+        out = merge_ranges(pairs)
+        for (_, hi), (lo, _) in zip(out, out[1:]):
+            assert hi < lo  # sorted, disjoint, not even touching
+        assert all(lo < hi for lo, hi in out)
+        covered = {x for lo, hi in pairs for x in range(lo, hi)}
+        assert {x for lo, hi in out for x in range(lo, hi)} == covered
 
 
 class TestExtentSet:
