@@ -147,14 +147,15 @@ def _tcio_config(cfg: BenchConfig, env: RankEnv) -> TcioConfig:
 def _tcio_write(env: RankEnv, cfg: BenchConfig):
     """Program 3: per-block POSIX-style writes; TCIO does the rest
     (coroutine)."""
-    arrays = make_arrays(cfg, env.rank)
-    block = cfg.block_size
+    rank, P = env.rank, env.size
+    block, access = cfg.block_size, cfg.size_access
+    pieces = [(arr, arr.dtype.itemsize * access) for arr in make_arrays(cfg, rank)]
     fh = yield from TcioFile.open(env, cfg.file_name, TCIO_WRONLY, _tcio_config(cfg, env))
-    for i in range(0, cfg.len_array, cfg.size_access):
-        pos = env.rank * block + (i // cfg.size_access) * block * env.size
-        for arr in arrays:
-            yield from fh.write_at(pos, arr[i : i + cfg.size_access])
-            pos += arr.dtype.itemsize * cfg.size_access
+    for i in range(0, cfg.len_array, access):
+        pos = rank * block + (i // access) * block * P
+        for arr, width in pieces:
+            yield from fh.write_at(pos, arr[i : i + access])
+            pos += width
     yield from fh.close()
     return fh.stats.as_dict()
 

@@ -23,6 +23,7 @@ without file views or application-level combine buffers.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from typing import Optional, Union
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.sim.engine import active_process
 from repro.simmpi import collectives
 from repro.simmpi.datatypes import BYTE, Datatype
 from repro.simmpi.mpi import RankEnv
-from repro.tcio.level1 import Level1Buffer, PendingRead, ReadLog
+from repro.tcio.level1 import Level1Buffer, ReadLog
 from repro.tcio.level2 import Level2Buffer, SegmentDirectory
 from repro.tcio.mapping import SegmentMapping
 from repro.tcio.params import TcioConfig
@@ -64,11 +65,13 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
+#: One segment's share of a fetch: parallel (disps, lengths, dests) lists.
+_Requests = tuple[list[int], list[int], list[memoryview]]
 
 
 def _as_payload(data: Buffer, count: Optional[int], datatype: Datatype) -> bytes:
     if isinstance(data, np.ndarray):
-        raw = np.ascontiguousarray(data).tobytes()
+        raw = data.tobytes()  # C order, whatever the array's strides
     else:
         raw = bytes(data)
     if count is not None:
@@ -83,16 +86,12 @@ def _as_payload(data: Buffer, count: Optional[int], datatype: Datatype) -> bytes
 
 
 def _as_dest(data: Buffer) -> memoryview:
-    if isinstance(data, np.ndarray):
-        if not data.flags.c_contiguous:
-            raise TcioError("read target must be C-contiguous")
-        view = memoryview(data).cast("B")
-    else:
-        view = memoryview(data)
-        if view.readonly:
-            raise TcioError("read target is read-only")
-        view = view.cast("B")
-    return view
+    view = memoryview(data)
+    if view.readonly:
+        raise TcioError("read target is read-only")
+    if not view.c_contiguous:
+        raise TcioError("read target must be C-contiguous")
+    return view.cast("B")
 
 
 class TcioFile:
@@ -129,6 +128,18 @@ class TcioFile:
         self.config = config
         self.comm = (comm if comm is not None else env.comm).dup()
         self.stats = TcioStats()
+        # The per-call path, bound once: this direction's two counters, and
+        # the memcpy charge (one ``length / bandwidth`` per call, in call
+        # order — float addition is not associative, so batching the charge
+        # would move the simulated clock by an ulp).
+        if mode == TCIO_WRONLY:
+            self._calls = self.stats.counter("write_calls")
+            self._bytes = self.stats.counter("written_bytes")
+        else:
+            self._calls = self.stats.counter("read_calls")
+            self._bytes = self.stats.counter("read_bytes")
+        self._charge = env.process.charge
+        self._memcpy_bandwidth = env.world.fabric.spec.memcpy_bandwidth
         self._closed = False
         self._position = 0
         self._hub = getattr(env.world, "trace", None)
@@ -319,39 +330,46 @@ class TcioFile:
     def write_at(self, offset: int, data: Buffer, count: Optional[int] = None,
                  datatype: Datatype = BYTE):
         """Write at an explicit byte offset (coroutine; pointer unmoved)."""
-        self._check_open(writing=True)
-        payload = _as_payload(data, count, datatype)
-        if not payload:
-            return 0
+        if self._closed or self.mode != TCIO_WRONLY:
+            self._check_open(writing=True)
+        # write_at is the simulator's single hottest entry point (one call
+        # per application block): the common call — an ndarray piece inside
+        # the segment level 1 already holds — costs this frame, the charge
+        # and the place.
+        if count is None and isinstance(data, np.ndarray):
+            payload = data.tobytes()
+        else:
+            payload = _as_payload(data, count, datatype)
         length = len(payload)
-        self._charge_memcpy(length)
-        # Inlined mapping.locate: the same segment-boundary walk without a
-        # BlockLocation allocation per piece — write_at is the simulator's
-        # single hottest entry point (one call per application block).
+        if not length:
+            return 0
+        self._charge(length / self._memcpy_bandwidth)
         level1 = self.level1
-        seg_size = self.mapping.segment_size
-        pos = 0
-        cur = offset
+        seg_size = level1.segment_size
+        gseg = offset // seg_size
+        disp = offset - gseg * seg_size
+        if gseg == level1.aligned_segment and disp + length <= seg_size:
+            level1.place(disp, payload)
+        else:
+            pos = 0
+            for gseg, disp, take in self.mapping.locate(offset, length):
+                if level1.aligned_segment != gseg:
+                    if level1.aligned_segment is not None:
+                        yield from self._flush_level1()
+                    level1.align(gseg)
+                level1.place(
+                    disp, payload if take == length else payload[pos : pos + take]
+                )
+                pos += take
         end = offset + length
-        while cur < end:
-            gseg = cur // seg_size
-            seg_end = (gseg + 1) * seg_size
-            take = (end if end < seg_end else seg_end) - cur
-            if level1.aligned_segment != gseg:
-                if level1.aligned_segment is not None:
-                    yield from self._flush_level1()
-                level1.align(gseg)
-            level1.place(
-                cur - gseg * seg_size,
-                payload if take == length else payload[pos : pos + take],
-            )
-            pos += take
-            cur += take
         if end > self.directory.eof:
             self.directory.eof = end
-        self.stats.inc("write_calls")
-        self.stats.inc("written_bytes", len(payload))
-        return len(payload)
+        calls, moved = self._calls, self._bytes
+        calls.count += 1
+        calls.total += 1
+        moved.count += length
+        moved.total += length
+        return length
 
     def _flush_level1(self):
         if self.level1.empty:
@@ -607,22 +625,41 @@ class TcioFile:
     def read_at(self, offset: int, dest: Buffer, count: Optional[int] = None,
                 datatype: Datatype = BYTE):
         """Record a read at an explicit offset into *dest* (coroutine)."""
-        self._check_open(reading=True)
-        view = _as_dest(dest)
-        nbytes = len(view) if count is None else count * datatype.size
-        if nbytes > len(view):
-            raise TcioError(f"read target of {len(view)} bytes < {nbytes} requested")
+        if self._closed or self.mode != TCIO_RDONLY:
+            self._check_open(reading=True)
+        if (
+            type(dest) is memoryview
+            and dest.format == "B"
+            and dest.ndim == 1
+            and dest.c_contiguous
+            and not dest.readonly
+        ):
+            view = dest  # already the flat byte view: no re-wrap
+        else:
+            view = _as_dest(dest)
+        if offset < 0:
+            raise TcioError(f"negative file offset {offset}")
+        nbytes = len(view)
+        if count is not None:
+            want = count * datatype.size
+            if want > nbytes:
+                raise TcioError(f"read target of {nbytes} bytes < {want} requested")
+            if want < nbytes:
+                view = view[:want]  # the log keeps exactly the bytes to fill
+                nbytes = want
         if nbytes == 0:
             return 0
-        if self.readlog.overflows_with(offset, nbytes):
+        readlog = self.readlog
+        if not readlog.record(view, offset, nbytes):
             # "...either the file domain of cached reads exceeds the size
             # of the level-1 buffer, or the application explicitly requests"
             yield from self.fetch()
-        self.readlog.record(
-            PendingRead(dest=view, dest_offset=0, file_offset=offset, length=nbytes)
-        )
-        self.stats.inc("read_calls")
-        self.stats.inc("read_bytes", nbytes)
+            readlog.record(view, offset, nbytes)
+        calls, moved = self._calls, self._bytes
+        calls.count += 1
+        calls.total += 1
+        moved.count += nbytes
+        moved.total += nbytes
         if not self.config.lazy_reads:
             yield from self.fetch()
         return nbytes
@@ -638,27 +675,37 @@ class TcioFile:
     def fetch(self):
         """tcio_fetch: satisfy every recorded read (coroutine)."""
         self._check_open(reading=True)
-        pending = self.readlog.drain()
-        if not pending:
+        dests, offsets, lengths = self.readlog.drain()
+        if not dests:
             return
         self.stats.inc("fetches")
-        with self._tracer.span("tcio.fetch", requests=len(pending)):
-            yield from self._fetch_pending(pending)
+        with self._tracer.span("tcio.fetch", requests=len(dests)):
+            yield from self._fetch_pending(dests, offsets, lengths)
 
-    def _fetch_pending(self, pending: list[PendingRead]):
-        # Group the requested byte ranges by global segment.
-        by_segment: dict[int, list[tuple[int, int, memoryview]]] = {}
-        for req in pending:
+    def _fetch_pending(
+        self, dests: list[memoryview], offsets: list[int], lengths: list[int]
+    ):
+        # Group the requested byte ranges by global segment. A read inside
+        # one segment (the common case) is equations (1)-(3) in integers;
+        # only one that straddles a boundary takes the subdivision walk.
+        by_segment: dict[int, _Requests] = defaultdict(lambda: ([], [], []))
+        seg_size = self.mapping.segment_size
+        for dest, offset, length in zip(dests, offsets, lengths):
+            gseg = offset // seg_size
+            disp = offset - gseg * seg_size
+            if disp + length <= seg_size:
+                disps, takes, views = by_segment[gseg]
+                disps.append(disp)
+                takes.append(length)
+                views.append(dest)
+                continue
             covered = 0
-            for loc in self.mapping.locate(req.file_offset, req.length):
-                gseg = loc.segment * self.mapping.nranks + loc.rank
-                dest_slice = req.dest[
-                    req.dest_offset + covered : req.dest_offset + covered + loc.length
-                ]
-                by_segment.setdefault(gseg, []).append(
-                    (loc.disp, loc.length, dest_slice)
-                )
-                covered += loc.length
+            for gseg, disp, take in self.mapping.locate(offset, length):
+                disps, takes, views = by_segment[gseg]
+                disps.append(disp)
+                takes.append(take)
+                views.append(dest[covered : covered + take])
+                covered += take
         # Service order matters: if every rank walked segments in file
         # order, the whole job would convoy behind one loader per segment.
         # Each rank serves the segments it owns first (it is that data's
@@ -702,28 +749,27 @@ class TcioFile:
         )
 
     def _fetch_segment(
-        self,
-        gseg: int,
-        requests: list[tuple[int, int, memoryview]],
-        raw: Optional[bytes] = None,
+        self, gseg: int, requests: _Requests, raw: Optional[bytes] = None
     ):
+        disps, lengths, dests = requests
         if raw is None and gseg not in self.directory.direct:
             raw = yield from self._ensure_segment(gseg)
         if raw is not None:
             # This rank performed the load: serve straight from the bytes
             # (works for degraded segments too — the loader has the data).
-            for disp, length, dest in requests:
+            for disp, length, dest in zip(disps, lengths, dests):
                 dest[:] = raw[disp : disp + length]
-            self._charge_memcpy(sum(ln for _, ln, _ in requests))
+            self._charge_memcpy(sum(lengths))
             return
         if gseg in self.directory.direct:
             # Degraded segment: its owner was unreachable, nothing is
             # cached in level 2 — read straight from the file system.
             yield from self._fallback_fetch(gseg, requests)
             return
-        ranges = [(disp, length) for disp, length, _ in requests]
         try:
-            blocks = yield from self.level2.pull_blocks(gseg, ranges)
+            blocks = yield from self.level2.pull_blocks(
+                gseg, list(zip(disps, lengths))
+            )
         except RetryBudgetExceeded:
             self.directory.direct.add(gseg)
             if self._plan is not None:
@@ -732,20 +778,18 @@ class TcioFile:
                 )
             yield from self._fallback_fetch(gseg, requests)
             return
-        for (disp, length, dest), (_got_disp, data) in zip(requests, blocks):
+        for length, dest, (_got_disp, data) in zip(lengths, dests, blocks):
             dest[:] = data[:length]
-        self._charge_memcpy(sum(ln for _, ln, _ in requests))
+        self._charge_memcpy(sum(lengths))
 
-    def _fallback_fetch(
-        self, gseg: int, requests: list[tuple[int, int, memoryview]]
-    ):
+    def _fallback_fetch(self, gseg: int, requests: _Requests):
         """Serve degraded-segment reads directly from the PFS (coroutine)."""
         seg_start = self.mapping.segment_extent(gseg).start
-        nbytes = sum(ln for _, ln, _ in requests)
+        nbytes = sum(requests[1])
         with self._tracer.span(
             "tcio.fallback_fetch", segment=gseg, bytes=nbytes, rank=self.env.rank
         ):
-            for disp, length, dest in requests:
+            for disp, length, dest in zip(*requests):
                 dest[:] = yield from pfs_read(
                     self.env.world, self.client, self.env.rank, self.pfs_file,
                     "tcio.fallback_fetch", seg_start + disp, length,
@@ -1218,7 +1262,7 @@ class TcioFile:
     # ------------------------------------------------------------------
     def _charge_memcpy(self, nbytes: int) -> None:
         if nbytes > 0:
-            self.env.compute(nbytes / self.env.world.fabric.spec.memcpy_bandwidth)
+            self._charge(nbytes / self._memcpy_bandwidth)
 
     def _check_open(self, *, writing: bool = False, reading: bool = False) -> None:
         if self._closed:

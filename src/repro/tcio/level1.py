@@ -10,24 +10,9 @@ buffer stores *requests* (lazy loading): destination, length, displacement.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import TcioError
-
-
-@dataclass
-class PendingRead:
-    """One recorded (not yet loaded) read: lazy-loading bookkeeping.
-
-    ``dest`` is the caller's writable buffer; ``dest_offset`` where the
-    bytes go — the in-memory "address" the paper's library retains.
-    """
-
-    dest: memoryview
-    dest_offset: int
-    file_offset: int
-    length: int
 
 
 class Level1Buffer:
@@ -79,6 +64,17 @@ class Level1Buffer:
                 f"block [{disp}, +{length}) outside segment of {self.segment_size}"
             )
         self.data[disp : disp + length] = payload
+        # Ascending writes (Program 3) extend or follow the last merged
+        # block; anything else goes through the general merge.
+        blocks = self._blocks
+        if blocks and length:
+            last, last_len = blocks[-1]
+            if disp == last + last_len:
+                blocks[-1] = (last, last_len + length)
+                return
+            if disp > last + last_len:
+                blocks.append((disp, length))
+                return
         self._insert_block(disp, length)
 
     def _insert_block(self, disp: int, length: int) -> None:
@@ -135,44 +131,55 @@ class ReadLog:
 
     Tracks the file-domain span of pending requests: the paper triggers
     real loading "when the file domain of cached reads exceeds the size of
-    the level-1 buffer".
+    the level-1 buffer". A pending read is one entry in each of three
+    parallel lists — the caller's writable buffer (the in-memory "address"
+    the paper's library retains), its file offset and its length — so the
+    log holds one GC-tracked object per read (the destination view), not a
+    record object around it.
     """
 
     def __init__(self, segment_size: int):
         self.segment_size = segment_size
-        self.pending: list[PendingRead] = []
-        self._lo: Optional[int] = None
-        self._hi: Optional[int] = None
+        self.dests: list[memoryview] = []
+        self.offsets: list[int] = []
+        self.lengths: list[int] = []
+        self._lo = self._hi = 0
 
     @property
     def empty(self) -> bool:
         """Whether no lazy reads are pending."""
-        return not self.pending
+        return not self.dests
 
     @property
     def domain_span(self) -> int:
         """File-domain span of the pending reads."""
-        if self._lo is None or self._hi is None:
-            return 0
         return self._hi - self._lo
 
-    def record(self, read: PendingRead) -> None:
-        """Append one lazy read and widen the pending domain."""
-        self.pending.append(read)
-        lo, hi = read.file_offset, read.file_offset + read.length
-        self._lo = lo if self._lo is None else min(self._lo, lo)
-        self._hi = hi if self._hi is None else max(self._hi, hi)
+    def record(self, dest: memoryview, file_offset: int, length: int) -> bool:
+        """Append one lazy read and widen the pending domain.
 
-    def overflows_with(self, file_offset: int, length: int) -> bool:
-        """Would recording this read push the domain past one level-1?"""
-        if self._lo is None:
-            return False
-        lo = min(self._lo, file_offset)
-        hi = max(self._hi or 0, file_offset + length)
-        return hi - lo > self.segment_size
+        Returns False — recording nothing — when the read would push the
+        domain past one window: the caller fetches, then records again (an
+        empty log takes any read).
+        """
+        lo, hi = file_offset, file_offset + length
+        if self.dests:
+            if self._lo < lo:
+                lo = self._lo
+            if self._hi > hi:
+                hi = self._hi
+            if hi - lo > self.segment_size:
+                return False
+        self._lo, self._hi = lo, hi
+        self.dests.append(dest)
+        self.offsets.append(file_offset)
+        self.lengths.append(length)
+        return True
 
-    def drain(self) -> list[PendingRead]:
-        """Return and clear all pending reads."""
-        out, self.pending = self.pending, []
-        self._lo = self._hi = None
+    def drain(self) -> tuple[list[memoryview], list[int], list[int]]:
+        """Return and clear the pending reads: ``(dests, offsets, lengths)``,
+        parallel and in recording order."""
+        out = self.dests, self.offsets, self.lengths
+        self.dests, self.offsets, self.lengths = [], [], []
+        self._lo = self._hi = 0
         return out

@@ -14,20 +14,9 @@ these three values in O(1) time given the logical file offset."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.util.errors import TcioError
 from repro.util.intervals import Extent
-
-
-@dataclass(frozen=True)
-class BlockLocation:
-    """Where one file byte range lives in the distributed level-2 buffer."""
-
-    rank: int  # ID_rank: owning process
-    segment: int  # ID_segment: slot within the owner's level-2 buffer
-    disp: int  # DISP_block: byte displacement inside the segment
-    length: int  # bytes of this (sub-)block
 
 
 @dataclass(frozen=True)
@@ -60,11 +49,6 @@ class SegmentMapping:
         return offset % self.segment_size
 
     # -- derived helpers ---------------------------------------------------
-    def global_segment(self, offset: int) -> int:
-        """Index of the file-wide segment containing *offset*."""
-        self._check(offset)
-        return offset // self.segment_size
-
     def segment_extent(self, global_segment: int) -> Extent:
         """File byte range of one global segment."""
         if global_segment < 0:
@@ -88,26 +72,27 @@ class SegmentMapping:
             raise TcioError(f"bad (slot={slot}, disp={disp})")
         return (slot * self.nranks + rank) * self.segment_size + disp
 
-    def locate(self, offset: int, length: int) -> Iterator[BlockLocation]:
-        """Split ``[offset, offset+length)`` at segment boundaries and map
-        each piece (the subdivision rule: "If a combined data block were
-        larger than the size of one level-2 buffer segment, it has to be
-        subdivided and placed in different segments")."""
-        if length < 0:
-            raise TcioError("negative block length")
+    def locate(self, offset: int, length: int) -> list[tuple[int, int, int]]:
+        """Split ``[offset, offset+length)`` at segment boundaries into
+        ``(global_segment, disp, length)`` pieces (the subdivision rule:
+        "If a combined data block were larger than the size of one level-2
+        buffer segment, it has to be subdivided and placed in different
+        segments"). The one walk behind every access that is not a single
+        piece of the current segment; a piece's owner and slot are
+        ``owner_of_segment``/``slot_of_segment`` of its segment."""
+        if offset < 0 or length < 0:
+            raise TcioError(f"negative block [{offset}, +{length})")
+        seg_size = self.segment_size
+        pieces = []
         pos = offset
         end = offset + length
         while pos < end:
-            gseg = self.global_segment(pos)
-            seg_end = (gseg + 1) * self.segment_size
-            take = min(end, seg_end) - pos
-            yield BlockLocation(
-                rank=gseg % self.nranks,
-                segment=gseg // self.nranks,
-                disp=pos % self.segment_size,
-                length=take,
-            )
+            gseg = pos // seg_size
+            seg_start = gseg * seg_size
+            take = min(end, seg_start + seg_size) - pos
+            pieces.append((gseg, pos - seg_start, take))
             pos += take
+        return pieces
 
     def _check(self, offset: int) -> None:
         if offset < 0:

@@ -1,21 +1,24 @@
 """Per-handle operation counters (exported for experiments and tests).
 
-``TcioStats`` used to be a bag of integer dataclass fields. It is now a
-thin **compatibility view** over a per-handle
-:class:`~repro.obs.metrics.MetricsRegistry`: the library increments dotted
-metrics (``tcio.flush.remote``, ``tcio.write.bytes``, ...) through
-:meth:`TcioStats.inc`, and the legacy surface — ``stats.as_dict()``, the
-``flushes`` property — reads the same registry, so existing benchmark
-assertions keep working and the registry is the single source of truth.
+``TcioStats`` is one TCIO handle's counters, held in that handle's own
+:class:`~repro.obs.metrics.MetricsRegistry` under dotted names
+(``tcio.flush.remote``, ``tcio.write.bytes``, ...) and addressed by the
+short field names of :data:`FIELD_METRICS`. The library bumps them through
+:meth:`TcioStats.inc`; the two counters an application call touches
+(calls and bytes of the handle's direction) are bound once at open with
+:meth:`TcioStats.counter` and bumped as plain attribute adds, so their
+values are visible to ``value()``/``as_dict()`` immediately. Readers
+(``as_dict()``, ``as_metrics()``, the ``flushes`` property) read the same
+registry: it is the single source of truth.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
-#: Legacy field -> dotted registry metric, in the historical field order
+#: Field name -> dotted registry metric, in the historical field order
 #: (``as_dict`` preserves this order, and its key set is exactly this).
 FIELD_METRICS: dict[str, str] = {
     "write_calls": "tcio.write.calls",
@@ -42,21 +45,23 @@ class TcioStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        # Counter objects memoized per handle: ``inc`` runs a few times per
-        # application I/O call, and the name translation + registry lookup
-        # showed up in whole-run profiles.
+        # Counter objects memoized per handle: ``inc`` pays the name
+        # translation plus registry lookup once per field, not per bump.
         self._counters: dict = {}
 
+    def counter(self, fld: str) -> Counter:
+        """The registry counter behind field *fld* (created on first use)."""
+        return self.registry.counter(FIELD_METRICS[fld])
+
     def inc(self, fld: str, n: int = 1) -> None:
-        """Increment the legacy-named counter *fld* by *n*."""
+        """Increment the counter of field *fld* by *n*."""
         counter = self._counters.get(fld)
         if counter is None:
-            counter = self.registry.counter(FIELD_METRICS[fld])
-            self._counters[fld] = counter
+            counter = self._counters[fld] = self.counter(fld)
         counter.inc(n)
 
     def value(self, fld: str) -> int:
-        """The legacy-named counter's current integer value."""
+        """The current integer value of field *fld*'s counter."""
         metric = self.registry.get(FIELD_METRICS[fld])
         return int(metric.count) if metric is not None else 0
 
@@ -66,7 +71,7 @@ class TcioStats:
         return self.value("local_flushes") + self.value("remote_flushes")
 
     def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (the stable legacy key set).
+        """All counters as a plain dict (the stable field-name key set).
 
         Iterates the explicit field table, never ``isinstance`` filtering
         over ``__dict__``, so the key set cannot silently drift (e.g. a

@@ -195,7 +195,75 @@ class TestReadPath:
         run(2, main)
 
 
+class TestGeneralPath:
+    """Calls the one-piece/in-segment early exits do not take."""
+
+    def test_payload_shapes_and_segment_straddles(self):
+        from repro.simmpi.datatypes import INT
+
+        ints = np.arange(10, 18, dtype="<i4")
+
+        def main(env):
+            fh = (yield from TcioFile.open(env, "f", TCIO_WRONLY, cfg_for(256, env.size, 32)))
+            if env.rank == 0:
+                # count/datatype trims the buffer: 3 of 8 ints
+                assert (yield from fh.write_at(0, ints, 3, INT)) == 12
+                # a bytes payload, then one straddling two segments
+                assert (yield from fh.write_at(12, b"ab")) == 2
+                assert (yield from fh.write_at(28, b"0123456789")) == 10
+                # a non-contiguous array goes out in C order
+                assert (yield from fh.write_at(40, ints[::2])) == 16
+                with pytest.raises(TcioError, match="too small"):
+                    (yield from fh.write_at(0, ints, 9, INT))
+            else:
+                # three segments: [90,96) + [96,128) + [128,134)
+                assert (yield from fh.write_at(90, bytes(range(44)))) == 44
+            (yield from fh.close())
+            stats = fh.stats.as_dict()
+
+            fh = (yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg_for(256, env.size, 32)))
+            dest = np.full(4, -1, dtype="<i4")
+            # count smaller than the destination fills only its head
+            assert (yield from fh.read_at(0, dest, 2, INT)) == 8
+            wide = bytearray(50)
+            assert (yield from fh.read_at(88, wide, 46)) == 46  # three segments
+            with pytest.raises(TcioError, match="requested"):
+                (yield from fh.read_at(0, dest, 5, INT))
+            (yield from fh.close())
+            return stats, dest.tolist(), bytes(wide)
+
+        res = run(2, main)
+        expected = bytearray(134)
+        expected[0:12] = ints[:3].tobytes()
+        expected[12:14] = b"ab"
+        expected[28:38] = b"0123456789"
+        expected[40:56] = ints[::2].tobytes()
+        expected[90:134] = bytes(range(44))
+        assert res.pfs.lookup("f").contents() == bytes(expected)
+        (w0, dest0, wide0), (w1, _dest1, _wide1) = res.returns
+        assert (w0["write_calls"], w0["written_bytes"]) == (4, 40)
+        assert (w1["write_calls"], w1["written_bytes"]) == (1, 44)
+        assert dest0 == [10, 11, -1, -1]
+        assert wide0 == bytes(expected[88:134]) + b"\x00" * 4
+
+
 class TestModesAndErrors:
+    def test_strided_memoryview_read_target_rejected(self):
+        """A non-contiguous target is a TcioError for every buffer type."""
+
+        def main(env):
+            env.pfs.create("f")
+            fh = (yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg_for(64, env.size, 16)))
+            strided = np.zeros(8, "u1")[::2]
+            for dest in (strided, memoryview(np.zeros(8, "u1"))[::2]):
+                with pytest.raises(TcioError, match="C-contiguous"):
+                    (yield from fh.read_at(0, dest))
+            with pytest.raises(TcioError, match="read-only"):
+                (yield from fh.read_at(0, b"abcd"))
+            (yield from fh.close())
+
+        run(1, main)
+
     def test_read_on_write_handle_rejected(self):
         def main(env):
             fh = (yield from TcioFile.open(env, "f", TCIO_WRONLY, cfg_for(64, env.size, 16)))

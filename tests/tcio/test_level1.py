@@ -1,9 +1,11 @@
 """Level-1 buffer combining and the lazy-read log."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.tcio.level1 import Level1Buffer, PendingRead, ReadLog
+from repro.tcio.level1 import Level1Buffer, ReadLog
 from repro.util.errors import TcioError
+from repro.util.intervals import merge_ranges
 
 
 class TestLevel1Buffer:
@@ -81,32 +83,82 @@ class TestLevel1Buffer:
 
 
 class TestReadLog:
-    def _read(self, offset, length):
-        return PendingRead(
-            dest=memoryview(bytearray(length)),
-            dest_offset=0,
-            file_offset=offset,
-            length=length,
-        )
+    def _record(self, log, offset, length):
+        return log.record(memoryview(bytearray(length)), offset, length)
 
     def test_records_and_drains(self):
         log = ReadLog(100)
-        log.record(self._read(0, 10))
-        log.record(self._read(50, 10))
+        assert self._record(log, 0, 10)
+        assert self._record(log, 50, 10)
         assert not log.empty
         assert log.domain_span == 60
-        drained = log.drain()
-        assert len(drained) == 2
+        dests, offsets, lengths = log.drain()
+        assert len(dests) == 2
+        assert (offsets, lengths) == ([0, 50], [10, 10])
         assert log.empty
         assert log.domain_span == 0
 
     def test_overflow_detection(self):
         log = ReadLog(100)
-        log.record(self._read(0, 10))
-        assert not log.overflows_with(50, 10)
-        assert log.overflows_with(95, 10)  # span would be 105 > 100
-        assert not log.overflows_with(90, 10)  # exactly 100 is allowed
+        assert self._record(log, 0, 10)
+        assert not self._record(log, 95, 10)  # span would be 105 > 100
+        assert log.domain_span == 10  # a refused read records nothing
+        assert self._record(log, 50, 10)
+        assert self._record(log, 90, 10)  # exactly 100 is allowed
 
     def test_empty_log_never_overflows(self):
         log = ReadLog(10)
-        assert not log.overflows_with(0, 10**9)
+        assert log.record(memoryview(bytearray(1)), 0, 10**9)
+
+
+class TestEarlyExitsMatchTheGeneralPath:
+    """``place``'s extend/append shortcuts and ``record``'s folded overflow
+    test against flat models of what they compute."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 63), st.binary(max_size=24)), max_size=40
+        )
+    )
+    def test_place_matches_merged_ranges_and_flat_bytes(self, placements):
+        size = 64
+        b = Level1Buffer(size)
+        b.align(0)
+        model = bytearray(size)
+        placed = []
+        for disp, payload in placements:
+            payload = payload[: size - disp]
+            b.place(disp, payload)
+            model[disp : disp + len(payload)] = payload
+            if payload:
+                placed.append((disp, disp + len(payload)))
+        merged = merge_ranges(placed)
+        assert b.blocks == [(lo, hi - lo) for lo, hi in merged]
+        assert b.data == model
+        _, blocks = b.take()
+        assert blocks == [(lo, hi - lo, bytes(model[lo:hi])) for lo, hi in merged]
+
+    @given(
+        st.integers(1, 200),
+        st.lists(st.tuples(st.integers(0, 500), st.integers(1, 120)), max_size=40),
+    )
+    def test_record_refuses_exactly_on_window_overflow(self, window, reads):
+        log = ReadLog(window)
+        kept = []
+        for offset, length in reads:
+            dest = memoryview(bytearray(length))
+            span = [(o, o + n) for _, o, n in kept] + [(offset, offset + length)]
+            overflows = bool(kept) and (
+                max(hi for _, hi in span) - min(lo for lo, _ in span) > window
+            )
+            assert log.record(dest, offset, length) is not overflows
+            if not overflows:
+                kept.append((dest, offset, length))
+        assert log.empty is (not kept)
+        drained = list(zip(*log.drain()))
+        assert len(drained) == len(kept)
+        assert all(
+            d is dest and (o, n) == (offset, length)
+            for (d, o, n), (dest, offset, length) in zip(drained, kept)
+        )
+        assert log.empty and log.domain_span == 0

@@ -65,7 +65,11 @@ class TestDerived:
     def test_locate_splits_at_segment_boundaries(self):
         m = SegmentMapping(segment_size=100, nranks=2)
         locs = list(m.locate(150, 200))  # spans segments 1, 2, 3
-        assert [(l.rank, l.segment, l.disp, l.length) for l in locs] == [
+        assert locs == [(1, 50, 50), (2, 0, 100), (3, 0, 50)]
+        assert [
+            (m.owner_of_segment(g), m.slot_of_segment(g), disp, length)
+            for g, disp, length in locs
+        ] == [
             (1, 0, 50, 50),
             (0, 1, 0, 100),
             (1, 1, 0, 50),
@@ -73,8 +77,10 @@ class TestDerived:
 
     def test_locate_within_one_segment(self):
         m = SegmentMapping(100, 2)
-        [loc] = m.locate(210, 50)
-        assert (loc.rank, loc.segment, loc.disp, loc.length) == (0, 1, 10, 50)
+        [(gseg, disp, length)] = m.locate(210, 50)
+        assert (m.owner_of_segment(gseg), m.slot_of_segment(gseg), disp, length) == (
+            0, 1, 10, 50,
+        )
 
 
 class TestMappingProperties:
@@ -92,15 +98,15 @@ class TestMappingProperties:
     def test_locate_covers_range_exactly(self, offset, length, segment_size, nranks):
         m = SegmentMapping(segment_size, nranks)
         locs = list(m.locate(offset, length))
-        assert sum(loc.length for loc in locs) == length
+        assert sum(take for _, _, take in locs) == length
         pos = offset
-        for loc in locs:
-            assert m.rank_of(pos) == loc.rank
-            assert m.segment_of(pos) == loc.segment
-            assert m.disp_of(pos) == loc.disp
+        for gseg, disp, take in locs:
+            assert m.rank_of(pos) == m.owner_of_segment(gseg)
+            assert m.segment_of(pos) == m.slot_of_segment(gseg)
+            assert m.disp_of(pos) == disp
             # no piece crosses a segment boundary
-            assert loc.disp + loc.length <= segment_size
-            pos += loc.length
+            assert disp + take <= segment_size
+            pos += take
 
     @given(st.integers(1, 100), st.integers(1, 32))
     def test_round_robin_balance(self, nsegs_per_rank, nranks):

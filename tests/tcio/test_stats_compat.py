@@ -1,4 +1,4 @@
-"""TcioStats compatibility view: exact key set, registry backing.
+"""TcioStats: exact key set, registry backing.
 
 Regression guard for the stats redesign: ``as_dict()`` must keep the
 historical key set byte for byte (experiments and DESIGN.md tables key on
