@@ -2,7 +2,7 @@
 
 The simulation side lives elsewhere (``sim.engine`` kills processes,
 ``simmpi`` surfaces dead peers as :class:`~repro.util.errors.RankUnreachable`,
-``tcio/file.py`` runs the epoched journal protocol when
+``tcio/epoch.py`` runs the epoched journal protocol when
 ``TcioConfig.journal == "epoch"``). This package is the *offline* side:
 the journal byte format, the recovery replayer, the fsck classifier, and
 the crash-differential harness that ties them together. See

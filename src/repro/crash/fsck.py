@@ -29,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.crash.journal import (
-    commit_name,
-    committed_state,
-    is_journal_file,
-    iter_records,
-)
+from repro.crash.journal import commit_name, scan_journals
 from repro.util.errors import PfsError, tag_job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,27 +157,12 @@ def fsck(
     if not pfs.exists(name):
         raise tag_job(PfsError(f"fsck: no such file {name!r}"), job)
     data = pfs.lookup(name)
-    committed, eof = (0, 0)
-    if pfs.exists(commit_name(name)):
-        committed, eof = committed_state(pfs.lookup(commit_name(name)).contents())
+    scan = scan_journals(pfs, name)
+    committed, eof = scan.committed, scan.eof
     report = FsckReport(
-        name=name, committed_epoch=committed, eof=eof, file_size=data.size, job=job
+        name=name, committed_epoch=committed, eof=eof, file_size=data.size, job=job,
+        journals=scan.journals, torn_records=scan.torn,
     )
-
-    commit_rows = []  # (epoch, journal name, record)
-    for fname in sorted(pfs.list_files()):
-        if not is_journal_file(fname, name):
-            continue
-        report.journals.append(fname)
-        for rec in iter_records(pfs.lookup(fname).contents()):
-            if rec.torn:
-                report.torn_records += 1
-            elif rec.epoch > committed:
-                report.uncommitted_records += 1
-                report.uncommitted_bytes += rec.nbytes
-            else:
-                commit_rows.append((rec.epoch, fname, rec))
-    commit_rows.sort(key=lambda row: (row[0], row[1], row[2].gseg))
 
     # Build the expected image from committed records, later epochs last
     # (a re-dirtied segment is re-journaled; only the newest copy must
@@ -193,7 +173,11 @@ def fsck(
     span = min(eof, data.size) if committed else (data.size if journaled else 0)
     expected = bytearray(span)
     covered = bytearray(span)
-    for _epoch, _fname, rec in commit_rows:
+    for _fname, rec in scan.records:  # replay order
+        if rec.epoch > committed:
+            report.uncommitted_records += 1
+            report.uncommitted_bytes += rec.nbytes
+            continue
         for i, (lo, hi) in enumerate(rec.extents):
             lo2, hi2 = max(lo, 0), min(hi, span)
             if lo2 >= hi2:

@@ -3,9 +3,10 @@
 Epoched flushes (``TcioConfig.journal = "epoch"``) append one record per
 owned dirty segment to a per-rank journal file before any in-place data
 write, then mark the epoch with a commit record in a shared commit file.
-This module owns the byte format; ``tcio/file.py`` writes it inside the
-simulation, and :mod:`repro.crash.recover` / :mod:`repro.crash.fsck`
-parse it back host-side after a crash.
+This module owns the byte format and its readers; ``tcio/epoch.py`` writes
+it inside the simulation, ``tcio/survive.py`` replays it online, and
+:mod:`repro.crash.recover` / :mod:`repro.crash.fsck` parse it back
+host-side after a crash — all three through :func:`scan_journals`.
 
 Layout
 ------
@@ -33,6 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 RECORD_MAGIC = 0x54434A52  # "TCJR"
 COMMIT_MAGIC = 0x54434A43  # "TCJC"
@@ -155,3 +157,39 @@ def committed_state(raw: bytes) -> tuple[int, int]:
     if not marks:
         return (0, 0)
     return max(marks)
+
+
+class JournalScan(NamedTuple):
+    """What the journals of one data file hold (:func:`scan_journals`)."""
+
+    committed: int  # the last committed epoch (0: none)
+    eof: int  # the file size that commit recorded
+    journals: list[str]  # the per-rank journal files read
+    #: ``(journal name, record)`` of every intact record, in replay order:
+    #: by ``(epoch, journal name, segment)`` — later epochs overwrite earlier
+    #: ones; within an epoch extents are disjoint, one owner per segment.
+    #: The committed ones are those with ``record.epoch <= committed``.
+    records: list[tuple[str, JournalRecord]]
+    torn: int  # torn tails skipped (their epoch never committed)
+
+
+def scan_journals(pfs, name: str, journals: Optional[Iterable[str]] = None) -> JournalScan:
+    """Read *name*'s commit file and per-rank journals, once: the
+    *journals* named (missing ones skipped), by default every one the PFS
+    holds for *name*."""
+    committed, eof = (0, 0)
+    if pfs.exists(commit_name(name)):
+        committed, eof = committed_state(pfs.lookup(commit_name(name)).contents())
+    if journals is None:
+        journals = (f for f in sorted(pfs.list_files()) if is_journal_file(f, name))
+    read, records, torn = [], [], 0
+    for jname in journals:
+        if pfs.exists(jname):
+            read.append(jname)
+            for rec in iter_records(pfs.lookup(jname).contents()):
+                if rec.torn:
+                    torn += 1
+                else:
+                    records.append((jname, rec))
+    records.sort(key=lambda row: (row[1].epoch, row[0], row[1].gseg))
+    return JournalScan(committed, eof, read, records, torn)

@@ -22,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.crash.journal import (
-    commit_name,
-    committed_state,
-    is_journal_file,
-    iter_records,
-)
+from repro.crash.journal import scan_journals
 from repro.util.errors import PfsError, tag_job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,25 +71,15 @@ def recover(pfs: "Pfs", name: str, *, job: "str | None" = None) -> RecoveryRepor
     if not pfs.exists(name):
         raise tag_job(PfsError(f"recover: no such file {name!r}"), job)
     data = pfs.lookup(name)
-    committed, eof = (0, 0)
-    if pfs.exists(commit_name(name)):
-        committed, eof = committed_state(pfs.lookup(commit_name(name)).contents())
-    report = RecoveryReport(name=name, committed_epoch=committed, eof=eof, job=job)
-
-    replay = []  # (epoch, journal name, record) — sorted for determinism
-    for fname in sorted(pfs.list_files()):
-        if not is_journal_file(fname, name):
+    scan = scan_journals(pfs, name)
+    report = RecoveryReport(
+        name=name, committed_epoch=scan.committed, eof=scan.eof, job=job,
+        journals=scan.journals, torn_records=scan.torn,
+    )
+    for _fname, rec in scan.records:
+        if rec.epoch > scan.committed:
+            report.skipped_uncommitted += 1
             continue
-        report.journals.append(fname)
-        for rec in iter_records(pfs.lookup(fname).contents()):
-            if rec.torn:
-                report.torn_records += 1
-            elif rec.epoch > committed:
-                report.skipped_uncommitted += 1
-            else:
-                replay.append((rec.epoch, fname, rec))
-    replay.sort(key=lambda item: (item[0], item[1], item[2].gseg))
-    for _epoch, _fname, rec in replay:
         for i, (lo, hi) in enumerate(rec.extents):
             piece = rec.piece(i)
             # Compare-before-write keeps the pass idempotent: a second
@@ -106,6 +91,6 @@ def recover(pfs: "Pfs", name: str, *, job: "str | None" = None) -> RecoveryRepor
                 report.written_bytes += len(piece)
         report.replayed_records += 1
         report.replayed_bytes += rec.nbytes
-    if data.size != eof:
-        data.truncate(eof)
+    if data.size != scan.eof:
+        data.truncate(scan.eof)
     return report

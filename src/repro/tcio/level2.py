@@ -112,7 +112,7 @@ class Level2Buffer:
     def _retry_rma(self, what: str, op):
         """Drive one RMA sequence (coroutine), retrying transient failures
         when faults are armed (RetryBudgetExceeded propagates to the
-        recovery layer in tcio/file.py)."""
+        recovery layer in tcio/degrade.py)."""
         if self.faults is None:
             return (yield from run_coroutine(op(0)))
         return (

@@ -1,0 +1,170 @@
+"""Node-leader staging (``TcioConfig.aggregation == "node"``), in front of
+an unchanged level-2 exchange: a drained level-1 buffer bound for another
+node waits in the node's staging buffer, and the node's leader ships what
+is staged for one owner as a single coalesced RMA sequence at the next
+collective point (``docs/topology.md``). Owns the topology, the node
+communicator, the staging buffer and the degraded flag.
+"""
+
+from __future__ import annotations
+
+from repro.faults.plan import RMA_FAIL_DELAY
+from repro.sim.engine import active_process
+from repro.sim.sync import SimEvent
+from repro.simmpi import collectives
+from repro.topo import (
+    NodeTopology, StagingBuffer, charge_staging_copy, coalesce_blocks, split_by_node,
+)
+from repro.util.errors import RetryBudgetExceeded, RmaTransientError
+
+
+class NodeDrain:
+    """One write handle's share of its node's staging buffer."""
+
+    @classmethod
+    def arm(cls, fh, gen: int):
+        """This handle's node drain, or None when the job spans one node —
+        every flush is intra-node already (collective coroutine)."""
+        topo = NodeTopology.from_comm(fh.comm)
+        if topo.n_nodes < 2:
+            return None
+        node_comm = yield from split_by_node(fh.comm, topo)
+        return cls(fh, topo, node_comm, gen)
+
+    def __init__(self, fh, topo: NodeTopology, node_comm, gen: int):
+        self.fh = fh
+        self.topo = topo
+        self.node_comm = node_comm
+        my_node = topo.node_of_rank(fh.comm.rank)
+        self.leader = fh.comm.world_rank(topo.leader_of(my_node))
+        capacity = fh.config.staging_segments * fh.mapping.segment_size
+        # One staging buffer per node, published through ``world.shared``
+        # and keyed by the open generation, with the owners some rank of
+        # the node is shipping to right now. The leader (lowest comm rank
+        # on the node) backs the buffer with simulated memory.
+        self.staging, self.shipping = fh.env.world.shared.setdefault(
+            ("tcio-stage", fh.name, gen, my_node),
+            (StagingBuffer(my_node, self.leader, capacity=capacity), {}),
+        )
+        #: Set once the leader stayed unreachable past the retry budget:
+        #: protocol agreement with it is gone and burning more retries
+        #: buys nothing, so every later deposit takes the flat route.
+        self.degraded = False
+        if fh.env.rank == self.leader:
+            fh._allocs.append(fh.env.world.memory.allocate(fh.env.rank, capacity, "topo.staging"))
+
+    def deposit(self, gseg: int, blocks: list):
+        """Stage one drained level-1 buffer, or send it the flat way
+        (coroutine; the handle's ``_deposit``).
+
+        A deposit bypasses staging when its owner is this rank, on this
+        node or known unreachable, when it would overflow the staging
+        capacity, or once the handle is degraded. Whatever the node holds
+        for that owner is older, so it is shipped first: a rank's writes
+        reach the owner in program order.
+        """
+        fh = self.fh
+        me, owner, degrade = fh.comm.rank, fh.mapping.owner_of_segment(gseg), fh._degrade
+        if (
+            not self.degraded
+            and owner != me
+            and not self.topo.same_node(owner, me)
+            and (degrade is None or owner not in degrade.unreachable)
+            and (yield from self._stage(gseg, owner, blocks))
+        ):
+            return
+        yield from self._ship(owner)
+        yield from (degrade.deposit if degrade else fh.level2.push_blocks)(gseg, blocks)
+
+    def _stage(self, gseg: int, owner: int, blocks: list):
+        """Try to put *blocks* into the staging buffer (coroutine -> bool)."""
+        fh, plan, stage = self.fh, self.fh._plan, self.staging
+        nbytes = sum(length for _, length, _ in blocks)
+        if stage.would_overflow(nbytes):
+            fh._count("topo.staging.overflow", nbytes)
+            return False
+        fh.level2._slot_base(gseg)  # capacity check before committing
+        if plan is not None and fh.env.rank != self.leader:
+            # A deposit crosses node memory shared with the leader; treat
+            # it like an RMA toward the leader for fault purposes.
+            def attempt(_attempt: int) -> None:
+                if plan.rma_fault("staging", fh.env.rank, self.leader):
+                    active_process().charge(RMA_FAIL_DELAY)
+                    raise RmaTransientError("staging", fh.env.rank, self.leader)
+
+            try:
+                yield from plan.retry_call(
+                    attempt, retry_on=RmaTransientError, what=f"topo.deposit(seg={gseg})"
+                )
+            except RetryBudgetExceeded:
+                self.degraded = True
+                plan.note_fallback("topo.deposit", rank=fh.env.rank, leader=self.leader)
+                return False
+        yield from charge_staging_copy(fh.env.world, fh.env.rank, nbytes)
+        stage.deposit(owner, [(gseg, disp, p) for disp, _length, p in blocks], nbytes)
+        fh._count("topo.deposit.bytes", nbytes)
+        fh._count("topo.deposit.blocks", len(blocks))
+        if fh._hub is not None:
+            fh._hub.registry.histogram("topo.staging.occupancy").observe(stage.used)
+        return True
+
+    def drain(self):
+        """Collective staging drain (coroutine): runs at every collective
+        point after the local level-1 drain. A node barrier makes every
+        member's deposits visible; then the leader ships each owner's bin."""
+        yield from collectives.barrier(self.node_comm)
+        if self.node_comm.rank == 0:
+            for owner in self.staging.keys():
+                yield from self._ship(owner)
+
+    def _ship(self, owner: int):
+        """Send everything staged for *owner* (coroutine), one ship per
+        owner at a time: a bypassing depositor must not overtake pieces
+        (its own older ones among them) that another rank of this node has
+        picked up and not landed yet."""
+        while owner in self.shipping:
+            yield from self.shipping[owner].wait()
+        pieces = self.staging.drain(owner)
+        if pieces:
+            landed = self.shipping[owner] = SimEvent(f"topo.ship(owner={owner})", sticky=True)
+            yield from self._send(owner, pieces)
+            del self.shipping[owner]
+            landed.fire()
+
+    def _send(self, owner: int, pieces: list):
+        """One merged indexed RMA sequence to *owner* — or direct PFS
+        writes when it stays unreachable past the retry budget (coroutine)."""
+        fh, degrade = self.fh, self.fh._degrade
+        if degrade is not None and owner in degrade.unreachable:
+            yield from self._drain_fallback(pieces)
+            return
+        nbytes = sum(len(payload) for _, _, payload in pieces)
+        # Pickup: reading the deposits out of node memory to build the
+        # merged message is a second memcpy pass.
+        yield from charge_staging_copy(fh.env.world, fh.env.rank, nbytes)
+        win_blocks = coalesce_blocks(
+            [(fh.level2._slot_base(g) + disp, payload) for g, disp, payload in pieces]
+        )
+        try:
+            yield from fh.level2.push_window_blocks(owner, win_blocks)
+        except RetryBudgetExceeded:
+            degrade.unreachable.add(owner)
+            fh._plan.note_fallback("topo.drain", owner=owner, rank=fh.env.rank)
+            yield from self._drain_fallback(pieces)
+            return
+        fh.directory.dirty.update({g for g, _, _ in pieces})
+        fh._count("topo.drain.messages", 1)
+        fh._count("topo.drain.bytes", nbytes)
+
+    def _drain_fallback(self, pieces: list):
+        """Write one owner's staged deposits straight to the PFS.
+
+        Reuses the flat fallback machinery segment by segment, so the
+        written ranges are published and the (unreachable) owner's
+        writeback skips them.
+        """
+        by_seg: dict[int, list[tuple[int, int, bytes]]] = {}
+        for g, disp, payload in pieces:
+            by_seg.setdefault(g, []).append((disp, len(payload), payload))
+        for g in sorted(by_seg):
+            yield from self.fh._degrade.fallback_flush(g, by_seg[g])

@@ -22,7 +22,7 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec
 from repro.simmpi import run_mpi
 from repro.tcio import TCIO_WRONLY, TcioConfig, tcio_open, tcio_write_at
-from repro.tcio.file import TcioFile
+from repro.tcio.degrade import Degrade
 from repro.util.errors import RetryBudgetExceeded
 from tests.conftest import make_test_cluster
 
@@ -65,7 +65,7 @@ class TestCloseDegradation:
         def broken_fallback(self, gseg, blocks):
             raise RetryBudgetExceeded("tcio.fallback_flush", attempts=4)
 
-        monkeypatch.setattr(TcioFile, "_fallback_flush", broken_fallback)
+        monkeypatch.setattr(Degrade, "fallback_flush", broken_fallback)
 
         def main(env):
             fh = (yield from tcio_open(env, "f", TCIO_WRONLY, cfg(env.size)))

@@ -110,6 +110,34 @@ class TestTcioNodeAggregation:
         assert summary.get("topo.deposit.bytes", (0, 0))[1] == 0
         assert res.pfs.lookup("na.dat").contents() == _expected()
 
+    def test_staging_bypass_keeps_program_order(self):
+        # A deposit that overflows the one-segment staging buffer goes to
+        # the owner at once; the node's older staged pieces for the same
+        # owner must land before it, not on top of it at the next drain.
+        writes = [(2 * 64, b"A"), (3 * 64, b"B"), (2 * 64, b"C"), (3 * 64, b"D")]
+
+        def image(aggregation: str):
+            cfg = TcioConfig(
+                segment_size=64, segments_per_process=4,
+                aggregation=aggregation, staging_segments=1,
+            )
+
+            def main(env):
+                fh = yield from TcioFile.open(env, "po.dat", TCIO_WRONLY, cfg)
+                if env.rank == 0:
+                    for offset, byte in writes:
+                        yield from fh.write_at(offset, byte * 40)
+                yield from fh.close()
+
+            res = run_small(4, main, cluster=make_test_cluster(nodes=2, cores_per_node=2))
+            return res.pfs.lookup("po.dat").contents(), res.trace.summary()
+
+        flat, _ = image("flat")
+        node, summary = image("node")
+        assert summary.get("topo.staging.overflow", (0, 0))[0] > 0
+        assert flat[128:168] == b"C" * 40 and flat[192:232] == b"D" * 40
+        assert node == flat
+
 
 class TestOcioNodeAggregation:
     def test_fewer_messages_same_bytes(self):
