@@ -3,19 +3,32 @@
 A view is ``(displacement, etype, filetype)``: the file appears to the rank
 as the concatenation of the *data* bytes of successive filetype tiles,
 starting at byte *displacement*. MPI file offsets count **etypes** within
-that stream. ``map_extents`` translates a (stream position, byte count)
-pair into the absolute file extents it touches — the single primitive both
-independent and collective I/O build on.
+that stream. ``map_arrays`` translates a (stream position, byte count)
+pair into the absolute file pieces it touches, whole, as three ``int64``
+arrays — the single primitive both independent and collective I/O build
+on. ``map_pieces`` and ``map_extents`` are its list spellings.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Optional
+
+import numpy as np
 
 from repro.simmpi.datatypes import BYTE, Datatype
 from repro.util.errors import MpiIoError
-from repro.util.intervals import Extent
+from repro.util.intervals import Extent, merge_runs
+
+Pieces = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _one_piece(file_start: int, nbytes: int) -> Pieces:
+    """A whole request that is one file piece, at buffer offset 0."""
+    return (
+        np.array([file_start], dtype=np.int64),
+        np.array([nbytes], dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+    )
 
 
 class FileView:
@@ -42,17 +55,17 @@ class FileView:
         self.etype = etype
         self.filetype = filetype
         # Segment table of one filetype tile, with cumulative data offsets.
-        self._segments = filetype.segments  # ((file_off, length), ...)
-        self._cum = [0]
-        for _, length in self._segments:
-            self._cum.append(self._cum[-1] + length)
-        self._tile_data = self._cum[-1]  # == filetype.size
+        self._seg_off = filetype.typemap[:, 0]
+        self._seg_len = filetype.typemap[:, 1]
+        self._cum = np.concatenate(([0], np.cumsum(self._seg_len)))
+        self._tile_data = filetype.size
         self._tile_extent = filetype.extent
+        self._contiguous = filetype.is_contiguous
 
     @property
     def is_contiguous(self) -> bool:
         """Whether the view maps the stream to one unbroken byte range."""
-        return self.filetype.is_contiguous
+        return self._contiguous
 
     # ------------------------------------------------------------------
     def byte_offset(self, offset_etypes: int) -> int:
@@ -61,67 +74,66 @@ class FileView:
             raise MpiIoError(f"negative file offset {offset_etypes}")
         return offset_etypes * self.etype.size
 
-    def map_extents(self, stream_pos: int, nbytes: int) -> list[Extent]:
-        """Absolute file extents for stream bytes [stream_pos, +nbytes).
+    def map_arrays(self, stream_pos: int, nbytes: int) -> Pieces:
+        """The file pieces of stream bytes [stream_pos, +nbytes), whole.
 
-        Extents come back in stream order; adjacent-in-file extents are
-        merged. Raises when the byte range straddles a filetype hole in a
-        way that MPI forbids (it cannot: the stream skips holes by
-        definition — holes simply don't consume stream bytes).
+        Three parallel ``int64`` arrays in stream order: each piece's
+        absolute file start, its length, and the offset of its first byte
+        *within the request's data buffer* — what scatter/gather and
+        two-phase splitting need. Adjacent-in-file pieces are merged; merged
+        pieces always map contiguous buffer ranges, because only
+        stream-consecutive pieces merge. Holes of the filetype consume no
+        stream bytes, so a range never "straddles" one: it skips it.
+
+        Two inputs need no table walk and leave in O(1): a contiguous view,
+        and a request that ends inside the segment it starts in.
         """
         if stream_pos < 0 or nbytes < 0:
             raise MpiIoError(f"bad view range [{stream_pos}, +{nbytes})")
-        out: list[Extent] = []
-        remaining = nbytes
-        pos = stream_pos
-        while remaining > 0:
-            tile, within = divmod(pos, self._tile_data)
-            # Find the segment containing data offset `within` in the tile.
-            seg_idx = bisect.bisect_right(self._cum, within) - 1
-            seg_off, seg_len = self._segments[seg_idx]
-            into_seg = within - self._cum[seg_idx]
-            take = min(remaining, seg_len - into_seg)
-            file_start = (
-                self.displacement + tile * self._tile_extent + seg_off + into_seg
+        if nbytes == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        if self._contiguous:
+            return _one_piece(self.displacement + stream_pos, nbytes)
+        cum, seg_off, seg_len = self._cum, self._seg_off, self._seg_len
+        tile, within = divmod(stream_pos, self._tile_data)
+        seg = int(cum.searchsorted(within, "right")) - 1
+        into_seg = within - int(cum[seg])
+        if into_seg + nbytes <= seg_len[seg]:
+            return _one_piece(
+                self.displacement + tile * self._tile_extent + int(seg_off[seg]) + into_seg,
+                nbytes,
             )
-            ext = Extent(file_start, file_start + take)
-            if out and out[-1].stop == ext.start:
-                out[-1] = Extent(out[-1].start, ext.stop)
-            else:
-                out.append(ext)
-            pos += take
-            remaining -= take
-        return out
+        # Every segment from the first touched to the last, numbered through
+        # the tiles; the request clips the first and the last of them.
+        stop = stream_pos + nbytes
+        last_tile, last_within = divmod(stop - 1, self._tile_data)
+        last_seg = int(cum.searchsorted(last_within, "right")) - 1
+        nseg = len(seg_len)
+        tiles, segs = np.divmod(
+            np.arange(tile * nseg + seg, last_tile * nseg + last_seg + 1), nseg
+        )
+        seg_pos = tiles * self._tile_data + cum[segs]  # stream position
+        lo = np.maximum(seg_pos, stream_pos)
+        lengths = np.minimum(seg_pos + seg_len[segs], stop) - lo
+        starts = (
+            self.displacement + tiles * self._tile_extent + seg_off[segs] + (lo - seg_pos)
+        )
+        heads = merge_runs(starts, lengths)
+        return starts[heads], np.add.reduceat(lengths, heads), lo[heads] - stream_pos
 
     def map_pieces(self, stream_pos: int, nbytes: int) -> list[tuple[Extent, int]]:
-        """Like :meth:`map_extents` but each extent carries the offset of its
-        first byte *within the request's data buffer* — what scatter/gather
-        and two-phase splitting need. Merged extents always map contiguous
-        buffer ranges, because merging only happens for stream-consecutive
-        pieces."""
-        if stream_pos < 0 or nbytes < 0:
-            raise MpiIoError(f"bad view range [{stream_pos}, +{nbytes})")
-        out: list[tuple[Extent, int]] = []
-        remaining = nbytes
-        pos = stream_pos
-        while remaining > 0:
-            tile, within = divmod(pos, self._tile_data)
-            seg_idx = bisect.bisect_right(self._cum, within) - 1
-            seg_off, seg_len = self._segments[seg_idx]
-            into_seg = within - self._cum[seg_idx]
-            take = min(remaining, seg_len - into_seg)
-            file_start = (
-                self.displacement + tile * self._tile_extent + seg_off + into_seg
-            )
-            ext = Extent(file_start, file_start + take)
-            if out and out[-1][0].stop == ext.start:
-                prev_ext, prev_mem = out[-1]
-                out[-1] = (Extent(prev_ext.start, ext.stop), prev_mem)
-            else:
-                out.append((ext, pos - stream_pos))
-            pos += take
-            remaining -= take
-        return out
+        """:meth:`map_arrays` as a list of ``(file extent, buffer offset)``."""
+        starts, lengths, mems = self.map_arrays(stream_pos, nbytes)
+        return [
+            (Extent(start, start + length), mem)
+            for start, length, mem in zip(starts.tolist(), lengths.tolist(), mems.tolist())
+        ]
+
+    def map_extents(self, stream_pos: int, nbytes: int) -> list[Extent]:
+        """Absolute file extents for stream bytes [stream_pos, +nbytes), in
+        stream order."""
+        return [ext for ext, _ in self.map_pieces(stream_pos, nbytes)]
 
     def map_etype_extents(self, offset_etypes: int, count_etypes: int) -> list[Extent]:
         """map_extents with MPI units: offset and count in etypes."""
@@ -136,12 +148,8 @@ class FileView:
             return 0
         span = extent_stop - self.displacement
         tiles, rem = divmod(span, self._tile_extent) if self._tile_extent else (0, span)
-        covered = tiles * self._tile_data
-        for (seg_off, seg_len), cum in zip(self._segments, self._cum):
-            if seg_off >= rem:
-                break
-            covered += min(seg_len, rem - seg_off)
-        return covered
+        below = np.clip(rem - self._seg_off, 0, self._seg_len)
+        return tiles * self._tile_data + int(below.sum())
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -28,8 +28,10 @@ rounds). See ``docs/architecture.md``.
 
 from __future__ import annotations
 
-import bisect
+from itertools import islice
 from typing import Optional, TYPE_CHECKING
+
+import numpy as np
 
 from repro.faults.retry import pfs_read, pfs_write
 from repro.obs.spans import NULL_TRACER
@@ -43,7 +45,7 @@ from repro.topo import (
     split_by_node,
 )
 from repro.util.errors import MpiIoError
-from repro.util.intervals import Extent
+from repro.util.intervals import Extent, run_heads
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpiio.file import MpiFile
@@ -60,41 +62,70 @@ class FileDomains:
         self.gmin = gmin
         self.gmax = gmax
         self.naggs = naggs
-        total = gmax - gmin
-        base, rem = divmod(total, naggs)
-        bounds = [gmin]
-        for i in range(naggs):
-            size = base + (1 if i < rem else 0)
-            bounds.append(bounds[-1] + size)
+        sizes = (gmax - gmin) // naggs + (np.arange(naggs) < (gmax - gmin) % naggs)
+        bounds = gmin + np.concatenate(([0], np.cumsum(sizes)))
         if align > 1:
             # Ablation: snap interior boundaries up to lock-unit multiples.
-            for i in range(1, naggs):
-                snapped = -(-(bounds[i] - gmin) // align) * align + gmin
-                bounds[i] = min(max(snapped, bounds[i - 1]), gmax)
-            bounds[naggs] = gmax
-        self.bounds = bounds
+            snapped = -(-(bounds[1:-1] - gmin) // align) * align + gmin
+            bounds[1:-1] = np.minimum(snapped, gmax)
+        self.bounds = bounds  # int64, naggs + 1 entries
 
     def domain(self, agg: int) -> Extent:
         """Aggregator *agg*'s file domain extent."""
-        return Extent(self.bounds[agg], self.bounds[agg + 1])
+        return Extent(int(self.bounds[agg]), int(self.bounds[agg + 1]))
 
-    def owner_of(self, offset: int) -> int:
-        """Aggregator whose domain contains file byte *offset*."""
-        if not (self.gmin <= offset < self.gmax):
-            raise MpiIoError(f"offset {offset} outside aggregate region")
-        idx = bisect.bisect_right(self.bounds, offset) - 1
-        return min(idx, self.naggs - 1)
+    def windows(self, rnd: int, span: int) -> tuple[np.ndarray, np.ndarray]:
+        """Round *rnd*'s ``[lo, hi)`` slice of every domain, *span* bytes
+        long at most (empty once a domain is exhausted)."""
+        lo = np.minimum(self.bounds[1:], self.bounds[:-1] + rnd * span)
+        return lo, np.minimum(self.bounds[1:], lo + span)
+
+    def split_arrays(self, starts: np.ndarray, lengths: np.ndarray, mems: np.ndarray):
+        """Cut a whole access at the domain boundaries.
+
+        *starts*, *lengths* and *mems* are :meth:`FileView.map_arrays`
+        pieces (every length positive). Returns ``(owners, starts, lengths,
+        mems)`` in the same stream order: one ``searchsorted`` assigns the
+        domain of each piece's first and last byte, and only the pieces
+        where the two differ — the straddlers — are cut, one part per
+        nonempty domain they cross, each part carrying the buffer offset of
+        its own first byte.
+        """
+        if len(starts) == 0:
+            return starts, starts, lengths, mems
+        stops = starts + lengths
+        if starts.min() < self.gmin or stops.max() > self.gmax:
+            raise MpiIoError(
+                f"pieces outside aggregate region [{self.gmin}, {self.gmax})"
+            )
+        bounds = self.bounds
+        first = bounds.searchsorted(starts, "right") - 1
+        last = bounds.searchsorted(stops - 1, "right") - 1
+        if (first == last).all():
+            return first, starts, lengths, mems
+        nparts = last - first + 1
+        piece = np.repeat(np.arange(len(starts)), nparts)
+        part = np.arange(len(piece)) - np.repeat(np.cumsum(nparts) - nparts, nparts)
+        owners = first[piece] + part
+        lo = np.maximum(starts[piece], bounds[owners])
+        hi = np.minimum(stops[piece], bounds[owners + 1])
+        keep = hi > lo  # a crossed domain may be empty (aligned bounds)
+        lo, piece = lo[keep], piece[keep]
+        return owners[keep], lo, hi[keep] - lo, mems[piece] + (lo - starts[piece])
 
     def split(self, extent: Extent) -> list[tuple[int, Extent]]:
         """Cut *extent* at domain boundaries: (aggregator, piece) pairs."""
-        out: list[tuple[int, Extent]] = []
-        pos = extent.start
-        while pos < extent.stop:
-            agg = self.owner_of(pos)
-            stop = min(extent.stop, self.bounds[agg + 1])
-            out.append((agg, Extent(pos, stop)))
-            pos = stop
-        return out
+        owners, starts, lengths, _ = self.split_arrays(
+            np.array([extent.start]), np.array([extent.length]), np.zeros(1, np.int64)
+        )
+        return [
+            (agg, Extent(start, start + length))
+            for agg, start, length in zip(owners.tolist(), starts.tolist(), lengths.tolist())
+        ]
+
+    def owner_of(self, offset: int) -> int:
+        """Aggregator whose domain contains file byte *offset*."""
+        return self.split(Extent(offset, offset + 1))[0][0]
 
 
 def spread_aggregators(topo: NodeTopology, naggs: int) -> list[int]:
@@ -214,19 +245,20 @@ def _get_node_exchange(mf: "MpiFile"):
 
 
 def _setup(mf: "MpiFile", nx: Optional[NodeExchange], stream_pos: int, nbytes: int):
-    """Common prologue (coroutine): this rank's pieces, the file domains,
-    each domain's aggregator (comm ranks) and the index of the domain this
-    rank aggregates (None for a non-aggregator). Domains are None when no
-    rank accesses anything."""
+    """Common prologue (coroutine): the file domains, this rank's access
+    cut at their boundaries (:meth:`FileDomains.split_arrays`), each
+    domain's aggregator (comm ranks) and the index of the domain this rank
+    aggregates (None for a non-aggregator). Domains are None when no rank
+    accesses anything."""
     comm = mf.comm
-    pieces = mf.view.map_pieces(stream_pos, nbytes) if nbytes else []
-    lo = pieces[0][0].start if pieces else None
-    hi = pieces[-1][0].stop if pieces else None
+    starts, lengths, mems = mf.view.map_arrays(stream_pos, nbytes)
+    lo = int(starts[0]) if len(starts) else None
+    hi = int(starts[-1] + lengths[-1]) if len(starts) else None
     ranges = yield from collectives.allgather(comm, (lo, hi))
     los = [lo_ for lo_, _ in ranges if lo_ is not None]
     his = [h for _, h in ranges if h is not None]
     if not los:
-        return pieces, None, (), None
+        return None, None, (), None
     gmin, gmax = min(los), max(his)
     naggs = mf.hints.cb_nodes or comm.size
     naggs = min(naggs, comm.size)
@@ -234,15 +266,51 @@ def _setup(mf: "MpiFile", nx: Optional[NodeExchange], stream_pos: int, nbytes: i
     domains = FileDomains(gmin, gmax, naggs, align)
     aggs = range(naggs) if nx is None else spread_aggregators(nx.topo, naggs)
     mine = aggs.index(comm.rank) if comm.rank in aggs else None
-    return pieces, domains, aggs, mine
+    return domains, domains.split_arrays(starts, lengths, mems), aggs, mine
 
 
-def _domain_pieces(pieces, domains: FileDomains):
-    """Cut a rank's (file extent, memory offset) pieces at the file-domain
-    boundaries: ``(domain index, file extent, memory offset)`` triples."""
-    for ext, mem_off in pieces:
-        for di, piece in domains.split(ext):
-            yield di, piece, mem_off + (piece.start - ext.start)
+def _owner_runs(owners: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(domain, first, stop, bytes)`` of every maximal run of consecutive
+    pieces ``[first, stop)`` with one owner, in stream order. An access that
+    ascends through the file has one run per domain it touches."""
+    if len(owners) == 0:
+        return []
+    first = run_heads(owners[1:] != owners[:-1])
+    return list(zip(
+        owners[first].tolist(),
+        first.tolist(),
+        first[1:].tolist() + [len(owners)],
+        np.add.reduceat(lengths, first).tolist(),
+    ))
+
+
+def _by_domain(runs, items: list) -> tuple[dict[int, list], dict[int, int]]:
+    """Per-domain lists of the stream-ordered per-piece *items*, and each
+    domain's byte total. Dict order is first appearance in the stream (it
+    fixes the order of the exchange's isends), list order stream order."""
+    lists: dict[int, list] = {}
+    nbytes: dict[int, int] = {}
+    for di, first, stop, size in runs:
+        lists.setdefault(di, []).extend(items[first:stop])
+        nbytes[di] = nbytes.get(di, 0) + size
+    return lists, nbytes
+
+
+def _pack_sends(split, win_lo: np.ndarray, win_hi: np.ndarray, data: bytes):
+    """The write exchange's payloads for one round: the part of every piece
+    of a split access that lies in its owner's window, as per-domain
+    ``(file offset, block)`` lists with each domain's byte total."""
+    owners, starts, lengths, mems = split
+    lo = np.maximum(starts, win_lo[owners])
+    hi = np.minimum(starts + lengths, win_hi[owners])
+    held = hi > lo
+    lo, sizes = lo[held], (hi - lo)[held]
+    mem_lo = mems[held] + (lo - starts[held])
+    blocks = [
+        (start, data[m : m + n])
+        for start, m, n in zip(lo.tolist(), mem_lo.tolist(), sizes.tolist())
+    ]
+    return _by_domain(_owner_runs(owners[held], sizes), blocks)
 
 
 def _paint(buf: bytearray, base: int, incoming) -> int:
@@ -264,14 +332,14 @@ def _paint(buf: bytearray, base: int, incoming) -> int:
 # ----------------------------------------------------------------------
 
 
-def _flat_write_edges(mf: "MpiFile", send_lists: dict, reserve):
+def _flat_write_edges(mf: "MpiFile", send_lists: dict, send_bytes: dict, reserve):
     """Flat write router (coroutine): a counts alltoall, then one message
     per (rank, aggregator) pair that has data. ``reserve()`` runs once the
     incoming edges are known, before the first irecv."""
     comm = mf.comm
     out_counts = [0] * comm.size
-    for agg, lst in send_lists.items():
-        out_counts[agg] = sum(len(b) for _, b in lst)
+    for agg, nbytes in send_bytes.items():
+        out_counts[agg] = nbytes
     in_counts = yield from collectives.alltoall(comm, out_counts)
     tag = collectives._next_tag(comm)
     reserve()
@@ -285,7 +353,9 @@ def _flat_write_edges(mf: "MpiFile", send_lists: dict, reserve):
     return recv_reqs
 
 
-def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: dict, reserve):
+def _node_write_edges(
+    mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: dict, send_bytes: dict, reserve
+):
     """Node write router (coroutine): stage remote-bound pieces with the
     node leader, then the fixed edge set of :class:`NodeExchange` — every
     edge is always sent, even empty, so no counts round is needed."""
@@ -298,7 +368,7 @@ def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: d
         lst = send_lists.get(di)
         if not lst or nx.routes_direct(rank, agg):
             continue
-        nbytes = sum(len(b) for _, b in lst)
+        nbytes = send_bytes[di]
         yield from charge_staging_copy(world, rank, nbytes)
         alloc = world.memory.allocate(rank, nbytes, "topo.staging")
         nx.stage.deposit(("w", seq, di), lst, nbytes, allocation=alloc)
@@ -319,7 +389,7 @@ def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: d
             if nx.topo.node_of_rank(agg) == nx.node:
                 continue
             staged = nx.stage.drain(("w", seq, di))
-            nbytes = sum(len(b) for _, b in staged)
+            nbytes = sum([len(b) for _, b in staged])
             if nbytes:
                 yield from charge_staging_copy(world, rank, nbytes)
             yield from comm.isend(
@@ -433,7 +503,7 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
     # counter/span name and PFS retry prefix: rounds mode keeps its own
     name = "ocio.write_all" + ("" if cap is None else "_rounds")
     what = "ocio.io" if cap is None else "ocio.rounds"
-    pieces, domains, aggs, mine = yield from _setup(mf, nx, stream_pos, len(data))
+    domains, split, aggs, mine = yield from _setup(mf, nx, stream_pos, len(data))
     if domains is None:
         yield from collectives.barrier(comm)
         return
@@ -456,36 +526,20 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
                 world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
             )
 
-    longest = max(domains.domain(di).length for di in range(domains.naggs))
+    longest = int(np.diff(domains.bounds).max())
     span = cap if cap is not None else max(1, longest)
     for rnd in range(max(1, -(-longest // span))):
-
-        def window(di: int) -> Extent:
-            d = domains.domain(di)
-            lo = min(d.stop, d.start + rnd * span)
-            return Extent(lo, min(d.stop, lo + span))
-
-        # ---- split local pieces by file domain (this window of it) ----
-        send_lists: dict[int, list[tuple[int, bytes]]] = {}
-        packed = 0
-        for di, piece, mem_off in _domain_pieces(pieces, domains):
-            part = piece
-            if cap is not None:  # only what this round's window holds
-                part = piece.intersect(window(di))
-                if part.is_empty():
-                    continue
-                mem_off += part.start - piece.start
-            block = data[mem_off : mem_off + part.stop - part.start]
-            send_lists.setdefault(di, []).append((part.start, block))
-            packed += len(block)
-        mf._copy_cost(packed)  # pack into messages
+        # ---- pack what this round's windows hold, per file domain ------
+        win_lo, win_hi = domains.windows(rnd, span)
+        send_lists, send_bytes = _pack_sends(split, win_lo, win_hi, data)
+        mf._copy_cost(sum(send_bytes.values()))  # pack into messages
 
         # ---- data exchange phase --------------------------------------
         if nx is None:
-            recv_reqs = yield from _flat_write_edges(mf, send_lists, reserve)
+            recv_reqs = yield from _flat_write_edges(mf, send_lists, send_bytes, reserve)
         else:
             recv_reqs = yield from _node_write_edges(
-                mf, nx, aggs, mine, send_lists, reserve
+                mf, nx, aggs, mine, send_lists, send_bytes, reserve
             )
         if nx is None or mine is not None:  # node: only aggregators wait
             with tracer.span(
@@ -499,7 +553,8 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
             incoming = [send_lists.get(mine, [])] + [
                 unpack_object(req.payload) for req in recv_reqs
             ]
-            yield from _assemble_and_write(mf, window(mine), incoming, what, tracer)
+            window = Extent(int(win_lo[mine]), int(win_hi[mine]))
+            yield from _assemble_and_write(mf, window, incoming, what, tracer)
 
     for alloc in allocs:
         world.memory.free(alloc)
@@ -528,7 +583,7 @@ def _read_and_serve(mf: "MpiFile", domain: Extent, in_pairs, tag: int):
             (off, blob[off - domain.start : off - domain.start + ln])
             for off, ln in lst
         ]
-        mf._copy_cost(sum(ln for _, ln in lst))
+        mf._copy_cost(sum([ln for _, ln in lst]))
         if src == comm.rank:
             served_local = blocks
         else:
@@ -549,47 +604,49 @@ def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
     rank = comm.rank
     world = mf.env.world
     t0 = world.engine.now
-    pieces, domains, aggs, mine = yield from _setup(mf, nx, stream_pos, nbytes)
+    domains, split, aggs, mine = yield from _setup(mf, nx, stream_pos, nbytes)
     if domains is None:
         return b""
+    owners, starts, lengths, _ = split
+    runs = _owner_runs(owners, lengths)
 
     # ---- send my requests to the owning aggregators -----------------
-    request_lists: dict[int, list[tuple[int, int]]] = {}
-    for di, piece, _mem in _domain_pieces(pieces, domains):
-        request_lists.setdefault(di, []).append((piece.start, piece.length))
+    request_lists, _ = _by_domain(runs, list(zip(starts.tolist(), lengths.tolist())))
     if nx is None:
         tag, req_reqs, in_pairs = yield from _flat_read_edges(mf, request_lists)
     else:
         tag, req_reqs, in_pairs = yield from _node_read_edges(
             mf, nx, aggs, mine, request_lists
         )
-    reply_reqs = []  # one per aggregator this rank asked (nonempty only)
-    for di in sorted(request_lists):
-        if aggs[di] != rank:
-            reply_reqs.append(
-                (yield from comm.irecv(aggs[di], tag, context=CTX_COLL))
-            )
+    # one reply per aggregator this rank asked (nonempty only)
+    asked = [di for di in sorted(request_lists) if aggs[di] != rank]
+    reply_reqs = []
+    for di in asked:
+        reply_reqs.append((yield from comm.irecv(aggs[di], tag, context=CTX_COLL)))
 
     # ---- aggregators read their domains and serve --------------------
-    by_offset: dict[int, bytes] = {}
+    replies: dict[int, list[tuple[int, bytes]]] = {}
     if mine is not None:
         yield from wait_all(req_reqs)
         for req in req_reqs:
             in_pairs.extend(unpack_object(req.payload))
-        by_offset.update(
-            (yield from _read_and_serve(mf, domains.domain(mine), in_pairs, tag))
+        replies[mine] = yield from _read_and_serve(
+            mf, domains.domain(mine), in_pairs, tag
         )
 
     # ---- assemble the local result ------------------------------------
     yield from wait_all(reply_reqs)
-    for req in reply_reqs:
-        by_offset.update(unpack_object(req.payload))
-    out = bytearray(nbytes)
-    for _di, piece, mem_off in _domain_pieces(pieces, domains):
-        block = by_offset[piece.start]
-        out[mem_off : mem_off + len(block)] = block
-    mf._copy_cost(sum(e.length for e, _ in pieces))
+    for di, req in zip(asked, reply_reqs):
+        replies[di] = unpack_object(req.payload)
+    # A domain's blocks come back in request order, and the pieces tile the
+    # request buffer in stream order: the result is each run's blocks, run
+    # after run.
+    served = {di: iter([block for _, block in lst]) for di, lst in replies.items()}
+    stream: list[bytes] = []
+    for di, first, stop, _ in runs:
+        stream.extend(islice(served[di], stop - first))
+    mf._copy_cost(nbytes)
     if world.trace is not None:
         world.trace.count("ocio.read_all", nbytes)
         world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
-    return bytes(out)
+    return b"".join(stream)

@@ -243,7 +243,10 @@ class Mailbox:
             if dq:
                 exact = dq[0]
         wild: Optional[_PostedRecv] = None
-        for post in self.posted_wild:
+        wilds = self.posted_wild
+        while wilds and wilds[0].matched:
+            wilds.popleft()
+        for post in wilds:
             if not post.matched and _matches(env, post):
                 wild = post
                 break

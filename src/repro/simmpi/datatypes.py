@@ -5,11 +5,15 @@ noncontiguous layouts with derived datatypes; TCIO uses ``Indexed`` to
 combine disjoint blocks into a single one-sided transfer. We implement the
 constructors the paper's Program 2 and Section IV use — contiguous, vector,
 indexed (plus subarray) — over a byte
-*typemap*: an ordered list of ``(offset, length)`` byte segments relative to
-the type's origin, with an *extent* giving the stride when the type tiles.
+*typemap*: an ordered ``(n, 2)`` ``int64`` table of ``(offset, length)`` byte
+segments relative to the type's origin, with an *extent* giving the stride
+when the type tiles.
 
-The typemap is flattened lazily and cached, with adjacent segments merged,
-so packing/unpacking and file-view translation work on plain extents.
+The typemap is built arithmetically — a constructed type broadcasts its
+base's table over its element shifts — flattened lazily and cached, with
+adjacent segments merged in one vectorised pass. File-view translation works
+on the table; ``segments`` is the same table as a tuple of pairs, for
+packing/unpacking and tests.
 """
 
 from __future__ import annotations
@@ -20,24 +24,30 @@ from typing import Sequence
 import numpy as np
 
 from repro.util.errors import DatatypeError
+from repro.util.intervals import merge_runs
 
 
-def _merge_segments(segments: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge adjacent (offset, length) segments, preserving order.
+def _merge_table(table: np.ndarray) -> np.ndarray:
+    """Drop empty segments of an ``(n, 2)`` table and merge adjacent ones."""
+    table = table[table[:, 1] > 0]
+    if len(table) < 2:
+        return table
+    heads = merge_runs(table[:, 0], table[:, 1])
+    return np.column_stack((table[heads, 0], np.add.reduceat(table[:, 1], heads)))
 
-    Only *consecutive-in-typemap and contiguous-in-bytes* runs merge; MPI
-    typemaps are ordered, and file views rely on that order.
-    """
-    merged: list[tuple[int, int]] = []
-    for off, length in segments:
-        if length == 0:
-            continue
-        if merged and merged[-1][0] + merged[-1][1] == off:
-            prev_off, prev_len = merged[-1]
-            merged[-1] = (prev_off, prev_len + length)
-        else:
-            merged.append((off, length))
-    return merged
+
+def _tile_table(table: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """*table* repeated once per entry of *shifts*, offsets moved by it."""
+    out = np.empty((len(shifts), len(table), 2), dtype=np.int64)
+    out[:, :, 0] = shifts[:, None] + table[:, 0]
+    out[:, :, 1] = table[:, 1]
+    return out.reshape(-1, 2)
+
+
+def _block_table(base: "Datatype", count: int) -> np.ndarray:
+    """Merged table of *count* extent-tiled copies of *base*."""
+    shifts = np.arange(count, dtype=np.int64) * base.extent
+    return _merge_table(_tile_table(base.typemap, shifts))
 
 
 class Datatype:
@@ -57,21 +67,28 @@ class Datatype:
         return self._extent
 
     @cached_property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        """Merged (offset, length) byte segments, in typemap order."""
-        return tuple(_merge_segments(self._build_segments()))
+    def typemap(self) -> np.ndarray:
+        """Merged ``(n, 2)`` int64 (offset, length) table, in typemap order."""
+        table = _merge_table(self._build_typemap())
+        table.flags.writeable = False
+        return table
 
-    def _build_segments(self) -> list[tuple[int, int]]:
+    @cached_property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        """The typemap as a tuple of (offset, length) pairs of ``int``."""
+        return tuple(map(tuple, self.typemap.tolist()))
+
+    def _build_typemap(self) -> np.ndarray:
         raise NotImplementedError
 
     @property
     def is_contiguous(self) -> bool:
         """True when the typemap is one segment starting at offset 0 that
         fills the whole extent (tiles with no holes)."""
-        segs = self.segments
-        if len(segs) == 0:
+        table = self.typemap
+        if len(table) == 0:
             return True
-        return len(segs) == 1 and segs[0] == (0, self.extent)
+        return len(table) == 1 and table[0].tolist() == [0, self.extent]
 
     # -- constructors matching MPI_Type_* ------------------------------
     def vector(self, count: int, blocklength: int, stride: int) -> "Vector":
@@ -93,8 +110,8 @@ class Primitive(Datatype):
         self._extent = nbytes
         self.np_dtype = np.dtype(np_dtype)
 
-    def _build_segments(self) -> list[tuple[int, int]]:
-        return [(0, self._size)]
+    def _build_typemap(self) -> np.ndarray:
+        return np.array([[0, self._size]], dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MPI_{self.name}>"
@@ -131,12 +148,8 @@ class Contiguous(Datatype):
         self._size = count * base.size
         self._extent = count * base.extent
 
-    def _build_segments(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.base.extent
-            out.extend((off + shift, ln) for off, ln in self.base.segments)
-        return out
+    def _build_typemap(self) -> np.ndarray:
+        return _block_table(self.base, self.count)
 
 
 class Vector(Datatype):
@@ -158,13 +171,9 @@ class Vector(Datatype):
             last_block_start = (count - 1) * stride * base.extent
             self._extent = last_block_start + blocklength * base.extent
 
-    def _build_segments(self) -> list[tuple[int, int]]:
-        block = Contiguous(self.blocklength, self.base)
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.stride * self.base.extent
-            out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
+    def _build_typemap(self) -> np.ndarray:
+        shifts = np.arange(self.count, dtype=np.int64) * (self.stride * self.base.extent)
+        return _tile_table(_block_table(self.base, self.blocklength), shifts)
 
 
 class Indexed(Datatype):
@@ -182,24 +191,24 @@ class Indexed(Datatype):
     ):
         if len(blocklengths) != len(displacements):
             raise DatatypeError("indexed: blocklengths/displacements length mismatch")
-        if any(b < 0 for b in blocklengths):
+        lengths = np.asarray(blocklengths, dtype=np.int64).reshape(-1)
+        disps = np.asarray(displacements, dtype=np.int64).reshape(-1)
+        if (lengths < 0).any():
             raise DatatypeError("indexed: negative blocklength")
-        self.blocklengths = tuple(int(b) for b in blocklengths)
-        self.displacements = tuple(int(d) for d in displacements)
+        self.blocklengths = tuple(lengths.tolist())
+        self.displacements = tuple(disps.tolist())
         self.base = base
-        self._size = sum(self.blocklengths) * base.size
-        ext = 0
-        for b, d in zip(self.blocklengths, self.displacements):
-            ext = max(ext, (d + b) * base.extent)
-        self._extent = ext
+        self._size = int(lengths.sum()) * base.size
+        self._extent = max(0, int((disps + lengths).max(initial=0)) * base.extent)
 
-    def _build_segments(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for b, d in zip(self.blocklengths, self.displacements):
-            block = Contiguous(b, self.base)
-            shift = d * self.base.extent
-            out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
+    def _build_typemap(self) -> np.ndarray:
+        # One shift per base element: block i contributes the elements
+        # displacements[i] .. displacements[i] + blocklengths[i] - 1.
+        lengths = np.array(self.blocklengths, dtype=np.int64)
+        disps = np.array(self.displacements, dtype=np.int64)
+        first = np.cumsum(lengths) - lengths  # running element index of each block
+        elems = np.arange(lengths.sum(), dtype=np.int64) + np.repeat(disps - first, lengths)
+        return _tile_table(self.base.typemap, elems * self.base.extent)
 
 
 class Subarray(Datatype):
@@ -240,29 +249,21 @@ class Subarray(Datatype):
         self._size = count * base.size
         self._extent = total * base.extent
 
-    def _build_segments(self) -> list[tuple[int, int]]:
-        # Row-major enumeration of the sub-block's element offsets; the
-        # innermost dimension is contiguous, so emit one run per "row".
-        if any(s == 0 for s in self.subsizes):
-            return []
-        ndim = len(self.sizes)
-        strides = [self.base.extent] * ndim
-        for d in range(ndim - 2, -1, -1):
-            strides[d] = strides[d + 1] * self.sizes[d + 1]
-        run_len = self.subsizes[-1]
-        out: list[tuple[int, int]] = []
-
-        def emit(dim: int, offset: int) -> None:
-            if dim == ndim - 1:
-                start = offset + self.starts[dim] * strides[dim]
-                block = Contiguous(run_len, self.base)
-                out.extend((start + o, ln) for o, ln in block.segments)
-                return
-            for i in range(self.subsizes[dim]):
-                emit(dim + 1, offset + (self.starts[dim] + i) * strides[dim])
-
-        emit(0, 0)
-        return out
+    def _build_typemap(self) -> np.ndarray:
+        # Row-major enumeration of the sub-block: the innermost dimension is
+        # contiguous, so the table is one run per "row", tiled over the
+        # outer-dimension offsets of every row.
+        if 0 in self.subsizes:
+            return np.empty((0, 2), dtype=np.int64)
+        stride = self.base.extent
+        rows = np.array([self.starts[-1] * stride], dtype=np.int64)
+        for n, sub, start in zip(
+            self.sizes[:0:-1], self.subsizes[-2::-1], self.starts[-2::-1]
+        ):
+            stride *= n
+            steps = (start + np.arange(sub, dtype=np.int64)) * stride
+            rows = np.add.outer(steps, rows).reshape(-1)
+        return _tile_table(_block_table(self.base, self.subsizes[-1]), rows)
 
 
 # ----------------------------------------------------------------------

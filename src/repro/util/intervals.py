@@ -12,6 +12,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True, order=True)
 class Extent:
@@ -98,6 +100,25 @@ def merge_ranges(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             merged.append((lo, hi))
     return merged
+
+
+def run_heads(breaks: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of a nonempty sequence,
+    given ``breaks[i]``: whether element ``i + 1`` starts a new run."""
+    return np.concatenate(([0], np.flatnonzero(breaks) + 1))
+
+
+def merge_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Where each run of ordered ``[start, start + length)`` pieces begins.
+
+    The array form of merging neighbours: a run is a maximal stretch of
+    *consecutive and byte-adjacent* pieces — one piece once merged. Returns
+    the index of every run's first piece: the merged starts are
+    ``starts[heads]``, the merged lengths ``np.add.reduceat(lengths,
+    heads)``. Only neighbours merge, never sorted order: MPI typemaps are
+    ordered, and file views rely on that order.
+    """
+    return run_heads(starts[1:] != starts[:-1] + lengths[:-1])
 
 
 def _start_of(extent: Extent) -> int:
