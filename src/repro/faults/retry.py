@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
+from repro.sim.api import run_coroutine
 from repro.util.errors import LockTimeout, PfsError
 
 T = TypeVar("T")
@@ -66,8 +67,6 @@ def pfs_retry(world, what: str, op: Callable[[Optional[float]], T]):
     acquires back off and retry; the final attempt waits unboundedly so
     the operation always completes once the queue drains.
     """
-    from repro.sim.api import run_coroutine
-
     plan = getattr(world, "faults", None)
     if plan is None or plan.spec.lock_timeout <= 0.0:
         return (yield from run_coroutine(op(None)))

@@ -271,3 +271,26 @@ class MetricsRegistry:
             metric = self._metrics[name]
             out[metric.kind + "s"][name] = metric.as_json()
         return out
+
+
+class MetricCache(dict):
+    """Metric objects by name, resolved through *make* on first use.
+
+    ``cache[name]`` is a plain dict lookup once the name is known, so a
+    per-request hot path pays no registry hop. Resolution is lazy on
+    purpose: asking the registry creates the metric, and creating it at
+    construction would put zero-valued metrics into every export. *make*
+    is a registry accessor (``registry.counter``); a routed registry
+    (multi-job runs) hands out stand-ins that pick the job per operation,
+    so a cached stand-in stays per-job correct.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, name: str):
+        metric = self[name] = self._make(name)
+        return metric

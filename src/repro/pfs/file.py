@@ -33,13 +33,18 @@ class PfsFile:
         return len(self._data)
 
     def write_bytes(self, offset: int, data: bytes | memoryview) -> None:
-        """Store *data* at *offset*, growing (zero-filling) as needed."""
+        """Store *data* at *offset*, growing as needed.
+
+        Only the gap between the old end of file and *offset* is
+        zero-filled; the slice assignment itself extends the file by the
+        part of *data* past the end.
+        """
         if offset < 0:
             raise PfsError(f"negative write offset {offset}")
-        end = offset + len(data)
-        if end > len(self._data):
-            self._data.extend(b"\x00" * (end - len(self._data)))
-        self._data[offset:end] = data
+        gap = offset - len(self._data)
+        if gap > 0:
+            self._data.extend(bytes(gap))
+        self._data[offset : offset + len(data)] = data
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         """Fetch *nbytes* at *offset*; holes and post-EOF read as zeros."""

@@ -9,9 +9,11 @@ sleeps until the last piece completes, then the lock releases.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.netsim.server import ReservationServer
+from repro.obs.metrics import MetricCache
 from repro.pfs.file import PfsFile
 from repro.pfs.layout import StripeLayout
 from repro.pfs.lockmgr import LockMode
@@ -37,6 +39,11 @@ class Pfs:
         self.engine = engine
         self.spec = spec
         self.trace = trace
+        #: The request path's registry metrics, resolved on first use.
+        self._counters = MetricCache(trace.registry.counter) if trace is not None else None
+        self._histograms = (
+            MetricCache(trace.registry.histogram) if trace is not None else None
+        )
         self.osts = [
             Ost(
                 i,
@@ -190,10 +197,7 @@ class PfsClient:
         ``lock_timeout`` bounds the extent-lock wait (LockTimeout past it);
         None waits unboundedly, as before.
         """
-        yield from self._transfer(
-            file, offset, data=data, nbytes=len(data), write=True, owner=owner,
-            lock_timeout=lock_timeout,
-        )
+        return self._transfer(file, offset, data, len(data), True, owner, lock_timeout)
 
     def read(
         self,
@@ -208,10 +212,7 @@ class PfsClient:
 
         Coroutine returning the bytes.
         """
-        return (yield from self._transfer(
-            file, offset, data=None, nbytes=nbytes, write=False, owner=owner,
-            lock_timeout=lock_timeout,
-        ))
+        return self._transfer(file, offset, None, nbytes, False, owner, lock_timeout)
 
     def write_sieved(
         self,
@@ -228,7 +229,7 @@ class PfsClient:
         overlap would resurrect stale bytes over each other's disjoint
         data — the lost-update ROMIO's sieving locks exist to prevent.
         """
-        f = self._resolve(file)
+        f = file if isinstance(file, PfsFile) else self.pfs.lookup(file)
         if not pieces:
             return
         proc = active_process()
@@ -245,135 +246,153 @@ class PfsClient:
             proc.charge(self.pfs.spec.lock_latency)
         trace = self.pfs.trace
         tracer = trace.tracer if trace is not None else None
-        emit = tracer is not None and tracer.enabled
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         # read phase
         now = engine.now
         link_done = self._link.reserve(now, extent.length)
-        finish = link_done
-        for ost_idx, ost_pieces in f.layout.split_by_ost(extent).items():
-            ost = self.pfs.osts[ost_idx]
-            for piece in ost_pieces:
-                t = ost.reserve(
-                    link_done, piece.length, write=False, client=owner,
-                    tenant=self.tenant,
-                )
-                if emit:
-                    tracer.complete(
-                        "ost.read", ost.last_start, t, f"ost{ost_idx}",
-                        bytes=piece.length, client=owner,
-                    )
-                finish = max(finish, t)
+        finish = self._book_osts(f.layout, start_off, stop_off, link_done, False, owner, tracer)
         buf = bytearray(f.read_bytes(extent.start, extent.length))
         for off, data in pieces:
             buf[off - extent.start : off - extent.start + len(data)] = data
         # write phase starts after the read completes
         link_done = self._link.reserve(finish, extent.length)
-        w_finish = link_done
-        for ost_idx, ost_pieces in f.layout.split_by_ost(extent).items():
-            ost = self.pfs.osts[ost_idx]
-            for piece in ost_pieces:
-                t = ost.reserve(
-                    link_done, piece.length, write=True, client=owner,
-                    tenant=self.tenant,
-                )
-                if emit:
-                    tracer.complete(
-                        "ost.write", ost.last_start, t, f"ost{ost_idx}",
-                        bytes=piece.length, client=owner,
-                    )
-                w_finish = max(w_finish, t)
-        if emit:
+        w_finish = self._book_osts(f.layout, start_off, stop_off, link_done, True, owner, tracer)
+        if tracer is not None:
             tracer.complete("pfs.sieved_write", now, w_finish, bytes=extent.length)
         f.write_bytes(extent.start, bytes(buf))
         if w_finish > engine.now:
             proc.charge(w_finish - engine.now)
-            engine.schedule_at(w_finish, lambda: f.locks.done(grant))
+            engine.schedule_at(w_finish, partial(f.locks.done, grant))
         else:
             f.locks.done(grant)
-        if self.pfs.trace is not None:
-            self.pfs.trace.count("pfs.sieved_write", sum(len(b) for _, b in pieces))
+        if trace is not None:
+            self.pfs._counters["pfs.sieved_write"].add(sum(len(b) for _, b in pieces))
 
     # ------------------------------------------------------------------
-    def _resolve(self, file: PfsFile | str) -> PfsFile:
-        return file if isinstance(file, PfsFile) else self.pfs.lookup(file)
+    def _book_osts(
+        self,
+        layout: StripeLayout,
+        start: int,
+        stop: int,
+        arrival: float,
+        write: bool,
+        owner: int,
+        tracer,
+    ) -> float:
+        """Reserve bytes ``[start, stop)`` on the OSTs that store them, every
+        piece arriving at *arrival*, in stripe order (runs on one OST
+        merged by :meth:`StripeLayout.split_by_ost`); returns the latest
+        completion, never before *arrival*. ``ost.*`` intervals go to
+        *tracer* when one is given.
+        """
+        osts = self.pfs.osts
+        finish = arrival
+        for ost_idx, pieces in layout.split_by_ost(Extent(start, stop)).items():
+            ost = osts[ost_idx]
+            for piece in pieces:
+                t = ost.reserve(
+                    arrival, piece.length, write=write, client=owner, tenant=self.tenant
+                )
+                if tracer is not None:
+                    tracer.complete(
+                        "ost.write" if write else "ost.read", ost.last_start, t,
+                        f"ost{ost_idx}", bytes=piece.length, client=owner,
+                    )
+                if t > finish:
+                    finish = t
+        return finish
 
     def _transfer(
         self,
         file: PfsFile | str,
         offset: int,
-        *,
         data: Optional[bytes | memoryview],
         nbytes: int,
         write: bool,
         owner: int,
-        lock_timeout: Optional[float] = None,
+        lock_timeout: Optional[float],
     ):
-        f = self._resolve(file)
+        """One contiguous read or write (coroutine returning the bytes
+        read, or None for a write): the extent lock, the link and OST
+        reservations, the bytes, and the lock release at completion."""
+        f = file if isinstance(file, PfsFile) else self.pfs.lookup(file)
         proc = active_process()
         yield from proc.settle()
-        engine = self.pfs.engine
-        trace = self.pfs.trace
-        if nbytes == 0:
-            return b""
-        extent = Extent(offset, offset + nbytes)
+        if nbytes <= 0:
+            if nbytes < 0:
+                raise PfsError(f"negative request size {nbytes}")
+            return None if write else b""
+        pfs = self.pfs
+        engine = pfs.engine
+        stop = offset + nbytes
 
-        # 1. The extent lock. A cached grant (Lustre client lock caching)
-        #    is free; an actual acquisition charges the lock-server round
-        #    trip, and contended acquires park the caller inside acquire().
+        # 1. The extent lock, on whole lock units. A cached grant (Lustre
+        #    client lock caching) is free; an actual acquisition charges
+        #    the lock-server round trip, and a contended one parks the
+        #    caller in wait_for.
+        locks = f.locks
         mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
-        hits_before = f.locks.cache_hits
-        grant = yield from f.locks.acquire(owner, mode, extent, timeout=lock_timeout)
-        if f.locks.cache_hits == hits_before:
-            proc.charge(self.pfs.spec.lock_latency)
+        unit = locks.granularity
+        lock_lo = offset // unit * unit
+        lock_hi = -(-stop // unit) * unit
+        hits_before = locks.cache_hits
+        grant = locks.acquire_nowait(owner, mode, lock_lo, lock_hi, proc)
+        if grant is None:
+            grant = yield from locks.wait_for(
+                owner, mode, lock_lo, lock_hi, proc, lock_timeout
+            )
+        if locks.cache_hits == hits_before:
+            proc.charge(pfs.spec.lock_latency)
         released = False
         try:
             # 2. The client link and the OSTs both reserve the transfer;
-            #    completion is the max over all per-OST pieces.
+            #    completion is the latest of them.
+            trace = pfs.trace
             tracer = trace.tracer if trace is not None else None
-            emit = tracer is not None and tracer.enabled
-            op = "ost.write" if write else "ost.read"
+            if tracer is not None and not tracer.enabled:
+                tracer = None
             start = engine.now
-            finish = start
             link_done = self._link.reserve(start, nbytes)
-            for ost_idx, pieces in f.layout.split_by_ost(extent).items():
-                ost = self.pfs.osts[ost_idx]
-                for piece in pieces:
-                    t = ost.reserve(
-                        link_done, piece.length, write=write, client=owner,
-                        tenant=self.tenant,
+            layout = f.layout
+            stripe = offset // layout.stripe_size
+            if (stop - 1) // layout.stripe_size == stripe:
+                # Inside one stripe (every independent MPI-IO request,
+                # every TCIO segment flush): one request on its OST.
+                ost_idx = layout.ost_of_stripe(stripe)
+                ost = pfs.osts[ost_idx]
+                t = ost.reserve(link_done, nbytes, write=write, client=owner, tenant=self.tenant)
+                if tracer is not None:
+                    tracer.complete(
+                        "ost.write" if write else "ost.read", ost.last_start, t,
+                        f"ost{ost_idx}", bytes=nbytes, client=owner,
                     )
-                    if emit:
-                        tracer.complete(
-                            op, ost.last_start, t, f"ost{ost_idx}",
-                            bytes=piece.length, client=owner,
-                        )
-                    finish = max(finish, t)
-            finish = max(finish, link_done)
-            if emit:
+                finish = t if t > link_done else link_done
+            else:
+                finish = self._book_osts(layout, offset, stop, link_done, write, owner, tracer)
+            if tracer is not None:
                 tracer.complete(
-                    "pfs.write" if write else "pfs.read", start, finish,
-                    bytes=nbytes,
+                    "pfs.write" if write else "pfs.read", start, finish, bytes=nbytes
                 )
 
             # 3. Data lands/loads instantaneously at the commit point; the
             #    caller's timeline advances to `finish` lazily, and the
             #    lock releases (waking any waiter) exactly at `finish`.
             if write:
-                assert data is not None
                 f.write_bytes(offset, data)
-                result = b""
+                result = None
             else:
                 result = f.read_bytes(offset, nbytes)
             if finish > engine.now:
                 proc.charge(finish - engine.now)
-                engine.schedule_at(finish, lambda: f.locks.done(grant))
+                engine.schedule_at(finish, partial(locks.done, grant))
                 released = True
             if trace is not None:
-                trace.count("pfs.write" if write else "pfs.read", nbytes)
-                trace.registry.histogram(
-                    "pfs.write_bytes" if write else "pfs.read_bytes"
-                ).observe(nbytes)
+                pfs._counters["pfs.write" if write else "pfs.read"].add(nbytes)
+                pfs._histograms["pfs.write_bytes" if write else "pfs.read_bytes"].observe(
+                    nbytes
+                )
             return result
         finally:
             if not released:
-                f.locks.done(grant)
+                locks.done(grant)

@@ -10,6 +10,13 @@ compete with each other for the privilege to access a locked region."
 Grants are FIFO (a blocked request also blocks later compatible requests on
 overlapping ranges, preventing starvation), and each acquire/release pair
 charges a fixed lock-server round trip.
+
+The lock table is indexed by lock unit: a held grant is filed under every
+unit it spans, so a request looks only at the grants of the units it
+touches, never at everything the file has ever locked. Candidates are
+visited in grant-creation order, which keeps the first cached match, the
+revoke order in the audit history and the contention-penalty count
+exactly those of a scan over every held grant.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Sequence
 
+from repro.obs.metrics import MetricCache
 from repro.obs.spans import NULL_TRACER
 from repro.sim.engine import active_process
 from repro.sim.process import SimProcess
@@ -30,6 +38,9 @@ class LockMode(enum.Enum):
     """Shared (read) vs exclusive (write) extent locks."""
     SHARED = "shared"  # concurrent readers
     EXCLUSIVE = "exclusive"  # single writer
+
+
+_EXCLUSIVE = LockMode.EXCLUSIVE  # module-level: the hot loops test it per grant
 
 
 @dataclass
@@ -48,6 +59,8 @@ class LockGrant:
     extent: Extent  # already rounded to lock units
     released: bool = False
     in_use: int = 1  # active I/O operations under this grant
+    seq: int = 0  # creation order: the order candidates are visited in
+    units: Sequence[int] = ()  # the lock units it is filed under
 
 
 @dataclass
@@ -66,6 +79,11 @@ class LockManager:
     holder/waiter it finds (the DLM callback/revocation round trips of a
     real lock server) — fine-grained interleaved writers therefore degrade
     superlinearly with client count.
+
+    The extent predicates are written out on integer bounds in the hot
+    loops below: ``a.start < b.stop and b.start < a.stop`` is
+    :meth:`Extent.overlaps`, ``a.start <= b.start and b.stop <= a.stop``
+    is :meth:`Extent.covers`.
     """
 
     def __init__(
@@ -80,7 +98,13 @@ class LockManager:
         self.contention_penalty = contention_penalty
         self.trace = trace  # optional TraceRecorder hub
         self._tracer = trace.tracer if trace is not None else NULL_TRACER
-        self._held: list[LockGrant] = []
+        self._counters = MetricCache(trace.registry.counter) if trace is not None else None
+        #: Held (incl. cached) grants by lock-unit index: unit -> {seq:
+        #: grant}. Grants enter a bucket in creation order, so every
+        #: bucket iterates in it. See :meth:`_units_of` for the filing.
+        self._units: dict[int, dict[int, LockGrant]] = {}
+        self._n_held = 0
+        self._seq = 0
         self._queue: Deque[_Waiting] = deque()
         self.acquires = 0
         self.cache_hits = 0  # served from a cached grant, no server trip
@@ -98,59 +122,102 @@ class LockManager:
         #: the injection).
         self.on_timeout = None
 
-    def _count(self, name: str) -> None:
-        if self.trace is not None:
-            self.trace.count(name)
+    # ------------------------------------------------------------------
+    # the table
+    # ------------------------------------------------------------------
+    def _units_of(self, start: int, stop: int) -> range:
+        """The lock units a grant on aligned ``[start, stop)`` is filed
+        under — and so the buckets holding every grant that can overlap or
+        cover a request for it.
 
-    def _note(self, event: str, owner: int, mode: LockMode, extent: Extent) -> None:
-        if self.audit:
-            self.history.append((event, owner, mode.value, extent.start, extent.stop))
+        A nonempty extent is filed under its own units. An empty one at
+        ``k * granularity`` is filed under units ``k - 1`` and ``k``: a
+        grant straddling that point overlaps it, and a grant ending or
+        starting there covers it.
+        """
+        lo = start // self.granularity
+        hi = stop // self.granularity
+        return range(lo, hi) if lo < hi else range(lo - 1, lo + 1)
+
+    def _near(self, start: int, stop: int) -> list[LockGrant]:
+        """Held grants filed under the units of ``[start, stop)``, in
+        grant-creation order. A copy: callers revoke while walking it."""
+        units = self._units
+        if stop - start == self.granularity:  # one unit: one bucket, already in order
+            bucket = units.get(start // self.granularity)
+            return list(bucket.values()) if bucket else []
+        found: dict[int, LockGrant] = {}
+        for unit in self._units_of(start, stop):
+            bucket = units.get(unit)
+            if bucket:
+                found.update(bucket)
+        return [found[seq] for seq in sorted(found)]
+
+    def _file(self, owner: int, mode: LockMode, extent: Extent) -> LockGrant:
+        """A new grant on rounded *extent*, entered in its units' buckets."""
+        self._seq += 1
+        if extent.stop - extent.start == self.granularity:  # the common grant
+            span = (extent.start // self.granularity,)
+        else:
+            span = self._units_of(extent.start, extent.stop)
+        grant = LockGrant(owner, mode, extent, seq=self._seq, units=span)
+        units = self._units
+        for unit in span:
+            bucket = units.get(unit)
+            if bucket is None:
+                units[unit] = {grant.seq: grant}
+            else:
+                bucket[grant.seq] = grant
+        self._n_held += 1
+        return grant
+
+    def _drop(self, grant: LockGrant) -> None:
+        """Take *grant* out of the table (release or revoke)."""
+        grant.released = True
+        units = self._units
+        for unit in grant.units:
+            bucket = units[unit]
+            del bucket[grant.seq]
+            if not bucket:
+                del units[unit]
+        self._n_held -= 1
 
     # ------------------------------------------------------------------
-    def _conflicts(self, mode: LockMode, extent: Extent, owner: int) -> bool:
-        """A *busy or idle* conflicting grant of another owner exists.
-
-        Callers revoke idle conflicts first; whatever remains is in use
-        and must be waited for.
-        """
-        for grant in self._held:
-            if grant.owner == owner:
-                continue
-            if not grant.extent.overlaps(extent):
-                continue
-            if grant.mode is LockMode.EXCLUSIVE or mode is LockMode.EXCLUSIVE:
+    def _blocked_by_queue(self, start: int, stop: int, owner: int) -> bool:
+        """FIFO fairness: an overlapping waiter ahead of us blocks us too."""
+        for w in self._queue:
+            if w.owner != owner and w.extent.start < stop and start < w.extent.stop:
                 return True
         return False
 
-    def _blocked_by_queue(self, extent: Extent, owner: int) -> bool:
-        """FIFO fairness: an overlapping waiter ahead of us blocks us too."""
-        return any(
-            w.owner != owner and w.extent.overlaps(extent) for w in self._queue
-        )
+    def _revoke_idle(
+        self, owner: int, mode: LockMode, start: int, stop: int, near: list[LockGrant]
+    ) -> tuple[int, bool]:
+        """Drop other owners' *cached* (idle) grants among *near* that
+        conflict with the request, in grant-creation order.
 
-    def _cached_match(self, owner: int, mode: LockMode, extent: Extent):
-        """An existing grant of *owner* that already covers the request."""
-        for g in self._held:
-            if g.owner != owner or not g.extent.covers(extent):
-                continue
-            if mode is LockMode.EXCLUSIVE and g.mode is not LockMode.EXCLUSIVE:
-                continue
-            return g
-        return None
-
-    def _revoke_idle_conflicts(self, mode: LockMode, extent: Extent, owner: int) -> int:
-        """Drop other owners' *cached* (idle) conflicting grants; returns
-        how many were revoked (each costs a DLM callback round trip)."""
+        Returns how many were revoked (each costs a DLM callback round
+        trip) and whether a *busy* conflicting grant remains, which the
+        request must wait for.
+        """
         revoked = 0
-        for g in list(self._held):
-            if g.owner == owner or g.in_use > 0 or not g.extent.overlaps(extent):
+        busy = False
+        exclusive = mode is _EXCLUSIVE
+        for g in near:
+            ext = g.extent
+            if g.owner == owner or not (ext.start < stop and start < ext.stop):
                 continue
-            if g.mode is LockMode.EXCLUSIVE or mode is LockMode.EXCLUSIVE:
-                g.released = True
-                self._held.remove(g)
-                self._note("revoke", g.owner, g.mode, g.extent)
+            if exclusive or g.mode is _EXCLUSIVE:
+                if g.in_use > 0:
+                    busy = True
+                    continue
+                self._drop(g)
+                if self.audit:
+                    self.history.append(
+                        ("revoke", g.owner, g.mode.value, ext.start, ext.stop)
+                    )
                 revoked += 1
-        return revoked
+        return revoked, busy
 
     # ------------------------------------------------------------------
     def acquire(
@@ -174,41 +241,98 @@ class LockManager:
         virtual time is withdrawn — the queue entry is removed (no orphan
         blocks later waiters) and :class:`LockTimeout` raised, so callers
         can retry with backoff.
+
+        This is :meth:`acquire_nowait` followed, when it refuses, by
+        :meth:`wait_for` — the two halves the storage client calls itself.
         """
         rounded = extent.align_down(self.granularity)
-        cached = self._cached_match(owner, mode, rounded)
-        if cached is not None and not self._blocked_by_queue(rounded, owner):
-            cached.in_use += 1
-            self.cache_hits += 1
-            self._count("pfs.lock.cache_hit")
-            return cached
-        self.acquires += 1
-        self._count("pfs.lock.acquire")
         proc = active_process()
-        if not self._blocked_by_queue(rounded, owner):
-            revoked = self._revoke_idle_conflicts(mode, rounded, owner)
-            if revoked:
-                if self.contention_penalty:
-                    proc.charge(revoked * self.contention_penalty)
-                if self.trace is not None:
-                    self.trace.count("pfs.lock.revoke", revoked)
-            if not self._conflicts(mode, rounded, owner):
-                grant = LockGrant(owner, mode, rounded)
-                self._held.append(grant)
-                self._note("grant", owner, mode, rounded)
-                return grant
-        self.waits += 1
-        self._count("pfs.lock.wait")
-        if self.contention_penalty:
-            conflicts = sum(
-                1 for g in self._held if g.owner != owner and g.extent.overlaps(rounded)
-            ) + sum(
-                1 for w in self._queue if w.owner != owner and w.extent.overlaps(rounded)
+        grant = self.acquire_nowait(owner, mode, rounded.start, rounded.stop, proc)
+        if grant is None:
+            grant = yield from self.wait_for(
+                owner, mode, rounded.start, rounded.stop, proc, timeout
             )
+        return grant
+
+    def acquire_nowait(
+        self, owner: int, mode: LockMode, start: int, stop: int, proc: SimProcess
+    ) -> Optional[LockGrant]:
+        """The non-blocking half of :meth:`acquire`, on the lock-unit
+        aligned extent ``[start, stop)`` of running process *proc*.
+
+        Returns *owner*'s cached grant covering the request (a cache hit)
+        or a fresh grant, after revoking idle conflicts; ``None`` when the
+        request has to queue. The acquire is then already counted and the
+        caller must park in :meth:`wait_for` next.
+        """
+        if stop - start == self.granularity:  # one unit: _near without the call
+            bucket = self._units.get(start // self.granularity)
+            near = list(bucket.values()) if bucket else []
+        else:
+            near = self._near(start, stop)
+        queue = self._queue
+        exclusive = mode is _EXCLUSIVE
+        for g in near:
+            ext = g.extent
+            if g.owner != owner or not (ext.start <= start and stop <= ext.stop):
+                continue
+            if exclusive and g.mode is not _EXCLUSIVE:
+                continue
+            # The first covering grant decides: reused unless a waiter is ahead.
+            if not (queue and self._blocked_by_queue(start, stop, owner)):
+                g.in_use += 1
+                self.cache_hits += 1
+                if self._counters is not None:
+                    self._counters["pfs.lock.cache_hit"].add()
+                return g
+            break
+        self.acquires += 1
+        if self._counters is not None:
+            self._counters["pfs.lock.acquire"].add()
+        if queue and self._blocked_by_queue(start, stop, owner):
+            return None
+        revoked, busy = self._revoke_idle(owner, mode, start, stop, near)
+        if revoked:
+            if self.contention_penalty:
+                proc.charge(revoked * self.contention_penalty)
+            if self._counters is not None:
+                self._counters["pfs.lock.revoke"].add(revoked)
+        if busy:
+            return None
+        grant = self._file(owner, mode, Extent(start, stop))
+        if self.audit:
+            self.history.append(("grant", owner, mode.value, start, stop))
+        return grant
+
+    def wait_for(
+        self,
+        owner: int,
+        mode: LockMode,
+        start: int,
+        stop: int,
+        proc: SimProcess,
+        timeout: Optional[float] = None,
+    ):
+        """Queue a request :meth:`acquire_nowait` refused and park until it
+        is granted (coroutine returning the grant; see :meth:`acquire` for
+        ``timeout``)."""
+        rounded = Extent(start, stop)
+        self.waits += 1
+        if self._counters is not None:
+            self._counters["pfs.lock.wait"].add()
+        if self.contention_penalty:
+            conflicts = 0
+            for g in self._near(start, stop):
+                if g.owner != owner and g.extent.start < stop and start < g.extent.stop:
+                    conflicts += 1
+            for w in self._queue:
+                if w.owner != owner and w.extent.start < stop and start < w.extent.stop:
+                    conflicts += 1
             proc.charge(conflicts * self.contention_penalty)
         waiting = _Waiting(owner, mode, rounded, proc)
         self._queue.append(waiting)
-        self._note("wait", owner, mode, rounded)
+        if self.audit:
+            self.history.append(("wait", owner, mode.value, start, stop))
         timer = None
         if timeout is not None and timeout > 0:
             def expire() -> None:
@@ -220,8 +344,10 @@ class LockManager:
                     return
                 self._queue.remove(waiting)
                 self.timeouts += 1
-                self._count("pfs.lock.timeout")
-                self._note("timeout", owner, mode, rounded)
+                if self._counters is not None:
+                    self._counters["pfs.lock.timeout"].add()
+                if self.audit:
+                    self.history.append(("timeout", owner, mode.value, start, stop))
                 if self.on_timeout is not None:
                     self.on_timeout(owner, rounded)
                 # Our queue slot no longer blocks anyone behind us.
@@ -239,12 +365,13 @@ class LockManager:
             # _drain is returned to the pool instead of leaking.
             if waiting in self._queue:
                 self._queue.remove(waiting)
-                self._note("timeout", owner, mode, rounded)
+                if self.audit:
+                    self.history.append(("timeout", owner, mode.value, start, stop))
                 self._drain()
             elif waiting.grant is not None and not waiting.grant.released:
-                waiting.grant.released = True
-                self._held.remove(waiting.grant)
-                self._note("release", owner, mode, rounded)
+                self._drop(waiting.grant)
+                if self.audit:
+                    self.history.append(("release", owner, mode.value, start, stop))
                 self._drain()
             if timer is not None:
                 timer.cancel()
@@ -262,37 +389,44 @@ class LockManager:
         if grant.in_use <= 0:
             raise PfsError("done() without a matching use")
         grant.in_use -= 1
-        if grant.in_use == 0:
+        if grant.in_use == 0 and self._queue:
             self._drain()
 
     def release(self, grant: LockGrant) -> None:
         """Drop the grant entirely (cached or not)."""
         if grant.released:
             raise PfsError("lock released twice")
-        grant.released = True
-        self._held.remove(grant)
-        self._note("release", grant.owner, grant.mode, grant.extent)
+        self._drop(grant)
+        if self.audit:
+            ext = grant.extent
+            self.history.append(
+                ("release", grant.owner, grant.mode.value, ext.start, ext.stop)
+            )
         self._drain()
 
     def _drain(self) -> None:
         """Grant queued requests FIFO until one cannot proceed."""
-        while self._queue:
-            head = self._queue[0]
-            self._revoke_idle_conflicts(head.mode, head.extent, head.owner)
-            if self._conflicts(head.mode, head.extent, head.owner):
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            start, stop = head.extent.start, head.extent.stop
+            near = self._near(start, stop)
+            if self._revoke_idle(head.owner, head.mode, start, stop, near)[1]:
                 return
-            self._queue.popleft()
-            grant = LockGrant(head.owner, head.mode, head.extent)
-            self._held.append(grant)
+            queue.popleft()
+            grant = self._file(head.owner, head.mode, head.extent)
             head.grant = grant
-            self._note("grant_queued", head.owner, head.mode, head.extent)
+            if self.audit:
+                self.history.append(
+                    ("grant_queued", head.owner, head.mode.value, start, stop)
+                )
             head.proc.wake()
 
     # ------------------------------------------------------------------
     @property
     def held_count(self) -> int:
         """Number of currently held (incl. cached) grants."""
-        return len(self._held)
+        return self._n_held
 
     @property
     def queued_count(self) -> int:

@@ -86,6 +86,20 @@ class TestPfsFileBytes:
         f.truncate(5)
         assert f.contents() == b"abc\x00\x00"
 
+    def test_write_past_eof_zero_fills_only_the_gap(self):
+        f = PfsFile("x", StripeLayout(64, 1, 0, 4))
+        f.write_bytes(0, b"head")
+        f.write_bytes(10, memoryview(b"tail"))
+        assert f.contents() == b"head" + b"\x00" * 6 + b"tail"
+        f.write_bytes(14, b"more")  # appends at EOF: no gap at all
+        f.write_bytes(12, b"STRADDLE")  # overwrites two bytes, grows by six
+        assert f.contents() == b"head" + b"\x00" * 6 + b"taSTRADDLE"
+        f.write_bytes(2, b"xy")  # in place, size unchanged
+        assert f.contents() == b"hexy" + b"\x00" * 6 + b"taSTRADDLE"
+        f.truncate(12)
+        f.write_bytes(16, b"!")
+        assert f.contents() == b"hexy" + b"\x00" * 6 + b"ta" + b"\x00" * 4 + b"!"
+
     def test_negative_offsets_rejected(self):
         f = PfsFile("x", StripeLayout(64, 1, 0, 4))
         with pytest.raises(PfsError):
