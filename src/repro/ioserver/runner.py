@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.ioserver.protocol import IoServerConfig, Placement, plan_placement
-from repro.ioserver.server import run_clients, serve
+from repro.ioserver.server import op_runs, run_clients, serve
 from repro.ioserver.trace import WorkloadTrace, expected_image, payload_bytes
 from repro.obs.export import metrics_json
 from repro.obs.metrics import percentile
@@ -258,23 +258,6 @@ class DirectReplay:
     fetched: dict[int, bytes] = field(default_factory=dict)
 
 
-def _batched(ops):
-    """Group each run of consecutive same-verb barrier ops (open/flush/
-    close) into one batch; yield ('barrier', verb, batch) or ('op', op)."""
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if op.op in ("open", "flush", "close"):
-            j = i
-            while j + 1 < len(ops) and ops[j + 1].op == op.op:
-                j += 1
-            yield ("barrier", op.op, ops[i : j + 1])
-            i = j + 1
-        else:
-            yield ("op", op, None)
-            i += 1
-
-
 def _tcio_main(trace, nranks):
     from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioFile
 
@@ -284,27 +267,23 @@ def _tcio_main(trace, nranks):
         config = _tcio_config(trace, env.size, IoServerConfig())
         fh = None
         fetched = {}
-        for kind, a, b in _batched(ops):
-            if kind == "barrier":
-                if a == "open":
-                    mode = TCIO_WRONLY if b[0].mode == "w" else TCIO_RDONLY
-                    fh = yield from TcioFile.open(
-                        env, trace.file_name, mode, config
-                    )
-                elif a == "flush":
-                    yield from fh.flush()
+        for op, _ in op_runs(ops):
+            if op.op == "open":
+                mode = TCIO_WRONLY if op.mode == "w" else TCIO_RDONLY
+                fh = yield from TcioFile.open(env, trace.file_name, mode, config)
+            elif op.op == "flush":
+                yield from fh.flush()
+            elif op.op == "close":
+                yield from fh.close()
+                fh = None
+            else:
+                if op.delay:
+                    yield from env.process.sleep(op.delay)
+                if op.op == "write":
+                    payload = payload_bytes(trace.seed, op.client, op.seq, op.nbytes)
+                    yield from fh.write_at(op.offset, payload)
                 else:
-                    yield from fh.close()
-                    fh = None
-            elif a.op == "write":
-                if a.delay:
-                    yield from env.process.sleep(a.delay)
-                payload = payload_bytes(trace.seed, a.client, a.seq, a.nbytes)
-                yield from fh.write_at(a.offset, payload)
-            else:  # fetch
-                if a.delay:
-                    yield from env.process.sleep(a.delay)
-                fetched[a.seq] = yield from fh.read_now(a.offset, a.nbytes)
+                    fetched[op.seq] = yield from fh.read_now(op.offset, op.nbytes)
         return fetched
 
     return main
@@ -343,45 +322,34 @@ def _mpiio_main(trace, collective: bool):
                 )
             return lo, bytes(buf)
 
-        for kind, a, b in _batched(ops):
-            if kind == "barrier":
-                if a == "open":
-                    mode = (
-                        MODE_RDONLY if b[0].mode == "r"
-                        else MODE_RDWR | MODE_CREATE
-                    )
-                    fh = yield from MpiFile.open(env, trace.file_name, mode)
-                elif a == "flush":
-                    if collective:
-                        for client in mine:
-                            lo, buf = coalesce(client)
-                            yield from fh.write_at_all(lo, buf)
-                        pending.clear()
-                    yield from barrier(env.comm)
-                else:
-                    if collective and pending:
-                        raise IoServerError("unflushed writes at close")
-                    yield from fh.close()
-                    fh = None
-            elif a.op == "write":
-                if a.delay:
-                    yield from env.process.sleep(a.delay)
+        for op, _ in op_runs(ops):
+            if op.op == "open":
+                mode = MODE_RDONLY if op.mode == "r" else MODE_RDWR | MODE_CREATE
+                fh = yield from MpiFile.open(env, trace.file_name, mode)
+            elif op.op == "flush":
                 if collective:
-                    pending.append(a)
+                    for client in mine:
+                        lo, buf = coalesce(client)
+                        yield from fh.write_at_all(lo, buf)
+                    pending.clear()
+                yield from barrier(env.comm)
+            elif op.op == "close":
+                if collective and pending:
+                    raise IoServerError("unflushed writes at close")
+                yield from fh.close()
+                fh = None
+            else:
+                if op.delay:
+                    yield from env.process.sleep(op.delay)
+                if op.op == "write" and collective:
+                    pending.append(op)
+                elif op.op == "write":
+                    payload = payload_bytes(trace.seed, op.client, op.seq, op.nbytes)
+                    yield from fh.write_at(op.offset, payload)
+                elif collective:
+                    fetched[op.seq] = yield from fh.read_at_all(op.offset, op.nbytes)
                 else:
-                    payload = payload_bytes(
-                        trace.seed, a.client, a.seq, a.nbytes
-                    )
-                    yield from fh.write_at(a.offset, payload)
-            else:  # fetch
-                if a.delay:
-                    yield from env.process.sleep(a.delay)
-                if collective:
-                    fetched[a.seq] = yield from fh.read_at_all(
-                        a.offset, a.nbytes
-                    )
-                else:
-                    fetched[a.seq] = yield from fh.read_at(a.offset, a.nbytes)
+                    fetched[op.seq] = yield from fh.read_at(op.offset, op.nbytes)
         return fetched
 
     return main

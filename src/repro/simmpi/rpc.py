@@ -1,33 +1,34 @@
 """Request/reply envelopes: the service-loop idiom over point-to-point.
 
 ViPIOS-style I/O servers (see ``docs/io-server.md``) are persistent rank
-coroutines serving a stream of client requests. This module packages the
-messaging half of that pattern so servers and clients share one wire
-discipline:
+coroutines serving a stream of client requests. This module holds the
+two pieces servers and clients share:
 
 * a :class:`RpcEnvelope` names the logical requester (a *client id*, not
   a rank — one rank may play many simulated clients), a per-client
   sequence number, an operation, and its arguments;
-* an :class:`RpcEndpoint` binds a communicator plus a (request, reply)
-  tag pair and moves envelopes with the pickled-object helpers, keeping
-  RPC traffic in its own match space so it can never collide with
-  collective or application messages on the same communicator.
+* an :class:`RpcEndpoint` binds a communicator to a (request, reply)
+  tag pair, keeping RPC traffic in its own match space so it can never
+  collide with collective or application messages on the same
+  communicator, and polls for arrived requests.
 
-The discipline is deliberately minimal: a client keeps **at most one
-request in flight** (submit, then wait for the reply), so replies need no
-correlation ids — MPI's non-overtaking order per (source, tag) already
-matches the k-th reply to the k-th request. Servers, in turn, may
-interleave :meth:`RpcEndpoint.poll` (nonblocking arrival check) with
-blocking :meth:`RpcEndpoint.recv_request` to stay responsive while
-between applies.
+Envelopes move as pickled objects (:func:`~repro.simmpi.comm.pack_object`)
+with the communicator's own ``isend``/``irecv`` on the endpoint's tags;
+the caller owns the wait, so it also owns what a fail-stop interrupt at
+that wait means. A client keeps **at most one request in flight** per
+logical client, so replies need no correlation ids — MPI's
+non-overtaking order per (source, tag) already matches the k-th reply to
+the k-th request. Servers interleave :meth:`RpcEndpoint.poll`
+(nonblocking arrival check) with receives to stay responsive between
+applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from repro.simmpi.comm import ANY_SOURCE, Communicator, Status, unpack_object
+from repro.simmpi.comm import ANY_SOURCE, Communicator, Status
 
 #: Default tag pair; chosen high so ad-hoc user tags (small ints) never
 #: land in the RPC match space by accident.
@@ -70,31 +71,6 @@ class RpcEndpoint:
         self.tag_request = tag_request
         self.tag_reply = tag_reply
 
-    # -- client side ----------------------------------------------------
-    def send_request(self, server: int, envelope: RpcEnvelope):
-        """Submit one envelope to *server* (coroutine)."""
-        yield from self.comm.send_object(envelope, server, self.tag_request)
-
-    def recv_reply(self, server: int) -> Any:
-        """Wait for *server*'s next reply (coroutine; returns the payload)."""
-        return (yield from self.comm.recv_object(server, self.tag_reply))
-
-    def call(self, server: int, envelope: RpcEnvelope) -> Any:
-        """Submit and wait for the single matching reply (coroutine)."""
-        yield from self.send_request(server, envelope)
-        return (yield from self.recv_reply(server))
-
-    # -- server side ----------------------------------------------------
     def poll(self) -> Optional[Status]:
         """Nonblocking probe for an arrived, unconsumed request."""
         return self.comm.iprobe(ANY_SOURCE, self.tag_request)
-
-    def recv_request(self, source: int = ANY_SOURCE):
-        """Receive one request (coroutine) -> ``(source_rank, envelope)``."""
-        status = Status()
-        payload = yield from self.comm.recv(source, self.tag_request, status=status)
-        return status.source, unpack_object(payload)
-
-    def send_reply(self, dest: int, payload: Any):
-        """Send one reply toward *dest* (coroutine)."""
-        yield from self.comm.send_object(payload, dest, self.tag_reply)

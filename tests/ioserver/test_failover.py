@@ -24,7 +24,7 @@ from repro.ioserver import (
     generate_trace,
     run_ioserver,
 )
-from repro.util.errors import IoServerError
+from repro.util.errors import IoServerError, RankUnreachable
 
 NCLIENTS = 6
 SEED = 7
@@ -105,26 +105,31 @@ def test_failover_run_reports_redirects_and_adoption(trace):
     assert redirected
 
 
-def test_failover_off_still_aborts(trace):
+@pytest.mark.parametrize("step", ["srv-admit", "srv-apply", "srv-flush"])
+def test_failover_off_still_aborts(step, trace):
     # The control: same aimed crash without failover must abort (this is
-    # the existing abort-and-recover contract, unchanged by this module).
+    # the existing abort-and-recover contract) with the fail-stop error
+    # itself — never the client session's internal redirect signal.
     from repro.faults import FaultPlan, FaultSpec
     from repro.ioserver import plan_for
+    from repro.ioserver.server import _DelegateLost
 
     config = IoServerConfig()
     placement = plan_for(trace, 6, 3, config)
     victim = placement.delegates[-1]
     plan = FaultPlan(FaultSpec(), SEED, scope="crash-count")
     run_ioserver(trace, nranks=6, cores_per_node=3, config=config, faults=plan)
-    hits = plan.step_hits[("srv-apply", victim)]
+    hits = plan.step_hits[(step, victim)]
     armed = FaultPlan(
-        FaultSpec(crash_rank=victim, crash_step="srv-apply", crash_after=hits),
+        FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits),
         SEED, scope="crash",
     )
     result = run_ioserver(
         trace, nranks=6, cores_per_node=3, config=config, faults=armed
     )
-    assert result.aborted is not None
+    assert type(result.aborted) is RankUnreachable
+    assert not isinstance(result.aborted, _DelegateLost)
+    assert f"rank {victim} is unreachable" in str(result.aborted)
 
 
 def test_failover_noop_without_faults(trace):

@@ -1,9 +1,22 @@
-"""The request/reply envelope layer under ``repro.ioserver``."""
+"""The request/reply envelope layer under ``repro.ioserver``.
+
+Envelopes travel as pickled objects over the communicator's own
+point-to-point calls on an endpoint's tag pair; these tests drive that
+wire discipline directly.
+"""
 
 from __future__ import annotations
 
 from repro.simmpi import run_mpi
+from repro.simmpi.comm import ANY_SOURCE, unpack_object
 from repro.simmpi.rpc import TAG_REPLY, TAG_REQUEST, RpcEndpoint, RpcEnvelope
+
+
+def _recv_request(rpc, source=ANY_SOURCE):
+    """-> ``(source_rank, envelope)``, as a service loop receives it."""
+    req = yield from rpc.comm.irecv(source, rpc.tag_request)
+    payload = yield from req.wait()
+    return req.status.source, unpack_object(payload)
 
 
 class TestEnvelope:
@@ -32,19 +45,21 @@ class TestEndToEnd:
                 expected = (nranks - 1) * 2 * calls
                 served = 0
                 while served < expected:
-                    src, envelope = yield from rpc.recv_request()
-                    yield from rpc.send_reply(
-                        src, ("echo", envelope.client, envelope.seq, envelope.args)
+                    src, envelope = yield from _recv_request(rpc)
+                    yield from env.comm.send_object(
+                        ("echo", envelope.client, envelope.seq, envelope.args),
+                        src, rpc.tag_reply,
                     )
                     served += 1
                 return served
             got = []
             for k in range(calls):
                 for client in (env.rank * 2, env.rank * 2 + 1):
-                    reply = yield from rpc.call(
-                        0, RpcEnvelope(client, k, "ping", (k * client,))
+                    yield from env.comm.send_object(
+                        RpcEnvelope(client, k, "ping", (k * client,)),
+                        0, rpc.tag_request,
                     )
-                    got.append(reply)
+                    got.append((yield from env.comm.recv_object(0, rpc.tag_reply)))
             return got
 
         result = run_mpi(nranks, main)
@@ -60,14 +75,14 @@ class TestEndToEnd:
         def main(env):
             rpc = RpcEndpoint(env.comm)
             if env.rank == 1:
-                yield from rpc.send_request(0, RpcEnvelope(0, 0, "ping"))
-                return (yield from rpc.recv_reply(0))
+                yield from env.comm.send_object(RpcEnvelope(0, 0, "ping"), 0, rpc.tag_request)
+                return (yield from env.comm.recv_object(0, rpc.tag_reply))
             assert rpc.poll() is None  # nothing sent yet at t=0
             # Block until the request is matchable, then probe: poll
             # reports it without consuming, and recv still gets it.
-            src, envelope = yield from rpc.recv_request()
+            src, envelope = yield from _recv_request(rpc)
             assert rpc.poll() is None  # consumed — queue drained again
-            yield from rpc.send_reply(src, ("pong", envelope.seq))
+            yield from env.comm.send_object(("pong", envelope.seq), src, rpc.tag_reply)
             return envelope.op
 
         result = run_mpi(2, main)
@@ -80,9 +95,9 @@ class TestEndToEnd:
             rpc = RpcEndpoint(env.comm)
             if env.rank == 1:
                 yield from env.comm.send_object("user-data", 0, 5)
-                yield from rpc.send_request(0, RpcEnvelope(9, 1, "op"))
+                yield from env.comm.send_object(RpcEnvelope(9, 1, "op"), 0, rpc.tag_request)
                 return None
-            src, envelope = yield from rpc.recv_request()
+            src, envelope = yield from _recv_request(rpc)
             user = yield from env.comm.recv_object(1, 5)
             return (src, envelope.client, user)
 
@@ -95,15 +110,15 @@ class TestEndToEnd:
             b = RpcEndpoint(env.comm, tag_request=81, tag_reply=82)
             if env.rank == 1:
                 # Fire on both endpoints; the streams stay separate.
-                yield from b.send_request(0, RpcEnvelope(0, 0, "beta"))
-                yield from a.send_request(0, RpcEnvelope(0, 0, "alpha"))
-                ra = yield from a.recv_reply(0)
-                rb = yield from b.recv_reply(0)
+                yield from env.comm.send_object(RpcEnvelope(0, 0, "beta"), 0, b.tag_request)
+                yield from env.comm.send_object(RpcEnvelope(0, 0, "alpha"), 0, a.tag_request)
+                ra = yield from env.comm.recv_object(0, a.tag_reply)
+                rb = yield from env.comm.recv_object(0, b.tag_reply)
                 return ra, rb
-            _, ea = yield from a.recv_request()
-            _, eb = yield from b.recv_request()
-            yield from a.send_reply(1, ea.op.upper())
-            yield from b.send_reply(1, eb.op.upper())
+            _, ea = yield from _recv_request(a)
+            _, eb = yield from _recv_request(b)
+            yield from env.comm.send_object(ea.op.upper(), 1, a.tag_reply)
+            yield from env.comm.send_object(eb.op.upper(), 1, b.tag_reply)
             return ea.op, eb.op
 
         result = run_mpi(2, main)
