@@ -157,6 +157,21 @@ class Engine:
         """Run *action* at absolute simulated time *time* (>= now)."""
         return self.schedule(time - self.now, action)
 
+    def post_at(self, time: float, action: Callable[[], None]) -> None:
+        """:meth:`schedule_at` without a :class:`Timer`: for actions nobody
+        cancels (the message path posts several per message).
+
+        The heap time is ``now + (time - now)``, rounded exactly as
+        :meth:`schedule_at` rounds it, so events tie and order the same.
+        """
+        now = self.now
+        delay = time - now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        self._actions[self._seq] = action
+        heapq.heappush(self._heap, (now + delay, self._seq))
+
     # ------------------------------------------------------------------
     # process management
     # ------------------------------------------------------------------

@@ -6,16 +6,22 @@ binomial-tree broadcast/reduce, recursive allgather, and the pairwise
 describes for ROMIO's exchange phase. Every collective allocates a fresh
 tag from the communicator's collective sequence so back-to-back collectives
 never cross-match.
+
+All-to-all delivers by reference (one engine, one address space): the
+receiver gets the very objects the sender passed, never an unpickled copy.
+Alltoall results are sender-owned; read-only. The pickled size
+(``len(pack_object(obj))``) is still what every message costs on the
+simulated wire.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.simmpi.comm import (
     CTX_COLL,
     Communicator,
-    Request,
     pack_object,
     unpack_object,
     wait_all,
@@ -203,33 +209,41 @@ def allgather(comm: Communicator, obj: Any):
 def alltoall(comm: Communicator, send: Sequence[Any]):
     """Personalized all-to-all of Python objects.
 
-    Posts every irecv, then every isend, then waits — the exact pattern the
-    paper attributes to OCIO's exchange phase ("OCIO first issues MPI_Irecv
-    to receive data from all processes, then issues MPI_Isend...").
+    Posts every receive, then every send, then waits — the exact pattern
+    the paper attributes to OCIO's exchange phase ("OCIO first issues
+    MPI_Irecv to receive data from all processes, then issues
+    MPI_Isend..."). The simulated task graph is that of P-1 ``irecv`` +
+    P-1 ``isend`` + ``wait_all`` per rank, message for message: the same
+    wire bytes, fabric reservations, matching costs and, above
+    ``eager_limit``, RTS → CTS → data. The host side is not: the receives
+    are one :class:`~repro.simmpi.comm.ExchangeSlot` per rank and the
+    objects travel by reference (results are sender-owned; read-only).
     """
     size, rank = comm.size, comm.rank
     if len(send) != size:
         raise MpiError(f"alltoall needs {size} entries, got {len(send)}")
     tag = _next_tag(comm)
-    recv_reqs: list[Request] = []
-    for src in range(size):
-        if src != rank:
-            req = yield from comm.irecv(src, tag, context=CTX_COLL)
-            recv_reqs.append(req)
-    for dst in range(size):
+    proc = active_process()
+    yield from proc.settle()
+    if size == 1:
+        return [send[0]]
+    comm._check_revoked("mpi.recv")
+    world = comm.world
+    ranks = comm.group_world_ranks()
+    context = comm._ctx(CTX_COLL)
+    me = ranks[rank]
+    mine = world.exchange_slot(me, context, tag, ranks)
+    mine.post(rank)
+    for dst, peer in enumerate(ranks):
         if dst != rank:
-            yield from comm.isend(pack_object(send[dst]), dst, tag, context=CTX_COLL)
-    yield from wait_all(recv_reqs)
-    out: list[Any] = [None] * size
+            obj = send[dst]
+            nbytes = len(pack_object(obj))
+            slot = world.exchange_slot(peer, context, tag, ranks)
+            world.launch(me, peer, nbytes, partial(slot.deliver, rank, obj, nbytes))
+    yield from mine.wait(proc)
+    del world.exchange_slots[(me, context, tag)]
+    out = mine.out
     out[rank] = send[rank]
-    idx = 0
-    for src in range(size):
-        if src == rank:
-            continue
-        payload = recv_reqs[idx].payload
-        idx += 1
-        assert payload is not None
-        out[src] = unpack_object(payload)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pickle
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -164,10 +165,10 @@ class _Envelope:
     src: int
     tag: int
     context: int
-    payload: Optional[bytes]  # None until a rendezvous transfer lands
+    payload: bytes
     size: int
     send_req: Optional[Request] = None
-    arrived: bool = False  # eager data (or rendezvous RTS) reached receiver
+    rendezvous: bool = False  # only the RTS travelled; data follows the CTS
     consumed: bool = False  # matched to a receive (lazy queue removal)
     seq: int = 0
 
@@ -235,13 +236,10 @@ class Mailbox:
     def match_posted(self, env: _Envelope) -> Optional[_PostedRecv]:
         """Earliest-posted receive matching *env* (marked matched)."""
         key = (env.context, env.src, env.tag)
-        exact: Optional[_PostedRecv] = None
+        # exact posts only ever leave from the head, and a drained key
+        # leaves the index
         dq = self.posted_by_key.get(key)
-        if dq:
-            while dq and dq[0].matched:
-                dq.popleft()
-            if dq:
-                exact = dq[0]
+        exact = dq[0] if dq is not None else None
         wild: Optional[_PostedRecv] = None
         wilds = self.posted_wild
         while wilds and wilds[0].matched:
@@ -254,6 +252,8 @@ class Mailbox:
         if exact is not None and (wild is None or exact.seq < wild.seq):
             chosen = exact
             dq.popleft()  # type: ignore[union-attr]
+            if not dq:
+                del self.posted_by_key[key]
         elif wild is not None:
             chosen = wild
         if chosen is not None:
@@ -271,27 +271,36 @@ class Mailbox:
         self.unexpected_all.append(env)
 
     def match_unexpected(self, post: _PostedRecv) -> Optional[_Envelope]:
-        """Earliest-arrived unexpected message matching *post* (consumed)."""
+        """Earliest-arrived unexpected message matching *post* (consumed).
+
+        The match is always the oldest live message of its key (a wildcard
+        that matches a message matches every older one of the same key),
+        so both queues shed consumed heads right here and a drained key
+        leaves the index: a rank that only ever receives exactly, or only
+        by wildcard, holds no message it already matched.
+        """
+        everyone = self.unexpected_all
         if post.src == ANY_SOURCE or post.tag == ANY_TAG:
-            while self.unexpected_all and self.unexpected_all[0].consumed:
-                self.unexpected_all.popleft()
-            for env in self.unexpected_all:
+            for env in everyone:
                 if not env.consumed and _matches(env, post):
-                    env.consumed = True
-                    self.n_unexpected -= 1
-                    return env
-            return None
-        key = (post.context, post.src, post.tag)
-        dq = self.unexpected_by_key.get(key)
-        if not dq:
-            return None
-        while dq and dq[0].consumed:
-            dq.popleft()
-        if not dq:
-            return None
-        env = dq.popleft()
+                    break
+            else:
+                return None
+            key = (env.context, env.src, env.tag)
+        else:
+            key = (post.context, post.src, post.tag)
+            if key not in self.unexpected_by_key:
+                return None
+            env = self.unexpected_by_key[key][0]
         env.consumed = True
         self.n_unexpected -= 1
+        same_key = self.unexpected_by_key[key]
+        while same_key and same_key[0].consumed:
+            same_key.popleft()
+        if not same_key:
+            del self.unexpected_by_key[key]
+        while everyone and everyone[0].consumed:
+            everyone.popleft()
         return env
 
 
@@ -303,6 +312,100 @@ def _matches(env: _Envelope, post: _PostedRecv) -> bool:
     if post.tag != ANY_TAG and post.tag != env.tag:
         return False
     return True
+
+
+#: Entry states of an :class:`ExchangeSlot` source before its message lands.
+_IDLE = object()  # neither posted for nor arrived
+_POSTED = object()  # the receiver waits for it
+
+
+class ExchangeSlot:
+    """One rank's receive side of one ``alltoall``: P-1 messages, one wake.
+
+    It stands in for the P-1 exact receives the request path posts, and
+    moves the rank's mailbox counters exactly as they would move: a
+    message delivered before the receiver posts counts as unexpected
+    until the post, one delivered after it consumes a posted receive. The
+    matching engine's cost reads those counters, so every arrival at this
+    rank is charged what the request path charges. ``out[src]`` is
+    ``_IDLE``, ``_POSTED`` or the sender's object itself: messages travel
+    by reference and are never unpickled.
+    """
+
+    __slots__ = ("world", "dst", "ranks", "mailbox", "out", "remaining", "rts", "waiter")
+
+    def __init__(self, world: "MpiWorld", dst: int, ranks: tuple[int, ...]):
+        self.world = world
+        self.dst = dst  # the receiver's world rank
+        self.ranks = ranks  # world rank of every communicator rank
+        self.mailbox = world.mailbox(dst)
+        self.out: list[Any] = [_IDLE] * len(ranks)
+        self.remaining = len(ranks) - 1  # messages whose data has not landed
+        #: src -> (object, wire bytes) of a rendezvous RTS that arrived
+        #: before the receiver posted
+        self.rts: dict[int, tuple[Any, int]] = {}
+        self.waiter: Optional[SimProcess] = None
+
+    def post(self, me: int) -> None:
+        """The receiver (communicator rank *me*) posts for every source,
+        in rank order, as the request path's irecv loop does: a dead
+        source raises there, after the sources before it were posted."""
+        world = self.world
+        mailbox = self.mailbox
+        out = self.out
+        for src, peer in enumerate(self.ranks):
+            if src == me:
+                continue
+            if world.dead_ranks:
+                world.check_alive(self.dst, peer, "mpi.recv")
+            if out[src] is not _IDLE:  # eager data that came early
+                mailbox.n_unexpected -= 1
+            elif src in self.rts:
+                mailbox.n_unexpected -= 1
+                obj, nbytes = self.rts.pop(src)
+                world.rendezvous(peer, self.dst, nbytes, partial(self.land, src, obj))
+            else:
+                out[src] = _POSTED
+                mailbox.n_posted += 1
+
+    def deliver(self, src: int, obj: Any, nbytes: int) -> None:
+        """*src*'s message, or its rendezvous RTS, passed the matcher."""
+        mailbox = self.mailbox
+        posted = self.out[src] is _POSTED
+        if posted:
+            mailbox.n_posted -= 1
+        else:
+            mailbox.n_unexpected += 1
+        if nbytes <= self.world.fabric.spec.eager_limit:
+            self.land(src, obj)
+        elif posted:
+            self.world.rendezvous(
+                self.ranks[src], self.dst, nbytes, partial(self.land, src, obj)
+            )
+        else:
+            self.rts[src] = (obj, nbytes)
+
+    def land(self, src: int, obj: Any) -> None:
+        """*src*'s data is here; the last one wakes the waiting receiver."""
+        self.out[src] = obj
+        self.remaining -= 1
+        if not self.remaining and self.waiter is not None:
+            self.waiter.wake()
+
+    def wait(self, proc: SimProcess):
+        """Park *proc* until every message landed (coroutine).
+
+        As in :func:`wait_all`, an interrupt at the wait point (fail-stop
+        notification) detaches the waiter, so a late landing cannot wake
+        the process out of some later, unrelated wait.
+        """
+        while self.remaining:
+            self.waiter = proc
+            try:
+                yield from proc.block(f"waitall({self.remaining})")
+            finally:
+                if self.waiter is proc:
+                    self.waiter = None
 
 
 class Communicator:
@@ -406,32 +509,20 @@ class Communicator:
         ``req = yield from comm.isend(...)``.
         """
         yield from active_process().settle()
+        return self._post_send(_payload_bytes(data), self.world_rank(dest), tag, context)
+
+    def _post_send(self, payload: bytes, dest: int, tag: int, context: int) -> Request:
+        """The body of :meth:`isend`, to world rank *dest*."""
         self._check_peer(dest)
-        payload = _payload_bytes(data)
         req = Request("isend")
-        env = _Envelope(
-            src=self._rank,
-            tag=tag,
-            context=self._ctx(context),
-            payload=payload,
-            size=len(payload),
-            send_req=req,
-        )
+        env = _Envelope(self._rank, tag, self._ctx(context), payload, len(payload), req)
         world = self.world
-        if len(payload) <= world.fabric.spec.eager_limit:
-            # Eager: sender completes locally; data lands at delivery time.
-            t = world.fabric.delivery_time(self._rank, dest, len(payload))
-            world.engine.schedule_at(t, lambda: world.arrive(dest, env))
+        if world.launch(self._rank, dest, len(payload), partial(world.deliver, dest, env)):
+            # Eager: the sender completes locally; data lands at delivery.
             req._complete()
         else:
-            # Rendezvous: RTS travels now; data moves once matched.
-            env.payload = None
-            env._rendezvous_data = payload  # type: ignore[attr-defined]
-            t = world.fabric.control_delay(self._rank, dest)
-            world.engine.schedule_at(t, lambda: world.arrive(dest, env))
-        if world.trace is not None:
-            world.trace.count("mpi.send", len(payload))
-            world.trace.registry.histogram("mpi.msg_bytes").observe(len(payload))
+            # Rendezvous: the RTS travels now; data moves once matched.
+            env.rendezvous = True
         return req
 
     def send(self, data: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
@@ -451,19 +542,24 @@ class Communicator:
     ):
         """Nonblocking receive; coroutine returning the :class:`Request`."""
         yield from active_process().settle()
+        if source != ANY_SOURCE:
+            source = self.world_rank(source)
+        return self._post_recv(source, tag, context)
+
+    def _post_recv(self, source: int, tag: int, context: int) -> Request:
+        """The body of :meth:`irecv`, from world rank *source*."""
         self._check_revoked("mpi.recv")
-        if source != ANY_SOURCE and self.world.dead_ranks:
-            # source is a world rank here (SubCommunicator translates
-            # before delegating to this base implementation).
-            self.world.check_alive(self._rank, source, "mpi.recv")
+        world = self.world
+        if source != ANY_SOURCE and world.dead_ranks:
+            world.check_alive(self._rank, source, "mpi.recv")
         req = Request("irecv")
-        post = _PostedRecv(src=source, tag=tag, context=self._ctx(context), req=req)
-        mailbox = self.world.mailbox(self._rank)
+        post = _PostedRecv(source, tag, self._ctx(context), req)
+        mailbox = world.mailbox(self._rank)
         env = mailbox.match_unexpected(post)
-        if env is not None:
-            self.world.consume(self._rank, env, req)
-            return req
-        mailbox.add_posted(post)
+        if env is None:
+            mailbox.add_posted(post)
+        else:
+            world.consume(self._rank, env, req)
         return req
 
     def recv(
@@ -527,7 +623,9 @@ class Communicator:
         return (self._comm_id, context)
 
     def _check_peer(self, rank: int) -> None:
-        if not (0 <= rank < self.size):
+        # *rank* is a world rank (a sub-communicator's world_rank already
+        # refused peers outside its group)
+        if not (0 <= rank < self.world.nranks):
             raise MpiError(f"peer rank {rank} outside communicator of size {self.size}")
         self._check_revoked("mpi.send")
         if self.world.dead_ranks:

@@ -82,31 +82,12 @@ class SubCommunicator(Communicator):
         """World ranks of every member, in group rank order."""
         return self.group.world_ranks
 
-    # -- translation ------------------------------------------------------
-    def isend(self, data, dest, tag=0, *, context=0):
-        """Nonblocking send to a group-local peer (translated to world)."""
-        return super().isend(data, self.world_rank(dest), tag, context=context)
-
-    def irecv(self, source=-1, tag=-1, *, context=0):
-        """Nonblocking receive from a group-local peer (translated)."""
-        world_source = source if source == -1 else self.world_rank(source)
-        req = super().irecv(world_source, tag, context=context)
-        return req
-
     def dup(self) -> "SubCommunicator":
         """MPI_Comm_dup of the sub-communicator (collective)."""
         self._dup_seq += 1
         return SubCommunicator(
             self.world, self.group, self._rank, (self._comm_id, self._dup_seq)
         )
-
-    def _check_peer(self, rank: int) -> None:
-        # peers are world ranks after translation
-        if not (0 <= rank < self.world.nranks):
-            raise MpiError(f"peer world rank {rank} invalid")
-        self._check_revoked("mpi.send")
-        if self.world.dead_ranks:
-            self.world.check_alive(self._rank, rank, "mpi.send")
 
 
 def comm_split(comm: Communicator, color: int, key: Optional[int] = None):

@@ -9,16 +9,25 @@ function, runs to completion, and returns timings/traces/results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.memsim.memory import MemoryTracker
 from repro.netsim.fabric import Fabric
 from repro.netsim.model import NetworkSpec
+from repro.obs.metrics import MetricCache
 from repro.sim.api import run_coroutine
 from repro.sim.engine import Engine, ProcessCrashed
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceRecorder
-from repro.simmpi.comm import Communicator, Mailbox, Request, Status, _Envelope
+from repro.simmpi.comm import (
+    Communicator,
+    ExchangeSlot,
+    Mailbox,
+    Request,
+    Status,
+    _Envelope,
+)
 from repro.simmpi.rma import _TargetLock
 from repro.util.errors import DeadlockError, MpiError, RankUnreachable, SimulationError
 
@@ -73,6 +82,13 @@ class MpiWorld:
         self.procs: list = []
         self._mailboxes = [Mailbox() for _ in range(nranks)]
         self._matcher_busy = [0.0] * nranks  # per-rank matching engines
+        #: (receiver world rank, match context, tag) -> ExchangeSlot of
+        #: every alltoall in progress
+        self.exchange_slots: dict[tuple[int, object, int], ExchangeSlot] = {}
+        #: Message-path metrics, resolved on first use: resolving one
+        #: creates it, and an unused one must not export as zero.
+        self._counters = None if trace is None else MetricCache(trace.registry.counter)
+        self._histograms = None if trace is None else MetricCache(trace.registry.histogram)
         #: Scratch registry for user-level libraries (TCIO) to share
         #: collectively-created metadata objects across ranks. Keys are
         #: library-chosen tuples; creation must happen inside a collective
@@ -102,12 +118,50 @@ class MpiWorld:
         """The matching state of one rank."""
         return self._mailboxes[rank]
 
+    def exchange_slot(self, dst: int, context: object, tag: int, ranks: tuple[int, ...]):
+        """World rank *dst*'s :class:`ExchangeSlot` for the alltoall with
+        match *context* and *tag* over *ranks* (created on first use by
+        whichever side gets there first; the receiver drops it when done)."""
+        key = (dst, context, tag)
+        slot = self.exchange_slots.get(key)
+        if slot is None:
+            slot = self.exchange_slots[key] = ExchangeSlot(self, dst, ranks)
+        return slot
+
     # ------------------------------------------------------------------
-    # message delivery (called from engine callbacks)
+    # message delivery
     # ------------------------------------------------------------------
-    def arrive(self, dst: int, env: _Envelope) -> None:
-        """A message reached *dst*'s NIC: serialize through the rank's
-        matching engine before it becomes visible to receives.
+    def launch(self, src: int, dst: int, nbytes: int, deliver: Callable[[], None]) -> bool:
+        """Put one two-sided message of *nbytes* wire bytes on the fabric:
+        the data itself, or above ``eager_limit`` only its rendezvous RTS
+        (:meth:`rendezvous` moves the data once the receive is matched).
+        *deliver* runs when the message has passed *dst*'s matching engine.
+        Returns whether the message went eager.
+        """
+        fabric = self.fabric
+        eager = nbytes <= fabric.spec.eager_limit
+        t = fabric.delivery_time(src, dst, nbytes) if eager else fabric.control_delay(src, dst)
+        self.engine.post_at(t, partial(self.arrive, dst, deliver))
+        if self._counters is not None:
+            self._counters["mpi.send"].add(nbytes)
+            self._histograms["mpi.msg_bytes"].observe(nbytes)
+        return eager
+
+    def arrive(self, dst: int, deliver: Callable[[], None]) -> None:
+        """A message reached *dst*'s NIC: it becomes visible to receives
+        (*deliver* runs) once the rank's matching engine has processed it."""
+        finish = self._matcher_finish(dst)
+        if finish is None:
+            deliver()
+            return
+        if self._counters is not None:
+            self._counters["mpi.match_delay"].add(finish - self.engine.now)
+        self.engine.post_at(finish, deliver)
+
+    def _matcher_finish(self, dst: int) -> Optional[float]:
+        """Reserve *dst*'s matching engine for one two-sided message and
+        return when the match completes; ``None`` when matching is free,
+        which matches the arrival on the spot.
 
         Matching is CPU work proportional to the posted/unexpected queue
         depth, so P simultaneous arrivals at one rank cost O(P^2) total —
@@ -116,48 +170,46 @@ class MpiWorld:
         spec = self.fabric.spec
         cost = spec.match_overhead + spec.match_queue_overhead * self._mailboxes[dst].queue_pressure
         if cost <= 0.0:
-            self.deliver(dst, env)
-            return
+            return None
         now = self.engine.now
-        start = now if now > self._matcher_busy[dst] else self._matcher_busy[dst]
-        finish = start + cost
+        busy = self._matcher_busy[dst]
+        finish = (now if now > busy else busy) + cost
         self._matcher_busy[dst] = finish
-        if self.trace is not None:
-            self.trace.count("mpi.match_delay", finish - now)
-        self.engine.schedule_at(finish, lambda: self.deliver(dst, env))
+        return finish
 
     def deliver(self, dst: int, env: _Envelope) -> None:
         """A message (or rendezvous RTS) reached *dst*: match or queue it."""
-        env.arrived = True
         mailbox = self._mailboxes[dst]
         post = mailbox.match_posted(env)
-        if post is not None:
-            env.consumed = True
-            self.consume(dst, env, post.req)
+        if post is None:
+            mailbox.add_unexpected(env)
             return
-        mailbox.add_unexpected(env)
+        env.consumed = True
+        self.consume(dst, env, post.req)
 
     def consume(self, dst: int, env: _Envelope, req: Request) -> None:
         """A matched (message, receive) pair: finish it (maybe rendezvous)."""
         req.status = Status(source=env.src, tag=env.tag, count=env.size)
-        if env.payload is not None:
+        if not env.rendezvous:
             req._complete(env.payload)
             return
-        # Rendezvous: send clear-to-send back, then stream the data.
-        data: bytes = env._rendezvous_data  # type: ignore[attr-defined]
-        t_cts = self.fabric.control_delay(dst, env.src)
 
-        def start_data() -> None:
-            t_data = self.fabric.delivery_time(env.src, dst, env.size)
+        def land() -> None:
+            if env.send_req is not None:
+                env.send_req._complete()
+            req._complete(env.payload)
 
-            def land() -> None:
-                if env.send_req is not None:
-                    env.send_req._complete()
-                req._complete(data)
+        self.rendezvous(env.src, dst, env.size, land)
 
-            self.engine.schedule_at(t_data, land)
+    def rendezvous(self, src: int, dst: int, nbytes: int, land: Callable[[], None]) -> None:
+        """A matched RTS: clear-to-send travels back to *src*, then the
+        *nbytes* of data stream to *dst*; *land* runs when they are there."""
+        fabric, engine = self.fabric, self.engine
 
-        self.engine.schedule_at(t_cts, start_data)
+        def send_data() -> None:
+            engine.post_at(fabric.delivery_time(src, dst, nbytes), land)
+
+        engine.post_at(fabric.control_delay(dst, src), send_data)
 
     # ------------------------------------------------------------------
     # RMA windows
@@ -272,12 +324,11 @@ class MpiWorld:
         return the completion time (ablation hook: lets TCIO's two-sided
         variant pay realistic receive-side costs without a real receiver
         loop)."""
-        spec = self.fabric.spec
-        cost = spec.match_overhead + spec.match_queue_overhead * self._mailboxes[dst].queue_pressure
-        now = self.engine.now
-        start = now if now > self._matcher_busy[dst] else self._matcher_busy[dst]
-        self._matcher_busy[dst] = start + cost
-        return self._matcher_busy[dst]
+        finish = self._matcher_finish(dst)
+        if finish is None:  # free matching still queues behind a busy engine
+            now, busy = self.engine.now, self._matcher_busy[dst]
+            return now if now > busy else busy
+        return finish
 
 
 @dataclass

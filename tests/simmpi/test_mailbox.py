@@ -74,3 +74,43 @@ class TestPostedWildQueue:
 
         run_mpi(4, main, cluster=make_test_cluster())
         assert len(sizes) == rounds * 3 and max(sizes) <= 2
+
+
+class TestMatchedEntriesLeave:
+    def test_exact_receives_of_early_sends_leave_nothing_behind(self):
+        sends = 200
+        boxes = []
+
+        def main(env):
+            if env.rank == 1:
+                for i in range(sends):
+                    yield from env.comm.send(bytes([i % 251]), 0, tag=i % 3)
+                return
+            env.compute(1.0)  # every send arrives before its receive
+            for i in range(sends):
+                yield from env.comm.recv(1, i % 3)
+            boxes.append(env.world.mailbox(0))
+
+        run_mpi(2, main, cluster=make_test_cluster())
+        (box,) = boxes
+        assert len(box.unexpected_all) == 0
+        assert box.unexpected_by_key == {} and box.n_unexpected == 0
+
+    def test_drained_keys_leave_the_indexes(self):
+        box = Mailbox()
+        for tag in range(50):
+            box.add_posted(_post(1, tag))
+            assert box.match_posted(_env(1, tag)) is not None
+            box.add_unexpected(_env(2, tag))
+            assert box.match_unexpected(_post(2, tag)) is not None
+        assert box.posted_by_key == {} and box.unexpected_by_key == {}
+        assert not box.unexpected_all
+
+    def test_wildcard_receives_drain_the_exact_index_too(self):
+        box = Mailbox()
+        for i in range(100):
+            box.add_unexpected(_env(i % 4, 7))
+        for _ in range(100):
+            assert box.match_unexpected(_post(ANY_SOURCE, 7)) is not None
+        assert box.unexpected_by_key == {} and not box.unexpected_all
+        assert box.n_unexpected == 0
