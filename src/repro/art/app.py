@@ -9,7 +9,7 @@ Figs. 9/10) and verifies restart-vs-original tree equality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.art.decomposition import ArtWorkload
@@ -43,10 +43,6 @@ class ArtConfig:
     file_name: str = "art_snapshot.dat"
     verify: bool = True
     per_array_cost: float = 0.0
-
-    def with_method(self, method: ArtIoMethod) -> "ArtConfig":
-        """A copy of the config with another I/O method."""
-        return replace(self, method=method)
 
 
 @dataclass

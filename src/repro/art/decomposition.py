@@ -59,12 +59,6 @@ class ArtWorkload:
         """Scaled tree size of one segment (>= 1 root cell)."""
         return max(1, int(self.lengths[segment] / self.cell_scale))
 
-    def owner(self, segment: int, nranks: int) -> int:
-        """Round-robin segment-to-process assignment."""
-        if not (0 <= segment < self.n_segments):
-            raise BenchmarkError(f"no segment {segment}")
-        return segment % nranks
-
     def segments_of(self, rank: int, nranks: int) -> list[int]:
         """The segments assigned to *rank* (round-robin)."""
         return list(range(rank, self.n_segments, nranks))

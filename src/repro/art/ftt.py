@@ -143,11 +143,6 @@ class FttTree:
         """Cells across all levels."""
         return sum(self.level_sizes)
 
-    @property
-    def leaf_count(self) -> int:
-        """Unrefined cells across all levels."""
-        return sum(int((lv.refined == 0).sum()) for lv in self.levels)
-
     def iter_leaves(self) -> Iterator[tuple[int, int]]:
         """Yield (level, cell) of every unrefined cell."""
         for level, lv in enumerate(self.levels):

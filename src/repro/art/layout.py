@@ -40,11 +40,6 @@ class RecordArray:
     offset: int
     data: bytes
 
-    @property
-    def nbytes(self) -> int:
-        """Length of this array's bytes."""
-        return len(self.data)
-
 
 def canonicalize(tree: FttTree) -> FttTree:
     """A copy with every level's cells stably sorted by parent index.

@@ -12,7 +12,7 @@ SIZEaccess array elements per I/O access
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.simmpi.datatypes import Primitive, type_from_code
 from repro.util.errors import BenchmarkError
@@ -126,11 +126,3 @@ class BenchConfig:
     def accesses_per_process(self) -> int:
         """I/O calls each process issues per phase."""
         return (self.len_array // self.size_access) * self.num_arrays
-
-    def with_method(self, method: "Method | int | str") -> "BenchConfig":
-        """A copy of the config with another method."""
-        return replace(self, method=Method.parse(method))
-
-    def scaled_len(self, scale: int) -> "BenchConfig":
-        """Divide LENarray by *scale* (>=1 element), for size sweeps."""
-        return replace(self, len_array=max(1, self.len_array // scale))

@@ -91,8 +91,8 @@ def find_crossover(
 
     A candidate is *crossed* when ``margin(candidate) < 0``. The margin
     is assumed monotone-in-sign over the candidate order (not-crossed
-    then crossed); :func:`verify_monotone` checks that assumption from
-    an exhaustive report.
+    then crossed); a ``method="grid"`` report holds every margin, so a
+    caller can check that assumption from it.
 
     ``method="bisect"`` evaluates both endpoints, then binary-searches
     the flip; ``method="grid"`` evaluates every candidate (the baseline
@@ -139,14 +139,6 @@ def find_crossover(
             lo = mid
     report.bracket = (candidates[lo], candidates[hi])
     return report
-
-
-def verify_monotone(report: CrossoverReport) -> bool:
-    """True when an exhaustive report's margins flip sign at most once."""
-    signs = [report.margins[c] < 0 for c in report.candidates
-             if c in report.margins]
-    flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return flips <= 1
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,8 @@ orderings and crossovers of the paper's figures. Absolute throughputs are
 not comparable to the paper's (and are not a reproduction target); who wins
 where is.
 
-``full_scale_lonestar`` keeps physically-grounded full-size constants for
-tests of the dilation machinery itself.
+``full_scale_lonestar`` keeps the physically-grounded full-size constants
+that ``repro info`` prints beside the scaled ones.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ LONESTAR_SCALE = 4096
 #: The stripe/lock granularity divisor (message-count compression).
 LONESTAR_STRIPE_SCALE = 32
 
-#: Full-size testbed constants (physical; used by the dilation-rule tests).
+#: Full-size testbed constants (physical; printed by ``repro info``).
 _FULL = ClusterSpec(
     name="lonestar",
     nodes=1888,
@@ -117,29 +117,13 @@ _CALIBRATED = ClusterSpec(
 )
 
 
-def make_lonestar(
-    *,
-    nranks: Optional[int] = None,
-    scale: int = LONESTAR_SCALE,
-    stripe_scale: Optional[int] = None,
-) -> ClusterSpec:
-    """The calibrated scaled Lonestar preset, optionally sized to *nranks*.
-
-    The default arguments return the calibrated machine. Passing a
-    different ``scale``/``stripe_scale`` applies the generic dilation rule
-    to the full-size constants instead (for scaling-rule tests).
-    """
-    if scale == LONESTAR_SCALE and stripe_scale in (None, LONESTAR_STRIPE_SCALE):
-        spec = _CALIBRATED
-    else:
-        if stripe_scale is None:
-            stripe_scale = min(scale, LONESTAR_STRIPE_SCALE)
-        spec = _FULL.scaled(scale, stripe_scale)
-    if nranks is not None:
-        spec = spec.sized_for(nranks)
-    return spec
+def make_lonestar(*, nranks: Optional[int] = None) -> ClusterSpec:
+    """The calibrated scaled Lonestar preset, optionally sized to *nranks*."""
+    if nranks is None:
+        return _CALIBRATED
+    return _CALIBRATED.sized_for(nranks)
 
 
 def full_scale_lonestar() -> ClusterSpec:
-    """The unscaled testbed (for unit tests of the scaling rule itself)."""
+    """The unscaled testbed (what ``repro info`` prints as the model)."""
     return _FULL

@@ -1,11 +1,7 @@
 """Cluster description: nodes, memory, interconnect, and file system.
 
-Scaling rule (see DESIGN.md): a cluster scaled by ``s`` divides every *size*
-(stripe size, node memory, eager limit) and every *fixed per-event time*
-(latencies, setup costs, request overheads) by ``s`` while keeping all
-*rates* (bandwidths) unchanged. The scaled system is then an exact time
-dilation of the full-size one — every ratio, crossover and throughput the
-figures depend on is preserved, while simulated workloads shrink by ``s``.
+``scale`` records the data-size divisor a preset was built for (see
+DESIGN.md and :mod:`repro.cluster.lonestar`); 1 for a full-size machine.
 """
 
 from __future__ import annotations
@@ -47,50 +43,6 @@ class ClusterSpec:
             raise ValueError("node memory must be positive")
         self.network.validate()
         self.lustre.validate()
-
-    def scaled(self, scale: int, stripe_scale: Optional[int] = None) -> "ClusterSpec":
-        """Apply the size/time dilation described in the module docstring.
-
-        ``stripe_scale`` (default: ``scale``) divides the stripe/lock/segment
-        granularity separately. Using a smaller divisor than ``scale`` keeps
-        segments proportionally *larger* than at full size — "message-count
-        compression": per-run flush/lock message counts shrink with the data
-        while every bandwidth/capacity ratio stays intact (see DESIGN.md).
-        """
-        if scale < 1:
-            raise ValueError("scale must be >= 1")
-        if stripe_scale is None:
-            stripe_scale = scale
-        if not (1 <= stripe_scale <= scale):
-            raise ValueError("stripe_scale must be in [1, scale]")
-        if scale == 1:
-            return self
-        net = replace(
-            self.network,
-            latency=self.network.latency / scale,
-            per_message_overhead=self.network.per_message_overhead / scale,
-            connection_setup=self.network.connection_setup / scale,
-            match_overhead=self.network.match_overhead / scale,
-            match_queue_overhead=self.network.match_queue_overhead / scale,
-            rma_epoch_overhead=self.network.rma_epoch_overhead / scale,
-            rma_shared_epoch_overhead=self.network.rma_shared_epoch_overhead / scale,
-            rma_message_overhead=self.network.rma_message_overhead / scale,
-            eager_limit=max(1, self.network.eager_limit // stripe_scale),
-        )
-        fs = replace(
-            self.lustre,
-            stripe_size=max(1, self.lustre.stripe_size // stripe_scale),
-            ost_write_overhead=self.lustre.ost_write_overhead / scale,
-            ost_read_overhead=self.lustre.ost_read_overhead / scale,
-            lock_latency=self.lustre.lock_latency / scale,
-        )
-        return replace(
-            self,
-            network=net,
-            lustre=fs,
-            memory_per_node=max(1, self.memory_per_node // scale),
-            scale=self.scale * scale,
-        )
 
     def sized_for(self, nranks: int) -> "ClusterSpec":
         """Shrink the node count to just fit *nranks* (keeps topology rules)."""

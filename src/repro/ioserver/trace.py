@@ -75,10 +75,6 @@ class WorkloadTrace:
     file_name: str
     ops: tuple[TraceOp, ...]
 
-    def client_ops(self, client: int) -> tuple[TraceOp, ...]:
-        """One client's requests, in program (seq) order."""
-        return tuple(op for op in self.ops if op.client == client)
-
     @property
     def epochs(self) -> int:
         """Number of global flush barriers in the write phase."""
@@ -88,11 +84,6 @@ class WorkloadTrace:
     def written_bytes(self) -> int:
         """Total payload bytes across all write requests."""
         return sum(op.nbytes for op in self.ops if op.op == "write")
-
-    @property
-    def has_reads(self) -> bool:
-        """True when the trace ends with a read phase."""
-        return any(op.op == "fetch" for op in self.ops)
 
     def validate(self) -> None:
         """Check the structural invariants replays rely on."""

@@ -82,10 +82,6 @@ class MemoryTracker:
         node.allocations[allocation.label] -= allocation.nbytes
 
     # ------------------------------------------------------------------
-    def in_use(self, node: int) -> int:
-        """Live bytes on *node*."""
-        return self._nodes[node].in_use
-
     def high_water(self, node: Optional[int] = None) -> int:
         """Peak usage of one node, or the max over all nodes."""
         if node is not None:
@@ -95,15 +91,3 @@ class MemoryTracker:
     def breakdown(self, node: int) -> dict[str, int]:
         """Live bytes per label on *node* (zero entries dropped)."""
         return {k: v for k, v in self._nodes[node].allocations.items() if v}
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of tracked nodes."""
-        return len(self._nodes)
-
-
-class NullMemoryTracker(MemoryTracker):
-    """A tracker with an effectively infinite budget (semantics-only tests)."""
-
-    def __init__(self, nranks: int = 1):
-        super().__init__(node_budget=2**62, node_of=[0] * max(1, nranks))

@@ -73,11 +73,6 @@ class Fabric:
         else:
             self._c_msg = self._c_intranode = self._h_msg_bytes = None
 
-    @property
-    def n_connections(self) -> int:
-        """Distinct (source rank, destination rank) pairs seen so far."""
-        return len(self._connected)
-
     def _node(self, rank: int) -> int:
         try:
             return self.node_of[rank]

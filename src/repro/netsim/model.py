@@ -89,14 +89,6 @@ class NetworkSpec:
         if self.eager_limit < 0:
             raise ValueError("eager_limit must be non-negative")
 
-    def message_time(self, nbytes: int) -> float:
-        """Uncontended single-message transfer time (for sanity checks)."""
-        return (
-            self.latency
-            + 2 * self.per_message_overhead
-            + nbytes / self.link_bandwidth
-        )
-
 
 #: A spec with huge bandwidth and zero latency; useful in unit tests that
 #: check data movement semantics without caring about timing.

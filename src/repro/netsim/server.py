@@ -56,11 +56,5 @@ class ReservationServer:
         self.busy_time += service
         return self.busy_until
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of [0, horizon] this server spent busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ReservationServer {self.name} busy_until={self.busy_until:.6f}>"

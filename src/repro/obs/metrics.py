@@ -1,8 +1,8 @@
 """The hierarchical metrics registry: counters, gauges, log2 histograms.
 
 Metric names are dotted paths (``tcio.flush.bytes``, ``net.connection``):
-the dot hierarchy groups metrics by subsystem so reports can slice one
-layer's counters out of a whole-run registry with :meth:`MetricsRegistry.subtree`.
+the dot hierarchy groups metrics by subsystem, and exports list them sorted
+so one layer's counters sit together.
 
 Three metric kinds cover everything the simulated stack reports:
 
@@ -57,11 +57,6 @@ class Counter:
         self.count += n
         self.total += n
 
-    def merge_from(self, other: "Counter") -> None:
-        """Accumulate another counter into this one."""
-        self.count += other.count
-        self.total += other.total
-
     def as_json(self) -> dict:
         """JSON-ready form for ``metrics.json``."""
         return {"count": self.count, "total": self.total}
@@ -71,7 +66,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-value sample (set wins; ``add`` nudges it)."""
+    """A last-value sample (the last ``set`` wins)."""
 
     __slots__ = ("value",)
     kind = "gauge"
@@ -82,14 +77,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Record the current level."""
         self.value = value
-
-    def add(self, delta: float) -> None:
-        """Move the level by *delta*."""
-        self.value += delta
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Merging gauges keeps the larger level (high-water semantics)."""
-        self.value = max(self.value, other.value)
 
     def as_json(self) -> dict:
         """JSON-ready form for ``metrics.json``."""
@@ -140,17 +127,6 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Accumulate another histogram into this one."""
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.total += other.total
-        for bound in (other.min, other.max):
-            if bound is not None:
-                self.min = bound if self.min is None else min(self.min, bound)
-                self.max = bound if self.max is None else max(self.max, bound)
 
     def as_json(self) -> dict:
         """JSON-ready form: only non-empty buckets, keyed by upper bound."""
@@ -245,25 +221,9 @@ class MetricsRegistry:
         """Just the counters, as a name -> Counter mapping."""
         return {n: m for n, m in self._metrics.items() if isinstance(m, Counter)}
 
-    def subtree(self, prefix: str) -> dict[str, Metric]:
-        """Metrics under a dotted prefix (``subtree("tcio")`` matches
-        ``tcio`` itself and every ``tcio.*`` descendant)."""
-        dotted = prefix + "."
-        return {
-            n: m
-            for n, m in sorted(self._metrics.items())
-            if n == prefix or n.startswith(dotted)
-        }
-
     # ------------------------------------------------------------------
-    # aggregation and export
+    # export
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Accumulate another registry (e.g. a per-rank scope) into this one."""
-        for name, metric in other._metrics.items():
-            mine = self._named(name, type(metric))
-            mine.merge_from(metric)
-
     def flat(self) -> dict:
         """JSON-ready snapshot grouped by kind, names sorted."""
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}

@@ -21,7 +21,6 @@ in a pool worker, or comes out of the store (asserted in
 from repro.perf.campaign import CampaignRunner
 from repro.perf.points import (
     Point,
-    all_points,
     config_hash,
     points_for,
     run_point,
@@ -30,7 +29,6 @@ from repro.perf.points import (
 __all__ = [
     "CampaignRunner",
     "Point",
-    "all_points",
     "config_hash",
     "points_for",
     "run_point",

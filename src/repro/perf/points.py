@@ -142,14 +142,6 @@ def points_for(experiment: str, scale=None) -> list[Point]:
     return points
 
 
-def all_points(scale=None, experiments=EXPERIMENTS) -> list[Point]:
-    """Every point of the selected experiments, in campaign order."""
-    out: list[Point] = []
-    for experiment in experiments:
-        out.extend(points_for(experiment, scale))
-    return out
-
-
 # ----------------------------------------------------------------------
 # execution (pure: point in, JSON-able result out)
 # ----------------------------------------------------------------------

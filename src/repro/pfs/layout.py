@@ -31,19 +31,9 @@ class StripeLayout:
         if not (0 <= self.first_ost < self.n_osts):
             raise PfsError("first_ost outside OST range")
 
-    def stripe_index(self, offset: int) -> int:
-        """Which stripe unit holds byte *offset*."""
-        if offset < 0:
-            raise PfsError(f"negative offset {offset}")
-        return offset // self.stripe_size
-
     def ost_of_stripe(self, stripe: int) -> int:
         """The OST storing stripe unit *stripe*."""
         return (self.first_ost + stripe % self.stripe_count) % self.n_osts
-
-    def ost_of_offset(self, offset: int) -> int:
-        """The OST storing byte *offset*."""
-        return self.ost_of_stripe(self.stripe_index(offset))
 
     def split_by_stripe(self, extent: Extent) -> Iterator[tuple[int, Extent]]:
         """Yield (stripe index, sub-extent) pieces cut at stripe boundaries."""
@@ -73,7 +63,3 @@ class StripeLayout:
             else:
                 pieces.append(piece)
         return out
-
-    def lock_units(self, extent: Extent) -> Extent:
-        """Expand an extent to whole lock units (= stripe units)."""
-        return extent.align_down(self.stripe_size)

@@ -197,8 +197,8 @@ class Engine:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, *, until: float | None = None) -> float:
-        """Run to completion (or to time *until*); returns the final clock.
+    def run(self) -> float:
+        """Run to completion; returns the final clock.
 
         Completion means every process terminated and the heap drained.
         A drained heap with live blocked processes raises DeadlockError.
@@ -227,22 +227,17 @@ class Engine:
                         break
                 if action is None:
                     break
-                if until is not None and time > until:
-                    self.now = until
-                    break
                 if time < self.now:
                     raise SimulationError("event time went backwards")
                 self.now = time
                 self.events += 1
                 action()
-            if until is None:
-                self._check_deadlock()
+            self._check_deadlock()
         finally:
             self._running = False
-            self._finished = until is None
-            if self._finished:
-                self._reap()
-                _retire_engine(self)
+            self._finished = True
+            self._reap()
+            _retire_engine(self)
         if self.trace is not None:
             self.trace.complete(
                 "engine.run", started, self.now, "engine",

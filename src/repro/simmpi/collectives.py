@@ -17,14 +17,13 @@ simulated wire.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.simmpi.comm import (
     CTX_COLL,
     Communicator,
     pack_object,
     unpack_object,
-    wait_all,
 )
 from repro.sim.engine import active_process
 from repro.sim.sync import SimBarrier
@@ -83,7 +82,7 @@ def barrier(comm: Communicator):
 
 
 # ----------------------------------------------------------------------
-# broadcast / gather / allgather
+# broadcast / allgather
 # ----------------------------------------------------------------------
 
 
@@ -126,52 +125,6 @@ def _lowest_set_bit_exclusive(vrank: int, size: int) -> int:
             span <<= 1
         return span
     return vrank & (-vrank)
-
-
-def gather(comm: Communicator, obj: Any, root: int = 0):
-    """Gather one object per rank to *root* (list indexed by rank) else None.
-
-    Flat gather (each rank sends straight to the root): simple, and exactly
-    how ROMIO collects per-rank access metadata.
-    """
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MpiError(f"bad gather root {root}")
-    tag = _next_tag(comm)
-    if rank != root:
-        yield from comm.send_object(obj, root, tag, context=CTX_COLL)
-        return None
-    out: list[Any] = [None] * size
-    out[root] = obj
-    reqs = []
-    for src in range(size):
-        if src != root:
-            req = yield from comm.irecv(src, tag, context=CTX_COLL)
-            reqs.append((src, req))
-    yield from wait_all([req for _, req in reqs])
-    for src, req in reqs:
-        payload = req.payload
-        assert payload is not None
-        out[src] = unpack_object(payload)
-    return out
-
-
-def scatter(comm: Communicator, objs: Optional[Sequence[Any]], root: int = 0):
-    """MPI_Scatter of Python objects: entry *i* of the root's list goes to
-    rank *i*; returns the caller's entry."""
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MpiError(f"bad scatter root {root}")
-    tag = _next_tag(comm)
-    if rank == root:
-        if objs is None or len(objs) != size:
-            raise MpiError(f"scatter needs exactly {size} entries at the root")
-        for dst in range(size):
-            if dst != root:
-                yield from comm.isend(pack_object(objs[dst]), dst, tag, context=CTX_COLL)
-        return objs[root]
-    payload = yield from comm.recv(root, tag, context=CTX_COLL)
-    return unpack_object(payload)
 
 
 def allgather(comm: Communicator, obj: Any):
@@ -282,14 +235,3 @@ def allreduce(comm: Communicator, value: Any, op: Callable[[Any, Any], Any]):
     reduced = yield from reduce(comm, value, op, root=0)
     return (yield from bcast(comm, reduced, root=0))
 
-
-def exscan(comm: Communicator, value: int):
-    """Exclusive prefix sum of integers (rank 0 gets 0). Linear chain."""
-    size, rank = comm.size, comm.rank
-    tag = _next_tag(comm)
-    prefix = 0
-    if rank > 0:
-        prefix = yield from comm.recv_object(rank - 1, tag, context=CTX_COLL)
-    if rank + 1 < size:
-        yield from comm.isend(pack_object(prefix + value), rank + 1, tag, context=CTX_COLL)
-    return prefix

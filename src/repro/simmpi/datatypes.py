@@ -12,8 +12,7 @@ when the type tiles.
 The typemap is built arithmetically — a constructed type broadcasts its
 base's table over its element shifts — flattened lazily and cached, with
 adjacent segments merged in one vectorised pass. File-view translation works
-on the table; ``segments`` is the same table as a tuple of pairs, for
-packing/unpacking and tests.
+on the table.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ class Datatype:
         table = _merge_table(self._build_typemap())
         table.flags.writeable = False
         return table
-
-    @cached_property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        """The typemap as a tuple of (offset, length) pairs of ``int``."""
-        return tuple(map(tuple, self.typemap.tolist()))
 
     def _build_typemap(self) -> np.ndarray:
         raise NotImplementedError
@@ -265,69 +259,3 @@ class Subarray(Datatype):
             rows = np.add.outer(steps, rows).reshape(-1)
         return _tile_table(_block_table(self.base, self.subsizes[-1]), rows)
 
-
-# ----------------------------------------------------------------------
-# pack/unpack between user buffers and contiguous byte streams
-# ----------------------------------------------------------------------
-
-
-def pack(buffer: np.ndarray | bytes | bytearray | memoryview, dtype: Datatype, count: int) -> bytes:
-    """Gather *count* tiled copies of *dtype* from *buffer* into a stream.
-
-    The MPI analogue of ``MPI_Pack`` over a (buffer, count, datatype)
-    triple; used by send paths and by OCIO's scatter/gather.
-    """
-    raw = _as_bytes(buffer)
-    out = bytearray()
-    for i in range(count):
-        shift = i * dtype.extent
-        for off, ln in dtype.segments:
-            lo = shift + off
-            if lo < 0 or lo + ln > len(raw):
-                raise DatatypeError(
-                    f"pack: segment [{lo},{lo + ln}) outside buffer of {len(raw)} bytes"
-                )
-            out += raw[lo : lo + ln]
-    return bytes(out)
-
-
-def unpack(
-    stream: bytes | bytearray | memoryview,
-    buffer: np.ndarray | bytearray | memoryview,
-    dtype: Datatype,
-    count: int,
-) -> None:
-    """Scatter a contiguous stream into *buffer* per the typemap (MPI_Unpack)."""
-    view = _as_mutable(buffer)
-    src = memoryview(stream)
-    need = dtype.size * count
-    if len(src) < need:
-        raise DatatypeError(f"unpack: stream has {len(src)} bytes, need {need}")
-    pos = 0
-    for i in range(count):
-        shift = i * dtype.extent
-        for off, ln in dtype.segments:
-            lo = shift + off
-            if lo < 0 or lo + ln > len(view):
-                raise DatatypeError(
-                    f"unpack: segment [{lo},{lo + ln}) outside buffer of {len(view)} bytes"
-                )
-            view[lo : lo + ln] = src[pos : pos + ln]
-            pos += ln
-
-
-def _as_bytes(buffer: object) -> memoryview:
-    if isinstance(buffer, np.ndarray):
-        return memoryview(np.ascontiguousarray(buffer)).cast("B")
-    return memoryview(buffer).cast("B")  # type: ignore[arg-type]
-
-
-def _as_mutable(buffer: object) -> memoryview:
-    if isinstance(buffer, np.ndarray):
-        if not buffer.flags.c_contiguous:
-            raise DatatypeError("unpack target must be C-contiguous")
-        return memoryview(buffer).cast("B")
-    view = memoryview(buffer)  # type: ignore[arg-type]
-    if view.readonly:
-        raise DatatypeError("unpack target is read-only")
-    return view.cast("B")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.simmpi import collectives
-from repro.simmpi.comm import Communicator
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, CTX_PT2PT, Communicator, Status
 from repro.util.errors import MpiError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,6 +81,33 @@ class SubCommunicator(Communicator):
     def group_world_ranks(self) -> tuple[int, ...]:
         """World ranks of every member, in group rank order."""
         return self.group.world_ranks
+
+    # -- sources: envelopes carry world ranks, callers see group ranks ----
+    def recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        *,
+        status: Optional[Status] = None,
+        context: int = CTX_PT2PT,
+    ):
+        """Blocking receive; *status*, if given, names the group-local sender."""
+        payload = yield from super().recv(source, tag, status=status, context=context)
+        if status is not None:
+            status.source = self.group.rank_of(status.source)
+        return payload
+
+    def iprobe(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, context: int = CTX_PT2PT
+    ) -> Optional[Status]:
+        """Nonblocking probe from a group-local *source* (or ANY_SOURCE);
+        the Status names the group-local sender."""
+        if source != ANY_SOURCE:
+            source = self.world_rank(source)
+        status = super().iprobe(source, tag, context=context)
+        if status is not None:
+            status.source = self.group.rank_of(status.source)
+        return status
 
     def dup(self) -> "SubCommunicator":
         """MPI_Comm_dup of the sub-communicator (collective)."""

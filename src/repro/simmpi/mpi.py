@@ -406,7 +406,6 @@ def run_mpi(
     *,
     cluster: "Optional[ClusterSpec]" = None,
     trace: Optional[TraceRecorder] = None,
-    until: Optional[float] = None,
     pfs_init: Optional[Callable[["Pfs"], None]] = None,
     faults=None,
 ) -> MpiRunResult:
@@ -471,7 +470,7 @@ def run_mpi(
         world.procs.append(proc)
     aborted: Optional[BaseException] = None
     try:
-        elapsed = engine.run(until=until)
+        elapsed = engine.run()
     except (RankUnreachable, DeadlockError) as exc:
         # A fail-stop crash aborts the whole job; the caller still gets the
         # world and PFS back so recovery tooling can inspect the wreckage.

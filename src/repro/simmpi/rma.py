@@ -284,11 +284,6 @@ class Window:
             self._c_put_blocks.add(len(blocks))
             self._h_put_bytes.observe(total)
 
-    def get(self, target: int, target_offset: int, nbytes: int):
-        """MPI_Get of one contiguous block (epoch-blocking coroutine)."""
-        [(off, data)] = yield from self.get_indexed([(target_offset, nbytes)], target)
-        return data
-
     def get_indexed(self, blocks: Sequence[tuple[int, int]], target: int):
         """One transfer fetching many disjoint (offset, length) blocks.
 
@@ -328,25 +323,6 @@ class Window:
             self._c_get.add(total)
             self._c_get_blocks.add(len(blocks))
         return result
-
-    # ------------------------------------------------------------------
-    # active-target synchronization (the alternative the paper rejects)
-    # ------------------------------------------------------------------
-    def fence(self):
-        """MPI_Win_fence: collective epoch boundary.
-
-        "MPI_Win_fence is the simplest approach to allow all processes to
-        synchronize. However [it] is a collective call, which by nature
-        would break the TCIO design, which allows all the I/O accesses to
-        be performed independently." Provided for completeness and for the
-        fence-vs-lock ablation; completes every open epoch of this origin,
-        then barriers.
-        """
-        from repro.simmpi import collectives
-
-        for target in list(self._epochs):
-            self.unlock(target)
-        yield from collectives.barrier(self.comm)
 
     # ------------------------------------------------------------------
     def _maybe_fail(self, op: str, target_w: int) -> None:

@@ -39,15 +39,12 @@ from repro.tcio.file import (
     SEEK_END,
 )
 from repro.tcio.stats import TcioStats
-from repro.tcio.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
     "TcioConfig",
     "SegmentMapping",
     "TcioFile",
     "TcioStats",
-    "save_checkpoint",
-    "load_checkpoint",
     "tcio_open",
     "tcio_write",
     "tcio_write_at",

@@ -34,20 +34,6 @@ class Level1Buffer:
         """Whether nothing is buffered/recorded."""
         return not self._blocks
 
-    @property
-    def blocks(self) -> list[tuple[int, int]]:
-        """Merged (disp, length) blocks currently buffered."""
-        return list(self._blocks)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Total bytes currently buffered."""
-        return sum(length for _, length in self._blocks)
-
-    def accepts(self, global_segment: int) -> bool:
-        """Can a block of this segment be placed without flushing first?"""
-        return self.aligned_segment is None or self.aligned_segment == global_segment
-
     def align(self, global_segment: int) -> None:
         """Align the (empty) buffer with a level-2 segment."""
         if not self.empty:
@@ -149,11 +135,6 @@ class ReadLog:
     def empty(self) -> bool:
         """Whether no lazy reads are pending."""
         return not self.dests
-
-    @property
-    def domain_span(self) -> int:
-        """File-domain span of the pending reads."""
-        return self._hi - self._lo
 
     def record(self, dest: memoryview, file_offset: int, length: int) -> bool:
         """Append one lazy read and widen the pending domain.

@@ -16,7 +16,6 @@ scenario it runs the job solo, then runs all jobs shared, and checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.tenancy.runner import (
     JobResult,
@@ -81,7 +80,6 @@ def interference_matrix(
     *,
     qos: str = "fifo",
     strict: bool = True,
-    until: Optional[float] = None,
 ) -> MatrixReport:
     """Run the full solo/shared matrix for *scenario*.
 
@@ -89,7 +87,7 @@ def interference_matrix(
     fsck raises :class:`TenancyError` attributed to the offending job;
     otherwise the report simply records the failures.
     """
-    shared = run_scenario(scenario, qos=qos, solo_baseline=True, until=until)
+    shared = run_scenario(scenario, qos=qos, solo_baseline=True)
     solo = {spec.name: solo_result(scenario, spec.name) for spec in scenario.jobs}
 
     identical: dict[str, bool] = {}

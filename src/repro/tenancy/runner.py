@@ -268,7 +268,6 @@ def run_scenario(
     faults: Optional[dict] = None,
     solo_baseline: bool = True,
     verify: bool = True,
-    until: Optional[float] = None,
 ) -> ScenarioResult:
     """Run every job of *scenario* concurrently against one shared PFS.
 
@@ -350,7 +349,7 @@ def run_scenario(
         arrivals[name] = arrival
 
     try:
-        elapsed = engine.run(until=until)
+        elapsed = engine.run()
     except (RankUnreachable, DeadlockError) as exc:
         # Per-rank containment should make this unreachable for crashes;
         # anything else (a genuine cross-job deadlock) is a real bug.

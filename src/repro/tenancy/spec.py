@@ -77,12 +77,6 @@ class JobSpec:
         """The workload knobs as a plain dict."""
         return dict(self.params)
 
-    def with_params(self, **kw) -> "JobSpec":
-        """A copy with extra workload parameters merged in."""
-        merged = dict(self.params)
-        merged.update(kw)
-        return replace(self, params=tuple(sorted(merged.items())))
-
     def signature(self) -> tuple:
         """Hashable identity of the job's *solo* behavior.
 

@@ -16,14 +16,11 @@ leader is local rank 0 of the node communicator returned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING
+from typing import Sequence
 
 from repro.simmpi.comm import Communicator
 from repro.simmpi.group import GroupSpec, SubCommunicator
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.spec import ClusterSpec
 
 
 @dataclass(frozen=True)
@@ -55,19 +52,9 @@ class NodeTopology:
             [world.node_of[comm.world_rank(r)] for r in range(comm.size)]
         )
 
-    @classmethod
-    def from_cluster(cls, spec: "ClusterSpec", nranks: int) -> "NodeTopology":
-        """The default dense placement ``rank // cores_per_node``."""
-        return cls.from_node_of([r // spec.cores_per_node for r in range(nranks)])
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def nranks(self) -> int:
-        """Number of ranks covered."""
-        return len(self._node_of)
-
     @property
     def nodes(self) -> tuple[int, ...]:
         """The distinct node ids, in ascending order."""
@@ -95,14 +82,6 @@ class NodeTopology:
             if n == node:
                 return r
         raise SimulationError(f"no ranks on node {node}")
-
-    def leaders(self) -> tuple[int, ...]:
-        """One leader per node, in node order."""
-        return tuple(self.leader_of(n) for n in self.nodes)
-
-    def is_leader(self, rank: int) -> bool:
-        """True when *rank* leads its node."""
-        return self.leader_of(self.node_of_rank(rank)) == rank
 
     def same_node(self, a: int, b: int) -> bool:
         """True when local ranks *a* and *b* share a node."""

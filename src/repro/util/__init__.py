@@ -17,12 +17,10 @@ from repro.util.units import (
     KIB,
     MIB,
     GIB,
-    parse_size,
     format_size,
     format_time,
-    format_throughput,
 )
-from repro.util.intervals import Extent, ExtentSet
+from repro.util.intervals import Extent
 from repro.util.rng import seeded_rng, derive_seed
 
 __all__ = [
@@ -36,12 +34,9 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "parse_size",
     "format_size",
     "format_time",
-    "format_throughput",
     "Extent",
-    "ExtentSet",
     "seeded_rng",
     "derive_seed",
 ]

@@ -1,63 +1,16 @@
-"""Byte-size and time formatting/parsing helpers.
+"""Byte-size and time formatting helpers.
 
 The paper reports sizes as "768MB", "48GB", stripe sizes as "1MB", and
-throughput as MB/s. We use binary units internally (1 MB = 2**20 bytes,
-matching Lustre's stripe-size arithmetic) and keep parsing tolerant of both
-``MB`` and ``MiB`` spellings.
+throughput as MB/s. We use binary units (1 MB = 2**20 bytes, matching
+Lustre's stripe-size arithmetic).
 """
 
 from __future__ import annotations
-
-import re
 
 KIB = 1024
 MIB = 1024**2
 GIB = 1024**3
 TIB = 1024**4
-
-_SUFFIXES = {
-    "": 1,
-    "b": 1,
-    "k": KIB,
-    "kb": KIB,
-    "kib": KIB,
-    "m": MIB,
-    "mb": MIB,
-    "mib": MIB,
-    "g": GIB,
-    "gb": GIB,
-    "gib": GIB,
-    "t": TIB,
-    "tb": TIB,
-    "tib": TIB,
-}
-
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([a-zA-Z]*)\s*$")
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse ``"768MB"``-style strings (or pass through numbers) to bytes.
-
-    >>> parse_size("1MB")
-    1048576
-    >>> parse_size("0.75GB")
-    805306368
-    >>> parse_size(4096)
-    4096
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"negative size: {text!r}")
-        return int(text)
-    m = _SIZE_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse size: {text!r}")
-    value, suffix = m.groups()
-    try:
-        mult = _SUFFIXES[suffix.lower()]
-    except KeyError:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}") from None
-    return int(float(value) * mult)
 
 
 def format_size(nbytes: int | float) -> str:
@@ -92,7 +45,3 @@ def format_time(seconds: float) -> str:
         return f"{seconds:.2f}s"
     return f"{seconds / 60:.1f}min"
 
-
-def format_throughput(bytes_per_second: float) -> str:
-    """Render a throughput in the paper's MB/s convention."""
-    return f"{bytes_per_second / MIB:.1f}MB/s"

@@ -10,10 +10,6 @@ def small():
 
 
 class TestArtConfig:
-    def test_with_method(self):
-        cfg = ArtConfig(workload=small()).with_method(ArtIoMethod.MPIIO)
-        assert cfg.method is ArtIoMethod.MPIIO
-
     def test_defaults(self):
         cfg = ArtConfig()
         assert cfg.method is ArtIoMethod.TCIO

@@ -30,8 +30,7 @@ class TestSegmentLengths:
 class TestWorkload:
     def test_round_robin_assignment(self):
         wl = ArtWorkload(n_segments=10)
-        assert wl.owner(0, 4) == 0
-        assert wl.owner(5, 4) == 1
+        assert wl.segments_of(0, 4) == [0, 4, 8]
         assert wl.segments_of(1, 4) == [1, 5, 9]
 
     def test_every_segment_has_exactly_one_owner(self):
@@ -40,10 +39,6 @@ class TestWorkload:
         for r in range(5):
             seen.extend(wl.segments_of(r, 5))
         assert sorted(seen) == list(range(17))
-
-    def test_bad_segment_rejected(self):
-        with pytest.raises(BenchmarkError):
-            ArtWorkload(n_segments=4).owner(4, 2)
 
     def test_cell_scale_shrinks_targets(self):
         big = ArtWorkload(cell_scale=1)

@@ -12,14 +12,14 @@ class TestConstruction:
         t = FttTree.root_only(nvars=2)
         assert t.depth == 1
         assert t.total_cells == 1
-        assert t.leaf_count == 1
+        assert list(t.iter_leaves()) == [(0, 0)]
         t.check_invariants()
 
     def test_refine_adds_an_oct(self):
         t = FttTree.root_only(2)
         t.refine(0, 0)
         assert t.level_sizes == [1, 8]
-        assert t.leaf_count == 8
+        assert list(t.iter_leaves()) == [(1, c) for c in range(8)]
         t.check_invariants()
 
     def test_refine_deeper(self):
@@ -102,6 +102,6 @@ class TestRandomTrees:
     def test_leaves_enumerate_unrefined_cells(self):
         t = FttTree.build_random(np.random.default_rng(3), 1, 30)
         leaves = list(t.iter_leaves())
-        assert len(leaves) == t.leaf_count
+        assert len(leaves) == sum(int((lv.refined == 0).sum()) for lv in t.levels)
         for level, cell in leaves:
             assert t.levels[level].refined[cell] == 0

@@ -50,12 +50,3 @@ class TestBenchConfig:
     def test_mixed_type_sizes(self):
         cfg = BenchConfig(num_arrays=3, type_codes="c,s,f", len_array=4)
         assert cfg.element_bytes == 1 + 2 + 4
-
-    def test_with_method(self):
-        cfg = BenchConfig().with_method(0)
-        assert cfg.method is Method.OCIO
-
-    def test_scaled_len(self):
-        cfg = BenchConfig(len_array=1024).scaled_len(256)
-        assert cfg.len_array == 4
-        assert BenchConfig(len_array=2).scaled_len(100).len_array == 1

@@ -1,4 +1,4 @@
-"""Cluster spec and the scaling (dilation) rule."""
+"""Cluster spec and the Lonestar presets."""
 
 import pytest
 
@@ -38,43 +38,7 @@ class TestLonestarPreset:
             full_scale_lonestar().sized_for(1888 * 12 + 1)
 
 
-class TestDilationRule:
-    def test_scaled_divides_times_keeps_rates(self):
-        full = full_scale_lonestar()
-        scaled = full.scaled(64)
-        assert scaled.network.latency == pytest.approx(full.network.latency / 64)
-        assert scaled.network.connection_setup == pytest.approx(
-            full.network.connection_setup / 64
-        )
-        assert scaled.lustre.ost_write_overhead == pytest.approx(
-            full.lustre.ost_write_overhead / 64
-        )
-        # rates unchanged
-        assert scaled.network.link_bandwidth == full.network.link_bandwidth
-        assert scaled.lustre.ost_write_bandwidth == full.lustre.ost_write_bandwidth
-
-    def test_stripe_scale_decouples_granularity(self):
-        full = full_scale_lonestar()
-        scaled = full.scaled(64, stripe_scale=8)
-        assert scaled.lustre.stripe_size == full.lustre.stripe_size // 8
-        assert scaled.memory_per_node == full.memory_per_node // 64
-
-    def test_scale_one_is_identity(self):
-        full = full_scale_lonestar()
-        assert full.scaled(1) is full
-
-    def test_bad_scales_rejected(self):
-        full = full_scale_lonestar()
-        with pytest.raises(ValueError):
-            full.scaled(0)
-        with pytest.raises(ValueError):
-            full.scaled(4, stripe_scale=8)  # stripe_scale > scale
-
-    def test_scale_compounds(self):
-        full = full_scale_lonestar()
-        twice = full.scaled(4).scaled(4)
-        assert twice.scale == 16
-
+class TestClusterSpec:
     def test_capacity(self):
         c = ClusterSpec(
             name="t",

@@ -76,7 +76,7 @@ def test_three_paths_agree_and_tcio_round_trips(seed, small_cluster):
     expected = reference_file_contents(cfg)
 
     produced = {
-        method.name: write_phase(cfg.with_method(method), small_cluster)
+        method.name: write_phase(replace(cfg, method=method), small_cluster)
         for method in (Method.TCIO, Method.OCIO, Method.MPIIO)
     }
     for name, got in produced.items():
@@ -88,7 +88,7 @@ def test_three_paths_agree_and_tcio_round_trips(seed, small_cluster):
 
     # TCIO round-trip: read the written file back through the read path;
     # _tcio_read raises BenchmarkError on any mismatch.
-    read_cfg = cfg.with_method(Method.TCIO)
+    read_cfg = replace(cfg, method=Method.TCIO)
 
     def seed_fs(pfs) -> None:
         pfs.create(read_cfg.file_name).write_bytes(0, produced["TCIO"])
@@ -115,7 +115,7 @@ def test_node_aggregation_matches_flat(seed):
     expected = reference_file_contents(cfg)
 
     for method in (Method.TCIO, Method.OCIO):
-        got = write_phase(cfg.with_method(method), cluster)
+        got = write_phase(replace(cfg, method=method), cluster)
         assert got == expected, f"seed {seed}: node-mode {method.name} differs"
 
     def seed_fs(pfs) -> None:
@@ -124,13 +124,13 @@ def test_node_aggregation_matches_flat(seed):
     # read paths: both raise on any byte mismatch
     run_mpi(
         cfg.nprocs,
-        lambda env: _tcio_read(env, cfg.with_method(Method.TCIO), True),
+        lambda env: _tcio_read(env, replace(cfg, method=Method.TCIO), True),
         cluster=cluster,
         pfs_init=seed_fs,
     )
     run_mpi(
         cfg.nprocs,
-        lambda env: _ocio_read(env, cfg.with_method(Method.OCIO), True),
+        lambda env: _ocio_read(env, replace(cfg, method=Method.OCIO), True),
         cluster=cluster,
         pfs_init=seed_fs,
     )
@@ -152,7 +152,7 @@ def test_node_aggregation_survives_unreachable_leader(seed):
 
     for method in (Method.TCIO, Method.OCIO):
         plan = FaultPlan(spec, seed, scope=f"node-{method.name}")
-        got = write_phase(cfg.with_method(method), cluster, faults=plan)
+        got = write_phase(replace(cfg, method=method), cluster, faults=plan)
         assert got == expected, (
             f"seed {seed}: {method.name} with a down leader diverged"
         )

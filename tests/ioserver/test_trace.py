@@ -30,14 +30,14 @@ class TestGenerate:
         t = generate_trace(1, 4, epochs=3, writes_per_epoch=2, reads_per_client=1)
         t.validate()
         assert t.epochs == 3
-        assert t.has_reads
+        assert any(op.op == "fetch" for op in t.ops)
         assert t.written_bytes == sum(
             op.nbytes for op in t.ops if op.op == "write"
         )
         # Every client opens for write, flushes every epoch, closes twice
         # (write phase + read phase).
         for c in range(4):
-            ops = [op.op for op in t.client_ops(c)]
+            ops = [op.op for op in t.ops if op.client == c]
             assert ops.count("flush") == 3
             assert ops.count("open") == 2
             assert ops.count("close") == 2

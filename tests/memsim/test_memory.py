@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memsim.memory import MemoryTracker, NullMemoryTracker
+from repro.memsim.memory import MemoryTracker
 from repro.util.errors import OutOfMemoryError, SimulationError
 
 
@@ -15,9 +15,9 @@ class TestAllocation:
     def test_allocate_and_free(self):
         t = tracker()
         a = t.allocate(0, 400, "buf")
-        assert t.in_use(0) == 400
+        assert t.breakdown(0) == {"buf": 400}
         t.free(a)
-        assert t.in_use(0) == 0
+        assert t.breakdown(0) == {}
 
     def test_ranks_share_their_node_budget(self):
         t = tracker(budget=1000, ranks_per_node=2)
@@ -76,7 +76,3 @@ class TestAccounting:
         a = t.allocate(0, 50, "tmp")
         t.free(a)
         assert t.breakdown(0) == {"tcio.level1": 100, "tcio.level2": 200}
-
-    def test_null_tracker_never_ooms(self):
-        t = NullMemoryTracker(nranks=4)
-        t.allocate(3, 2**60, "huge")

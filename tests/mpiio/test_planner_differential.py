@@ -144,11 +144,12 @@ def oracle_send_lists(domain_pieces, bounds, rnd, span, data):
     send_lists: dict[int, list[tuple[int, bytes]]] = {}
     for di, piece, mem_off in domain_pieces:
         lo = min(bounds[di + 1], bounds[di] + rnd * span)
-        part = piece.intersect(Extent(lo, min(bounds[di + 1], lo + span)))
-        if part.is_empty():
+        start = max(piece.start, lo)
+        stop = min(piece.stop, bounds[di + 1], lo + span)
+        if stop <= start:
             continue
-        mem = mem_off + part.start - piece.start
-        send_lists.setdefault(di, []).append((part.start, data[mem : mem + part.length]))
+        mem = mem_off + start - piece.start
+        send_lists.setdefault(di, []).append((start, data[mem : mem + stop - start]))
     return send_lists
 
 
@@ -221,13 +222,12 @@ class TestTypemap:
     @given(datatypes)
     @settings(max_examples=300, deadline=None)
     def test_array_typemap_equals_the_loops(self, t):
-        assert list(t.segments) == oracle_segments(t)
-        assert t.typemap.dtype == np.int64 and t.typemap.shape == (len(t.segments), 2)
-        assert _is_ints(v for seg in t.segments for v in seg)
+        assert t.typemap.dtype == np.int64 and t.typemap.shape[1:] == (2,)
+        assert [tuple(seg) for seg in t.typemap.tolist()] == oracle_segments(t)
 
     def test_nested_contiguous_merges_to_one_run(self):
         t = Contiguous(3, Contiguous(4, Contiguous(2, INT)))
-        assert t.segments == ((0, 96),) and t.is_contiguous
+        assert t.typemap.tolist() == [[0, 96]] and t.is_contiguous
 
     def test_typemap_is_read_only(self):
         with pytest.raises(ValueError):

@@ -41,12 +41,6 @@ class TestReservationServer:
         with pytest.raises(SimulationError):
             s.reserve(0.0, -1)
 
-    def test_utilization(self):
-        s = ReservationServer("s", rate=100.0)
-        s.reserve(0.0, 100)
-        assert s.utilization(2.0) == pytest.approx(0.5)
-        assert s.utilization(0.0) == 0.0
-
     @given(
         st.lists(
             st.tuples(st.floats(0, 100), st.integers(0, 10_000)), min_size=1, max_size=30

@@ -26,26 +26,16 @@ class TestCounter:
         assert c.count == 6
         assert c.total == 6.0
 
-    def test_merge(self):
-        a, b = Counter(2, 10.0), Counter(3, 5.0)
-        a.merge_from(b)
-        assert (a.count, a.total) == (5, 15.0)
-
     def test_as_json(self):
         assert Counter(1, 2.5).as_json() == {"count": 1, "total": 2.5}
 
 
 class TestGauge:
-    def test_set_and_add(self):
+    def test_last_set_wins(self):
         g = Gauge()
         g.set(7.0)
-        g.add(-2.0)
+        g.set(5.0)
         assert g.value == 5.0
-
-    def test_merge_keeps_high_water(self):
-        a, b = Gauge(3.0), Gauge(9.0)
-        a.merge_from(b)
-        assert a.value == 9.0
 
 
 class TestHistogramBuckets:
@@ -91,14 +81,6 @@ class TestHistogramBuckets:
         j = h.as_json()
         assert j["buckets"] == {"1": 2, "2": 1, "1024": 1}
 
-    def test_merge(self):
-        a, b = Histogram(), Histogram()
-        a.observe(4)
-        b.observe(1000)
-        a.merge_from(b)
-        assert a.count == 2
-        assert (a.min, a.max) == (4, 1000)
-
 
 class TestRegistry:
     def test_create_on_first_use(self):
@@ -123,25 +105,6 @@ class TestRegistry:
         r = MetricsRegistry()
         assert r.get("nope") is None
         assert list(r.names()) == []
-
-    def test_subtree_slices_by_dotted_prefix(self):
-        r = MetricsRegistry()
-        for name in ("tcio.flush.local", "tcio.flush.remote", "tcio.write.calls",
-                     "net.msg", "tcio_other.x"):
-            r.counter(name)
-        assert set(r.subtree("tcio.flush")) == {
-            "tcio.flush.local", "tcio.flush.remote"
-        }
-        assert "tcio_other.x" not in r.subtree("tcio")
-
-    def test_merge_accumulates_per_rank_scopes(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc(2)
-        b.counter("x").inc(3)
-        b.histogram("h").observe(8)
-        a.merge(b)
-        assert a.counter("x").count == 5
-        assert a.histogram("h").count == 1
 
     def test_flat_groups_by_kind(self):
         r = MetricsRegistry()

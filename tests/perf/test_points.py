@@ -10,7 +10,6 @@ from repro.experiments.common import SMOKE
 from repro.perf.points import (
     EXPERIMENTS,
     Point,
-    all_points,
     points_for,
     run_point,
     run_spec,
@@ -49,11 +48,6 @@ class TestGrids:
             points = points_for(experiment, SMOKE)
             assert points
             assert all(p.experiment == experiment for p in points)
-
-    def test_all_points_concatenates_in_campaign_order(self):
-        assert all_points(SMOKE) == [
-            p for e in EXPERIMENTS for p in points_for(e, SMOKE)
-        ]
 
     def test_fig5_grid_spans_methods_and_procs(self):
         points = points_for("fig5", SMOKE)

@@ -13,23 +13,13 @@ def layout(stripe_size=100, stripe_count=4, first_ost=0, n_osts=10):
 
 
 class TestMapping:
-    def test_stripe_index(self):
-        l = layout()
-        assert l.stripe_index(0) == 0
-        assert l.stripe_index(99) == 0
-        assert l.stripe_index(100) == 1
-
     def test_ost_round_robin(self):
         l = layout(stripe_count=3, first_ost=5)
         assert [l.ost_of_stripe(k) for k in range(5)] == [5, 6, 7, 5, 6]
 
     def test_single_stripe_count_pins_one_ost(self):
         l = layout(stripe_count=1, first_ost=2)
-        assert {l.ost_of_offset(off) for off in range(0, 1000, 37)} == {2}
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(PfsError):
-            layout().stripe_index(-1)
+        assert {l.ost_of_stripe(k) for k in range(10)} == {2}
 
     def test_validation(self):
         with pytest.raises(PfsError):
@@ -66,10 +56,6 @@ class TestSplitting:
             1: [Extent(100, 200), Extent(300, 400)],
         }
 
-    def test_lock_units_round_to_stripes(self):
-        l = layout(stripe_size=100)
-        assert l.lock_units(Extent(150, 260)) == Extent(100, 300)
-
     @given(
         st.integers(0, 5000),
         st.integers(0, 1000),
@@ -87,8 +73,3 @@ class TestSplitting:
             pos = p.stop
         by_ost = l.split_by_ost(ext)
         assert sum(p.length for ps in by_ost.values() for p in ps) == ext.length
-
-    @given(st.integers(0, 10_000))
-    def test_ost_of_offset_matches_stripe_mapping(self, offset):
-        l = layout(stripe_size=64, stripe_count=3, first_ost=4, n_osts=9)
-        assert l.ost_of_offset(offset) == l.ost_of_stripe(offset // 64)

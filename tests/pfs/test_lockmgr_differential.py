@@ -29,6 +29,16 @@ from repro.util.intervals import Extent
 GRANULARITY = 8
 
 
+def _overlaps(a: Extent, b: Extent) -> bool:
+    """The two extents share at least one byte."""
+    return a.start < b.stop and b.start < a.stop
+
+
+def _covers(a: Extent, b: Extent) -> bool:
+    """*b* lies entirely inside *a*."""
+    return a.start <= b.start and b.stop <= a.stop
+
+
 @dataclass
 class _OracleGrant:
     owner: int
@@ -104,7 +114,7 @@ class LinearLockManager:
         for grant in self._held:
             if grant.owner == owner:
                 continue
-            if not grant.extent.overlaps(extent):
+            if not _overlaps(grant.extent, extent):
                 continue
             if grant.mode is LockMode.EXCLUSIVE or mode is LockMode.EXCLUSIVE:
                 return True
@@ -113,13 +123,13 @@ class LinearLockManager:
     def _blocked_by_queue(self, extent: Extent, owner: int) -> bool:
         """FIFO fairness: an overlapping waiter ahead of us blocks us too."""
         return any(
-            w.owner != owner and w.extent.overlaps(extent) for w in self._queue
+            w.owner != owner and _overlaps(w.extent, extent) for w in self._queue
         )
 
     def _cached_match(self, owner: int, mode: LockMode, extent: Extent):
         """An existing grant of *owner* that already covers the request."""
         for g in self._held:
-            if g.owner != owner or not g.extent.covers(extent):
+            if g.owner != owner or not _covers(g.extent, extent):
                 continue
             if mode is LockMode.EXCLUSIVE and g.mode is not LockMode.EXCLUSIVE:
                 continue
@@ -131,7 +141,7 @@ class LinearLockManager:
         how many were revoked (each costs a DLM callback round trip)."""
         revoked = 0
         for g in list(self._held):
-            if g.owner == owner or g.in_use > 0 or not g.extent.overlaps(extent):
+            if g.owner == owner or g.in_use > 0 or not _overlaps(g.extent, extent):
                 continue
             if g.mode is LockMode.EXCLUSIVE or mode is LockMode.EXCLUSIVE:
                 g.released = True
@@ -189,9 +199,9 @@ class LinearLockManager:
         self._count("pfs.lock.wait")
         if self.contention_penalty:
             conflicts = sum(
-                1 for g in self._held if g.owner != owner and g.extent.overlaps(rounded)
+                1 for g in self._held if g.owner != owner and _overlaps(g.extent, rounded)
             ) + sum(
-                1 for w in self._queue if w.owner != owner and w.extent.overlaps(rounded)
+                1 for w in self._queue if w.owner != owner and _overlaps(w.extent, rounded)
             )
             proc.charge(conflicts * self.contention_penalty)
         waiting = _OracleWaiting(owner, mode, rounded, proc)

@@ -65,15 +65,6 @@ class TestScheduling:
         engine.run()
         assert seen == []
 
-    def test_run_until_stops_early(self):
-        engine = Engine()
-        seen = []
-        engine.schedule(1.0, lambda: seen.append(1))
-        engine.schedule(10.0, lambda: seen.append(2))
-        engine.run(until=5.0)
-        assert seen == [1]
-        assert engine.now == 5.0
-
     def test_cannot_run_twice(self):
         engine = Engine()
         engine.run()

@@ -1,6 +1,5 @@
 """Unit + property tests for MPI derived datatypes."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,9 +14,7 @@ from repro.simmpi.datatypes import (
     Contiguous,
     Indexed,
     Vector,
-    pack,
     type_from_code,
-    unpack,
 )
 from repro.util.errors import DatatypeError
 
@@ -29,7 +26,7 @@ class TestPrimitives:
     def test_sizes(self, t, size):
         assert t.size == size
         assert t.extent == size
-        assert t.segments == ((0, size),)
+        assert t.typemap.tolist() == [[0, size]]
         assert t.is_contiguous
 
     def test_type_from_code(self):
@@ -47,17 +44,17 @@ class TestContiguous:
         t = Contiguous(5, INT)
         assert t.size == 20
         assert t.extent == 20
-        assert t.segments == ((0, 20),)
+        assert t.typemap.tolist() == [[0, 20]]
 
     def test_zero_count(self):
         t = Contiguous(0, INT)
         assert t.size == 0
-        assert t.segments == ()
+        assert t.typemap.tolist() == []
 
     def test_nested(self):
         t = Contiguous(2, Contiguous(3, SHORT))
         assert t.size == 12
-        assert t.segments == ((0, 12),)
+        assert t.typemap.tolist() == [[0, 12]]
 
 
 class TestVector:
@@ -66,23 +63,23 @@ class TestVector:
         etype = Contiguous(12, BYTE)
         ft = etype.vector(3, 1, 2)
         assert ft.size == 36
-        assert ft.segments == ((0, 12), (24, 12), (48, 12))
+        assert ft.typemap.tolist() == [[0, 12], [24, 12], [48, 12]]
         assert ft.extent == 60
 
     def test_unit_stride_is_contiguous(self):
         t = INT.vector(4, 1, 1)
-        assert t.segments == ((0, 16),)
+        assert t.typemap.tolist() == [[0, 16]]
         assert t.is_contiguous
 
     def test_blocklength_over_one(self):
         t = INT.vector(2, 2, 3)
-        assert t.segments == ((0, 8), (12, 8))
+        assert t.typemap.tolist() == [[0, 8], [12, 8]]
 
 
 class TestIndexed:
     def test_blocks_at_displacements(self):
         t = Indexed([2, 1], [0, 5], INT)
-        assert t.segments == ((0, 8), (20, 4))
+        assert t.typemap.tolist() == [[0, 8], [20, 4]]
         assert t.size == 12
         assert t.extent == 24
 
@@ -93,41 +90,6 @@ class TestIndexed:
     def test_negative_blocklength_rejected(self):
         with pytest.raises(DatatypeError):
             Indexed([-1], [0], INT)
-
-
-class TestPackUnpack:
-    def test_pack_gathers_typemap_bytes(self):
-        data = np.arange(6, dtype=np.int32)  # 24 bytes
-        t = INT.vector(3, 1, 2)  # ints 0, 2, 4
-        packed = pack(data, t, 1)
-        assert packed == data[[0, 2, 4]].tobytes()
-
-    def test_pack_tiles_by_extent(self):
-        data = np.arange(4, dtype=np.int32)
-        t = Contiguous(1, INT)
-        assert pack(data, t, 4) == data.tobytes()
-
-    def test_unpack_is_inverse_of_pack(self):
-        data = np.arange(10, dtype=np.int32)
-        t = INT.vector(2, 2, 3)
-        stream = pack(data, t, 1)
-        out = np.zeros(10, dtype=np.int32)
-        unpack(stream, out, t, 1)
-        assert list(np.flatnonzero(out)) == [1, 3, 4]  # positions 0,1,3,4 written
-        for idx in (0, 1, 3, 4):
-            assert out[idx] == data[idx]
-
-    def test_pack_out_of_bounds_rejected(self):
-        with pytest.raises(DatatypeError):
-            pack(b"\x00" * 3, INT, 1)
-
-    def test_unpack_short_stream_rejected(self):
-        with pytest.raises(DatatypeError):
-            unpack(b"\x00" * 3, bytearray(8), INT, 1)
-
-    def test_unpack_readonly_target_rejected(self):
-        with pytest.raises(DatatypeError):
-            unpack(b"\x00" * 4, b"\x00" * 4, INT, 1)
 
 
 # ----------------------------------------------------------------------
@@ -163,11 +125,11 @@ def datatypes(draw, depth=2):
 class TestDatatypeProperties:
     @given(datatypes())
     def test_size_equals_segment_total(self, t):
-        assert t.size == sum(length for _, length in t.segments)
+        assert t.size == int(t.typemap[:, 1].sum())
 
     @given(datatypes())
     def test_segments_fit_in_extent(self, t):
-        for off, length in t.segments:
+        for off, length in t.typemap.tolist():
             assert off >= 0
             assert off + length <= max(t.extent, off + length)
 
@@ -178,17 +140,3 @@ class TestDatatypeProperties:
         c = Contiguous(n, t)
         assert c.size == n * t.size
         assert c.extent == n * t.extent
-
-    @given(datatypes())
-    def test_pack_unpack_roundtrip_on_typemap_bytes(self, t):
-        span = max(t.extent, max((o + n for o, n in t.segments), default=0))
-        if t.size == 0:
-            return
-        rng = np.random.default_rng(7)
-        src = rng.integers(1, 255, size=span, dtype=np.uint8)
-        stream = pack(src, t, 1)
-        assert len(stream) == t.size
-        dst = np.zeros(span, dtype=np.uint8)
-        unpack(stream, dst, t, 1)
-        for off, length in t.segments:
-            assert bytes(dst[off : off + length]) == bytes(src[off : off + length])

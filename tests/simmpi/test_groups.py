@@ -1,4 +1,4 @@
-"""Sub-communicators, probe, scatter, and fence."""
+"""Sub-communicators and probe."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from repro.simmpi import (
     ANY_SOURCE,
     LOCK_EXCLUSIVE,
+    RpcEndpoint,
+    Status,
     Window,
     comm_from_ranks,
     comm_split,
@@ -156,35 +158,74 @@ class TestProbeSendrecv:
         run(2, main)
 
 
-class TestScatter:
-    def test_scatter_distributes_by_rank(self):
+class TestSubCommunicatorSources:
+    """Probe and receive report the sender's rank in the communicator.
+
+    On four ranks split with ``key=-rank`` the order reverses: local rank
+    0 is world rank 3 and local rank 1 is world rank 2, so a world rank
+    leaking through would read as 2, not 1.
+    """
+
+    @staticmethod
+    def exchange(check):
+        """Local rank 1 sends one message on tag 5; local rank 0 waits a
+        moment, runs *check(sub)* and returns what it returns."""
+
         def main(env):
-            objs = [f"item-{i}" for i in range(env.size)] if env.rank == 1 else None
-            return (yield from coll.scatter(env.comm, objs, root=1))
+            sub = yield from comm_split(env.comm, color=0, key=-env.rank)
+            if sub.rank == 1:
+                yield from sub.send(b"m", 0, tag=5)
+            elif sub.rank == 0:
+                env.compute(1e-3)
+                yield from env.settle()
+                return (yield from check(sub))
+
+        return run(4, main).returns[3]
+
+    def test_iprobe_of_a_local_source_finds_the_message(self):
+        def check(sub):
+            st = sub.iprobe(1, 5)
+            yield from sub.recv(1, 5)
+            return st
+
+        st = self.exchange(check)
+        assert st is not None and (st.source, st.tag, st.count) == (1, 5, 1)
+
+    def test_wildcard_iprobe_reports_the_local_source(self):
+        def check(sub):
+            st = sub.iprobe(ANY_SOURCE, 5)
+            yield from sub.recv(ANY_SOURCE, 5)
+            return st
+
+        assert self.exchange(check).source == 1
+
+    def test_recv_status_reports_the_local_source(self):
+        def check(sub):
+            st = Status()
+            payload = yield from sub.recv(ANY_SOURCE, 5, status=st)
+            return payload, st.source
+
+        assert self.exchange(check) == (b"m", 1)
+
+    def test_rpc_poll_then_recv_round_trip(self):
+        """A server answers whoever its poll saw, by communicator rank."""
+
+        def main(env):
+            sub = yield from comm_split(env.comm, color=0, key=-env.rank)
+            rpc = RpcEndpoint(sub)
+            if sub.rank == 0:  # the server
+                for _ in range(sub.size - 1):
+                    status = rpc.poll()
+                    while status is None:
+                        env.compute(1e-4)
+                        yield from env.settle()
+                        status = rpc.poll()
+                    request = yield from sub.recv_object(status.source, rpc.tag_request)
+                    yield from sub.send_object(("ack", request), status.source, rpc.tag_reply)
+                return None
+            yield from sub.send_object(sub.rank, 0, rpc.tag_request)
+            return (yield from sub.recv_object(0, rpc.tag_reply))
 
         res = run(4, main)
-        assert res.returns == [f"item-{i}" for i in range(4)]
-
-    def test_scatter_validates_length(self):
-        def main(env):
-            if env.rank == 0:
-                with pytest.raises(MpiError):
-                    (yield from coll.scatter(env.comm, [1], root=0))
-
-        run_mpi(2, main, cluster=make_test_cluster())
-
-
-class TestFence:
-    def test_fence_completes_epochs_and_synchronizes(self):
-        def main(env):
-            buf = np.zeros(8, dtype=np.uint8)
-            win = yield from Window.create(env.comm, buf)
-            if env.rank == 1:
-                (yield from win.lock(0, LOCK_EXCLUSIVE))
-                win.put(b"\x07" * 8, 0, 0)
-                # no explicit unlock: fence drains the epoch
-            (yield from win.fence())
-            if env.rank == 0:
-                assert bytes(buf) == b"\x07" * 8
-
-        run(2, main)
+        # world rank w is local rank 3 - w; every client got its own answer
+        assert res.returns == [("ack", 3), ("ack", 2), ("ack", 1), None]

@@ -33,7 +33,7 @@ class TestPutGet:
             buf = np.full(8, env.rank, dtype=np.uint8)
             win = yield from Window.create(env.comm, buf)
             (yield from win.lock(1, LOCK_SHARED))
-            data = (yield from win.get(1, 0, 8))
+            [(_, data)] = yield from win.get_indexed([(0, 8)], 1)
             win.unlock(1)
             assert data == bytes([1] * 8)
 
@@ -142,7 +142,7 @@ class TestEpochRules:
                 win.unlock(1)
             (yield from coll.barrier(env.comm))
             (yield from win.lock(1, LOCK_SHARED))
-            got = (yield from win.get(1, 0, 8))
+            [(_, got)] = yield from win.get_indexed([(0, 8)], 1)
             win.unlock(1)
             assert got == b"\x42" * 8
 

@@ -76,20 +76,20 @@ class TestRunMpi:
 
 class TestWorldValidation:
     def test_needs_one_rank(self):
-        from repro.memsim.memory import NullMemoryTracker
+        from repro.memsim.memory import MemoryTracker
         from repro.netsim.model import NetworkSpec
         from repro.sim.engine import Engine
 
         with pytest.raises(MpiError):
-            MpiWorld(Engine(), 0, NetworkSpec(), [], NullMemoryTracker())
+            MpiWorld(Engine(), 0, NetworkSpec(), [], MemoryTracker(1, []))
 
     def test_node_map_length_checked(self):
-        from repro.memsim.memory import NullMemoryTracker
+        from repro.memsim.memory import MemoryTracker
         from repro.netsim.model import NetworkSpec
         from repro.sim.engine import Engine
 
         with pytest.raises(MpiError):
-            MpiWorld(Engine(), 2, NetworkSpec(), [0], NullMemoryTracker(2))
+            MpiWorld(Engine(), 2, NetworkSpec(), [0], MemoryTracker(1, [0, 0]))
 
     def test_unknown_window_rejected(self):
         def main(env):

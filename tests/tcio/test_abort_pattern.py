@@ -114,7 +114,7 @@ class TestExceptionExit:
         res = run(2, main)
         assert all(res.returns)
         memory = res.world.memory
-        for node in range(memory.n_nodes):  # nothing leaked anywhere
+        for node in set(memory.node_of):  # nothing leaked anywhere
             assert memory.breakdown(node) == {}
 
     def test_abort_is_idempotent_and_local(self):

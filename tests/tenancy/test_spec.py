@@ -42,12 +42,6 @@ class TestJobSpec:
         b = JobSpec(name="a", arrival=5.0, priority=3.0)
         assert a.signature() == b.signature()
 
-    def test_with_params_merges_and_sorts(self):
-        spec = JobSpec(name="a", params=(("len_array", 128),))
-        out = spec.with_params(num_arrays=3)
-        assert out.param_dict == {"len_array": 128, "num_arrays": 3}
-        assert out.params == tuple(sorted(out.params))
-
 
 class TestScenario:
     def test_duplicate_job_names_rejected(self):
