@@ -4,7 +4,7 @@
 a reduced grid by default (minutes, qualitative invariants asserted).
 Set ``REPRO_FULL=1`` for the paper's full grid (64..1024 processes; tens of
 minutes) with the strict shape-acceptance checks — the same campaign
-``python -m repro.experiments.report`` records in EXPERIMENTS.md.
+``python -m repro report`` records in EXPERIMENTS.md.
 
 Each experiment point is simulated exactly once per session (results are
 deterministic; see tests/integration/test_determinism.py), and

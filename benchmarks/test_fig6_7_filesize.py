@@ -5,7 +5,7 @@ from repro.experiments.fig6_7_filesize import run_fig6_7
 
 
 def test_fig6_7_filesize_sweep_and_oom(benchmark, scale, is_full):
-    data = once(benchmark, run_fig6_7, scale, verify=not is_full)
+    data = once(benchmark, run_fig6_7, scale)
     print("\n" + data.render())
     # TCIO completes every size at every campaign scale.
     assert data.tcio_completes_everywhere()

@@ -5,7 +5,7 @@ from repro.experiments.fig9_10_art import run_fig9_10
 
 
 def test_fig9_10_art_strong_scaling(benchmark, scale, is_full):
-    data = once(benchmark, run_fig9_10, scale, verify=not is_full)
+    data = once(benchmark, run_fig9_10, scale)
     print("\n" + data.render())
     # TCIO beats vanilla MPI-IO at every scale, at any campaign size.
     assert data.tcio_always_faster()

@@ -6,7 +6,7 @@ everything around a run that turns hundreds of algorithm×parameter
 campaigns into an explainable evaluation (docs/campaigns.md):
 
 * :mod:`repro.campaign.spec` — the declarative sweep-spec format: a
-  small YAML-subset (or plain python) description of a parameter grid
+  JSON (or plain python) description of a parameter grid
   over any experiment axis (segment size, cb_nodes, aggregation mode,
   delegate count, QoS policy, …), enumerated into
   :class:`repro.perf.points.Point` grids;
@@ -53,7 +53,6 @@ from repro.campaign.store import (
     CampaignStore,
     Record,
     StoreError,
-    StoreRunner,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "Record",
     "SpecError",
     "StoreError",
-    "StoreRunner",
     "SweepSpec",
     "aggregation_crossover",
     "experiments_section",

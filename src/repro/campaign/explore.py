@@ -166,13 +166,16 @@ def aggregation_crossover(
     The margin at process count ``p`` is ``node_seconds - flat_seconds``
     for the topo-ablation workload on the *net* profile: positive while
     flat wins, negative once node's coalesced leader traffic amortizes
-    the RMA epoch tax. Each evaluation resolves a flat/node point pair
-    through :func:`repro.experiments.common.resolve_points`, so a
-    store-backed :class:`repro.perf.campaign.CampaignRunner` lands every
-    evaluated pair in its store as it happens and serves it on a rerun.
+    the RMA epoch tax. Each evaluation hands a flat/node point pair to
+    *runner* (default: a serial, storeless
+    :class:`repro.perf.campaign.CampaignRunner`), so a store-backed one
+    lands every evaluated pair in its store as it happens and serves it
+    on a rerun.
     """
-    from repro.experiments.common import resolve_points
+    from repro.perf.campaign import CampaignRunner
     from repro.perf.points import Point
+
+    runner = runner or CampaignRunner(1)
 
     def margin(procs: object) -> float:
         pair = [
@@ -183,7 +186,7 @@ def aggregation_crossover(
             )
             for aggregation in ("flat", "node")
         ]
-        results = resolve_points(pair, runner)
+        results = runner(pair)
         flat, node = results[pair[0]], results[pair[1]]
         return float(node["write_seconds"]) - float(flat["write_seconds"])
 

@@ -13,7 +13,7 @@ over the same records produce the same bytes):
 * :func:`experiments_section` — byte-identical regeneration of one
   EXPERIMENTS.md section by replaying the exact section builder
   (:mod:`repro.experiments.report`) against stored results via
-  :class:`repro.campaign.store.StoreRunner`.
+  :meth:`repro.campaign.store.CampaignStore.results_for`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.charts import ascii_chart
-from repro.campaign.store import CampaignStore, StoreError, StoreRunner
+from repro.campaign.store import CampaignStore, StoreError
 from repro.util.tables import render_series
 
 #: Fixed series palette (SVG output must not depend on dict ordering
@@ -275,16 +275,15 @@ def experiments_section(store: CampaignStore, section: str, scale=None) -> str:
     """One EXPERIMENTS.md section, regenerated from stored results.
 
     Runs the *same* section builder the full report generator uses
-    (:func:`repro.experiments.report.build_section`) with a store-backed
-    runner, so the block is byte-identical to what a live campaign at the
-    same scale writes. Sections without simulation points (``header``,
-    ``table3``) ignore the store. Raises :class:`StoreError` naming any
-    point the store is missing.
+    (:func:`repro.experiments.report.build_section`) with
+    :meth:`CampaignStore.results_for` as its runner, so the block is
+    byte-identical to what a live campaign at the same scale writes.
+    Sections without simulation points (``header``, ``table3``) ignore
+    the store. Raises :class:`StoreError` naming any point the store is
+    missing.
     """
     from repro.experiments.common import FULL
     from repro.experiments.report import build_section
 
     scale = scale if scale is not None else FULL
-    return build_section(
-        section, scale, verbose=False, runner=StoreRunner(store)
-    )
+    return build_section(section, scale, runner=store.results_for)

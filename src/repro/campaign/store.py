@@ -12,14 +12,13 @@ executed point. Records come from two sources behind one schema:
 under the current config hash — so
 :class:`repro.perf.campaign.CampaignRunner` reruns skip completed points
 and a recalibration can never serve a stale one. Queries
-(:meth:`CampaignStore.query`, :meth:`CampaignStore.series`,
-:meth:`CampaignStore.distinct`) return deterministically ordered data
-over the records of every config, so everything rendered from a store —
-tables, charts, EXPERIMENTS.md sections — is byte-reproducible and old
-evidence stays queryable. :class:`StoreRunner` adapts a store to
-the figure harnesses' pluggable-runner protocol
-(:func:`repro.experiments.common.resolve_points`): the same code that
-renders a section from fresh simulations renders it from stored results.
+(:meth:`CampaignStore.query`, :meth:`CampaignStore.distinct`) return
+deterministically ordered data over the records of every config, so
+everything rendered from a store — tables, charts, EXPERIMENTS.md
+sections — is byte-reproducible and old evidence stays queryable.
+:meth:`CampaignStore.results_for` is itself a runner (``points ->
+{point: result}``): the same code that renders a section from fresh
+simulations renders it from stored results.
 """
 
 from __future__ import annotations
@@ -239,25 +238,6 @@ class CampaignStore:
         }
         return sorted(values, key=_value_key)
 
-    def series(
-        self,
-        x: str,
-        y: str,
-        *,
-        experiment: Optional[str] = None,
-        where: Optional[dict] = None,
-    ) -> tuple[list, list]:
-        """Paired (xs, ys): parameter *x* against metric *y*, sorted by x."""
-        pairs = []
-        for record in self.query(experiment, where=where):
-            xv = record.get(x)
-            yv = record.metrics.get(y)
-            if xv is None or yv is None:
-                continue
-            pairs.append((xv, yv))
-        pairs.sort(key=lambda p: _value_key(p[0]))
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-
     def get(self, point: Point) -> Optional[dict]:
         """The stored result for *point* under the current config, or
         ``None`` on a miss.
@@ -282,7 +262,12 @@ class CampaignStore:
             return None
 
     def results_for(self, points: Iterable[Point]) -> dict:
-        """:meth:`get` for every point; raises listing any missing."""
+        """:meth:`get` for every point; raises listing any missing.
+
+        The store's runner: a figure harness or section builder given
+        ``runner=store.results_for`` replays stored results, simulating
+        nothing.
+        """
         results, missing = {}, []
         for point in points:
             found = self.get(point)
@@ -332,19 +317,3 @@ def _value_key(value) -> tuple:
 def _sort_key(params: tuple) -> tuple:
     return tuple((k,) + _value_key(v) for k, v in params)
 
-
-class StoreRunner:
-    """Adapt a store to the pluggable-runner protocol of the harnesses.
-
-    ``resolve_points(points, StoreRunner(store))`` serves every point
-    from stored results without simulating anything — which is how
-    report generation replays EXPERIMENTS.md sections byte-identically
-    from stored evidence. Points the store lacks under the current
-    config raise :class:`StoreError` naming each one.
-    """
-
-    def __init__(self, store: CampaignStore):
-        self.store = store
-
-    def __call__(self, points: Iterable[Point]) -> dict:
-        return self.store.results_for(points)

@@ -3,10 +3,11 @@
 Commands
 --------
 ``info``      — print the calibrated machine model and scaling factors.
-``fig5``      — regenerate Figure 5 (``--smoke`` for the tiny grid).
-``fig67``     — regenerate Figures 6 & 7 (the 48 GB OOM).
-``fig910``    — regenerate Figures 9 & 10 (ART vs vanilla MPI-IO).
-``table3``    — regenerate Table III and the Program 2/3 effort metrics.
+``fig5``      — regenerate Figure 5 and print its EXPERIMENTS.md section
+                (``--smoke`` for the tiny grid).
+``fig67``     — the same for Figures 6 & 7 (the 48 GB OOM).
+``fig910``    — the same for Figures 9 & 10 (ART vs vanilla MPI-IO).
+``table3``    — the same for Table III and the Program 2/3 effort metrics.
 ``bench``     — run one synthetic-benchmark point and print its result.
 ``faults``    — rerun the benchmark under seeded fault injection and
                 verify byte-correct recovery (see docs/faults.md);
@@ -48,12 +49,6 @@ import sys
 from repro.util.units import MIB, format_size, format_time
 
 
-def _scale_arg(args) -> "object":
-    from repro.experiments.common import FULL, SMOKE
-
-    return SMOKE if args.smoke else FULL
-
-
 def cmd_info(args) -> int:
     """Print the machine model and scaling factors."""
     from repro.cluster.lonestar import (
@@ -77,43 +72,17 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_fig5(args) -> int:
-    """Regenerate Figure 5 and print its tables/charts."""
-    from repro.experiments.fig5_scaling import run_fig5
+def _scale(args):
+    from repro.experiments.common import FULL, SMOKE
 
-    data = run_fig5(_scale_arg(args), verbose=True)
-    print(data.render())
-    return 0
+    return SMOKE if getattr(args, "smoke", False) else FULL
 
 
-def cmd_fig67(args) -> int:
-    """Regenerate Figures 6 & 7 and print them."""
-    from repro.experiments.fig6_7_filesize import run_fig6_7
+def cmd_section(args) -> int:
+    """Regenerate one table/figure and print its EXPERIMENTS.md section."""
+    from repro.experiments.report import build_section
 
-    data = run_fig6_7(_scale_arg(args), verbose=True)
-    print(data.render())
-    return 0
-
-
-def cmd_fig910(args) -> int:
-    """Regenerate Figures 9 & 10 and print them."""
-    from repro.experiments.fig9_10_art import run_fig9_10
-
-    data = run_fig9_10(_scale_arg(args), verbose=True)
-    print(data.render())
-    return 0
-
-
-def cmd_table3(args) -> int:
-    """Regenerate Table III and the effort metrics."""
-    from repro.experiments.programs_loc import program_listings
-    from repro.experiments.table3_comparison import build_table3
-
-    _sources, _metrics, summary = program_listings()
-    _rows, rendered = build_table3()
-    print(summary)
-    print()
-    print(rendered)
+    print(build_section(args.command, _scale(args), verbose=True))
     return 0
 
 
@@ -405,16 +374,22 @@ def cmd_trace(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the full campaign and write EXPERIMENTS.md."""
-    from repro.experiments import report
+    from pathlib import Path
 
-    argv = ["--output", args.output]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.store is not None:
-        argv += ["--store", args.store]
-    return report.main(argv)
+    from repro.experiments.report import generate_report
+
+    runner = None
+    if args.jobs is not None or args.store is not None:
+        from repro.campaign.store import CampaignStore
+        from repro.perf.campaign import CampaignRunner
+
+        jobs = 1 if args.jobs is None else (args.jobs or None)
+        runner = CampaignRunner(
+            jobs, store=CampaignStore(args.store), verbose=True
+        )
+    Path(args.output).write_text(generate_report(_scale(args), runner=runner))
+    print(f"wrote {args.output}")
+    return 0
 
 
 def _campaign_errors(fn):
@@ -436,15 +411,19 @@ def _campaign_errors(fn):
 
 
 def _parse_where(items) -> dict:
-    """``k=v`` pairs -> a parameter filter with spec scalar coercion."""
-    from repro.campaign.spec import _parse_scalar
+    """``k=v`` pairs -> a parameter filter: a value that parses as JSON
+    (``64``, ``true``, ``null``) is that value, anything else the raw string."""
+    import json
 
     out = {}
     for item in items or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise SystemExit(f"bad --where filter {item!r} (expected key=value)")
-        out[key] = _parse_scalar(value)
+        try:
+            out[key] = json.loads(value)
+        except ValueError:
+            out[key] = value
     return out
 
 
@@ -532,8 +511,7 @@ def cmd_campaign_report(args) -> int:
         from repro.experiments.common import FULL, SMOKE
 
         scale = SMOKE if args.scale == "smoke" else FULL
-        body = experiments_section(store, args.section, scale)
-        print(body)
+        print(experiments_section(store, args.section, scale))
         return 0
     if not (args.experiment and args.x and args.y):
         raise SystemExit(
@@ -617,16 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print the machine model").set_defaults(fn=cmd_info)
 
-    for name, fn, doc in (
-        ("fig5", cmd_fig5, "Figure 5: throughput vs processes"),
-        ("fig67", cmd_fig67, "Figures 6/7: throughput vs file size + OOM"),
-        ("fig910", cmd_fig910, "Figures 9/10: ART, TCIO vs vanilla MPI-IO"),
+    for name, doc in (
+        ("fig5", "Figure 5: throughput vs processes"),
+        ("fig67", "Figures 6/7: throughput vs file size + OOM"),
+        ("fig910", "Figures 9/10: ART, TCIO vs vanilla MPI-IO"),
+        ("table3", "Table III + effort metrics"),
     ):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--smoke", action="store_true", help="tiny grid")
-        p.set_defaults(fn=fn)
-
-    sub.add_parser("table3", help="Table III + effort metrics").set_defaults(fn=cmd_table3)
+        if name != "table3":  # static analysis: no grid to shrink
+            p.add_argument("--smoke", action="store_true", help="tiny grid")
+        p.set_defaults(fn=cmd_section)
 
     p = sub.add_parser("bench", help="run one synthetic benchmark point")
     p.add_argument("--method", default="tcio", help="ocio | tcio | mpiio (or 0|1|2)")
@@ -828,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr = camp_sub.add_parser(
         "run", help="execute a declarative sweep spec into the result store"
     )
-    cr.add_argument("spec", help="sweep spec file (YAML subset; docs/campaigns.md)")
+    cr.add_argument("spec", help="sweep spec file (JSON; docs/campaigns.md)")
     cr.add_argument("--store", default=None, help="result store directory")
     cr.add_argument(
         "--jobs", type=int, default=1, metavar="N",

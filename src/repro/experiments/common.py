@@ -48,22 +48,6 @@ SMOKE = ExperimentScale(
 )
 
 
-def resolve_points(points, runner=None, *, verify: bool = True) -> dict:
-    """Results for *points* via *runner* (default: in-process, in order).
-
-    Every figure harness funnels through here so the serial path, the
-    pooled :class:`repro.perf.campaign.CampaignRunner` and the store-warm
-    path execute exactly the same point definitions — the differential
-    determinism tests rely on that. ``verify`` only applies to the
-    default in-process path; a runner encapsulates its own settings.
-    """
-    if runner is not None:
-        return runner(points)
-    from repro.perf.points import run_point
-
-    return {point: run_point(point, verify=verify) for point in points}
-
-
 def paper_size_label(len_array_scaled: int, nprocs: int, element_bytes: int = 12) -> str:
     """Full-scale dataset-size label (e.g. "768MB", "48GB") for Fig. 6/7."""
     return format_size(len_array_scaled * LONESTAR_SCALE * element_bytes * nprocs)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.charts import log_scale_chart
-from repro.experiments.common import FULL, ExperimentScale, resolve_points, widening_gap
-from repro.perf.points import Point, points_for
+from repro.experiments.common import FULL, ExperimentScale, widening_gap
+from repro.perf.campaign import CampaignRunner
+from repro.perf.points import points_for
 from repro.util.tables import render_series
 from repro.util.units import MIB
 
@@ -95,40 +96,29 @@ class Fig5Data:
 def run_fig5(
     scale: ExperimentScale = FULL,
     *,
-    verify: bool = True,
     verbose: bool = False,
     runner=None,
 ) -> Fig5Data:
     """Regenerate both Fig. 5 panels; returns the series.
 
-    *runner* (a ``points -> {point: result}`` callable, e.g. a
-    :class:`repro.perf.campaign.CampaignRunner`) replaces the default
-    serial in-process execution; the grid itself always comes from
-    :func:`repro.perf.points.points_for`, so every runner computes the
-    same points.
+    *runner* is any ``points -> {point: result}`` callable: a
+    :class:`repro.perf.campaign.CampaignRunner` (the default, serial and
+    storeless) or a store's ``results_for`` (replay). The grid and its
+    order always come from :func:`repro.perf.points.points_for`, so every
+    runner computes the same points and the series follow grid order.
     """
-    results = resolve_points(points_for("fig5", scale), runner, verify=verify)
+    points = points_for("fig5", scale)
+    results = (runner or CampaignRunner(1))(points)
     data = Fig5Data(proc_counts=list(scale.proc_counts))
-    for series in (data.write, data.read):
-        series["TCIO"] = []
-        series["OCIO"] = []
-    for nprocs in scale.proc_counts:
-        for method in ("TCIO", "OCIO"):
-            point = Point.make(
-                "fig5", method=method, nprocs=nprocs, len_array=scale.len_array
+    for point in points:
+        method, result = point.get("method"), results[point]
+        data.write.setdefault(method, []).append(result["write_throughput"])
+        data.read.setdefault(method, []).append(result["read_throughput"])
+        if verbose:  # pragma: no cover - console convenience
+            wt = result["write_throughput"] or 0.0
+            rt = result["read_throughput"] or 0.0
+            print(
+                f"fig5 {method} P={point.get('nprocs')}: "
+                f"write {wt / MIB:.1f} MB/s, read {rt / MIB:.1f} MB/s"
             )
-            result = results[point]
-            data.write[method].append(result["write_throughput"])
-            data.read[method].append(result["read_throughput"])
-            if verbose:  # pragma: no cover - console convenience
-                wt = result["write_throughput"] or 0.0
-                rt = result["read_throughput"] or 0.0
-                print(
-                    f"fig5 {method} P={nprocs}: "
-                    f"write {wt / MIB:.1f} MB/s, read {rt / MIB:.1f} MB/s"
-                )
     return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig5(verbose=True).render())

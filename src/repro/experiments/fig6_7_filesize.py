@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.experiments.common import (
-    FULL,
-    ExperimentScale,
-    paper_size_label,
-    resolve_points,
-)
-from repro.perf.points import Point, points_for
+from repro.experiments.common import FULL, ExperimentScale, paper_size_label
+from repro.perf.campaign import CampaignRunner
+from repro.perf.points import points_for
 from repro.util.tables import render_series
 from repro.util.units import MIB
 
@@ -72,7 +68,6 @@ class Fig67Data:
 def run_fig6_7(
     scale: ExperimentScale = FULL,
     *,
-    verify: bool = True,
     verbose: bool = False,
     runner=None,
 ) -> Fig67Data:
@@ -80,37 +75,25 @@ def run_fig6_7(
 
     *runner* swaps in a pooled/store-backed executor; see :func:`run_fig5`.
     """
-    results = resolve_points(points_for("fig67", scale), runner, verify=verify)
-    data = Fig67Data()
-    for method in ("TCIO", "OCIO"):
-        data.write[method] = []
-        data.read[method] = []
-        data.failures[method] = []
-        data.fail_reasons[method] = []
-    nprocs = scale.filesize_procs
-    for len_array in scale.filesize_lens:
-        label = paper_size_label(len_array, nprocs)
-        data.size_labels.append(label)
-        for method in ("TCIO", "OCIO"):
-            point = Point.make(
-                "fig67", method=method, nprocs=nprocs, len_array=len_array
-            )
-            result = results[point]
-            data.write[method].append(result["write_throughput"])
-            data.read[method].append(result["read_throughput"])
-            data.failures[method].append(result["failed"])
-            data.fail_reasons[method].append(result["fail_reason"])
-            if verbose:  # pragma: no cover
-                if result["failed"]:
-                    print(f"fig6/7 {method} {label}: FAILED ({result['fail_reason']})")
-                else:
-                    print(
-                        f"fig6/7 {method} {label}: "
-                        f"write {(result['write_throughput'] or 0) / MIB:.1f} MB/s, "
-                        f"read {(result['read_throughput'] or 0) / MIB:.1f} MB/s"
-                    )
+    points = points_for("fig67", scale)
+    results = (runner or CampaignRunner(1))(points)
+    data = Fig67Data(size_labels=[
+        paper_size_label(n, scale.filesize_procs) for n in scale.filesize_lens
+    ])
+    for point in points:
+        method, result = point.get("method"), results[point]
+        data.write.setdefault(method, []).append(result["write_throughput"])
+        data.read.setdefault(method, []).append(result["read_throughput"])
+        data.failures.setdefault(method, []).append(result["failed"])
+        data.fail_reasons.setdefault(method, []).append(result["fail_reason"])
+        if verbose:  # pragma: no cover
+            label = paper_size_label(point.get("len_array"), point.get("nprocs"))
+            if result["failed"]:
+                print(f"fig6/7 {method} {label}: FAILED ({result['fail_reason']})")
+            else:
+                print(
+                    f"fig6/7 {method} {label}: "
+                    f"write {(result['write_throughput'] or 0) / MIB:.1f} MB/s, "
+                    f"read {(result['read_throughput'] or 0) / MIB:.1f} MB/s"
+                )
     return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig6_7(verbose=True).render())

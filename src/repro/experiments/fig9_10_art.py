@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.charts import log_scale_chart
-from repro.experiments.common import FULL, ExperimentScale, resolve_points
-from repro.perf.points import Point, points_for
+from repro.experiments.common import FULL, ExperimentScale
+from repro.perf.campaign import CampaignRunner
+from repro.perf.points import points_for
 from repro.util.tables import render_series
 from repro.util.units import MIB
 
@@ -100,7 +101,6 @@ class Fig910Data:
 def run_fig9_10(
     scale: ExperimentScale = FULL,
     *,
-    verify: bool = True,
     verbose: bool = False,
     runner=None,
 ) -> Fig910Data:
@@ -108,12 +108,9 @@ def run_fig9_10(
 
     *runner* swaps in a pooled/store-backed executor; see :func:`run_fig5`.
     """
-    results = resolve_points(points_for("fig910", scale), runner, verify=verify)
+    points = points_for("fig910", scale)
+    results = (runner or CampaignRunner(1))(points)
     data = Fig910Data(proc_counts=list(scale.art_proc_counts))
-    for label in ("TCIO", "MPI-IO"):
-        data.dump[label] = []
-        data.restart[label] = []
-        data.capped[label] = []
     # The cap is calibrated against the full workload; reduced campaigns
     # run uncapped (their vanilla runs are proportionally shorter anyway).
     full_workload = (scale.art_segments, scale.art_cell_scale) == (
@@ -121,29 +118,22 @@ def run_fig9_10(
         FULL.art_cell_scale,
     )
     cap = WALL_CAP_SIM_SECONDS if full_workload else float("inf")
-    for nprocs in scale.art_proc_counts:
-        for label in ("TCIO", "MPI-IO"):
-            point = Point.make(
-                "fig910", method=label, nprocs=nprocs,
-                segments=scale.art_segments, cell_scale=scale.art_cell_scale,
+    for point in points:
+        label, result = point.get("method"), results[point]
+        data.snapshot_bytes = result["snapshot_bytes"]
+        over_cap = result["dump_seconds"] + result["restart_seconds"] > cap
+        data.capped.setdefault(label, []).append(over_cap)
+        data.dump.setdefault(label, []).append(
+            None if over_cap else result["dump_throughput"]
+        )
+        data.restart.setdefault(label, []).append(
+            None if over_cap else result["restart_throughput"]
+        )
+        if verbose:  # pragma: no cover
+            print(
+                f"fig9/10 {label} P={point.get('nprocs')}: "
+                f"dump {result['dump_throughput'] / MIB:.2f} MB/s, "
+                f"restart {result['restart_throughput'] / MIB:.2f} MB/s"
+                + (" [over 90-min cap]" if over_cap else "")
             )
-            result = results[point]
-            data.snapshot_bytes = result["snapshot_bytes"]
-            over_cap = result["dump_seconds"] + result["restart_seconds"] > cap
-            data.capped[label].append(over_cap)
-            data.dump[label].append(None if over_cap else result["dump_throughput"])
-            data.restart[label].append(
-                None if over_cap else result["restart_throughput"]
-            )
-            if verbose:  # pragma: no cover
-                print(
-                    f"fig9/10 {label} P={nprocs}: "
-                    f"dump {result['dump_throughput'] / MIB:.2f} MB/s, "
-                    f"restart {result['restart_throughput'] / MIB:.2f} MB/s"
-                    + (" [over 90-min cap]" if over_cap else "")
-                )
     return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig9_10(verbose=True).render())

@@ -46,9 +46,3 @@ def program_listings() -> tuple[dict[str, str], dict[Method, EffortMetrics], str
     ]
     return sources, metrics, "\n".join(lines)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sources, _metrics, summary = program_listings()
-    for name, src in sources.items():
-        print(f"--- {name} ---\n{src}")
-    print(summary)

@@ -1,25 +1,23 @@
 """EXPERIMENTS.md generation: paper-vs-measured for every table and figure.
 
-``python -m repro.experiments.report`` regenerates the full campaign (or a
-smoke campaign with ``--smoke``) and writes EXPERIMENTS.md at the repo root.
+``python -m repro report`` regenerates the full campaign (or a smoke
+campaign with ``--smoke``) and writes EXPERIMENTS.md at the repo root.
 
 The body is assembled from independent *section builders* (one per table
 or figure), each a pure function of (scale, runner) returning its markdown
-block. :func:`generate_report` stitches them together; the campaign
-platform (:mod:`repro.campaign.report`) calls the same builders with a
-store-backed runner to regenerate individual sections byte-identically
-from stored results.
+block. :func:`build_section` is the one rendering entry point:
+:func:`generate_report` stitches every section together, the figure
+commands (``python -m repro fig5`` ...) print one, and the campaign
+platform (:mod:`repro.campaign.report`) replays one with a store's
+``results_for`` as its runner, byte-identically and without simulating.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
-from pathlib import Path
 
 from repro.cluster.lonestar import LONESTAR_SCALE, LONESTAR_STRIPE_SCALE
-from repro.experiments.common import FULL, SMOKE, ExperimentScale
+from repro.experiments.common import FULL, ExperimentScale
 from repro.experiments.fig5_scaling import run_fig5
 from repro.experiments.fig6_7_filesize import run_fig6_7
 from repro.experiments.fig9_10_art import run_fig9_10
@@ -213,42 +211,3 @@ def generate_report(
         )
     sections.append(footer)
     return "\n\n".join(sections) + "\n"
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI for the report generator; returns an exit code."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="run the tiny campaign")
-    parser.add_argument(
-        "--output", default="EXPERIMENTS.md", help="path to write the report"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="fan points across N worker processes (default: serial; "
-        "0 = one worker per CPU)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory: points it holds are not re-run, "
-        "fresh ones land in it (default with --jobs: $REPRO_STORE_DIR "
-        "or .repro-store; without --jobs or --store nothing is kept)",
-    )
-    args = parser.parse_args(argv)
-    scale = SMOKE if args.smoke else FULL
-    runner = None
-    if args.jobs is not None or args.store is not None:
-        from repro.campaign.store import CampaignStore
-        from repro.perf.campaign import CampaignRunner
-
-        jobs = 1 if args.jobs is None else (args.jobs or None)
-        runner = CampaignRunner(
-            jobs, store=CampaignStore(args.store), verbose=True
-        )
-    body = generate_report(scale, runner=runner)
-    Path(args.output).write_text(body)
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

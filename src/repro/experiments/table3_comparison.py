@@ -120,6 +120,3 @@ def table3_shape_holds(rows: list[Table3Row]) -> bool:
         and n(mem.ocio) > n(mem.tcio)
     )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(build_table3()[1])

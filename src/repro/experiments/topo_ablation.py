@@ -188,45 +188,32 @@ def run_topo_ablation(
     procs: int = 64,
     cores_per_node: int = 4,
     len_array: int = 1024,
-    *,
-    runner=None,
 ) -> TopoAblationData:
     """Measure flat vs node write-phase traffic for TCIO and OCIO.
 
-    *runner* swaps in a pooled/store-backed executor (see
-    :func:`repro.experiments.fig5_scaling.run_fig5`); point execution
-    lives in :func:`repro.perf.points.run_point`.
+    Point execution lives in :func:`repro.perf.points.run_point`.
     """
-    from repro.experiments.common import resolve_points
+    from repro.perf.campaign import CampaignRunner
     from repro.perf.points import Point
 
     data = TopoAblationData(procs=procs, cores_per_node=cores_per_node)
-    grid = [
-        (method.name, aggregation)
+    points = [
+        Point.make(
+            "topo", method=method.name, aggregation=aggregation, nprocs=procs,
+            cores_per_node=cores_per_node, len_array=len_array,
+        )
         for method in METHODS
         for aggregation in ("flat", "node")
     ]
-    points = {
-        pair: Point.make(
-            "topo", method=pair[0], aggregation=pair[1], nprocs=procs,
-            cores_per_node=cores_per_node, len_array=len_array,
-        )
-        for pair in grid
-    }
-    results = resolve_points(list(points.values()), runner)
-    for method_name, aggregation in grid:
-        result = results[points[(method_name, aggregation)]]
+    results = CampaignRunner(1)(points)
+    for point in points:
+        result = results[point]
         data.rows.append(TopoRow(
-            method=method_name,
-            aggregation=aggregation,
+            method=str(point.get("method")),
+            aggregation=str(point.get("aggregation")),
             messages=result["messages"],
             connections=result["connections"],
             seconds=result["write_seconds"] or 0.0,
         ))
     return data
 
-
-if __name__ == "__main__":  # pragma: no cover
-    data = run_topo_ablation()
-    print(data.render())
-    raise SystemExit(0 if data.check() else 1)

@@ -147,7 +147,7 @@ def points_for(experiment: str, scale=None) -> list[Point]:
 # ----------------------------------------------------------------------
 
 
-def _run_bench_point(point: Point, *, verify: bool = True) -> dict:
+def _run_bench_point(point: Point) -> dict:
     """A fig5/fig67 point: one synthetic-benchmark (method, P, LEN) run."""
     from repro.bench import BenchConfig, Method, run_benchmark
 
@@ -170,7 +170,7 @@ def _run_bench_point(point: Point, *, verify: bool = True) -> dict:
         segment_bytes=None if segment_bytes is None else int(segment_bytes),  # type: ignore[arg-type]
         cb_nodes=None if cb_nodes is None else int(cb_nodes),  # type: ignore[arg-type]
     )
-    result = run_benchmark(cfg, verify=verify)
+    result = run_benchmark(cfg)
     return {
         "write_throughput": result.write_throughput,
         "read_throughput": result.read_throughput,
@@ -182,7 +182,7 @@ def _run_bench_point(point: Point, *, verify: bool = True) -> dict:
     }
 
 
-def _run_art_point(point: Point, *, verify: bool = True) -> dict:
+def _run_art_point(point: Point) -> dict:
     """A fig910 point: one ART dump+restart (method, P) run."""
     from repro.art import ArtConfig, ArtIoMethod, ArtWorkload, run_art
     from repro.cluster.lonestar import make_lonestar
@@ -199,7 +199,6 @@ def _run_art_point(point: Point, *, verify: bool = True) -> dict:
         method=method,
         nprocs=nprocs,
         file_name=f"fig910_{label}_{nprocs}.dat",
-        verify=verify,
         per_array_cost=0.5e-6,
     )
     result = run_art(cfg, cluster=make_lonestar(nranks=nprocs))
@@ -212,7 +211,7 @@ def _run_art_point(point: Point, *, verify: bool = True) -> dict:
     }
 
 
-def _run_topo_point(point: Point, *, verify: bool = True) -> dict:
+def _run_topo_point(point: Point) -> dict:
     """A topo-ablation point: one (method, aggregation) write phase."""
     from repro.bench import Method, run_benchmark
     from repro.experiments.topo_ablation import ablation_cluster, ablation_config
@@ -230,7 +229,7 @@ def _run_topo_point(point: Point, *, verify: bool = True) -> dict:
         cluster.lustre.stripe_size,
         int(point.get("len_array")),  # type: ignore[arg-type]
     )
-    result = run_benchmark(cfg, cluster=cluster, do_read=False, verify=verify)
+    result = run_benchmark(cfg, cluster=cluster, do_read=False)
     if result.failed:  # pragma: no cover - surfaced by the ablation check
         raise RuntimeError(f"{point.label()}: {result.fail_reason}")
     return {
@@ -241,7 +240,7 @@ def _run_topo_point(point: Point, *, verify: bool = True) -> dict:
     }
 
 
-def _run_ioserver_point(point: Point, *, verify: bool = True) -> dict:
+def _run_ioserver_point(point: Point) -> dict:
     """An ioserver point: one seeded trace through the delegate servers."""
     import hashlib
 
@@ -277,7 +276,7 @@ def _run_ioserver_point(point: Point, *, verify: bool = True) -> dict:
     )
     if result.aborted is not None:  # pragma: no cover - clean run expected
         raise RuntimeError(f"{point.label()}: aborted: {result.aborted}")
-    if verify and result.image != expected_image(trace):
+    if result.image != expected_image(trace):
         raise RuntimeError(f"{point.label()}: image differs from analytic")
     return {
         "elapsed": result.elapsed,
@@ -327,11 +326,11 @@ def accepted_params(experiment: str) -> frozenset[str]:
     return _RUNNERS[experiment][1]
 
 
-def run_point(point: Point, *, verify: bool = True) -> dict:
+def run_point(point: Point) -> dict:
     """Execute one point in this process; returns its JSON-able result."""
-    return _RUNNERS[point.experiment][0](point, verify=verify)
+    return _RUNNERS[point.experiment][0](point)
 
 
-def run_spec(spec: dict, *, verify: bool = True) -> dict:
+def run_spec(spec: dict) -> dict:
     """Worker-side entry: :func:`run_point` on a :meth:`Point.as_spec`."""
-    return run_point(Point.from_spec(spec), verify=verify)
+    return run_point(Point.from_spec(spec))

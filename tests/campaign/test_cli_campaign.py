@@ -9,18 +9,15 @@ import pytest
 from repro.cli import main
 
 SPEC = """\
-experiment: fig5
-base:
-  method: TCIO
-  nprocs: 4
-axes:
-  len_array: [64, 256]
+{"experiment": "fig5",
+ "base": {"method": "TCIO", "nprocs": 4},
+ "axes": {"len_array": [64, 256]}}
 """
 
 
 @pytest.fixture()
 def spec_file(tmp_path):
-    path = tmp_path / "lenscan.yaml"
+    path = tmp_path / "lenscan.json"
     path.write_text(SPEC)
     return path
 
@@ -39,6 +36,27 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "len_array=64" in out
         assert "-- 1 record(s) of 2" in out
+
+    def test_where_values_parse_as_json_else_stay_strings(
+        self, tmp_path, spec_file, capsys
+    ):
+        store = str(tmp_path / "store")
+        main(["campaign", "run", str(spec_file), "--store", store])
+        capsys.readouterr()
+
+        def count(*where: str) -> str:
+            argv = ["campaign", "query", "--store", store]
+            for item in where:
+                argv += ["--where", item]
+            assert main(argv) == 0
+            return capsys.readouterr().out.splitlines()[-1]
+
+        assert count("len_array=64") == f"-- 1 record(s) of 2 in {store}"
+        assert count('len_array="64"') == f"-- 0 record(s) of 2 in {store}"
+        assert count("method=TCIO") == f"-- 2 record(s) of 2 in {store}"
+        assert count("method=TCIO", "len_array=256") == (
+            f"-- 1 record(s) of 2 in {store}"
+        )
 
     def test_query_distinct_and_json(self, tmp_path, spec_file, capsys):
         store = str(tmp_path / "store")
@@ -149,7 +167,7 @@ class TestCampaignCli:
 
     def test_expected_errors_exit_cleanly(self, tmp_path, capsys):
         # ReproError subclasses become exit 1 + a message, not a traceback
-        assert main(["campaign", "run", str(tmp_path / "missing.yaml")]) == 1
+        assert main(["campaign", "run", str(tmp_path / "missing.json")]) == 1
         assert "error: cannot read sweep spec" in capsys.readouterr().err
         assert main([
             "campaign", "report", "--store", str(tmp_path / "empty"),

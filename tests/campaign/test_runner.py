@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.report import store_series
 from repro.campaign.runner import run_sweep, smoke_spec, smoke_store
 from repro.campaign.spec import grid
 from repro.campaign.store import CampaignStore
@@ -50,7 +51,7 @@ class TestRunSweep:
         CampaignRunner(1, store=store).run(spec.points())
         assert len(store) == 2
         assert {r.config for r in store.records()} == {config_hash()}
-        xs, _ = store.series("method", "write_throughput")
+        xs, _ = store_series(store, "fig5", x="method", y="write_throughput")
         assert xs == ["OCIO", "TCIO"]
 
     def test_warm_sweep_keeps_the_producing_sweeps_provenance(self, tmp_path):

@@ -1,6 +1,8 @@
-"""Sweep-spec format: parsing, validation, deterministic enumeration."""
+"""Sweep-spec format: JSON parsing, validation, deterministic enumeration."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -9,64 +11,38 @@ from repro.campaign.spec import (
     SweepSpec,
     grid,
     load_spec,
-    parse_document,
     parse_spec,
 )
 
-SPEC_TEXT = """\
-# sweep segment size for one method at two scales
-name: seg-sweep
-experiment: fig5
-base:
-  method: TCIO
-  nprocs: 8
-axes:
-  len_array: [64, 256]
-  segment_bytes: [2048, 4096]
-"""
+SPEC_TEXT = json.dumps({
+    "name": "seg-sweep",
+    "experiment": "fig5",
+    "base": {"method": "TCIO", "nprocs": 8},
+    "axes": {"len_array": [64, 256], "segment_bytes": [2048, 4096]},
+})
 
 
-class TestParser:
-    def test_document_round_trip(self):
-        doc = parse_document(SPEC_TEXT)
-        assert doc == {
-            "name": "seg-sweep",
-            "experiment": "fig5",
-            "base": {"method": "TCIO", "nprocs": 8},
-            "axes": {"len_array": [64, 256], "segment_bytes": [2048, 4096]},
-        }
+class TestJsonFormat:
+    def test_stored_provenance_is_a_runnable_spec(self, tmp_path):
+        from repro.campaign.runner import run_sweep
+        from repro.campaign.store import CampaignStore
 
-    def test_scalar_coercion(self):
-        doc = parse_document(
-            "a: 3\nb: 2.5\nc: true\nd: false\ne: null\nf: 'x y'\ng: bare\n"
+        spec = grid(
+            "fig5", name="provenance",
+            base={"method": "TCIO", "nprocs": 4}, len_array=[64],
         )
-        assert doc == {
-            "a": 3, "b": 2.5, "c": True, "d": False,
-            "e": None, "f": "x y", "g": "bare",
-        }
+        store = CampaignStore(tmp_path)
+        run_sweep(spec, store=store)
+        (record,) = store.records()
+        assert parse_spec(json.dumps(record.meta["spec"])) == spec
 
-    def test_block_lists(self):
-        doc = parse_document("axes:\n  len:\n    - 1\n    - 2\n")
-        assert doc == {"axes": {"len": [1, 2]}}
+    def test_malformed_json_rejected(self):
+        with pytest.raises(SpecError, match="not valid JSON"):
+            parse_spec('{"experiment": "fig5",')
 
-    def test_comments_and_blank_lines_skipped(self):
-        doc = parse_document("# top\n\na: 1  # trailing\n")
-        assert doc == {"a": 1}
-
-    def test_hash_inside_quotes_is_not_a_comment(self):
-        assert parse_document("a: 'x # y'\n") == {"a": "x # y"}
-
-    def test_tabs_rejected(self):
-        with pytest.raises(SpecError, match="tabs"):
-            parse_document("a:\n\tb: 1\n")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(SpecError, match="duplicate"):
-            parse_document("a: 1\na: 2\n")
-
-    def test_non_mapping_line_rejected(self):
-        with pytest.raises(SpecError, match="key: value"):
-            parse_document("just words\n")
+    def test_non_object_top_level_rejected(self):
+        with pytest.raises(SpecError, match="must be a mapping"):
+            parse_spec('["fig5"]')
 
 
 class TestSweepSpec:
@@ -99,10 +75,10 @@ class TestSweepSpec:
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
     def test_load_spec_uses_stem_as_default_name(self, tmp_path):
-        path = tmp_path / "mysweep.yaml"
+        path = tmp_path / "mysweep.json"
         path.write_text(
-            "experiment: fig5\nbase:\n  method: TCIO\n  nprocs: 4\n"
-            "axes:\n  len_array: [64]\n"
+            '{"experiment": "fig5", "base": {"method": "TCIO", "nprocs": 4},'
+            ' "axes": {"len_array": [64]}}'
         )
         assert load_spec(path).name == "mysweep"
 
@@ -123,10 +99,11 @@ class TestSweepSpec:
 
     def test_retired_batched_writeback_axis_rejected(self):
         with pytest.raises(SpecError, match="batched_writeback"):
-            parse_spec(
-                "name: old\nexperiment: fig5\nbase:\n  method: TCIO\n  nprocs: 4\n"
-                "  len_array: 64\naxes:\n  batched_writeback: [false, true]\n"
-            )
+            parse_spec(json.dumps({
+                "name": "old", "experiment": "fig5",
+                "base": {"method": "TCIO", "nprocs": 4, "len_array": 64},
+                "axes": {"batched_writeback": [False, True]},
+            }))
 
     def test_default_grids_use_only_accepted_parameters(self):
         from repro.perf.points import EXPERIMENTS, accepted_params, points_for
@@ -152,4 +129,6 @@ class TestSweepSpec:
 
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(SpecError, match="unknown spec keys"):
-            parse_spec("experiment: fig5\nbogus: 1\naxes:\n  len_array: [64]\n")
+            parse_spec(
+                '{"experiment": "fig5", "bogus": 1, "axes": {"len_array": [64]}}'
+            )

@@ -1,4 +1,4 @@
-"""Result store: the cache lookup, queries, ingestion, the store runner."""
+"""Result store: the cache lookup, queries, ingestion, the store as a runner."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import json
 
 import pytest
 
+from repro.campaign.report import store_series
 from repro.campaign.store import (
     CampaignStore,
     Record,
     StoreError,
-    StoreRunner,
     record_key,
 )
-from repro.experiments.common import resolve_points
 from repro.perf.points import Point, config_hash
 
 POINT = Point.make("fig5", method="TCIO", nprocs=4, len_array=64)
@@ -84,12 +83,12 @@ class TestAddAndQuery:
 
     def test_series(self, tmp_path):
         store = _filled_store(tmp_path)
-        xs, ys = store.series(
-            "nprocs", "write_throughput",
-            experiment="fig5", where={"method": "TCIO"},
+        xs, series = store_series(
+            store, "fig5", x="nprocs", y="write_throughput",
+            where={"method": "TCIO"},
         )
         assert xs == [4, 8, 16]
-        assert ys == [10.0, 20.0, 40.0]
+        assert series == {"write_throughput": [10.0, 20.0, 40.0]}
 
     def test_wrong_schema_records_skipped(self, tmp_path):
         store = _filled_store(tmp_path)
@@ -195,7 +194,6 @@ class TestNoStaleEvidence:
         assert len(store) == 2
         assert store.get(POINT) == RESULT
         assert store.results_for([POINT]) == {POINT: RESULT}
-        assert StoreRunner(store)([POINT]) == {POINT: RESULT}
 
     def test_foreign_config_only_raises_naming_the_point(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -204,8 +202,6 @@ class TestNoStaleEvidence:
         assert store.get(POINT) is None
         with pytest.raises(StoreError, match=r"method=TCIO, nprocs=4"):
             store.results_for([POINT])
-        with pytest.raises(StoreError, match=r"method=TCIO, nprocs=4"):
-            StoreRunner(store)([POINT])
 
     def test_query_lists_every_config(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -234,13 +230,15 @@ class TestIngestion:
 
 
 class TestStoreRunner:
-    def test_serves_points_through_resolve_points(self, tmp_path):
+    """``store.results_for`` is a runner: ``points -> {point: result}``."""
+
+    def test_serves_points_through_results_for(self, tmp_path):
         store = _filled_store(tmp_path)
         points = [
             Point.make("fig5", method="TCIO", nprocs=n, len_array=64)
             for n in (4, 8, 16)
         ]
-        results = resolve_points(points, StoreRunner(store))
+        results = store.results_for(points)
         assert results[points[0]]["write_throughput"] == 10.0
         assert results[points[2]]["write_throughput"] == 40.0
 
@@ -248,4 +246,4 @@ class TestStoreRunner:
         store = _filled_store(tmp_path)
         missing = Point.make("fig5", method="TCIO", nprocs=32, len_array=64)
         with pytest.raises(StoreError, match=r"nprocs=32"):
-            StoreRunner(store)([missing])
+            store.results_for([missing])

@@ -34,7 +34,7 @@ class TestCommonHelpers:
 class TestFig5Smoke:
     @pytest.fixture(scope="class")
     def data(self):
-        return run_fig5(SMOKE, verify=True)
+        return run_fig5(SMOKE)
 
     def test_series_complete(self, data):
         assert data.proc_counts == list(SMOKE.proc_counts)
@@ -51,7 +51,7 @@ class TestFig5Smoke:
 class TestFig67Smoke:
     @pytest.fixture(scope="class")
     def data(self):
-        return run_fig6_7(SMOKE, verify=True)
+        return run_fig6_7(SMOKE)
 
     def test_tcio_completes_everywhere(self, data):
         assert data.tcio_completes_everywhere()
@@ -64,7 +64,7 @@ class TestFig67Smoke:
 class TestFig910Smoke:
     @pytest.fixture(scope="class")
     def data(self):
-        return run_fig9_10(SMOKE, verify=True)
+        return run_fig9_10(SMOKE)
 
     def test_tcio_beats_vanilla_even_at_smoke_scale(self, data):
         assert data.tcio_always_faster()

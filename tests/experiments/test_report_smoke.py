@@ -1,7 +1,13 @@
 """Smoke test of the EXPERIMENTS.md generator at the tiny scale."""
 
+from repro.cli import main as repro_main
 from repro.experiments.common import SMOKE
-from repro.experiments.report import generate_report, main
+from repro.experiments.report import generate_report
+
+
+def main(argv: list[str]) -> int:
+    """``python -m repro report ...``"""
+    return repro_main(["report", *argv])
 
 
 class TestReportGeneration:
@@ -27,7 +33,6 @@ class TestReportGeneration:
         assert "EXPERIMENTS" in out.read_text()
 
     def test_store_backed_report_matches_serial_and_replays(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
         from repro.experiments.report import build_section
 
         def body(path):  # everything but the wall-clock footer

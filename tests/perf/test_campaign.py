@@ -12,16 +12,16 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.store import CampaignStore
-from repro.experiments.common import SMOKE, resolve_points
+from repro.experiments.common import SMOKE
 from repro.perf.campaign import CampaignRunner
-from repro.perf.points import Point, points_for
+from repro.perf.points import points_for
 
 GRID = points_for("fig5", SMOKE)
 
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return resolve_points(GRID)
+    return CampaignRunner(1)(GRID)
 
 
 class TestDeterminismUnderParallelism:
@@ -72,8 +72,3 @@ class TestCampaignRunner:
         via_runner = run_fig5(SMOKE, runner=runner)
         assert via_runner.write == direct.write
         assert via_runner.read == direct.read
-
-    def test_resolve_points_default_is_serial(self):
-        point = Point.make("fig5", method="TCIO", nprocs=4, len_array=64)
-        results = resolve_points([point])
-        assert results[point]["write_throughput"] > 0

@@ -25,6 +25,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 from pathlib import Path
 
@@ -90,6 +91,14 @@ def functions() -> dict[str, int]:
     return found
 
 
+def ci_files() -> dict[str, str]:
+    """Files the ``ci.yml`` steps write with a heredoc (``cat > NAME <<'EOF'``),
+    which its smoke lines then read: every scratch cwd needs them too."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    found = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^\s*EOF$", ci, re.MULTILINE | re.DOTALL)
+    return {name: textwrap.dedent(body) for name, body in found}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(tag, python argv) for every run the census observes."""
     runs = [("unit", ["-m", "pytest", "-q", "-p", "census", "-p", "no:cacheprovider", "tests",
@@ -113,6 +122,8 @@ def main() -> int:
         hits, work = Path(tmp, "hits"), Path(tmp, "work")
         hits.mkdir()
         work.mkdir()
+        for name, text in ci_files().items():
+            (work / name).write_text(text)
         Path(tmp, "sitecustomize.py").write_text("import census\ncensus.install()\n")
         env = dict(os.environ, CENSUS_DIR=str(hits), PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
             [tmp, str(ROOT / "tools"), str(ROOT / "src")]))

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from census import ROOT, commands  # noqa: E402
+from census import ROOT, ci_files, commands  # noqa: E402
 
 OUT_FLAGS = ("--out", "--metrics-out")
 
@@ -61,6 +61,8 @@ def main(base: str) -> int:
         cwds = [Path(tmp, side) for side in ("A", "B")]
         for cwd in cwds:
             cwd.mkdir()
+            for name, text in ci_files().items():
+                (cwd / name).write_text(text)
         differing = 0
         try:
             for _tag, argv in commands():
