@@ -13,7 +13,7 @@ only the I/O behaviour matters for the reproduction.
 """
 
 from repro.art.ftt import FttTree, FttLevel
-from repro.art.layout import FttRecordLayout, RecordArray
+from repro.art.layout import FttRecordLayout
 from repro.art.decomposition import ArtWorkload, segment_lengths
 from repro.art.app import ArtConfig, ArtResult, dump_snapshot, restart_snapshot, run_art, ArtIoMethod
 
@@ -21,7 +21,6 @@ __all__ = [
     "FttTree",
     "FttLevel",
     "FttRecordLayout",
-    "RecordArray",
     "ArtWorkload",
     "segment_lengths",
     "ArtConfig",

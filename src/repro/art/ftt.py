@@ -10,7 +10,6 @@ file layout (Fig. 8) records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -72,38 +71,6 @@ class FttTree:
         )
         return cls(nvars=nvars, levels=[level0], oct=oct)
 
-    def refine(self, level: int, cell: int) -> None:
-        """Split one leaf cell into an oct of 8 children."""
-        if not (0 <= level < self.depth):
-            raise FttError(f"no level {level}")
-        lv = self.levels[level]
-        if not (0 <= cell < lv.ncells):
-            raise FttError(f"no cell {cell} on level {level}")
-        if lv.refined[cell]:
-            raise FttError(f"cell ({level}, {cell}) is already refined")
-        lv.refined[cell] = 1
-        if level + 1 == self.depth:
-            self.levels.append(
-                FttLevel(
-                    variables=np.zeros((self.nvars, 0), dtype=np.float64),
-                    refined=np.zeros(0, dtype=np.uint8),
-                    parent=np.zeros(0, dtype=np.int32),
-                )
-            )
-        child = self.levels[level + 1]
-        # Children interpolate the parent's variables (enough structure for
-        # the reproduction; real ART solves hydrodynamics here).
-        parent_vars = lv.variables[:, cell : cell + 1]
-        offsets = (np.arange(self.oct, dtype=np.float64) + 1.0) / (self.oct + 1.0)
-        new_vars = parent_vars + offsets[np.newaxis, :]
-        child.variables = np.concatenate([child.variables, new_vars], axis=1)
-        child.refined = np.concatenate(
-            [child.refined, np.zeros(self.oct, dtype=np.uint8)]
-        )
-        child.parent = np.concatenate(
-            [child.parent, np.full(self.oct, cell, dtype=np.int32)]
-        )
-
     @classmethod
     def build_random(
         cls,
@@ -115,14 +82,46 @@ class FttTree:
         """Grow a tree by refining random leaves until >= *target_cells*.
 
         Deterministic given the generator state — how the workload builds
-        trees "of different structures and sizes".
+        trees "of different structures and sizes". Each step draws one leaf
+        uniformly from all unrefined cells in (level, cell) order and splits
+        it into an oct of children appended to the next level; the children
+        interpolate the parent's variables (enough structure for the
+        reproduction; real ART solves hydrodynamics here). The draws run
+        against per-level leaf lists, and each level's arrays are built
+        once at the end.
         """
         tree = cls.root_only(nvars, oct)
         tree.levels[0].variables[:, 0] = rng.normal(size=nvars)
-        while tree.total_cells < target_cells:
-            leaves = list(tree.iter_leaves())
-            level, cell = leaves[int(rng.integers(len(leaves)))]
-            tree.refine(level, cell)
+        leaves = [[0]]  # per level: the unrefined cells, ascending
+        octs: list[list[int]] = [[]]  # per level: the parent of each oct, in creation order
+        n_leaves = total = 1
+        while total < target_cells:
+            pick = int(rng.integers(n_leaves))
+            level = 0
+            while pick >= len(leaves[level]):
+                pick -= len(leaves[level])
+                level += 1
+            cell = leaves[level].pop(pick)
+            if level + 1 == len(leaves):
+                leaves.append([])
+                octs.append([])
+            first = len(octs[level + 1]) * oct
+            leaves[level + 1].extend(range(first, first + oct))
+            octs[level + 1].append(cell)
+            n_leaves += oct - 1
+            total += oct
+        offsets = (np.arange(oct, dtype=np.float64) + 1.0) / (oct + 1.0)
+        for parents in octs[1:]:
+            above = tree.levels[-1]
+            split = np.array(parents, dtype=np.int32)
+            above.refined[split] = 1
+            tree.levels.append(
+                FttLevel(
+                    variables=(above.variables[:, split, np.newaxis] + offsets).reshape(nvars, -1),
+                    refined=np.zeros(len(parents) * oct, dtype=np.uint8),
+                    parent=split.repeat(oct),
+                )
+            )
         return tree
 
     # ------------------------------------------------------------------
@@ -142,12 +141,6 @@ class FttTree:
     def total_cells(self) -> int:
         """Cells across all levels."""
         return sum(self.level_sizes)
-
-    def iter_leaves(self) -> Iterator[tuple[int, int]]:
-        """Yield (level, cell) of every unrefined cell."""
-        for level, lv in enumerate(self.levels):
-            for cell in np.flatnonzero(lv.refined == 0):
-                yield level, int(cell)
 
     def check_invariants(self) -> None:
         """Structural sanity: children counts match refinement flags and

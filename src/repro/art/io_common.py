@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.art.decomposition import ArtWorkload
 from repro.art.ftt import FttTree
-from repro.art.layout import FttRecordLayout, canonicalize, _HEADER_FIELDS
+from repro.art.layout import FttRecordLayout, canonicalize, _HEADER_NBYTES
 from repro.util.errors import BenchmarkError
 
 INDEX_ENTRY = 8  # int64 per record size
@@ -76,4 +76,4 @@ def parse_index(blob: bytes, n_segments: int) -> list[int]:
 
 def header_prefix_nbytes() -> int:
     """Bytes of a record's descriptor header array."""
-    return _HEADER_FIELDS * 4
+    return _HEADER_NBYTES

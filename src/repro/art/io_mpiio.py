@@ -47,8 +47,10 @@ def dump(
         writes += 1
     for seg, tree in zip(local.segments, local.trees):
         env.compute(per_array_cost * layout.array_count(tree))
-        for off, data in layout.iter_write_ops(tree, offsets[seg]):
-            yield from fh.write_at(off, data)
+        record = np.frombuffer(layout.serialize(tree), dtype=np.uint8)
+        bounds = layout.array_bounds(tree)
+        for start, stop in zip(bounds, bounds[1:]):
+            yield from fh.write_at(offsets[seg] + start, record[start:stop])
             writes += 1
     yield from fh.close()
     return {"write_calls": writes}
@@ -71,25 +73,22 @@ def restart(
     offsets = record_offsets(sizes, workload.n_segments)
 
     my_segments = workload.segments_of(env.rank, env.comm.size)
+    head = header_prefix_nbytes()
     trees: list[FttTree] = []
     for seg in my_segments:
         base = offsets[seg]
-        head = yield from fh.read_at(base, header_prefix_nbytes())
-        reads += 1
-        _magic, _oct, nvars, depth, total_cells = np.frombuffer(head, np.int32)
-        struct_len = int(depth) * 4 + int(total_cells)
-        struct_buf = yield from fh.read_at(base + len(head), struct_len)
-        reads += 1
-        values_base = base + len(head) + struct_len
-        pieces = []
-        pos = values_base
-        env.compute(per_array_cost * (3 + int(total_cells) * int(nvars)))
-        for _cell in range(int(total_cells)):
-            for _v in range(int(nvars)):
-                pieces.append((yield from fh.read_at(pos, 8)))
-                reads += 1
-                pos += 8
-        trees.append(layout.parse(head + struct_buf + b"".join(pieces)))
+        record = bytearray(sizes[seg])
+        view = memoryview(record)
+        view[:head] = yield from fh.read_at(base, head)
+        _magic, _oct, nvars, depth, total_cells = view[:head].cast("i")
+        values = head + depth * 4 + total_cells
+        view[head:values] = yield from fh.read_at(base + head, values - head)
+        reads += 2
+        env.compute(per_array_cost * (3 + total_cells * nvars))
+        for start in range(values, len(record), 8):
+            view[start : start + 8] = yield from fh.read_at(base + start, 8)
+            reads += 1
+        trees.append(layout.parse(record))
     yield from fh.close()
 
     if verify:

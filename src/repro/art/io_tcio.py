@@ -68,10 +68,11 @@ def dump(
             )
         for seg, tree in zip(local.segments, local.trees):
             fh.seek(offsets[seg])
-            arrays = layout.arrays(tree)
-            env.compute(per_array_cost * len(arrays))
-            for array in arrays:
-                yield from fh.write(array.data)
+            record = np.frombuffer(layout.serialize(tree), dtype=np.uint8)
+            bounds = layout.array_bounds(tree)
+            env.compute(per_array_cost * layout.array_count(tree))
+            for start, stop in zip(bounds, bounds[1:]):  # one write per array
+                yield from fh.write(record[start:stop])
     except BaseException:
         fh.abort()
         raise
@@ -101,41 +102,27 @@ def restart(
         offsets = record_offsets(sizes, workload.n_segments)
 
         my_segments = workload.segments_of(env.rank, comm.size)
+        head = header_prefix_nbytes()
         trees: list[FttTree] = []
         for seg in my_segments:
             base = offsets[seg]
+            record = bytearray(sizes[seg])
+            view = memoryview(record)
             # Phase 2: the record's descriptor header.
-            head = bytearray(header_prefix_nbytes())
-            yield from fh.read_at(base, head)
+            yield from fh.read_at(base, view[:head])
             yield from fh.fetch()
-            magic, oct_, nvars, depth, total_cells = np.frombuffer(
-                bytes(head), np.int32
-            )
+            _magic, _oct, nvars, depth, total_cells = view[:head].cast("i")
             # Phase 3: level sizes + refinement flags.
-            struct_buf = bytearray(int(depth) * 4 + int(total_cells))
-            yield from fh.read_at(base + len(head), struct_buf)
+            values = head + depth * 4 + total_cells
+            yield from fh.read_at(base + head, view[head:values])
             yield from fh.fetch()
-            level_sizes = np.frombuffer(bytes(struct_buf[: int(depth) * 4]), np.int32)
-            # Phase 4: each value array individually (the paper's small reads).
-            values_base = base + len(head) + len(struct_buf)
-            value_bufs: list[bytearray] = []
-            pos = values_base
-            env.compute(per_array_cost * (3 + int(total_cells) * int(nvars)))
-            for _cell in range(int(total_cells)):
-                for _v in range(int(nvars)):
-                    b = bytearray(8)
-                    yield from fh.read_at(pos, b)
-                    value_bufs.append(b)
-                    pos += 8
+            # Phase 4: each value array individually (the paper's small
+            # reads), straight into its 8 bytes of the record.
+            env.compute(per_array_cost * (3 + total_cells * nvars))
+            for start in range(values, len(record), 8):
+                yield from fh.read_at(base + start, view[start : start + 8])
             yield from fh.fetch()
-            # Reassemble and parse the full record.
-            blob = (
-                bytes(head)
-                + bytes(struct_buf)
-                + b"".join(bytes(b) for b in value_bufs)
-            )
-            trees.append(layout.parse(blob))
-            del level_sizes, magic, oct_
+            trees.append(layout.parse(record))
     except BaseException:
         fh.abort()
         raise

@@ -20,25 +20,18 @@ storing them; :func:`canonicalize` converts any tree to this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.art.ftt import FttError, FttLevel, FttTree
 
 MAGIC = 0x46545431  # "FTT1"
 
-_HEADER_FIELDS = 5  # magic, oct, nvars, depth, total_cells
+_HEADER_NBYTES = 5 * 4  # int32 magic, oct, nvars, depth, total_cells
 
 
-@dataclass(frozen=True)
-class RecordArray:
-    """One array of the record: name, relative offset, raw bytes."""
-
-    name: str
-    offset: int
-    data: bytes
+def _record_nbytes(depth: int, total_cells: int, nvars: int) -> int:
+    """Header, level sizes, flags, then one float64 per variable per cell."""
+    return _HEADER_NBYTES + depth * 4 + total_cells + total_cells * nvars * 8
 
 
 def canonicalize(tree: FttTree) -> FttTree:
@@ -71,67 +64,57 @@ class FttRecordLayout:
     """Serializer/deserializer for the Fig. 8 record format."""
 
     # ------------------------------------------------------------------
-    def arrays(self, tree: FttTree) -> list[RecordArray]:
-        """The record's ordered arrays with relative offsets.
-
-        The tree must be in canonical order (see :func:`canonicalize`);
-        the dump drivers canonicalize before writing.
-        """
-        out: list[RecordArray] = []
-        offset = 0
-
-        def emit(name: str, data: bytes) -> None:
-            nonlocal offset
-            out.append(RecordArray(name=name, offset=offset, data=data))
-            offset += len(data)
-
-        header = np.array(
-            [MAGIC, tree.oct, tree.nvars, tree.depth, tree.total_cells],
-            dtype=np.int32,
-        )
-        emit("header", header.tobytes())
-        emit("level_sizes", np.array(tree.level_sizes, dtype=np.int32).tobytes())
-        flags = (
-            np.concatenate([lv.refined for lv in tree.levels])
-            if tree.depth
-            else np.zeros(0, dtype=np.uint8)
-        )
-        emit("refined_flags", flags.tobytes())
-        for li, lv in enumerate(tree.levels):
-            for cell in range(lv.ncells):
-                for v in range(tree.nvars):
-                    emit(
-                        f"L{li}.c{cell}.v{v}",
-                        lv.variables[v, cell : cell + 1].tobytes(),
-                    )
-        return out
-
     def array_count(self, tree: FttTree) -> int:
         """O(1) count: 3 structure arrays + nvars per cell."""
         return 3 + tree.total_cells * tree.nvars
 
     def record_nbytes(self, tree: FttTree) -> int:
         """Serialized size without materializing the arrays."""
-        return (
-            _HEADER_FIELDS * 4
-            + tree.depth * 4
-            + tree.total_cells
-            + tree.total_cells * tree.nvars * 8
-        )
+        return _record_nbytes(tree.depth, tree.total_cells, tree.nvars)
+
+    def array_bounds(self, tree: FttTree) -> list[int]:
+        """Where each record array starts, then where the record ends:
+        array ``i`` is ``serialize(tree)[b[i]:b[i + 1]]``."""
+        flags = _HEADER_NBYTES + tree.depth * 4
+        values = flags + tree.total_cells
+        return [0, _HEADER_NBYTES, flags, *range(values, self.record_nbytes(tree) + 1, 8)]
 
     def serialize(self, tree: FttTree) -> bytes:
-        """The whole record as one byte string."""
-        return b"".join(a.data for a in self.arrays(tree))
+        """The whole record as one byte string.
+
+        The tree must be in canonical order (see :func:`canonicalize`);
+        the dump drivers canonicalize before writing.
+        """
+        header = np.array(
+            [MAGIC, tree.oct, tree.nvars, tree.depth, tree.total_cells],
+            dtype=np.int32,
+        )
+        return b"".join(
+            [
+                header.tobytes(),
+                np.array(tree.level_sizes, dtype=np.int32).tobytes(),
+                *[lv.refined.tobytes() for lv in tree.levels],
+                # cell by cell, each cell's variables in order
+                *[lv.variables.T.tobytes() for lv in tree.levels],
+            ]
+        )
 
     # ------------------------------------------------------------------
-    def parse(self, blob: bytes | memoryview) -> FttTree:
+    def parse(self, blob: bytes | bytearray | memoryview) -> FttTree:
         """Reconstruct a canonical tree from its serialized record."""
         view = memoryview(blob)
-        header = np.frombuffer(view[: _HEADER_FIELDS * 4], dtype=np.int32)
+        if len(view) < _HEADER_NBYTES:
+            raise FttError(f"truncated FTT record: {len(view)} bytes")
+        header = np.frombuffer(view[:_HEADER_NBYTES], dtype=np.int32)
         if header[0] != MAGIC:
             raise FttError(f"bad FTT magic 0x{int(header[0]):x}")
         oct_, nvars, depth, total_cells = (int(x) for x in header[1:])
-        pos = _HEADER_FIELDS * 4
+        expected = _record_nbytes(depth, total_cells, nvars)
+        if len(view) != expected:
+            raise FttError(
+                f"FTT record of {len(view)} bytes, its header describes {expected}"
+            )
+        pos = _HEADER_NBYTES
         sizes = np.frombuffer(view[pos : pos + depth * 4], dtype=np.int32)
         pos += depth * 4
         if int(sizes.sum()) != total_cells:
@@ -141,7 +124,6 @@ class FttRecordLayout:
         values = np.frombuffer(
             view[pos : pos + total_cells * nvars * 8], dtype=np.float64
         )
-        pos += total_cells * nvars * 8
 
         tree = FttTree(nvars=nvars, levels=[], oct=oct_)
         cell_base = 0
@@ -169,9 +151,3 @@ class FttRecordLayout:
             cell_base += n
         tree.check_invariants()
         return tree
-
-    # ------------------------------------------------------------------
-    def iter_write_ops(self, tree: FttTree, base_offset: int) -> Iterator[tuple[int, bytes]]:
-        """(absolute file offset, bytes) pairs — what a dump must write."""
-        for a in self.arrays(tree):
-            yield base_offset + a.offset, a.data

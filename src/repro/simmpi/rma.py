@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add
 from typing import Deque, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -94,6 +95,12 @@ class _TargetLock:
                 entry.proc.wake()
                 if entry.lock_type == LOCK_EXCLUSIVE:
                     break
+
+
+def gather(view: memoryview, base: int, disps: Sequence[int], lens: Sequence[int]) -> bytes:
+    """The blocks ``view[base + d : base + d + n]`` packed back to back, in
+    order: an indexed typemap applied to a byte view, one copy per block."""
+    return b"".join([view[base + d : base + d + n] for d, n in zip(disps, lens)])
 
 
 class _Epoch:
@@ -284,33 +291,39 @@ class Window:
             self._c_put_blocks.add(len(blocks))
             self._h_put_bytes.observe(total)
 
-    def get_indexed(self, blocks: Sequence[tuple[int, int]], target: int):
-        """One transfer fetching many disjoint (offset, length) blocks.
+    def get_indexed(
+        self, target: int, base: int, disps: Sequence[int], lens: Sequence[int]
+    ):
+        """One transfer fetching the blocks ``[base + d, base + d + n)``
+        for each ``(d, n)`` of ``zip(disps, lens)`` (``MPI_Get`` with an
+        ``MPI_Type_indexed`` target datatype at displacement *base*).
 
-        Returns ``(offset, bytes)`` pairs once the data reaches the origin.
-        Unlike puts, gets must return data, so the call blocks until the
-        response lands; it still counts as a single network round trip.
+        Returns the blocks packed back to back, in order, once the data
+        reaches the origin. Unlike puts, gets must return data, so the call
+        blocks until the response lands; it still counts as a single
+        network round trip.
         """
         epoch = self._require_epoch(target)
         world = self.world
         proc = active_process()
         target_w = self.comm.world_rank(target)
         remote = world.window_buffer(self.win_id, target_w)
-        total = 0
-        for off, ln in blocks:
-            if ln < 0 or off < 0 or off + ln > len(remote):
-                raise RmaError(f"get outside window: [{off},{off + ln}) of {len(remote)}")
-            total += ln
+        total = sum(lens)
+        if disps and (
+            min(lens) < 0
+            or base + min(disps) < 0
+            or base + max(map(add, disps, lens)) > len(remote)
+        ):
+            raise RmaError(f"get outside window: blocks at base {base} leave [0, {len(remote)})")
 
         self._maybe_fail("get", target_w)
         # Request travels to the target; data is snapshotted there, then
         # streams back to the origin.
         t_req = world.fabric.control_delay(self.my_world_rank, target_w, rma=True)
-        result: list[tuple[int, bytes]] = []
+        result = []
 
         def serve() -> None:
-            for off, ln in blocks:
-                result.append((off, bytes(remote[off : off + ln])))
+            result.append(gather(remote, base, disps, lens))
             t_back = world.fabric.delivery_time(
                 target_w, self.my_world_rank, total, rma=True
             )
@@ -321,8 +334,8 @@ class Window:
         epoch.last_completion = max(epoch.last_completion, world.engine.now)
         if world.trace is not None:
             self._c_get.add(total)
-            self._c_get_blocks.add(len(blocks))
-        return result
+            self._c_get_blocks.add(len(disps))
+        return result[0]
 
     # ------------------------------------------------------------------
     def _maybe_fail(self, op: str, target_w: int) -> None:

@@ -93,25 +93,25 @@ class Degrade:
                 detail["job"] = job
             fh._plan.record("tcio.data_at_risk", **detail)
 
-    def pull_blocks(self, gseg: int, ranges: list[tuple[int, int]]):
+    def pull_blocks(self, gseg: int, disps: list[int], lens: list[int]):
         """``level2.pull_blocks``, or the same ranges read from the PFS
         when the segment is degraded (coroutine)."""
         fh = self.fh
         direct = fh.directory.direct
         if gseg not in direct:
             try:
-                return (yield from fh.level2.pull_blocks(gseg, ranges))
+                return (yield from fh.level2.pull_blocks(gseg, disps, lens))
             except RetryBudgetExceeded:
                 direct.add(gseg)
                 fh._plan.note_fallback("tcio.fetch", segment=gseg, rank=fh.env.rank)
         # Degraded segment: its owner was unreachable, nothing is cached
         # in level 2 — read straight from the file system.
         seg_start = fh.mapping.segment_extent(gseg).start
-        nbytes = sum(length for _, length in ranges)
-        blocks = []
+        nbytes = sum(lens)
+        parts = []
         with fh._tracer.span("tcio.fallback_fetch", segment=gseg, bytes=nbytes, rank=fh.env.rank):
-            for disp, length in ranges:
+            for disp, length in zip(disps, lens):
                 data = yield from fh._pfs_read("tcio.fallback_fetch", seg_start + disp, length)
-                blocks.append((disp, data))
+                parts.append(data)
         fh.stats.inc("fetched_bytes", nbytes)
-        return blocks
+        return b"".join(parts)

@@ -33,6 +33,7 @@ from repro.sim.api import run_coroutine
 from repro.simmpi import collectives
 from repro.simmpi.datatypes import BYTE, Datatype
 from repro.simmpi.mpi import RankEnv
+from repro.simmpi.rma import gather
 from repro.tcio.degrade import Degrade
 from repro.tcio.epoch import EpochJournal
 from repro.tcio.level1 import Level1Buffer, ReadLog
@@ -473,13 +474,14 @@ class TcioFile:
         if raw is not None:
             # This rank performed the load: serve straight from the bytes
             # (works for degraded segments too — the loader has the data).
-            for disp, length, dest in zip(disps, lengths, dests):
-                dest[:] = raw[disp : disp + length]
+            payload = memoryview(gather(memoryview(raw), 0, disps, lengths))
         else:
-            blocks = yield from self._pull(gseg, list(zip(disps, lengths)))
-            for length, dest, (_got_disp, data) in zip(lengths, dests, blocks):
-                dest[:] = data[:length]
-        self._charge_memcpy(sum(lengths))
+            payload = memoryview((yield from self._pull(gseg, disps, lengths)))
+        pos = 0
+        for dest, length in zip(dests, lengths):
+            dest[:] = payload[pos : pos + length]
+            pos += length
+        self._charge_memcpy(pos)
 
     # ------------------------------------------------------------------
     # flush / close (collective)

@@ -27,7 +27,7 @@ from repro.sim.engine import active_process
 from repro.sim.sync import SimEvent
 from repro.simmpi.collectives import barrier
 from repro.simmpi.comm import Communicator
-from repro.simmpi.rma import LOCK_EXCLUSIVE, LOCK_SHARED, Window
+from repro.simmpi.rma import LOCK_EXCLUSIVE, LOCK_SHARED, Window, gather
 from repro.tcio.mapping import SegmentMapping
 from repro.tcio.stats import TcioStats
 from repro.util.errors import RetryBudgetExceeded, RmaTransientError, TcioError
@@ -93,6 +93,7 @@ class Level2Buffer:
         self.combine_indexed = combine_indexed
         self.capacity = segments_per_process * self.segment_size
         self.data = np.zeros(self.capacity, dtype=np.uint8)
+        self._data_view = memoryview(self.data)
         self.window = Window(comm, self.data)
         self.faults = getattr(comm.world, "faults", None)
 
@@ -320,10 +321,9 @@ class Level2Buffer:
         self.stats.inc("segment_loads")
         return payload
 
-    def pull_blocks(
-        self, global_segment: int, ranges: list[tuple[int, int]]
-    ):
-        """Fetch ``(disp, length)`` ranges of a resident segment (coroutine).
+    def pull_blocks(self, global_segment: int, disps: list[int], lens: list[int]):
+        """Fetch the ``(disp, len)`` ranges of a resident segment, packed
+        back to back in order (coroutine).
 
         Local slots are served by memcpy; remote ones with a single
         indexed one-sided Get under a shared lock.
@@ -331,11 +331,9 @@ class Level2Buffer:
         owner = self.mapping.owner_of_segment(global_segment)
         base = self._slot_base(global_segment)
         if owner == self.rank:
-            slot = self.local_slot(global_segment)
-            out = [(disp, slot[disp : disp + ln].tobytes()) for disp, ln in ranges]
-            self.stats.inc("local_gets", len(ranges))
-            return out
-        nbytes = sum(ln for _, ln in ranges)
+            self.stats.inc("local_gets", len(disps))
+            return gather(self._data_view, base, disps, lens)
+        nbytes = sum(lens)
         with self.tracer.span(
             "tcio.pull", segment=global_segment, target=owner, bytes=nbytes
         ):
@@ -344,25 +342,22 @@ class Level2Buffer:
                 yield from self.window.lock(owner, LOCK_SHARED)
                 try:
                     if self.combine_indexed:
-                        return (
-                            yield from self.window.get_indexed(
-                                [(base + disp, ln) for disp, ln in ranges], owner
-                            )
-                        )
-                    out = []
-                    for disp, ln in ranges:
-                        data = yield from self.window.get(owner, base + disp, ln)
-                        out.append((base + disp, data))
-                    return out
+                        return (yield from self.window.get_indexed(owner, base, disps, lens))
+                    # Ablation: one Get per block.
+                    parts = []
+                    for disp, ln in zip(disps, lens):
+                        part = yield from self.window.get_indexed(owner, base, [disp], [ln])
+                        parts.append(part)
+                    return b"".join(parts)
                 finally:
                     self.window.unlock(owner)
 
-            got = yield from self._retry_rma(
+            payload = yield from self._retry_rma(
                 f"tcio.pull(seg={global_segment})", attempt
             )
-        self.stats.inc("get_blocks", len(ranges))
+        self.stats.inc("get_blocks", len(disps))
         self.stats.inc("fetched_bytes", nbytes)
-        return [(off - base, data) for off, data in got]
+        return payload
 
     # ------------------------------------------------------------------
     def owned_dirty_segments(self) -> list[int]:

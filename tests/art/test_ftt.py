@@ -1,10 +1,16 @@
-"""Fully threaded tree construction and invariants."""
+"""Fully threaded tree construction and invariants.
+
+Single refinements go through the leaf-by-leaf oracle of
+``test_ftt_differential.py``, which pins them here; ``FttTree.build_random``
+must draw the same trees as that oracle.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.art.ftt import FttError, FttTree
+from tests.art.test_ftt_differential import iter_leaves, refine
 
 
 class TestConstruction:
@@ -12,20 +18,20 @@ class TestConstruction:
         t = FttTree.root_only(nvars=2)
         assert t.depth == 1
         assert t.total_cells == 1
-        assert list(t.iter_leaves()) == [(0, 0)]
+        assert list(iter_leaves(t)) == [(0, 0)]
         t.check_invariants()
 
     def test_refine_adds_an_oct(self):
         t = FttTree.root_only(2)
-        t.refine(0, 0)
+        refine(t, 0, 0)
         assert t.level_sizes == [1, 8]
-        assert list(t.iter_leaves()) == [(1, c) for c in range(8)]
+        assert list(iter_leaves(t)) == [(1, c) for c in range(8)]
         t.check_invariants()
 
     def test_refine_deeper(self):
         t = FttTree.root_only(1)
-        t.refine(0, 0)
-        t.refine(1, 3)
+        refine(t, 0, 0)
+        refine(t, 1, 3)
         assert t.level_sizes == [1, 8, 8]
         assert t.levels[2].parent.tolist() == [3] * 8
         t.check_invariants()
@@ -33,26 +39,26 @@ class TestConstruction:
     def test_children_interpolate_parent_variables(self):
         t = FttTree.root_only(1)
         t.levels[0].variables[0, 0] = 5.0
-        t.refine(0, 0)
+        refine(t, 0, 0)
         children = t.levels[1].variables[0]
         assert np.all(children > 5.0) and np.all(children < 6.0)
 
     def test_double_refine_rejected(self):
         t = FttTree.root_only(1)
-        t.refine(0, 0)
+        refine(t, 0, 0)
         with pytest.raises(FttError):
-            t.refine(0, 0)
+            refine(t, 0, 0)
 
     def test_bad_cell_rejected(self):
         t = FttTree.root_only(1)
         with pytest.raises(FttError):
-            t.refine(0, 5)
+            refine(t, 0, 5)
         with pytest.raises(FttError):
-            t.refine(3, 0)
+            refine(t, 3, 0)
 
     def test_configurable_fanout(self):
         t = FttTree.root_only(2, oct=2)
-        t.refine(0, 0)
+        refine(t, 0, 0)
         assert t.level_sizes == [1, 2]
 
     def test_paper_example_shape(self):
@@ -60,7 +66,7 @@ class TestConstruction:
         t = FttTree.root_only(2, oct=2)
         for level in range(5):
             for cell in range(t.levels[level].ncells):
-                t.refine(level, cell)
+                refine(t, level, cell)
         assert t.level_sizes == [1, 2, 4, 8, 16, 32]
         assert t.total_cells == 63
         t.check_invariants()
@@ -101,7 +107,7 @@ class TestRandomTrees:
 
     def test_leaves_enumerate_unrefined_cells(self):
         t = FttTree.build_random(np.random.default_rng(3), 1, 30)
-        leaves = list(t.iter_leaves())
+        leaves = list(iter_leaves(t))
         assert len(leaves) == sum(int((lv.refined == 0).sum()) for lv in t.levels)
         for level, cell in leaves:
             assert t.levels[level].refined[cell] == 0

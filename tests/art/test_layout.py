@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.art.ftt import FttError, FttTree
 from repro.art.layout import FttRecordLayout, canonicalize
+from tests.art.test_ftt_differential import refine
 
 
 def paper_example_tree() -> FttTree:
@@ -13,7 +14,7 @@ def paper_example_tree() -> FttTree:
     t = FttTree.root_only(2, oct=2)
     for level in range(5):
         for cell in range(t.levels[level].ncells):
-            t.refine(level, cell)
+            refine(t, level, cell)
     rng = np.random.default_rng(9)
     for lv in t.levels:
         lv.variables[:] = rng.normal(size=lv.variables.shape)
@@ -26,10 +27,10 @@ class TestPaperSizing:
         tree = paper_example_tree()
         layout = FttRecordLayout()
         assert layout.array_count(tree) == 129
-        arrays = layout.arrays(canonicalize(tree))
-        assert len(arrays) == 129
+        bounds = layout.array_bounds(canonicalize(tree))
+        assert len(bounds) - 1 == 129
         # different types and sizes: int32 headers, uint8 flags, f64 values
-        sizes = {len(a.data) for a in arrays}
+        sizes = {stop - start for start, stop in zip(bounds, bounds[1:])}
         assert len(sizes) >= 3
 
     def test_record_nbytes_matches_serialization(self):
@@ -39,11 +40,13 @@ class TestPaperSizing:
 
     def test_arrays_are_adjacent_and_ordered(self):
         tree = canonicalize(paper_example_tree())
-        arrays = FttRecordLayout().arrays(tree)
-        pos = 0
-        for a in arrays:
-            assert a.offset == pos
-            pos += len(a.data)
+        layout = FttRecordLayout()
+        bounds = layout.array_bounds(tree)
+        assert bounds[0] == 0 and bounds[-1] == layout.record_nbytes(tree)
+        assert bounds == sorted(bounds)
+        # header, level sizes, flags, then one float64 per variable per cell
+        assert [b - a for a, b in zip(bounds, bounds[1:4])] == [20, 4 * 6, 63]
+        assert {b - a for a, b in zip(bounds[3:], bounds[4:])} == {8}
 
 
 class TestRoundTrip:
@@ -68,18 +71,32 @@ class TestRoundTrip:
         with pytest.raises(FttError):
             layout.parse(b"\x00" * 64)
 
-    def test_iter_write_ops_offsets(self):
+    def test_array_bounds_cut_serialize_into_its_arrays(self):
         tree = canonicalize(paper_example_tree())
         layout = FttRecordLayout()
-        ops = list(layout.iter_write_ops(tree, base_offset=1000))
-        assert ops[0][0] == 1000
-        total = sum(len(d) for _, d in ops)
-        assert total == layout.record_nbytes(tree)
-        # reassembling the op stream equals serialize()
-        blob = bytearray(total)
-        for off, d in ops:
-            blob[off - 1000 : off - 1000 + len(d)] = d
-        assert bytes(blob) == layout.serialize(tree)
+        blob = layout.serialize(tree)
+        bounds = layout.array_bounds(tree)
+        arrays = [blob[a:b] for a, b in zip(bounds, bounds[1:])]
+        header = np.frombuffer(arrays[0], dtype=np.int32)
+        assert header.tolist()[1:] == [2, 2, 6, 63]
+        assert np.frombuffer(arrays[1], dtype=np.int32).tolist() == tree.level_sizes
+        assert arrays[2] == b"".join(lv.refined.tobytes() for lv in tree.levels)
+        # cell by cell in level order, each cell's variables in order
+        values = [v for lv in tree.levels for cell in lv.variables.T for v in cell]
+        assert [np.frombuffer(a, dtype=np.float64)[0] for a in arrays[3:]] == values
+
+    def test_truncated_record_rejected(self):
+        layout = FttRecordLayout()
+        blob = layout.serialize(canonicalize(paper_example_tree()))
+        for cut in (len(blob) - 1, 15, 0):
+            with pytest.raises(FttError):
+                layout.parse(blob[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        layout = FttRecordLayout()
+        blob = layout.serialize(canonicalize(paper_example_tree()))
+        with pytest.raises(FttError):
+            layout.parse(blob + b"\x00")
 
 
 class TestCanonicalize:

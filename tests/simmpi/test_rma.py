@@ -33,7 +33,7 @@ class TestPutGet:
             buf = np.full(8, env.rank, dtype=np.uint8)
             win = yield from Window.create(env.comm, buf)
             (yield from win.lock(1, LOCK_SHARED))
-            [(_, data)] = yield from win.get_indexed([(0, 8)], 1)
+            data = yield from win.get_indexed(1, 0, [0], [8])
             win.unlock(1)
             assert data == bytes([1] * 8)
 
@@ -60,9 +60,12 @@ class TestPutGet:
             buf = np.arange(32, dtype=np.uint8)
             win = yield from Window.create(env.comm, buf)
             (yield from win.lock(0, LOCK_SHARED))
-            got = (yield from win.get_indexed([(4, 2), (20, 3)], 0))
+            got = (yield from win.get_indexed(0, 0, [4, 20], [2, 3]))
+            based = (yield from win.get_indexed(0, 16, [4, 0], [2, 3]))
             win.unlock(0)
-            assert got == [(4, bytes([4, 5])), (20, bytes([20, 21, 22]))]
+            # the blocks come back packed, in the order asked for
+            assert got == bytes([4, 5, 20, 21, 22])
+            assert based == bytes([20, 21, 16, 17, 18])
 
         run(2, main)
 
@@ -142,11 +145,25 @@ class TestEpochRules:
                 win.unlock(1)
             (yield from coll.barrier(env.comm))
             (yield from win.lock(1, LOCK_SHARED))
-            [(_, got)] = yield from win.get_indexed([(0, 8)], 1)
+            got = yield from win.get_indexed(1, 0, [0], [8])
             win.unlock(1)
             assert got == b"\x42" * 8
 
         run(3, main)
+
+    def test_get_outside_window_rejected(self):
+        def main(env):
+            buf = np.zeros(8, dtype=np.uint8)
+            win = yield from Window.create(env.comm, buf)
+            if env.rank == 0:
+                (yield from win.lock(1, LOCK_SHARED))
+                for base, disps, lens in ((0, [0, 6], [2, 3]), (4, [-5], [1]), (0, [0], [-1])):
+                    with pytest.raises(RmaError):
+                        yield from win.get_indexed(1, base, disps, lens)
+                win.unlock(1)
+            (yield from coll.barrier(env.comm))
+
+        run(2, main)
 
     def test_two_windows_are_independent(self):
         def main(env):
