@@ -131,33 +131,32 @@ def analyze_run(result: "MpiRunResult") -> UtilizationReport:
         )
     )
 
-    if world.pfs is not None:
-        report.resources.append(
-            _usage(
-                "OST",
-                world.pfs.osts,
-                horizon,
-                lambda o: o.read_requests + o.write_requests,
-                lambda o: o.busy_time,
-            )
+    report.resources.append(
+        _usage(
+            "OST",
+            world.pfs.osts,
+            horizon,
+            lambda o: o.read_requests + o.write_requests,
+            lambda o: o.busy_time,
         )
-        report.resources.append(
-            _usage(
-                "storage link",
-                world.pfs._client_links,
-                horizon,
-                lambda s: s.requests,
-                lambda s: s.busy_time,
-            )
+    )
+    report.resources.append(
+        _usage(
+            "storage link",
+            world.pfs._client_links,
+            horizon,
+            lambda s: s.requests,
+            lambda s: s.busy_time,
         )
-        for ost in world.pfs.osts:
-            report.bytes_to_storage += ost.bytes_written
-            report.bytes_from_storage += ost.bytes_read
-        for name in world.pfs.list_files():
-            locks = world.pfs.lookup(name).locks
-            report.lock_acquires += locks.acquires
-            report.lock_cache_hits += locks.cache_hits
-            report.lock_waits += locks.waits
+    )
+    for ost in world.pfs.osts:
+        report.bytes_to_storage += ost.bytes_written
+        report.bytes_from_storage += ost.bytes_read
+    for name in world.pfs.list_files():
+        locks = world.pfs.lookup(name).locks
+        report.lock_acquires += locks.acquires
+        report.lock_cache_hits += locks.cache_hits
+        report.lock_waits += locks.waits
 
     msg = result.trace.get("net.msg")
     report.network_messages = msg.count

@@ -31,6 +31,9 @@ class Fabric:
         messages may then suffer latency spikes and transient drops
         (modelled as retransmission after a delivery timeout — the
         message still arrives, so two-sided matching cannot wedge).
+    core: the machine's fabric core, when several fabrics share one
+        (jobs of one machine sit on disjoint nodes, so the core is the only
+        network resource they contend for); by default this fabric's own.
     """
 
     def __init__(
@@ -40,6 +43,7 @@ class Fabric:
         node_of: Sequence[int],
         trace: Optional[TraceRecorder] = None,
         faults=None,
+        core: Optional[ReservationServer] = None,
     ):
         spec.validate()
         self.engine = engine
@@ -56,7 +60,9 @@ class Fabric:
             ReservationServer(f"nic{n}.rx", spec.link_bandwidth, spec.per_message_overhead)
             for n in range(n_nodes)
         ]
-        self.core = ReservationServer("fabric.core", spec.fabric_bandwidth)
+        self.core = core if core is not None else ReservationServer(
+            "fabric.core", spec.fabric_bandwidth
+        )
         self.memory = [
             ReservationServer(f"mem{n}", spec.memcpy_bandwidth, spec.per_message_overhead)
             for n in range(n_nodes)

@@ -1,9 +1,12 @@
 """The MPI world: wiring ranks, fabric, memory, storage, and delivery.
 
-:func:`run_mpi` is the single entry point every experiment and test uses:
-it builds an engine + fabric + memory tracker + parallel file system from a
-cluster description, spawns one simulated process per rank running the user
-function, runs to completion, and returns timings/traces/results.
+:class:`Launcher` is the one way ranks come to life: it builds the single
+engine, parallel file system and fabric core of one machine from a cluster
+description, places each job it is given on the next free nodes with its
+own fabric over those nodes, spawns one simulated process per rank running
+the user function, and runs every job on the one clock.
+:func:`run_mpi`, which every experiment and test uses, is its one-job
+case; the multi-tenant runner (:mod:`repro.tenancy`) adds several jobs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.memsim.memory import MemoryTracker
 from repro.netsim.fabric import Fabric
-from repro.netsim.model import NetworkSpec
+from repro.netsim.server import ReservationServer
 from repro.obs.metrics import MetricCache
 from repro.sim.api import run_coroutine
 from repro.sim.engine import Engine, ProcessCrashed
@@ -29,7 +32,12 @@ from repro.simmpi.comm import (
     _Envelope,
 )
 from repro.simmpi.rma import _TargetLock
-from repro.util.errors import DeadlockError, MpiError, RankUnreachable, SimulationError
+from repro.util.errors import (
+    DeadlockError,
+    MpiError,
+    RankUnreachable,
+    tag_job,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.spec import ClusterSpec
@@ -43,32 +51,25 @@ class MpiWorld:
         self,
         engine: Engine,
         nranks: int,
-        network: NetworkSpec,
-        node_of: Sequence[int],
+        fabric: Fabric,
         memory: MemoryTracker,
-        pfs: "Optional[Pfs]" = None,
+        pfs: "Pfs",
         trace: Optional[TraceRecorder] = None,
         faults=None,
-        fabric=None,
         job: Optional[str] = None,
     ):
         if nranks < 1:
             raise MpiError("need at least one rank")
         self.engine = engine
         self.nranks = nranks
-        self.node_of = list(node_of)
+        #: The job's interconnect over its own nodes (global node ids; the
+        #: fabric core is the machine's, shared with any other job).
+        self.fabric = fabric
+        self.node_of = fabric.node_of
         if len(self.node_of) != nranks:
             raise MpiError("node_of must have one entry per rank")
         self.trace = trace
         self.faults = faults  # optional bound FaultPlan
-        #: An injected fabric (or fabric view — tenancy jobs share one
-        #: physical fabric through per-job rank-offset views); by default
-        #: each world owns its interconnect, as before.
-        self.fabric = (
-            fabric
-            if fabric is not None
-            else Fabric(engine, network, self.node_of, trace, faults)
-        )
         self.memory = memory
         self.pfs = pfs
         #: Job label for multi-tenant runs (``None`` for classic solo runs).
@@ -106,6 +107,11 @@ class MpiWorld:
         self._windows: dict[tuple[int, int], memoryview] = {}
         self._window_locks: dict[tuple[int, int], _TargetLock] = {}
         self._windows_per_rank = [0] * nranks
+        #: What the run left (see :class:`Launcher`): each rank's return
+        #: value and finish time, and the exception that aborted the job.
+        self.returns: list[Any] = [None] * nranks
+        self.finish: list[Optional[float]] = [None] * nranks
+        self.aborted: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # communicators and mailboxes
@@ -370,8 +376,6 @@ class RankEnv:
     @property
     def pfs(self) -> "Pfs":
         """The job's parallel file system."""
-        if self.world.pfs is None:
-            raise SimulationError("this world has no parallel file system")
         return self.world.pfs
 
 
@@ -391,13 +395,160 @@ class MpiRunResult:
     @property
     def pfs(self) -> "Pfs":
         """The job's parallel file system."""
-        assert self.world.pfs is not None
         return self.world.pfs
 
     @property
     def dead_ranks(self) -> set[int]:
         """Ranks lost to fail-stop crashes during the run."""
         return set(self.world.dead_ranks)
+
+
+class Launcher:
+    """One simulated machine and the jobs launched onto it.
+
+    Builds the run's single :class:`~repro.sim.engine.Engine`, parallel file
+    system and fabric core from a cluster description. :meth:`add` places
+    a job on the next free nodes and spawns its ranks; :meth:`run` runs
+    every job on the one clock. Jobs sit on disjoint nodes, so their NIC
+    ports, node memory and connections never overlap: the fabric core and
+    the file system are what they share.
+
+    Two rules depend on the number of jobs, and only on it:
+
+    * *abort* — in a one-job run the first uncaught
+      :class:`RankUnreachable` stops the engine and leaves the post-crash
+      state for recovery tooling. With several jobs the abort stays inside
+      its job: the job's ranks wind down, its neighbours run on, and a job
+      that lost a rank counts as aborted.
+    * *faults* — a job's fault plan reaches the file system and the fabric
+      only in a one-job run; with several jobs it drives the job's own
+      crash points.
+    """
+
+    def __init__(self, cluster: "ClusterSpec", trace: Optional[TraceRecorder] = None):
+        cluster.validate()
+        self.cluster = cluster
+        #: The run's recorder: the engine, the file system and every
+        #: job's fabric record into it.
+        self.trace = trace if trace is not None else TraceRecorder()
+        self.engine = Engine(trace=self.trace)
+        self.pfs = cluster.build_pfs(self.engine, self.trace)
+        self.core = ReservationServer("fabric.core", cluster.network.fabric_bandwidth)
+        self.worlds: list[MpiWorld] = []
+        self._free_node = 0
+
+    def add(
+        self,
+        nranks: int,
+        main: Callable[[RankEnv], Any],
+        *,
+        job: Optional[str] = None,
+        arrival: float = 0.0,
+        faults=None,
+        trace: Optional[TraceRecorder] = None,
+        pfs=None,
+    ) -> MpiWorld:
+        """Place *nranks* ranks running *main* on the next free nodes.
+
+        The ranks start at simulated time *arrival*. *job* labels the world
+        and its rank processes; *trace* is the job's own recorder and *pfs*
+        its view of the file system (both default to the machine's);
+        *faults* is an optional :class:`repro.faults.FaultPlan`, bound here
+        to the job.
+        """
+        cluster = self.cluster
+        cpn = cluster.cores_per_node
+        first = self._free_node
+        if first * cpn + nranks > cluster.capacity:
+            raise MpiError(f"{nranks} ranks exceed cluster capacity {cluster.capacity}")
+        trace = trace if trace is not None else self.trace
+        if faults is not None:
+            faults.bind(self.engine, trace)
+        node_of = [first + r // cpn for r in range(nranks)]
+        world = MpiWorld(
+            self.engine,
+            nranks,
+            Fabric(self.engine, cluster.network, node_of, self.trace, core=self.core),
+            MemoryTracker(cluster.memory_per_node, node_of),
+            pfs=pfs if pfs is not None else self.pfs,
+            trace=trace,
+            faults=faults,
+            job=job,
+        )
+        self._free_node = first + -(-nranks // cpn)
+        prefix = "" if job is None else f"{job}:"
+        for rank in range(nranks):
+            env = RankEnv(comm=world.world_comm(rank), world=world)
+            proc = self.engine.spawn(
+                f"{prefix}rank{rank}", partial(self._rank, world, env, main, arrival)
+            )
+            env.process = proc
+            world.procs.append(proc)
+        self.worlds.append(world)
+        return world
+
+    def _rank(self, world: MpiWorld, env: RankEnv, main, arrival: float):
+        """One rank's life: arrive, run *main*, settle, record the finish."""
+        if arrival > 0.0:
+            yield from env.process.sleep(arrival)
+        try:
+            world.returns[env.rank] = yield from run_coroutine(main(env))
+            yield from env.process.settle()
+        except RankUnreachable as exc:
+            if len(self.worlds) == 1:
+                raise
+            # Containment: this job is dead, the machine is not. Wind the
+            # rank down quietly so neighbour jobs keep running.
+            world.aborted = tag_job(exc, world.job)
+            return
+        world.finish[env.rank] = self.engine.now
+
+    def run(self) -> float:
+        """Run every job to completion; returns the final clock.
+
+        A crash-aborted job does not raise: its world keeps the aborting
+        exception in ``aborted`` and the file system its post-crash image.
+        A failure not explained by a crashed rank is a real bug: re-raised.
+        """
+        worlds, engine = self.worlds, self.engine
+        solo = len(worlds) == 1
+        plan = worlds[0].faults if solo else None
+        if plan is not None:
+            worlds[0].fabric.faults = plan
+            self.pfs.install_faults(plan)
+        try:
+            elapsed = engine.run()
+        except (RankUnreachable, DeadlockError) as exc:
+            dead = [world for world in worlds if world.dead_ranks]
+            if not dead:
+                raise
+            for world in dead:
+                world.aborted = tag_job(exc, world.job)
+            elapsed = engine.now
+        for world in worlds:
+            if not world.dead_ranks or world.aborted is not None:
+                continue
+            # Alone, a fault-tolerant program shrinks around the dead ranks:
+            # every survivor finishing is a successful (degraded) run, and
+            # the job counts as aborted only when some survivor never made
+            # it to the end (e.g. the crashed rank was the last one running,
+            # so no survivor ever raised). Beside other jobs, a job that
+            # lost a rank is aborted.
+            unfinished = [
+                r for r in range(world.nranks)
+                if world.finish[r] is None and r not in world.dead_ranks
+            ]
+            if unfinished or not solo:
+                lost = min(world.dead_ranks)
+                world.aborted = tag_job(
+                    RankUnreachable((unfinished or [lost])[0], lost, "job"), world.job
+                )
+        # Only the *deterministic* host counter lands in the run's registry:
+        # the number of engine events is a pure function of the workload, so
+        # trace snapshots stay replay-identical. Wall-clock and events/sec are
+        # measured by the ``benchmarks/e2e`` harness outside the registry.
+        self.trace.registry.counter("host.engine.events").inc(engine.events)
+        return elapsed
 
 
 def run_mpi(
@@ -424,81 +575,15 @@ def run_mpi(
     """
     from repro.cluster.lonestar import make_lonestar
 
-    if cluster is None:
-        cluster = make_lonestar(nranks=nranks)
-    cluster.validate()
-    if nranks > cluster.capacity:
-        raise MpiError(
-            f"{nranks} ranks exceed cluster capacity {cluster.capacity}"
-        )
-    trace = trace if trace is not None else TraceRecorder()
-    engine = Engine(trace=trace)
-    if faults is not None:
-        faults.bind(engine, trace)
-    node_of = [r // cluster.cores_per_node for r in range(nranks)]
-    memory = MemoryTracker(cluster.memory_per_node, node_of)
-    pfs = cluster.build_pfs(engine, trace)
-    if faults is not None:
-        pfs.install_faults(faults)
+    machine = Launcher(cluster if cluster is not None else make_lonestar(nranks=nranks), trace)
+    world = machine.add(nranks, main, faults=faults)
     if pfs_init is not None:
-        pfs_init(pfs)
-    world = MpiWorld(
-        engine,
-        nranks,
-        cluster.network,
-        node_of,
-        memory,
-        pfs=pfs,
-        trace=trace,
-        faults=faults,
-    )
-    returns: list[Any] = [None] * nranks
-    finished = [False] * nranks
-
-    def make_target(rank: int, env: RankEnv) -> Callable[[], Any]:
-        def target():
-            returns[rank] = yield from run_coroutine(main(env))
-            yield from env.process.settle()
-            finished[rank] = True
-
-        return target
-
-    for rank in range(nranks):
-        env = RankEnv(comm=world.world_comm(rank), world=world)
-        proc = engine.spawn(f"rank{rank}", make_target(rank, env))
-        env.process = proc
-        world.procs.append(proc)
-    aborted: Optional[BaseException] = None
-    try:
-        elapsed = engine.run()
-    except (RankUnreachable, DeadlockError) as exc:
-        # A fail-stop crash aborts the whole job; the caller still gets the
-        # world and PFS back so recovery tooling can inspect the wreckage.
-        # Anything not explained by a crashed rank is a real bug: re-raise.
-        if not world.dead_ranks:
-            raise
-        aborted = exc
-        elapsed = engine.now
-    if world.dead_ranks and aborted is None:
-        # A fault-tolerant program shrinks around the dead ranks and runs
-        # to completion: every *surviving* rank finishing normally is a
-        # successful (degraded) run, not an abort. Only when some survivor
-        # never made it to the end — e.g. the only crashed rank was the
-        # last one still running, so no survivor ever raised — does the
-        # job count as aborted.
-        unfinished = [
-            r for r in range(nranks)
-            if not finished[r] and r not in world.dead_ranks
-        ]
-        if unfinished:
-            aborted = RankUnreachable(
-                unfinished[0], min(world.dead_ranks), "job"
-            )
-    # Only the *deterministic* host counter lands in the shared registry:
-    # the number of engine events is a pure function of the workload, so
-    # trace snapshots stay replay-identical. Wall-clock and events/sec are
-    # measured by the ``benchmarks/e2e`` harness outside the registry.
-    trace.registry.counter("host.engine.events").inc(engine.events)
+        pfs_init(machine.pfs)
+    elapsed = machine.run()
     return MpiRunResult(
-        elapsed=elapsed, returns=returns, trace=trace, world=world, aborted=aborted
+        elapsed=elapsed,
+        returns=world.returns,
+        trace=machine.trace,
+        world=world,
+        aborted=world.aborted,
     )

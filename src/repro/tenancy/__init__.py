@@ -5,17 +5,17 @@ Public surface:
 * :class:`~repro.tenancy.spec.JobSpec` /
   :class:`~repro.tenancy.spec.TenancyScenario` — declarative scenarios
   (workload kind, rank count, arrival, priority, seeded jitter);
-* :func:`~repro.tenancy.runner.run_scenario` — run all jobs on one
-  engine/fabric/PFS with per-job metric namespacing and QoS policies;
+* :func:`~repro.tenancy.runner.run_scenario` — launch all jobs onto one
+  :class:`~repro.simmpi.mpi.Launcher` machine (one engine, fabric core
+  and PFS) with per-job metric namespacing and QoS policies;
 * :func:`~repro.tenancy.matrix.interference_matrix` — the A-alone /
   B-alone / A+B harness enforcing the byte-identity oracle;
 * :class:`~repro.tenancy.pfsview.TenantPfs`,
-  :class:`~repro.tenancy.fabricview.JobFabric`,
   :class:`~repro.tenancy.obsroute.JobTraceHub` — the per-job views over
-  shared substrate, reusable by other multi-application harnesses.
+  the shared file system and recorder, reusable by other
+  multi-application harnesses.
 """
 
-from repro.tenancy.fabricview import JobFabric
 from repro.tenancy.matrix import MatrixReport, interference_matrix
 from repro.tenancy.obsroute import JobTraceHub
 from repro.tenancy.pfsview import TenantPfs
@@ -37,7 +37,6 @@ from repro.tenancy.spec import (
 from repro.tenancy.workloads import Workload, bench_config, build_workload
 
 __all__ = [
-    "JobFabric",
     "JobResult",
     "JobSpec",
     "JobTraceHub",

@@ -2,13 +2,13 @@
 
 Per-job components (each job's ``MpiWorld``, its TCIO handles) receive
 their own plain :class:`~repro.sim.trace.TraceRecorder`, so their metrics
-land in disjoint per-job registries for free. Shared components — the one
-``Pfs`` and the one ``Fabric`` every job drives — receive a
-:class:`JobTraceHub` instead: a recorder look-alike that resolves, *on
-every operation*, which simulated process is running and routes the
-metric to that process's job. Engine-side callbacks (message deliveries,
-lock releases) that run outside any process land in the scenario's shared
-recorder.
+land in disjoint per-job registries for free. Machine-level components —
+the engine, the one ``Pfs`` and each job's ``Fabric``, which the launcher
+builds on the run's recorder — receive a :class:`JobTraceHub` instead: a
+recorder look-alike that resolves, *on every operation*, which simulated
+process is running and routes the metric to that process's job.
+Engine-side callbacks (message deliveries, lock releases) that run outside
+any process land in the scenario's shared recorder.
 
 The subtlety the proxies exist for: hot paths cache metric *objects* at
 construction (``Fabric`` resolves ``net.msg`` once). A cached object must
@@ -35,6 +35,9 @@ class _RoutedCounter:
 
     def add(self, amount: float = 0.0) -> None:
         self._hub.active_registry().counter(self._name).add(amount)
+
+    def inc(self, n: int = 1) -> None:
+        self._hub.active_registry().counter(self._name).inc(n)
 
 
 class _RoutedHistogram:
@@ -110,29 +113,25 @@ class JobTraceHub:
     spawn time.
     """
 
-    def __init__(self, shared: Optional[TraceRecorder] = None):
+    def __init__(self):
         #: Fallback recorder for engine-context work (deliveries, timer
         #: callbacks) and anything before/after the jobs themselves.
-        self.shared = shared if shared is not None else TraceRecorder()
+        self.shared = TraceRecorder()
         self._recorders: dict[str, TraceRecorder] = {}
         self._by_proc: dict = {}
         self.registry = _RoutedRegistry(self)
         self.tracer = _RoutedTracer(self)
 
     # -- wiring --------------------------------------------------------
-    def add_job(self, job: str, recorder: TraceRecorder) -> TraceRecorder:
-        """Register *job*'s private recorder (created if not given one)."""
-        self._recorders[job] = recorder
+    def add_job(self, job: str) -> TraceRecorder:
+        """A fresh private recorder for *job*."""
+        recorder = self._recorders[job] = TraceRecorder()
         self.tracer.apply_clock(recorder)
         return recorder
 
     def register_process(self, proc, job: str) -> None:
         """Attribute simulated process *proc* to *job* for routing."""
         self._by_proc[proc] = self._recorders[job]
-
-    def recorder(self, job: str) -> TraceRecorder:
-        """The private recorder of *job*."""
-        return self._recorders[job]
 
     def all_recorders(self) -> list[TraceRecorder]:
         """Every registered recorder plus the shared fallback."""

@@ -1,15 +1,15 @@
 """The multi-job scenario runner: N applications, one PFS, one clock.
 
-:func:`run_scenario` is the tenancy analogue of
-:func:`repro.simmpi.mpi.run_mpi`: it builds ONE engine, ONE fabric and
-ONE parallel file system, then spawns every job of a
-:class:`~repro.tenancy.spec.TenancyScenario` as its own
-:class:`~repro.simmpi.mpi.MpiWorld` on disjoint nodes of the shared
-machine. Jobs contend for NIC links, the fabric core, client storage
-links, OST service queues and the lock manager — but each sees a private
-rank space (:class:`~repro.tenancy.fabricview.JobFabric`), a private
-namespace (:class:`~repro.tenancy.pfsview.TenantPfs`) and a private
-metric registry (:class:`~repro.tenancy.obsroute.JobTraceHub`).
+:func:`run_scenario` launches every job of a
+:class:`~repro.tenancy.spec.TenancyScenario` onto one
+:class:`~repro.simmpi.mpi.Launcher` machine — one engine, one fabric
+core, one parallel file system — each as its own
+:class:`~repro.simmpi.mpi.MpiWorld` on disjoint nodes. Jobs contend for
+the fabric core, client storage links, OST service queues and the lock
+manager — but each sees a private namespace
+(:class:`~repro.tenancy.pfsview.TenantPfs`) and a private metric registry
+(:class:`~repro.tenancy.obsroute.JobTraceHub`). A one-job scenario is a
+:func:`~repro.simmpi.mpi.run_mpi` run.
 
 The load-bearing invariant, inherited from the repo's byte-identity
 oracle: contention moves *virtual time*, never *data*. A job's durable
@@ -28,27 +28,19 @@ somebody is starving).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.cluster.spec import ClusterSpec
-from repro.memsim.memory import MemoryTracker
-from repro.netsim.fabric import Fabric
-from repro.sim.api import run_coroutine
+from repro.faults.plan import FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
-from repro.simmpi.mpi import MpiWorld, RankEnv
-from repro.tenancy.fabricview import JobFabric
+from repro.simmpi.mpi import Launcher, MpiWorld
 from repro.tenancy.obsroute import JobTraceHub
 from repro.tenancy.pfsview import TenantPfs
 from repro.tenancy.spec import JobSpec, TenancyScenario
-from repro.tenancy.workloads import Workload, build_workload
-from repro.util.errors import (
-    DeadlockError,
-    RankUnreachable,
-    TenancyError,
-    tag_job,
-)
+from repro.tenancy.workloads import build_workload
+from repro.util.errors import TenancyError, tag_job
 
 #: Solo-baseline memo: ``(spec.signature(), seed, cores_per_node) ->
 #: JobResult``. Scenario runs with ``solo_baseline=True`` consult this so
@@ -212,17 +204,6 @@ class ScenarioResult:
         }
 
 
-class _JobState:
-    """Mutable per-job bookkeeping while the engine runs."""
-
-    __slots__ = ("returns", "finish_times", "aborted")
-
-    def __init__(self, nranks: int):
-        self.returns: list = [None] * nranks
-        self.finish_times: list = [None] * nranks
-        self.aborted: Optional[BaseException] = None
-
-
 def scenario_cluster(scenario: TenancyScenario) -> ClusterSpec:
     """The combined machine hosting every job on disjoint nodes."""
     from dataclasses import replace
@@ -235,39 +216,12 @@ def scenario_cluster(scenario: TenancyScenario) -> ClusterSpec:
     return replace(ablation_cluster(total_ranks, cpn), nodes=total_nodes)
 
 
-def _make_rank_target(
-    engine: Engine,
-    state: _JobState,
-    job: str,
-    rank: int,
-    env: RankEnv,
-    main: Callable,
-    arrival: float,
-):
-    def target():
-        if arrival > 0.0:
-            yield from env.process.sleep(arrival)
-        try:
-            state.returns[rank] = yield from run_coroutine(main(env))
-            yield from env.process.settle()
-        except RankUnreachable as exc:
-            # Fail-stop containment: this JOB is dead, the scenario is
-            # not. Record the abort and wind the rank down quietly so
-            # neighbor jobs keep the engine alive.
-            state.aborted = tag_job(exc, job)
-            return
-        state.finish_times[rank] = engine.now
-
-    return target
-
-
 def run_scenario(
     scenario: TenancyScenario,
     *,
     qos: str = "fifo",
     faults: Optional[dict] = None,
     solo_baseline: bool = True,
-    verify: bool = True,
 ) -> ScenarioResult:
     """Run every job of *scenario* concurrently against one shared PFS.
 
@@ -277,136 +231,66 @@ def run_scenario(
     from each job's ``priority``). ``faults`` optionally maps job name ->
     :class:`repro.faults.plan.FaultSpec`; injected faults (crashes
     included) stay confined to that job. With ``solo_baseline`` each
-    job's spec is also run alone (memoized) to price its interference;
-    with ``verify`` every clean job's durable bytes are checked against
-    the workload oracle.
+    job's spec is also run alone (memoized) to price its interference.
+    Every clean job's durable bytes are checked against its workload's
+    oracle.
     """
-    workloads: dict[str, Workload] = {
-        spec.name: build_workload(spec) for spec in scenario.jobs
-    }
-
-    cluster = scenario_cluster(scenario)
-    cpn = scenario.cores_per_node
+    workloads = {spec.name: build_workload(spec) for spec in scenario.jobs}
+    faults = faults or {}
     hub = JobTraceHub()
-    engine = Engine(trace=hub)
-    pfs = cluster.build_pfs(engine, hub)
+    machine = Launcher(scenario_cluster(scenario), hub)
+    pfs = machine.pfs
     pfs.set_qos(qos)
-
-    # Global placement: jobs occupy disjoint node ranges of one machine.
-    node_of: list[int] = []
-    offsets: dict[str, int] = {}
-    node_base = 0
-    for spec in scenario.jobs:
-        offsets[spec.name] = len(node_of)
-        node_of.extend(node_base + r // cpn for r in range(spec.nranks))
-        node_base += -(-spec.nranks // cpn)
-    fabric = Fabric(engine, cluster.network, node_of, hub, None)
-
-    states: dict[str, _JobState] = {}
-    worlds: dict[str, MpiWorld] = {}
-    arrivals: dict[str, float] = {}
     for spec in scenario.jobs:
         name = spec.name
-        recorder = hub.add_job(name, TraceRecorder())
         pfs.register_tenant(name, weight=spec.priority)
-        offset = offsets[name]
-        job_nodes = node_of[offset : offset + spec.nranks]
-        plan = None
-        if faults and name in faults:
-            from repro.faults.plan import FaultPlan
-
-            plan = FaultPlan(
-                faults[name], scenario.seed, scope=f"tenancy:{name}"
-            )
-            plan.bind(engine, recorder)
-        world = MpiWorld(
-            engine,
+        world = machine.add(
             spec.nranks,
-            cluster.network,
-            job_nodes,
-            MemoryTracker(cluster.memory_per_node, job_nodes),
-            pfs=TenantPfs(pfs, name),
-            trace=recorder,
-            faults=plan,
-            fabric=JobFabric(fabric, offset, spec.nranks),
+            workloads[name].main,
             job=name,
+            arrival=scenario.effective_arrival(spec),
+            faults=(
+                FaultPlan(faults[name], scenario.seed, scope=f"tenancy:{name}")
+                if name in faults else None
+            ),
+            trace=hub.add_job(name),
+            pfs=TenantPfs(pfs, name),
         )
-        state = _JobState(spec.nranks)
-        arrival = scenario.effective_arrival(spec)
-        for rank in range(spec.nranks):
-            env = RankEnv(comm=world.world_comm(rank), world=world)
-            proc = engine.spawn(
-                f"{name}:rank{rank}",
-                _make_rank_target(
-                    engine, state, name, rank, env, workloads[name].main, arrival
-                ),
-            )
-            env.process = proc
-            world.procs.append(proc)
+        for proc in world.procs:
             hub.register_process(proc, name)
-        states[name] = state
-        worlds[name] = world
-        arrivals[name] = arrival
-
-    try:
-        elapsed = engine.run()
-    except (RankUnreachable, DeadlockError) as exc:
-        # Per-rank containment should make this unreachable for crashes;
-        # anything else (a genuine cross-job deadlock) is a real bug.
-        dead_jobs = [n for n, w in worlds.items() if w.dead_ranks]
-        if not dead_jobs:
-            raise
-        for n in dead_jobs:  # pragma: no cover - defensive
-            states[n].aborted = tag_job(exc, n)
-        elapsed = engine.now
-
-    # The engine-event count is a pure function of the workload mix, so
-    # it may land in the (deterministic) shared registry.
-    hub.shared.registry.counter("host.engine.events").inc(engine.events)
+    elapsed = machine.run()
 
     results: dict[str, JobResult] = {}
-    for spec in scenario.jobs:
+    for spec, world in zip(scenario.jobs, machine.worlds):
         name = spec.name
-        state = states[name]
-        world = worlds[name]
-        if state.aborted is None and world.dead_ranks:
-            state.aborted = tag_job(
-                RankUnreachable(
-                    min(world.dead_ranks), min(world.dead_ranks), "job"
-                ),
-                name,
-            )
-        done = [t for t in state.finish_times if t is not None]
-        finish = max(done) if done else arrivals[name]
-        view = TenantPfs(pfs, name)
-        files = {fname: view.lookup(fname).contents() for fname in view.list_files()}
-        results[name] = JobResult(
+        arrival = scenario.effective_arrival(spec)
+        done = [t for t in world.finish if t is not None]
+        finish = max(done) if done else arrival
+        files = {fname: world.pfs.lookup(fname).contents() for fname in world.pfs.list_files()}
+        job = results[name] = JobResult(
             spec=spec,
-            arrival=arrivals[name],
+            arrival=arrival,
             finish=finish,
-            elapsed=finish - arrivals[name],
-            returns=state.returns,
-            recorder=hub.recorder(name),
+            elapsed=finish - arrival,
+            returns=world.returns,
+            recorder=world.trace,
             world=world,
             files=files,
-            aborted=state.aborted,
+            aborted=world.aborted,
         )
-
-    if verify:
-        for name, job in results.items():
-            if job.aborted is not None:
-                continue
-            for fname, want in workloads[name].expected.items():
-                got = job.files.get(fname)
-                if got != want:
-                    raise tag_job(
-                        TenancyError(
-                            f"job {name}: contention changed the bytes of "
-                            f"{fname!r} (got {len(got) if got is not None else 'no'}"
-                            f" bytes, want {len(want)})"
-                        ),
-                        name,
-                    )
+        if job.aborted is not None:
+            continue
+        for fname, want in workloads[name].expected.items():
+            got = files.get(fname)
+            if got != want:
+                raise tag_job(
+                    TenancyError(
+                        f"job {name}: contention changed the bytes of "
+                        f"{fname!r} (got {len(got) if got is not None else 'no'}"
+                        f" bytes, want {len(want)})"
+                    ),
+                    name,
+                )
 
     if solo_baseline and len(scenario.jobs) > 1:
         for name, job in results.items():
@@ -419,7 +303,7 @@ def run_scenario(
         jobs=results,
         shared=hub.shared,
         pfs=pfs,
-        engine=engine,
+        engine=machine.engine,
     )
 
 
@@ -435,9 +319,7 @@ def solo_result(scenario: TenancyScenario, name: str) -> JobResult:
     cached = _SOLO_CACHE.get(key)
     if cached is not None:
         return cached
-    solo = run_scenario(
-        scenario.solo(name), qos="fifo", solo_baseline=False, verify=True
-    )
+    solo = run_scenario(scenario.solo(name), qos="fifo", solo_baseline=False)
     result = solo.jobs[name]
     _SOLO_CACHE[key] = result
     return result

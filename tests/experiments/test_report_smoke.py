@@ -55,3 +55,18 @@ class TestReportGeneration:
         assert capsys.readouterr().out.rstrip("\n") == build_section(
             "fig5", SMOKE, verbose=False
         ).rstrip("\n")
+
+
+class TestCommittedReport:
+    def test_table3_block_matches_a_full_scale_render(self):
+        # Table III measures the executable listings by AST, so an edit to
+        # a measured body (bench.synthetic._tcio_write is Program 3) moves
+        # a paper-facing number; the committed block must follow it.
+        from pathlib import Path
+
+        from repro.experiments.common import FULL
+        from repro.experiments.report import build_section
+
+        committed = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+        section = build_section("table3", FULL, verbose=False)
+        assert f"\n\n{section}\n\n" in committed

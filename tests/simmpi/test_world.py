@@ -77,19 +77,25 @@ class TestRunMpi:
 class TestWorldValidation:
     def test_needs_one_rank(self):
         from repro.memsim.memory import MemoryTracker
+        from repro.netsim.fabric import Fabric
         from repro.netsim.model import NetworkSpec
         from repro.sim.engine import Engine
 
+        engine = Engine()
+        pfs = make_test_cluster().build_pfs(engine)
         with pytest.raises(MpiError):
-            MpiWorld(Engine(), 0, NetworkSpec(), [], MemoryTracker(1, []))
+            MpiWorld(engine, 0, Fabric(engine, NetworkSpec(), []), MemoryTracker(1, []), pfs)
 
     def test_node_map_length_checked(self):
         from repro.memsim.memory import MemoryTracker
+        from repro.netsim.fabric import Fabric
         from repro.netsim.model import NetworkSpec
         from repro.sim.engine import Engine
 
+        engine = Engine()
+        pfs = make_test_cluster().build_pfs(engine)
         with pytest.raises(MpiError):
-            MpiWorld(Engine(), 2, NetworkSpec(), [0], MemoryTracker(1, [0, 0]))
+            MpiWorld(engine, 2, Fabric(engine, NetworkSpec(), [0]), MemoryTracker(1, [0, 0]), pfs)
 
     def test_unknown_window_rejected(self):
         def main(env):

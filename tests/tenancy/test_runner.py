@@ -7,11 +7,14 @@ import json
 import pytest
 
 from repro.faults.plan import FaultSpec
+from repro.simmpi import run_mpi
 from repro.tenancy import (
     JobSpec,
     TenancyScenario,
+    build_workload,
     clear_solo_cache,
     run_scenario,
+    scenario_cluster,
     two_job_scenario,
 )
 from repro.util.errors import TenancyError
@@ -200,6 +203,31 @@ class TestCrashContainment:
         solo_b = run_scenario(scenario.solo("b"), solo_baseline=False)
         assert shared.jobs["b"].files == solo_b.jobs["b"].files
 
+    def test_a_late_victims_crash_leaves_its_tcio_neighbor_byte_identical(self):
+        # The chaos soak's shape: the victim arrives after its neighbour,
+        # so it can be the last job still running when it aborts; the
+        # abort stays inside the victim and its ranks wind down.
+        scenario = TenancyScenario(
+            jobs=(
+                JobSpec(name="alpha", workload="tcio", nranks=4, journal="epoch"),
+                JobSpec(
+                    name="victim", workload="tcio", nranks=4, journal="epoch",
+                    arrival=0.0005,
+                ),
+            ),
+            seed=11,
+        )
+        faults = {"victim": FaultSpec(crash_rank=2, crash_step="pre-commit")}
+        shared = run_scenario(scenario, faults=faults, solo_baseline=False)
+        victim, alpha = shared.jobs["victim"], shared.jobs["alpha"]
+        assert victim.world.dead_ranks and victim.aborted is not None
+        assert victim.aborted.job == "victim"
+        assert alpha.aborted is None
+        solo = run_scenario(scenario.solo("alpha"), solo_baseline=False)
+        assert alpha.files == solo.jobs["alpha"].files
+        pfs = shared.pfs
+        assert sum(pfs.lookup(n).locks.queued_count for n in pfs.list_files()) == 0
+
     def test_crashed_jobs_file_recovers_with_job_attribution(self):
         from repro.crash.recover import recover
 
@@ -236,3 +264,20 @@ class TestValidation:
             assert err.value.job == "a"
         finally:
             runner_mod.build_workload = original
+
+
+class TestOneLauncher:
+    @pytest.mark.parametrize(
+        "workload,journal",
+        [("tcio", "epoch"), ("tcio", "off"), ("ocio", "off"), ("mpiio", "off")],
+    )
+    def test_a_one_job_scenario_is_a_run_mpi_run(self, workload, journal):
+        spec = JobSpec(name="solo", workload=workload, nranks=4, journal=journal)
+        scenario = TenancyScenario(jobs=(spec,), seed=3)
+        shared = run_scenario(scenario)
+        run = run_mpi(4, build_workload(spec).main, cluster=scenario_cluster(scenario))
+        job = shared.jobs["solo"]
+        assert job.files == {n: run.pfs.lookup(n).contents() for n in run.pfs.list_files()}
+        assert shared.elapsed == job.elapsed == run.elapsed
+        events = shared.shared.registry.get("host.engine.events")
+        assert events.total == run.trace.registry.get("host.engine.events").total > 0
