@@ -5,8 +5,9 @@ writes ``SIZEaccess`` elements of each array, and the combined block lands
 at file offset ``r*block + i*block*P`` — small noncontiguous blocks from
 all processes, interleaved round-robin.
 
-Every run verifies the shared file byte-for-byte against
-:func:`reference_file_contents` before any throughput is reported.
+Every run verifies the shared file byte-for-byte (:func:`check_file`, rank
+by rank against the layout :func:`reference_file_contents` spells out)
+before any throughput is reported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.mpiio import IoHints, MpiFile, MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.simmpi import collectives
 from repro.simmpi.datatypes import BYTE, Contiguous
-from repro.simmpi.mpi import MpiRunResult, RankEnv, run_mpi
+from repro.simmpi.mpi import RankEnv, run_mpi
 from repro.sim.trace import TraceRecorder
 from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioConfig, TcioFile
 from repro.util.errors import BenchmarkError, OutOfMemoryError
@@ -68,6 +69,19 @@ def reference_file_contents(cfg: BenchConfig) -> bytes:
     for r in range(cfg.nprocs):
         stacked[:, r, :] = _rank_blocks(cfg, r)
     return stacked.tobytes()
+
+
+def check_file(cfg: BenchConfig, data: bytes | bytearray) -> bool:
+    """Whether *data* is byte-for-byte :func:`reference_file_contents`.
+
+    Compares each rank's blocks against a strided view of *data*, one rank
+    at a time, so no second copy of the file is ever built.
+    """
+    nblocks = cfg.len_array // cfg.size_access
+    if len(data) != nblocks * cfg.nprocs * cfg.block_size:
+        return False
+    view = np.frombuffer(data, dtype=np.uint8).reshape(nblocks, cfg.nprocs, cfg.block_size)
+    return all(np.array_equal(view[:, r], _rank_blocks(cfg, r)) for r in range(cfg.nprocs))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +300,6 @@ def run_benchmark(
     still produce the reference file.
     """
     result = BenchResult(config=cfg)
-    written: Optional[bytes] = None
 
     def make_plan(phase: str) -> Optional[FaultPlan]:
         if faults is None:
@@ -324,52 +337,58 @@ def run_benchmark(
 
         return main
 
-    try:
-        if do_write:
-            run: MpiRunResult = run_mpi(
-                cfg.nprocs,
-                phase_main("write"),
-                cluster=cluster,
-                trace=trace,
-                faults=make_plan("write"),
-            )
-            result.elapsed += run.elapsed
-            result.write_seconds = max(t for t, _ in run.returns)
+    # Each phase is its own function, so its simulated job (world, file
+    # system, buffers) is gone before the next phase starts; only the
+    # shared file's bytes pass from one to the next.
+    def write_phase() -> bytearray:
+        run = run_mpi(
+            cfg.nprocs,
+            phase_main("write"),
+            cluster=cluster,
+            trace=trace,
+            faults=make_plan("write"),
+        )
+        result.elapsed += run.elapsed
+        result.write_seconds = max(t for t, _ in run.returns)
+        result.tcio_stats = run.returns[0][1]
+        result.counters.update(
+            {f"write.{k}": v for k, v in run.trace.summary().items()}
+        )
+        return run.pfs.lookup(cfg.file_name).data
+
+    def read_phase(contents: bytearray) -> None:
+        def seed(pfs) -> None:
+            pfs.create(cfg.file_name).data = contents
+
+        run = run_mpi(
+            cfg.nprocs,
+            phase_main("read"),
+            cluster=cluster,
+            trace=trace,
+            pfs_init=seed,
+            faults=make_plan("read"),
+        )
+        result.elapsed += run.elapsed
+        result.read_seconds = max(t for t, _ in run.returns)
+        if run.returns[0][1]:
             result.tcio_stats = run.returns[0][1]
-            result.counters.update(
-                {f"write.{k}": v for k, v in run.trace.summary().items()}
-            )
-            written = run.pfs.lookup(cfg.file_name).contents()
+        result.counters.update(
+            {f"read.{k}": v for k, v in run.trace.summary().items()}
+        )
+
+    try:
+        written: Optional[bytearray] = None
+        if do_write:
+            written = write_phase()
             result.file_sha256 = hashlib.sha256(written).hexdigest()
-            if verify:
-                expected = reference_file_contents(cfg)
-                if written != expected:
-                    raise BenchmarkError(
-                        f"{cfg.method.name}: shared file mismatch "
-                        f"({len(written)} bytes vs {len(expected)} expected)"
-                    )
+            if verify and not check_file(cfg, written):
+                raise BenchmarkError(
+                    f"{cfg.method.name}: shared file mismatch "
+                    f"({len(written)} bytes vs {cfg.total_bytes} expected)"
+                )
         if do_read:
-            contents = written if written is not None else reference_file_contents(cfg)
-
-            def seed(pfs) -> None:
-                f = pfs.create(cfg.file_name)
-                f.write_bytes(0, contents)
-
-            run = run_mpi(
-                cfg.nprocs,
-                phase_main("read"),
-                cluster=cluster,
-                trace=trace,
-                pfs_init=seed,
-                faults=make_plan("read"),
-            )
-            result.elapsed += run.elapsed
-            result.read_seconds = max(t for t, _ in run.returns)
-            if run.returns[0][1]:
-                result.tcio_stats = run.returns[0][1]
-            result.counters.update(
-                {f"read.{k}": v for k, v in run.trace.summary().items()}
-            )
+            # The written bytes move into the read job's file, uncopied.
+            read_phase(written if written is not None else bytearray(reference_file_contents(cfg)))
     except OutOfMemoryError as exc:
         result.failed = True
         result.fail_reason = "out of memory"

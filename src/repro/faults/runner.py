@@ -4,7 +4,7 @@ Runs the synthetic benchmark with a seeded :class:`FaultPlan` armed —
 message drops and latency spikes on the fabric, one slow OST plus
 per-request stalls, bounded lock waits, transient RMA failures, and one
 unreachable segment owner — then asserts the shared file still verifies
-byte-for-byte against :func:`repro.bench.synthetic.reference_file_contents`
+byte-for-byte with :func:`repro.bench.synthetic.check_file`
 (run_benchmark raises on any mismatch). Prints the injection digest per
 phase so a run doubles as a quick look at what the plan actually did.
 """
@@ -127,7 +127,7 @@ def run_fsck(
     image verifies against the reference and fsck reports it clean.
     """
     from repro.bench import BenchConfig, Method
-    from repro.bench.synthetic import _tcio_write, reference_file_contents
+    from repro.bench.synthetic import _tcio_write, check_file
     from repro.crash import CrashContext, fsck, recover
     from repro.faults import FaultPlan, FaultSpec
     from repro.simmpi import run_mpi
@@ -153,8 +153,7 @@ def run_fsck(
     if result.aborted is not None:
         print(f"FAILED: job aborted ({result.aborted})")
         return 1
-    written = result.pfs.lookup(file_name).contents()
-    verified = written == reference_file_contents(cfg)
+    verified = check_file(cfg, result.pfs.lookup(file_name).data)
 
     if journal != "off":
         print(recover(result.pfs, file_name).summary())

@@ -25,32 +25,35 @@ class PfsFile:
         self.name = name
         self.layout = layout
         self.locks = LockManager(layout.stripe_size, lock_contention_penalty, trace)
-        self._data = bytearray()
+        #: The file's bytes. A caller may read them in place, or hand a
+        #: whole bytearray over instead of copying it in (the benchmark
+        #: moves one job's output into the next job's file this way).
+        self.data = bytearray()
 
     @property
     def size(self) -> int:
         """Current file size in bytes."""
-        return len(self._data)
+        return len(self.data)
 
     def write_bytes(self, offset: int, data: bytes | memoryview) -> None:
         """Store *data* at *offset*, growing as needed.
 
-        Only the gap between the old end of file and *offset* is
-        zero-filled; the slice assignment itself extends the file by the
-        part of *data* past the end.
+        The file grows once, to the write's end: a write that starts past
+        the end zero-fills up to that end first (the gap reads as zeros)
+        and then copies in place; any other write is one slice assignment.
         """
         if offset < 0:
             raise PfsError(f"negative write offset {offset}")
-        gap = offset - len(self._data)
-        if gap > 0:
-            self._data.extend(bytes(gap))
-        self._data[offset : offset + len(data)] = data
+        end = offset + len(data)
+        if offset > len(self.data):
+            self.data.extend(bytes(end - len(self.data)))
+        self.data[offset:end] = data
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         """Fetch *nbytes* at *offset*; holes and post-EOF read as zeros."""
         if offset < 0 or nbytes < 0:
             raise PfsError(f"bad read [{offset}, +{nbytes})")
-        chunk = bytes(self._data[offset : offset + nbytes])
+        chunk = bytes(memoryview(self.data)[offset : offset + nbytes])
         if len(chunk) < nbytes:
             chunk += b"\x00" * (nbytes - len(chunk))
         return chunk
@@ -59,11 +62,11 @@ class PfsFile:
         """Shrink or zero-extend the file to *size* bytes."""
         if size < 0:
             raise PfsError("negative truncate size")
-        if size < len(self._data):
-            del self._data[size:]
+        if size < len(self.data):
+            del self.data[size:]
         else:
-            self._data.extend(b"\x00" * (size - len(self._data)))
+            self.data.extend(b"\x00" * (size - len(self.data)))
 
     def contents(self) -> bytes:
         """The whole file (for test assertions)."""
-        return bytes(self._data)
+        return bytes(self.data)

@@ -118,10 +118,15 @@ class SimProcess:
         self._blocked = False
         self.wait_reason = None
         self._gen = None
+        # The target (typically a partial over the rank's world) is the
+        # process's only link back to what it ran: dropping it lets a
+        # finished job be freed by reference counting alone.
+        self.target = None
 
     def _kill(self) -> None:
         """Tear the coroutine down (engine reap after error/deadlock)."""
         gen, self._gen = self._gen, None
+        self.target = None
         self.alive = False
         if self.end_time is None:
             self.end_time = self.engine.now

@@ -241,9 +241,19 @@ class MpiWorld:
     def window_lock(self, win_id: int, rank: int) -> _TargetLock:
         """The passive-target lock state at (window, target rank)."""
         key = (win_id, rank)
-        if key not in self._window_locks:
-            self._window_locks[key] = _TargetLock()
-        return self._window_locks[key]
+        state = self._window_locks.get(key)
+        if state is None:
+            if key not in self._windows:
+                raise MpiError(f"window {win_id} not exposed by rank {rank}")
+            state = self._window_locks[key] = _TargetLock()
+        return state
+
+    def free_window(self, win_id: int, rank: int) -> None:
+        """Withdraw rank *rank*'s exposure of window *win_id* and its lock
+        state: later accesses raise :class:`MpiError`, and the buffer is
+        the owner's alone again. Window ids are never reused."""
+        self._windows.pop((win_id, rank), None)
+        self._window_locks.pop((win_id, rank), None)
 
     # ------------------------------------------------------------------
     # fail-stop crashes

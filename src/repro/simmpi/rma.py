@@ -123,6 +123,11 @@ class Window:
     (``win = yield from Window.create(comm, buf)``), which barriers so the
     window id and remote buffers exist everywhere before any one-sided
     access.
+
+    :meth:`free` (``MPI_Win_free``) withdraws the exposure: the world stops
+    holding a view of the buffer, so the buffer lives exactly as long as
+    its owner keeps it, and a later lock, put or get on the window raises
+    :class:`~repro.util.errors.MpiError`.
     """
 
     def __init__(self, comm: "Communicator", buffer: np.ndarray | bytearray):
@@ -160,6 +165,18 @@ class Window:
         win = cls(comm, buffer)
         yield from collectives.barrier(comm)
         return win
+
+    def free(self) -> None:
+        """MPI_Win_free: withdraw this rank's exposure of the window.
+
+        Local, unlike the collective MPI call: the caller synchronizes
+        first (TCIO frees after the barrier that ends its close), so no
+        peer can still be inside an epoch on this target. Freeing inside
+        one of this rank's own epochs is an error.
+        """
+        if self._epochs:
+            raise RmaError(f"rank {self.rank}: window freed inside an access epoch")
+        self.world.free_window(self.win_id, self.my_world_rank)
 
     # ------------------------------------------------------------------
     # synchronization

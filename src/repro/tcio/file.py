@@ -502,7 +502,13 @@ class TcioFile:
                 yield from collectives.barrier(self.comm)
 
     def close(self):
-        """tcio_close: synchronize, then level-2 -> file system (coroutine)."""
+        """tcio_close: synchronize, then level-2 -> file system (coroutine).
+
+        After the final barrier no peer can reach this rank's level-2
+        slice any more, so its RMA window is freed together with the
+        simulated level-1 and level-2 allocations (``abort()`` frees only
+        the allocations: a peer's late flush may still target the window).
+        """
         self._check_open()
         with self._tracer.span("tcio.close", file=self.name):
             if self.mode == TCIO_WRONLY:
@@ -511,6 +517,7 @@ class TcioFile:
                 if not self.readlog.empty:
                     yield from self.fetch()
                 yield from collectives.barrier(self.comm)
+            self.level2.window.free()
             self._release()
 
     def _write_point(self, final: bool):
@@ -655,6 +662,10 @@ class TcioFile:
             memory.free(alloc)
         self._allocs = []
         self._closed = True
+        # Each optional stage points back at the handle; a closed handle
+        # needs none of them, and dropping them leaves no cycle to collect.
+        self._degrade = self._survive = self._epoch = self._nodedrain = None
+        self._deposit = self._pull = None
 
     # ------------------------------------------------------------------
     def _pfs_write(self, what: str, offset: int, payload: bytes, file=None):

@@ -212,6 +212,7 @@ class Survive:
             d.loaded.clear()  # old slots are gone; reads must reload
             memory.free(fh._allocs[1])
             fh._allocs[1] = new_alloc
+            old_level2.window.free()
             if fh._degrade is not None:
                 # Old-communicator rank ids are meaningless now.
                 fh._degrade.unreachable.clear()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import BenchConfig, Method, run_benchmark
-from repro.bench.synthetic import make_arrays, reference_file_contents
+from repro.bench.synthetic import check_file, make_arrays, reference_file_contents
 from tests.conftest import make_test_cluster
 
 
@@ -37,6 +37,17 @@ class TestWorkloadConstruction:
         r0i, r0d = make_arrays(cfg, 0)
         assert ref[: 2 * 4] == r0i[:2].tobytes()
         assert ref[8 : 8 + 16] == r0d[:2].tobytes()
+
+    def test_check_file_is_the_reference_compare(self):
+        cfg = BenchConfig(len_array=4, size_access=2, nprocs=3)
+        ref = reference_file_contents(cfg)
+        assert check_file(cfg, ref) and check_file(cfg, bytearray(ref))
+        for i in (0, len(ref) // 2, len(ref) - 1):
+            flipped = bytearray(ref)
+            flipped[i] ^= 1
+            assert not check_file(cfg, flipped)
+        assert not check_file(cfg, ref[:-1])
+        assert not check_file(cfg, ref + b"\x00")
 
 
 class TestAllMethodsVerify:

@@ -100,6 +100,29 @@ class TestPfsFileBytes:
         f.write_bytes(16, b"!")
         assert f.contents() == b"hexy" + b"\x00" * 6 + b"ta" + b"\x00" * 4 + b"!"
 
+    def test_a_write_past_eof_grows_the_file_once(self):
+        resizes = []
+
+        class Tracked(bytearray):
+            def extend(self, more):
+                resizes.append("extend")
+                super().extend(more)
+
+            def __setitem__(self, key, value):
+                before = len(self)
+                super().__setitem__(key, value)
+                if len(self) != before:
+                    resizes.append("setitem")
+
+        f = PfsFile("x", StripeLayout(64, 1, 0, 4))
+        f.data = Tracked(b"head")
+        assert f.read_bytes(0, 4) == b"head"  # a read leaves the file resizable
+        f.write_bytes(10, b"tail")
+        assert resizes == ["extend"]
+        f.write_bytes(14, b"more")
+        assert resizes == ["extend", "setitem"]
+        assert f.contents() == b"head" + bytes(6) + b"tailmore"
+
     def test_negative_offsets_rejected(self):
         f = PfsFile("x", StripeLayout(64, 1, 0, 4))
         with pytest.raises(PfsError):

@@ -1,11 +1,13 @@
 """One-sided communication semantics (windows, locks, put/get)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.simmpi import LOCK_EXCLUSIVE, LOCK_SHARED, Window, run_mpi
 from repro.simmpi import collectives as coll
-from repro.util.errors import RmaError
+from repro.util.errors import MpiError, RmaError
 from tests.conftest import make_test_cluster
 
 
@@ -184,3 +186,65 @@ class TestEpochRules:
                 assert bytes(b) == b"B" * 8
 
         run(2, main)
+
+
+class TestWindowFree:
+    def test_lock_put_get_on_a_freed_window_raise(self):
+        def main(env):
+            buf = np.zeros(8, dtype=np.uint8)
+            win = yield from Window.create(env.comm, buf)
+            if env.rank == 1:
+                (yield from win.lock(0))
+            (yield from coll.barrier(env.comm))
+            if env.rank == 0:
+                win.free()
+            (yield from coll.barrier(env.comm))
+            if env.rank == 0:
+                with pytest.raises(MpiError):
+                    yield from win.lock(0)
+                (yield from win.lock(1))  # rank 1 still exposes its buffer
+                win.put(b"\x01", 1, 0)
+                win.unlock(1)
+            else:
+                # rank 1 opened its epoch before the target freed the window
+                with pytest.raises(MpiError):
+                    win.put(b"\x02", 0, 0)
+                with pytest.raises(MpiError):
+                    yield from win.get_indexed(0, 0, [0], [1])
+                with pytest.raises(MpiError):
+                    win.unlock(0)
+            (yield from coll.barrier(env.comm))
+            return bytes(buf)
+
+        res = run(2, main)
+        assert res.returns == [bytes(8), b"\x01" + bytes(7)]
+
+    def test_free_inside_an_epoch_rejected(self):
+        def main(env):
+            win = yield from Window.create(env.comm, np.zeros(8, dtype=np.uint8))
+            if env.rank == 0:
+                (yield from win.lock(1))
+                with pytest.raises(RmaError):
+                    win.free()
+                win.unlock(1)
+            (yield from coll.barrier(env.comm))
+            win.free()
+
+        res = run(2, main)
+        assert res.world._windows == {} and res.world._window_locks == {}
+
+    def test_the_world_keeps_no_view_of_a_freed_buffer(self):
+        buffers = []
+
+        def main(env):
+            buf = np.zeros(8, dtype=np.uint8)
+            buffers.append(weakref.ref(buf))
+            first = yield from Window.create(env.comm, buf)
+            (yield from coll.barrier(env.comm))
+            first.free()
+            second = yield from Window.create(env.comm, np.zeros(8, dtype=np.uint8))
+            assert second.win_id != first.win_id  # ids are never reused
+
+        res = run(2, main)
+        assert [ref() for ref in buffers] == [None, None]
+        assert sorted(res.world._windows) == [(1, 0), (1, 1)]
