@@ -37,6 +37,7 @@ from typing import Callable, Optional, Tuple, Type, TypeVar, Union
 
 from repro.faults.retry import RetryPolicy
 from repro.sim.engine import active_process
+from repro.sim.trace import TraceRecorder
 from repro.util.errors import PfsError, RetryBudgetExceeded
 from repro.util.rng import seeded_rng
 
@@ -153,7 +154,7 @@ class FaultPlan:
         self._crash_matches: Counter = Counter()
         self._streams: dict = {}
         self._engine = None
-        self._trace = None
+        self._trace = TraceRecorder()  # until bind() hands over the job's
         self._slow_osts: Optional[frozenset] = None
 
     def bind(self, engine, trace) -> None:
@@ -183,8 +184,7 @@ class FaultPlan:
         self.injections.append(
             Injection(self._now(), kind, tuple(sorted(detail.items())))
         )
-        if self._trace is not None:
-            self._trace.count(f"faults.injected.{kind}")
+        self._trace.count(f"faults.injected.{kind}")
 
     def timeline(self) -> list[Tuple[float, str, Tuple[Tuple[str, object], ...]]]:
         """The injections so far as comparable tuples (reproducibility checks)."""
@@ -284,8 +284,7 @@ class FaultPlan:
         independent path. Counted (``faults.fallbacks``), not part of the
         *injection* timeline (it is a response, not a fault)."""
         self.fallbacks.append((what, tuple(sorted(detail.items()))))
-        if self._trace is not None:
-            self._trace.count("faults.fallbacks")
+        self._trace.count("faults.fallbacks")
 
     # ------------------------------------------------------------------
     # recovery
@@ -317,25 +316,20 @@ class FaultPlan:
         policy = self.spec.retry
         last = policy.max_attempts - 1
         for attempt in range(policy.max_attempts):
-            if self._trace is not None:
-                self._trace.count("faults.retry.attempts", 1)
+            self._trace.count("faults.retry.attempts", 1)
             try:
                 return (yield from run_coroutine(op(attempt)))
             except retry_on as exc:
                 if attempt == last:
-                    if self._trace is not None:
-                        with self._trace.span(
-                            "faults.retry.exhausted", what=what,
-                            attempts=policy.max_attempts,
-                        ):
-                            pass
+                    with self._trace.span(
+                        "faults.retry.exhausted", what=what,
+                        attempts=policy.max_attempts,
+                    ):
+                        pass
                     raise RetryBudgetExceeded(what, policy.max_attempts) from exc
                 delay = policy.backoff(attempt, self._rng("retry"))
-                if self._trace is not None:
-                    self._trace.count("faults.retries")
-                    self._trace.count("faults.retry.backoff_total", delay)
-                    with self._trace.span("faults.backoff", what=what, attempt=attempt):
-                        yield from active_process().sleep(delay)
-                else:
+                self._trace.count("faults.retries")
+                self._trace.count("faults.retry.backoff_total", delay)
+                with self._trace.span("faults.backoff", what=what, attempt=attempt):
                     yield from active_process().sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -49,8 +49,7 @@ def write_view(mf: "MpiFile", stream_pos: int, data: bytes):
                 mf.pfs_file, sieved, owner=mf.env.rank, lock_timeout=t
             ),
         )
-        if world.trace is not None:
-            world.trace.count("mpiio.sieve_write", useful)
+        world.trace.count("mpiio.sieve_write", useful)
         return
     for ext, mem_off in pieces:
         yield from pfs_write(
@@ -85,8 +84,7 @@ def read_view(mf: "MpiFile", stream_pos: int, nbytes: int):
             lo = ext.start - bounding.start
             out[mem_off : mem_off + ext.length] = blob[lo : lo + ext.length]
         mf._copy_cost(useful)
-        if world.trace is not None:
-            world.trace.count("mpiio.sieve_read", useful)
+        world.trace.count("mpiio.sieve_read", useful)
     else:
         for ext, mem_off in pieces:
             chunk = yield from pfs_read(

@@ -34,7 +34,6 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.faults.retry import pfs_read, pfs_write
-from repro.obs.spans import NULL_TRACER
 from repro.simmpi import collectives
 from repro.simmpi.comm import CTX_COLL, pack_object, unpack_object, wait_all
 from repro.topo import (
@@ -397,9 +396,8 @@ def _node_write_edges(
             )
             for stale in nx.stage.drain_allocs(("w", seq, di)):
                 world.memory.free(stale)
-            if world.trace is not None:
-                world.trace.count("topo.drain.messages")
-                world.trace.count("topo.drain.bytes", nbytes)
+            world.trace.count("topo.drain.messages")
+            world.trace.count("topo.drain.bytes", nbytes)
     return recv_reqs
 
 
@@ -448,8 +446,7 @@ def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, request_lists:
                 continue
             merged = nx.stage.drain(("r", seq, di))
             yield from comm.isend(pack_object(merged), agg, tag, context=CTX_COLL)
-            if world.trace is not None:
-                world.trace.count("topo.drain.messages")
+            world.trace.count("topo.drain.messages")
     return reply_tag, req_reqs, asks.get(mine, [])
 
 
@@ -497,7 +494,7 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
     comm = mf.comm
     rank = comm.rank
     world = mf.env.world
-    tracer = world.trace.tracer if world.trace is not None else NULL_TRACER
+    tracer = world.trace.tracer
     t0 = world.engine.now
     cap = mf.hints.cb_rounds_buffer
     # counter/span name and PFS retry prefix: rounds mode keeps its own
@@ -558,9 +555,8 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
 
     for alloc in allocs:
         world.memory.free(alloc)
-    if world.trace is not None:
-        world.trace.count(name, len(data))
-        world.trace.complete(name, t0, world.engine.now, bytes=len(data))
+    world.trace.count(name, len(data))
+    world.trace.complete(name, t0, world.engine.now, bytes=len(data))
     yield from collectives.barrier(comm)
 
 
@@ -646,7 +642,6 @@ def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
     for di, first, stop, _ in runs:
         stream.extend(islice(served[di], stop - first))
     mf._copy_cost(nbytes)
-    if world.trace is not None:
-        world.trace.count("ocio.read_all", nbytes)
-        world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
+    world.trace.count("ocio.read_all", nbytes)
+    world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
     return b"".join(stream)

@@ -25,8 +25,8 @@ class Fabric:
     engine: the event engine providing virtual time.
     spec: cost-model constants.
     node_of: per-rank node index (ranks on one node share its NIC ports).
-    trace: optional trace recorder (counters ``net.msg``, ``net.bytes``,
-        ``net.connection``, ``net.intranode``).
+    trace: the job's recorder (counters ``net.msg``, ``net.connection``,
+        ``net.intranode``); a fresh one by default.
     faults: optional bound :class:`repro.faults.FaultPlan`; inter-node
         messages may then suffer latency spikes and transient drops
         (modelled as retransmission after a delivery timeout — the
@@ -49,7 +49,7 @@ class Fabric:
         self.engine = engine
         self.spec = spec
         self.node_of = list(node_of)
-        self.trace = trace
+        self.trace = trace = trace or TraceRecorder()
         self.faults = faults
         n_nodes = (max(self.node_of) + 1) if self.node_of else 1
         self.send_ports = [
@@ -71,13 +71,10 @@ class Fabric:
         # Metric objects resolved once: delivery_time runs per message
         # (millions per FULL campaign) and the by-name registry lookups
         # were measurable in whole-run profiles.
-        if trace is not None:
-            registry = trace.registry
-            self._c_msg = registry.counter("net.msg")
-            self._c_intranode = registry.counter("net.intranode")
-            self._h_msg_bytes = registry.histogram("net.msg_bytes")
-        else:
-            self._c_msg = self._c_intranode = self._h_msg_bytes = None
+        registry = trace.registry
+        self._c_msg = registry.counter("net.msg")
+        self._c_intranode = registry.counter("net.intranode")
+        self._h_msg_bytes = registry.histogram("net.msg_bytes")
 
     def _node(self, rank: int) -> int:
         try:
@@ -99,15 +96,13 @@ class Fabric:
         dst_node = self._node(dst)
         overhead = self.spec.rma_message_overhead if rma else None
         trace = self.trace
-        tracer = trace.tracer if trace is not None else None
-        if trace is not None:
-            self._c_msg.add(nbytes)
-            self._h_msg_bytes.observe(nbytes)
+        tracer = trace.tracer
+        self._c_msg.add(nbytes)
+        self._h_msg_bytes.observe(nbytes)
         if src_node == dst_node:
-            if trace is not None:
-                self._c_intranode.add(nbytes)
+            self._c_intranode.add(nbytes)
             t_mem = self.memory[src_node].reserve(now, nbytes, overhead)
-            if tracer is not None and tracer.enabled and nbytes > 0:
+            if tracer.enabled and nbytes > 0:
                 tracer.complete(
                     "net.local", now, t_mem, f"mem{src_node}",
                     src=src, dst=dst, bytes=nbytes,
@@ -118,13 +113,12 @@ class Fabric:
         if pair not in self._connected:
             self._connected.add(pair)
             start += self.spec.connection_setup
-            if trace is not None:
-                trace.count("net.connection")
-                if tracer is not None and tracer.enabled:
-                    tracer.complete(
-                        "net.conn.setup", now, start, f"nic{src_node}",
-                        src=src, dst=dst,
-                    )
+            trace.count("net.connection")
+            if tracer.enabled:
+                tracer.complete(
+                    "net.conn.setup", now, start, f"nic{src_node}",
+                    src=src, dst=dst,
+                )
         t_tx = self.send_ports[src_node].reserve(start, nbytes, overhead)
         t_core = self.core.reserve(t_tx, nbytes)
         t_rx = self.recv_ports[dst_node].reserve(
@@ -134,7 +128,7 @@ class Fabric:
             penalty = self.faults.network_penalty(src, dst, nbytes)
             if penalty > 0.0:
                 t_rx += penalty
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.complete(
                 "net.xfer", start, t_rx, f"nic{src_node}",
                 src=src, dst=dst, bytes=nbytes, rma=rma,
@@ -173,6 +167,6 @@ class Fabric:
             raise SimulationError("negative staging copy size")
         node = self._node(rank)
         t = self.memory[node].reserve(self.engine.now, nbytes, None)
-        if self.trace is not None and nbytes > 0:
+        if nbytes > 0:
             self.trace.count("topo.staging.bytes", nbytes)
         return t

@@ -30,12 +30,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, SpanEvent, Tracer
+from repro.obs.spans import NULL_SPAN, SpanEvent, Tracer
 
 __all__ = [
     "N_BUCKETS",
     "NULL_SPAN",
-    "NULL_TRACER",
     "Counter",
     "Gauge",
     "Histogram",

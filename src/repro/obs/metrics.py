@@ -240,9 +240,9 @@ class MetricCache(dict):
     per-request hot path pays no registry hop. Resolution is lazy on
     purpose: asking the registry creates the metric, and creating it at
     construction would put zero-valued metrics into every export. *make*
-    is a registry accessor (``registry.counter``); a routed registry
-    (multi-job runs) hands out stand-ins that pick the job per operation,
-    so a cached stand-in stays per-job correct.
+    is a registry accessor (``registry.counter``); each
+    :class:`~repro.sim.trace.TraceRecorder` holds one cache per kind, so
+    every component recording into the same job shares it.
     """
 
     __slots__ = ("_make",)

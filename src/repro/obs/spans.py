@@ -191,8 +191,3 @@ class Tracer:
     def tracks(self) -> list[str]:
         """All track names seen so far, sorted."""
         return sorted({e.track for e in self.spans} | {e.track for e in self.instants})
-
-
-#: Shared disabled tracer: lets instrumented code hold a tracer
-#: unconditionally (``self._tracer = hub.tracer if hub else NULL_TRACER``).
-NULL_TRACER = Tracer(enabled=False)

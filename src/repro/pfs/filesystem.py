@@ -13,7 +13,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.netsim.server import ReservationServer
-from repro.obs.metrics import MetricCache
 from repro.pfs.file import PfsFile
 from repro.pfs.layout import StripeLayout
 from repro.pfs.lockmgr import LockMode
@@ -38,12 +37,9 @@ class Pfs:
         spec.validate()
         self.engine = engine
         self.spec = spec
-        self.trace = trace
-        #: The request path's registry metrics, resolved on first use.
-        self._counters = MetricCache(trace.registry.counter) if trace is not None else None
-        self._histograms = (
-            MetricCache(trace.registry.histogram) if trace is not None else None
-        )
+        #: The recorder of files and clients no job claims (see
+        #: :meth:`create` and :meth:`client`).
+        self.trace = trace or TraceRecorder()
         self.osts = [
             Ost(
                 i,
@@ -125,8 +121,18 @@ class Pfs:
     # ------------------------------------------------------------------
     # namespace
     # ------------------------------------------------------------------
-    def create(self, name: str, *, stripe_count: Optional[int] = None) -> PfsFile:
-        """Create (or return existing) file; stripes start round-robin."""
+    def create(
+        self,
+        name: str,
+        *,
+        stripe_count: Optional[int] = None,
+        trace: Optional[TraceRecorder] = None,
+    ) -> PfsFile:
+        """Create (or return existing) file; stripes start round-robin.
+
+        A new file's lock manager records into *trace*, the creating job's
+        recorder (this file system's by default).
+        """
         if name in self._files:
             return self._files[name]
         count = self.spec.default_stripe_count if stripe_count is None else stripe_count
@@ -137,7 +143,7 @@ class Pfs:
             n_osts=self.spec.n_osts,
         )
         self._next_first_ost = (self._next_first_ost + count) % self.spec.n_osts
-        f = PfsFile(name, layout, self.spec.lock_contention_penalty, self.trace)
+        f = PfsFile(name, layout, self.spec.lock_contention_penalty, trace or self.trace)
         self._arm_locks(f)
         self._files[name] = f
         return f
@@ -162,24 +168,40 @@ class Pfs:
         return sorted(self._files)
 
     # ------------------------------------------------------------------
-    def client(self, node: int, *, tenant: Optional[str] = None) -> "PfsClient":
+    def client(
+        self,
+        node: int,
+        *,
+        tenant: Optional[str] = None,
+        trace: Optional[TraceRecorder] = None,
+    ) -> "PfsClient":
         """The storage client of compute node *node*.
 
         ``tenant`` tags the client with a job name for multi-tenant QoS
-        and per-OST byte attribution; solo runs leave it ``None``.
+        and per-OST byte attribution; solo runs leave it ``None``. The
+        client's requests record into *trace*, the job's recorder (this
+        file system's by default).
         """
         if not (0 <= node < len(self._client_links)):
             raise PfsError(f"node {node} has no storage link")
-        return PfsClient(self, node, tenant=tenant)
+        return PfsClient(self, node, tenant=tenant, trace=trace)
 
 
 class PfsClient:
     """The POSIX-ish per-node interface rank code uses."""
 
-    def __init__(self, pfs: Pfs, node: int, *, tenant: Optional[str] = None):
+    def __init__(
+        self,
+        pfs: Pfs,
+        node: int,
+        *,
+        tenant: Optional[str] = None,
+        trace: Optional[TraceRecorder] = None,
+    ):
         self.pfs = pfs
         self.node = node
         self.tenant = tenant
+        self.trace = trace or pfs.trace
         self._link = pfs._client_links[node]
 
     # ------------------------------------------------------------------
@@ -244,10 +266,7 @@ class PfsClient:
         )
         if f.locks.cache_hits == hits_before:
             proc.charge(self.pfs.spec.lock_latency)
-        trace = self.pfs.trace
-        tracer = trace.tracer if trace is not None else None
-        if tracer is not None and not tracer.enabled:
-            tracer = None
+        tracer = self.trace.tracer
         # read phase
         now = engine.now
         link_done = self._link.reserve(now, extent.length)
@@ -258,7 +277,7 @@ class PfsClient:
         # write phase starts after the read completes
         link_done = self._link.reserve(finish, extent.length)
         w_finish = self._book_osts(f.layout, start_off, stop_off, link_done, True, owner, tracer)
-        if tracer is not None:
+        if tracer.enabled:
             tracer.complete("pfs.sieved_write", now, w_finish, bytes=extent.length)
         f.write_bytes(extent.start, bytes(buf))
         if w_finish > engine.now:
@@ -266,8 +285,7 @@ class PfsClient:
             engine.schedule_at(w_finish, partial(f.locks.done, grant))
         else:
             f.locks.done(grant)
-        if trace is not None:
-            self.pfs._counters["pfs.sieved_write"].add(sum(len(b) for _, b in pieces))
+        self.trace.counters["pfs.sieved_write"].add(sum(len(b) for _, b in pieces))
 
     # ------------------------------------------------------------------
     def _book_osts(
@@ -284,9 +302,10 @@ class PfsClient:
         piece arriving at *arrival*, in stripe order (runs on one OST
         merged by :meth:`StripeLayout.split_by_ost`); returns the latest
         completion, never before *arrival*. ``ost.*`` intervals go to
-        *tracer* when one is given.
+        *tracer* when it is enabled.
         """
         osts = self.pfs.osts
+        traced = tracer.enabled
         finish = arrival
         for ost_idx, pieces in layout.split_by_ost(Extent(start, stop)).items():
             ost = osts[ost_idx]
@@ -294,7 +313,7 @@ class PfsClient:
                 t = ost.reserve(
                     arrival, piece.length, write=write, client=owner, tenant=self.tenant
                 )
-                if tracer is not None:
+                if traced:
                     tracer.complete(
                         "ost.write" if write else "ost.read", ost.last_start, t,
                         f"ost{ost_idx}", bytes=piece.length, client=owner,
@@ -348,10 +367,9 @@ class PfsClient:
         try:
             # 2. The client link and the OSTs both reserve the transfer;
             #    completion is the latest of them.
-            trace = pfs.trace
-            tracer = trace.tracer if trace is not None else None
-            if tracer is not None and not tracer.enabled:
-                tracer = None
+            trace = self.trace
+            tracer = trace.tracer
+            traced = tracer.enabled
             start = engine.now
             link_done = self._link.reserve(start, nbytes)
             layout = f.layout
@@ -362,7 +380,7 @@ class PfsClient:
                 ost_idx = layout.ost_of_stripe(stripe)
                 ost = pfs.osts[ost_idx]
                 t = ost.reserve(link_done, nbytes, write=write, client=owner, tenant=self.tenant)
-                if tracer is not None:
+                if traced:
                     tracer.complete(
                         "ost.write" if write else "ost.read", ost.last_start, t,
                         f"ost{ost_idx}", bytes=nbytes, client=owner,
@@ -370,7 +388,7 @@ class PfsClient:
                 finish = t if t > link_done else link_done
             else:
                 finish = self._book_osts(layout, offset, stop, link_done, write, owner, tracer)
-            if tracer is not None:
+            if traced:
                 tracer.complete(
                     "pfs.write" if write else "pfs.read", start, finish, bytes=nbytes
                 )
@@ -387,11 +405,8 @@ class PfsClient:
                 proc.charge(finish - engine.now)
                 engine.schedule_at(finish, partial(locks.done, grant))
                 released = True
-            if trace is not None:
-                pfs._counters["pfs.write" if write else "pfs.read"].add(nbytes)
-                pfs._histograms["pfs.write_bytes" if write else "pfs.read_bytes"].observe(
-                    nbytes
-                )
+            trace.counters["pfs.write" if write else "pfs.read"].add(nbytes)
+            trace.histograms["pfs.write_bytes" if write else "pfs.read_bytes"].observe(nbytes)
             return result
         finally:
             if not released:

@@ -26,10 +26,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Sequence
 
-from repro.obs.metrics import MetricCache
-from repro.obs.spans import NULL_TRACER
 from repro.sim.engine import active_process
 from repro.sim.process import SimProcess
+from repro.sim.trace import TraceRecorder
 from repro.util.errors import LockTimeout, PfsError
 from repro.util.intervals import Extent
 
@@ -96,9 +95,9 @@ class LockManager:
             raise PfsError("contention penalty must be >= 0")
         self.granularity = granularity
         self.contention_penalty = contention_penalty
-        self.trace = trace  # optional TraceRecorder hub
-        self._tracer = trace.tracer if trace is not None else NULL_TRACER
-        self._counters = MetricCache(trace.registry.counter) if trace is not None else None
+        trace = trace or TraceRecorder()
+        self._tracer = trace.tracer
+        self._counters = trace.counters
         #: Held (incl. cached) grants by lock-unit index: unit -> {seq:
         #: grant}. Grants enter a bucket in creation order, so every
         #: bucket iterates in it. See :meth:`_units_of` for the filing.
@@ -282,21 +281,18 @@ class LockManager:
             if not (queue and self._blocked_by_queue(start, stop, owner)):
                 g.in_use += 1
                 self.cache_hits += 1
-                if self._counters is not None:
-                    self._counters["pfs.lock.cache_hit"].add()
+                self._counters["pfs.lock.cache_hit"].add()
                 return g
             break
         self.acquires += 1
-        if self._counters is not None:
-            self._counters["pfs.lock.acquire"].add()
+        self._counters["pfs.lock.acquire"].add()
         if queue and self._blocked_by_queue(start, stop, owner):
             return None
         revoked, busy = self._revoke_idle(owner, mode, start, stop, near)
         if revoked:
             if self.contention_penalty:
                 proc.charge(revoked * self.contention_penalty)
-            if self._counters is not None:
-                self._counters["pfs.lock.revoke"].add(revoked)
+            self._counters["pfs.lock.revoke"].add(revoked)
         if busy:
             return None
         grant = self._file(owner, mode, Extent(start, stop))
@@ -318,8 +314,7 @@ class LockManager:
         ``timeout``)."""
         rounded = Extent(start, stop)
         self.waits += 1
-        if self._counters is not None:
-            self._counters["pfs.lock.wait"].add()
+        self._counters["pfs.lock.wait"].add()
         if self.contention_penalty:
             conflicts = 0
             for g in self._near(start, stop):
@@ -344,8 +339,7 @@ class LockManager:
                     return
                 self._queue.remove(waiting)
                 self.timeouts += 1
-                if self._counters is not None:
-                    self._counters["pfs.lock.timeout"].add()
+                self._counters["pfs.lock.timeout"].add()
                 if self.audit:
                     self.history.append(("timeout", owner, mode.value, start, stop))
                 if self.on_timeout is not None:

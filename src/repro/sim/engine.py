@@ -35,11 +35,11 @@ import heapq
 import weakref
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.sim.trace import TraceRecorder
 from repro.util.errors import DeadlockError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
-    from repro.sim.trace import TraceRecorder
 
 #: Events executed by engines that already retired (finished or were
 #: garbage collected). Live engines are tracked separately so concurrent
@@ -132,13 +132,12 @@ class Engine:
         self._processes: list[SimProcess] = []
         self._running = False
         self._finished = False
-        self.trace = trace
+        self.trace = trace = trace or TraceRecorder()
         _live_engines.add(self)
-        if trace is not None:
-            # Spans record on this engine's virtual clock; rebinding keeps
-            # the timeline monotonic across sequential engines (write job,
-            # then read job) sharing one recorder.
-            trace.tracer.bind_clock(lambda: self.now)
+        # Spans record on this engine's virtual clock; rebinding keeps the
+        # timeline monotonic across sequential engines (write job, then
+        # read job) sharing one recorder.
+        trace.tracer.bind_clock(lambda: self.now)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -238,11 +237,10 @@ class Engine:
             self._finished = True
             self._reap()
             _retire_engine(self)
-        if self.trace is not None:
-            self.trace.complete(
-                "engine.run", started, self.now, "engine",
-                processes=len(self._processes),
-            )
+        self.trace.complete(
+            "engine.run", started, self.now, "engine",
+            processes=len(self._processes),
+        )
         return self.now
 
     def _check_deadlock(self) -> None:

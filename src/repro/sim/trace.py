@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Counter, MetricCache, MetricsRegistry
 from repro.obs.spans import Tracer
 
 __all__ = ["Counter", "TraceRecorder"]
@@ -46,6 +46,10 @@ class TraceRecorder:
         self.tracer = tracer if tracer is not None else Tracer()
         if self.tracer.track_of is None:
             self.tracer.track_of = _current_track
+        #: The registry's counters and histograms by name, for hot paths
+        #: that record per request (messages, PFS requests, lock grants).
+        self.counters = MetricCache(self.registry.counter)
+        self.histograms = MetricCache(self.registry.histogram)
 
     # ------------------------------------------------------------------
     # counters (legacy surface, now registry-backed)

@@ -70,8 +70,7 @@ def shrink(comm: Communicator):
         )
     new_id = (comm._comm_id, "shrink", dead)
     new_comm = SubCommunicator(world, GroupSpec(survivors), my_world_rank, new_id)
-    if world.trace is not None:
-        world.trace.count("ft.shrink", 1)
+    world.trace.count("ft.shrink", 1)
     yield from collectives.barrier(new_comm)
     return new_comm
 

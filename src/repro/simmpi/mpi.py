@@ -18,7 +18,6 @@ from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 from repro.memsim.memory import MemoryTracker
 from repro.netsim.fabric import Fabric
 from repro.netsim.server import ReservationServer
-from repro.obs.metrics import MetricCache
 from repro.sim.api import run_coroutine
 from repro.sim.engine import Engine, ProcessCrashed
 from repro.sim.process import SimProcess
@@ -68,7 +67,7 @@ class MpiWorld:
         self.node_of = fabric.node_of
         if len(self.node_of) != nranks:
             raise MpiError("node_of must have one entry per rank")
-        self.trace = trace
+        self.trace = trace = trace or TraceRecorder()
         self.faults = faults  # optional bound FaultPlan
         self.memory = memory
         self.pfs = pfs
@@ -88,8 +87,8 @@ class MpiWorld:
         self.exchange_slots: dict[tuple[int, object, int], ExchangeSlot] = {}
         #: Message-path metrics, resolved on first use: resolving one
         #: creates it, and an unused one must not export as zero.
-        self._counters = None if trace is None else MetricCache(trace.registry.counter)
-        self._histograms = None if trace is None else MetricCache(trace.registry.histogram)
+        self._counters = trace.counters
+        self._histograms = trace.histograms
         #: Scratch registry for user-level libraries (TCIO) to share
         #: collectively-created metadata objects across ranks. Keys are
         #: library-chosen tuples; creation must happen inside a collective
@@ -148,9 +147,8 @@ class MpiWorld:
         eager = nbytes <= fabric.spec.eager_limit
         t = fabric.delivery_time(src, dst, nbytes) if eager else fabric.control_delay(src, dst)
         self.engine.post_at(t, partial(self.arrive, dst, deliver))
-        if self._counters is not None:
-            self._counters["mpi.send"].add(nbytes)
-            self._histograms["mpi.msg_bytes"].observe(nbytes)
+        self._counters["mpi.send"].add(nbytes)
+        self._histograms["mpi.msg_bytes"].observe(nbytes)
         return eager
 
     def arrive(self, dst: int, deliver: Callable[[], None]) -> None:
@@ -160,8 +158,7 @@ class MpiWorld:
         if finish is None:
             deliver()
             return
-        if self._counters is not None:
-            self._counters["mpi.match_delay"].add(finish - self.engine.now)
+        self._counters["mpi.match_delay"].add(finish - self.engine.now)
         self.engine.post_at(finish, deliver)
 
     def _matcher_finish(self, dst: int) -> Optional[float]:
@@ -279,8 +276,7 @@ class MpiWorld:
         if not fresh:
             return
         self.dead_ranks.update(fresh)
-        if self.trace is not None:
-            self.trace.count("crash.ranks", len(fresh))
+        self.trace.count("crash.ranks", len(fresh))
         procs = self.procs
         for peer in range(min(self.nranks, len(procs))):
             proc = procs[peer]
@@ -438,9 +434,9 @@ class Launcher:
     def __init__(self, cluster: "ClusterSpec", trace: Optional[TraceRecorder] = None):
         cluster.validate()
         self.cluster = cluster
-        #: The run's recorder: the engine, the file system and every
-        #: job's fabric record into it.
-        self.trace = trace if trace is not None else TraceRecorder()
+        #: The machine's recorder: the engine's event count and run span,
+        #: plus everything a job given no recorder of its own records.
+        self.trace = trace or TraceRecorder()
         self.engine = Engine(trace=self.trace)
         self.pfs = cluster.build_pfs(self.engine, self.trace)
         self.core = ReservationServer("fabric.core", cluster.network.fabric_bandwidth)
@@ -462,25 +458,30 @@ class Launcher:
 
         The ranks start at simulated time *arrival*. *job* labels the world
         and its rank processes; *trace* is the job's own recorder and *pfs*
-        its view of the file system (both default to the machine's);
-        *faults* is an optional :class:`repro.faults.FaultPlan`, bound here
-        to the job.
+        its view of the file system (both default to the machine's). The
+        job's world, fabric and fault plan record into *trace*, which spans
+        on the machine's clock; a *pfs* view carries its own. *faults* is an
+        optional :class:`repro.faults.FaultPlan`, bound here to the job.
         """
         cluster = self.cluster
         cpn = cluster.cores_per_node
         first = self._free_node
         if first * cpn + nranks > cluster.capacity:
             raise MpiError(f"{nranks} ranks exceed cluster capacity {cluster.capacity}")
-        trace = trace if trace is not None else self.trace
+        trace = trace or self.trace
+        engine = self.engine
+        # A clock over the engine alone: one over the launcher would keep
+        # its worlds alive for as long as the recorder lives.
+        trace.tracer.bind_clock(lambda: engine.now)
         if faults is not None:
             faults.bind(self.engine, trace)
         node_of = [first + r // cpn for r in range(nranks)]
         world = MpiWorld(
             self.engine,
             nranks,
-            Fabric(self.engine, cluster.network, node_of, self.trace, core=self.core),
+            Fabric(self.engine, cluster.network, node_of, trace, core=self.core),
             MemoryTracker(cluster.memory_per_node, node_of),
-            pfs=pfs if pfs is not None else self.pfs,
+            pfs=pfs or self.pfs,
             trace=trace,
             faults=faults,
             job=job,

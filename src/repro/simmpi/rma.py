@@ -143,16 +143,15 @@ class Window:
         # Metric objects resolved once per window: every level-2 flush and
         # fetch passes through lock/put/get, and the by-name registry
         # lookups were visible in whole-run profiles.
-        trace = self.world.trace
-        if trace is not None:
-            registry = trace.registry
-            self._c_lock = registry.counter("rma.lock")
-            self._c_unlock = registry.counter("rma.unlock")
-            self._c_put = registry.counter("rma.put")
-            self._c_put_blocks = registry.counter("rma.put_blocks")
-            self._c_get = registry.counter("rma.get")
-            self._c_get_blocks = registry.counter("rma.get_blocks")
-            self._h_put_bytes = registry.histogram("rma.put_bytes")
+        registry = self.world.trace.registry
+        self._c_lock = registry.counter("rma.lock")
+        self._c_unlock = registry.counter("rma.unlock")
+        self._c_put = registry.counter("rma.put")
+        self._c_put_blocks = registry.counter("rma.put_blocks")
+        self._c_get = registry.counter("rma.get")
+        self._c_get_blocks = registry.counter("rma.get_blocks")
+        self._h_put_bytes = registry.histogram("rma.put_bytes")
+
     @classmethod
     def create(cls, comm: "Communicator", buffer: np.ndarray | bytearray):
         """MPI_Win_create (coroutine): register locally, then barrier.
@@ -235,8 +234,7 @@ class Window:
             if lock_type == LOCK_EXCLUSIVE
             else spec.rma_shared_epoch_overhead
         )
-        if world.trace is not None:
-            self._c_lock.add()
+        self._c_lock.add()
         self._epochs[target] = _Epoch(target, lock_type, world.engine.now)
 
     def unlock(self, target: int) -> None:
@@ -261,13 +259,12 @@ class Window:
             epoch.last_completion,
         )
         world.engine.schedule_at(release_at, state.release)
-        if world.trace is not None:
-            self._c_unlock.add()
-            world.trace.complete(
-                "rma.epoch", epoch.start, max(world.engine.now, release_at),
-                target=target,
-                mode="excl" if epoch.lock_type == LOCK_EXCLUSIVE else "shared",
-            )
+        self._c_unlock.add()
+        world.trace.complete(
+            "rma.epoch", epoch.start, max(world.engine.now, release_at),
+            target=target,
+            mode="excl" if epoch.lock_type == LOCK_EXCLUSIVE else "shared",
+        )
 
     # ------------------------------------------------------------------
     # data movement
@@ -303,10 +300,9 @@ class Window:
 
         t = world.fabric.transfer(self.my_world_rank, target_w, total, land, rma=True)
         epoch.last_completion = max(epoch.last_completion, t)
-        if world.trace is not None:
-            self._c_put.add(total)
-            self._c_put_blocks.add(len(blocks))
-            self._h_put_bytes.observe(total)
+        self._c_put.add(total)
+        self._c_put_blocks.add(len(blocks))
+        self._h_put_bytes.observe(total)
 
     def get_indexed(
         self, target: int, base: int, disps: Sequence[int], lens: Sequence[int]
@@ -349,9 +345,8 @@ class Window:
         world.engine.schedule_at(t_req, serve)
         yield from proc.block(f"rma.get(target={target}, bytes={total})")
         epoch.last_completion = max(epoch.last_completion, world.engine.now)
-        if world.trace is not None:
-            self._c_get.add(total)
-            self._c_get_blocks.add(len(disps))
+        self._c_get.add(total)
+        self._c_get_blocks.add(len(disps))
         return result[0]
 
     # ------------------------------------------------------------------

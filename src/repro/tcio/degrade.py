@@ -75,7 +75,7 @@ class Degrade:
                     at_risk += hi - lo
                     victims.add(src)
         if at_risk:
-            fh._count("faults.data_at_risk", at_risk)
+            fh._trace.count("faults.data_at_risk", at_risk)
             # On a shared PFS the alarm must say WHOSE data is at risk:
             # several tenants' fallbacks can fire in one run and an
             # unattributed warning is unactionable.

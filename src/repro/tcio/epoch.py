@@ -53,7 +53,7 @@ class EpochJournal:
             # Journal metrics live only under dotted registry names:
             # the legacy as_dict() key set is frozen by compat tests.
             fh.stats.registry.counter("tcio.journal.commits").inc()
-            fh._count("crash.journal.commits", 1)
+            fh._trace.count("crash.journal.commits", 1)
         yield from collectives.barrier(fh.comm)
         yield from fh._crash_point("post-commit")
 
@@ -77,4 +77,4 @@ class EpochJournal:
         self.pos += nbytes
         fh.stats.registry.counter("tcio.journal.records").inc()
         fh.stats.registry.counter("tcio.journal.bytes").inc(nbytes)
-        fh._count("crash.journal.bytes", nbytes)
+        fh._trace.count("crash.journal.bytes", nbytes)

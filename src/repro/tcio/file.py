@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.faults.retry import pfs_read, pfs_write
-from repro.obs.spans import NULL_SPAN, NULL_TRACER
+from repro.obs.spans import NULL_SPAN
 from repro.sim.api import run_coroutine
 from repro.simmpi import collectives
 from repro.simmpi.datatypes import BYTE, Datatype
@@ -131,8 +131,8 @@ class TcioFile:
         self._memcpy_bandwidth = env.world.fabric.spec.memcpy_bandwidth
         self._closed = False
         self._position = 0
-        self._hub = getattr(env.world, "trace", None)
-        self._tracer = self._hub.tracer if self._hub is not None else NULL_TRACER
+        self._trace = env.world.trace
+        self._tracer = self._trace.tracer
         self._plan = getattr(env.world, "faults", None)
         # The optional stages, chosen once from what this open can observe;
         # None is "absent", tested at the collective point and at a level-1
@@ -328,10 +328,6 @@ class TcioFile:
         """
         if self._plan is not None:
             yield from run_coroutine(self.env.world.crash_point(step, self.env.rank))
-
-    def _count(self, name: str, amount: float = 0.0) -> None:
-        if self._hub is not None:
-            self._hub.count(name, amount)
 
     # ------------------------------------------------------------------
     # reads (lazy by default)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.obs.spans import NULL_TRACER, Tracer
+from repro.obs.spans import Tracer
 from repro.sim.api import run_coroutine
 from repro.sim.engine import active_process
 from repro.sim.sync import SimEvent
@@ -88,7 +88,7 @@ class Level2Buffer:
         self.segments_per_process = segments_per_process
         self.directory = directory
         self.stats = stats
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer or Tracer()
         self.use_rma = use_rma
         self.combine_indexed = combine_indexed
         self.capacity = segments_per_process * self.segment_size

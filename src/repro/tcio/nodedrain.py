@@ -81,7 +81,7 @@ class NodeDrain:
         fh, plan, stage = self.fh, self.fh._plan, self.staging
         nbytes = sum(length for _, length, _ in blocks)
         if stage.would_overflow(nbytes):
-            fh._count("topo.staging.overflow", nbytes)
+            fh._trace.count("topo.staging.overflow", nbytes)
             return False
         fh.level2._slot_base(gseg)  # capacity check before committing
         if plan is not None and fh.env.rank != self.leader:
@@ -102,10 +102,9 @@ class NodeDrain:
                 return False
         yield from charge_staging_copy(fh.env.world, fh.env.rank, nbytes)
         stage.deposit(owner, [(gseg, disp, p) for disp, _length, p in blocks], nbytes)
-        fh._count("topo.deposit.bytes", nbytes)
-        fh._count("topo.deposit.blocks", len(blocks))
-        if fh._hub is not None:
-            fh._hub.registry.histogram("topo.staging.occupancy").observe(stage.used)
+        fh._trace.count("topo.deposit.bytes", nbytes)
+        fh._trace.count("topo.deposit.blocks", len(blocks))
+        fh._trace.registry.histogram("topo.staging.occupancy").observe(stage.used)
         return True
 
     def drain(self):
@@ -153,8 +152,8 @@ class NodeDrain:
             yield from self._drain_fallback(pieces)
             return
         fh.directory.dirty.update({g for g, _, _ in pieces})
-        fh._count("topo.drain.messages", 1)
-        fh._count("topo.drain.bytes", nbytes)
+        fh._trace.count("topo.drain.messages", 1)
+        fh._trace.count("topo.drain.bytes", nbytes)
 
     def _drain_fallback(self, pieces: list):
         """Write one owner's staged deposits straight to the PFS.

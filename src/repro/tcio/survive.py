@@ -110,7 +110,7 @@ class Survive:
         old_members = fh.comm.group_world_ranks()
         with fh._tracer.span("tcio.survive", file=fh.name):
             new_comm = yield from fh.comm.shrink()
-            fh._count("tcio.ft.survives", 1)
+            fh._trace.count("tcio.ft.survives", 1)
 
             # -- resume epoch + committed replay set --------------------
             journal_of = {rank_journal(fh.name, m): m for m in old_members}
@@ -130,7 +130,7 @@ class Survive:
                     with fh._tracer.span("tcio.ft.replay", segment=rec.gseg, epoch=rec.epoch):
                         for i, (lo, _hi) in enumerate(rec.extents):
                             yield from fh._pfs_write("tcio.ft.replay", lo, rec.piece(i))
-                    fh._count("tcio.ft.replayed_bytes", rec.nbytes)
+                    fh._trace.count("tcio.ft.replayed_bytes", rec.nbytes)
             yield from collectives.barrier(new_comm)
 
             # -- rebuild the level-2 partition over the survivors -------
@@ -190,7 +190,7 @@ class Survive:
                         )
                         shadow_bytes += sum(len(p) for _disp, p in blocks)
                 if shadow_bytes:
-                    fh._count("tcio.ft.shadow_bytes", shadow_bytes)
+                    fh._trace.count("tcio.ft.shadow_bytes", shadow_bytes)
                 abandoned_bytes = 0
                 for g in abandoned:  # inside eof by construction
                     if new_mapping.owner_of_segment(g) == new_comm.rank:
@@ -198,7 +198,7 @@ class Survive:
                         d.dirty.add(g)
                         abandoned_bytes += limit(g)
                 if abandoned_bytes:
-                    fh._count("tcio.ft.abandoned_bytes", abandoned_bytes)
+                    fh._trace.count("tcio.ft.abandoned_bytes", abandoned_bytes)
                 yield from collectives.barrier(new_comm)
             except BaseException:
                 memory.free(new_alloc)

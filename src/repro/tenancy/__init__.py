@@ -7,17 +7,15 @@ Public surface:
   (workload kind, rank count, arrival, priority, seeded jitter);
 * :func:`~repro.tenancy.runner.run_scenario` — launch all jobs onto one
   :class:`~repro.simmpi.mpi.Launcher` machine (one engine, fabric core
-  and PFS) with per-job metric namespacing and QoS policies;
+  and PFS), each job recording into its own recorder, under QoS policies;
 * :func:`~repro.tenancy.matrix.interference_matrix` — the A-alone /
   B-alone / A+B harness enforcing the byte-identity oracle;
-* :class:`~repro.tenancy.pfsview.TenantPfs`,
-  :class:`~repro.tenancy.obsroute.JobTraceHub` — the per-job views over
-  the shared file system and recorder, reusable by other
+* :class:`~repro.tenancy.pfsview.TenantPfs` — one job's view of the
+  shared file system (its namespace and its recorder), reusable by other
   multi-application harnesses.
 """
 
 from repro.tenancy.matrix import MatrixReport, interference_matrix
-from repro.tenancy.obsroute import JobTraceHub
 from repro.tenancy.pfsview import TenantPfs
 from repro.tenancy.runner import (
     JobResult,
@@ -39,7 +37,6 @@ from repro.tenancy.workloads import Workload, bench_config, build_workload
 __all__ = [
     "JobResult",
     "JobSpec",
-    "JobTraceHub",
     "MatrixReport",
     "ScenarioResult",
     "TenancyScenario",

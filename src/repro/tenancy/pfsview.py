@@ -5,7 +5,9 @@ creates or looks up is transparently prefixed with ``"<job>/"``, so two
 jobs writing ``bench.dat`` land in distinct files and a crashing job
 leaves only its own journals behind. Physics (OSTs, client links, locks)
 stays shared — that is the whole point of the tenancy model: namespace
-isolation with resource contention.
+isolation with resource contention. The view also carries the job's
+recorder: the files it creates (with their lock managers) and the clients
+it hands out record into that job's registry, never the machine's.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.util.errors import PfsError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.file import PfsFile
     from repro.pfs.filesystem import Pfs, PfsClient
+    from repro.sim.trace import TraceRecorder
 
 
 class TenantPfs:
@@ -24,17 +27,20 @@ class TenantPfs:
 
     Covers what a tenant job's ranks call on ``Pfs``: ``create``,
     ``lookup`` and ``list_files`` carry the job prefix, ``client()`` hands
-    out tenant-tagged clients for QoS attribution, and ``spec`` passes
-    straight through to the shared instance. It has no ``exists``, so
-    TCIO's ``ft`` recovery is unsupported under tenancy, and fsck/recover
-    take the shared ``Pfs`` and the qualified ``"<job>/<file>"`` name.
+    out tenant-tagged clients for QoS attribution, the files and clients
+    record into *trace* (by default the shared instance's recorder), and
+    ``spec`` passes straight through to the shared instance. It has no
+    ``exists``, so TCIO's ``ft`` recovery is unsupported under tenancy,
+    and fsck/recover take the shared ``Pfs`` and the qualified
+    ``"<job>/<file>"`` name.
     """
 
-    def __init__(self, base: "Pfs", job: str):
+    def __init__(self, base: "Pfs", job: str, trace: "Optional[TraceRecorder]" = None):
         if "/" in job or not job:
             raise PfsError("tenant job name must be non-empty and '/'-free")
         self.base = base
         self.job = job
+        self.trace = trace or base.trace
         self._prefix = f"{job}/"
 
     # -- physical passthrough -----------------------------------------
@@ -47,7 +53,9 @@ class TenantPfs:
         return self._prefix + name
 
     def create(self, name: str, *, stripe_count: Optional[int] = None) -> "PfsFile":
-        return self.base.create(self._qualify(name), stripe_count=stripe_count)
+        return self.base.create(
+            self._qualify(name), stripe_count=stripe_count, trace=self.trace
+        )
 
     def lookup(self, name: str) -> "PfsFile":
         return self.base.lookup(self._qualify(name))
@@ -62,7 +70,7 @@ class TenantPfs:
     # -- clients -------------------------------------------------------
     def client(self, node: int) -> "PfsClient":
         """A tenant-tagged storage client of compute node *node*."""
-        return self.base.client(node, tenant=self.job)
+        return self.base.client(node, tenant=self.job, trace=self.trace)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TenantPfs job={self.job!r} over {self.base!r}>"

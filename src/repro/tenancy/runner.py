@@ -7,9 +7,10 @@ core, one parallel file system — each as its own
 :class:`~repro.simmpi.mpi.MpiWorld` on disjoint nodes. Jobs contend for
 the fabric core, client storage links, OST service queues and the lock
 manager — but each sees a private namespace
-(:class:`~repro.tenancy.pfsview.TenantPfs`) and a private metric registry
-(:class:`~repro.tenancy.obsroute.JobTraceHub`). A one-job scenario is a
-:func:`~repro.simmpi.mpi.run_mpi` run.
+(:class:`~repro.tenancy.pfsview.TenantPfs`) and records into its own
+:class:`~repro.sim.trace.TraceRecorder`, which the launcher hands to the
+job's world, fabric and file-system view when it builds them. A one-job
+scenario is a :func:`~repro.simmpi.mpi.run_mpi` run.
 
 The load-bearing invariant, inherited from the repo's byte-identity
 oracle: contention moves *virtual time*, never *data*. A job's durable
@@ -36,7 +37,6 @@ from repro.faults.plan import FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
 from repro.simmpi.mpi import Launcher, MpiWorld
-from repro.tenancy.obsroute import JobTraceHub
 from repro.tenancy.pfsview import TenantPfs
 from repro.tenancy.spec import JobSpec, TenancyScenario
 from repro.tenancy.workloads import build_workload
@@ -104,7 +104,8 @@ class ScenarioResult:
     #: Final virtual clock (scenario makespan).
     elapsed: float
     jobs: dict[str, JobResult]
-    #: Engine-context metrics (deliveries, lock releases, host counters).
+    #: The machine's recorder: the engine's event count and run span only;
+    #: everything a job does lands in that job's ``recorder``.
     shared: TraceRecorder
     pfs: Any
     engine: Engine
@@ -237,14 +238,14 @@ def run_scenario(
     """
     workloads = {spec.name: build_workload(spec) for spec in scenario.jobs}
     faults = faults or {}
-    hub = JobTraceHub()
-    machine = Launcher(scenario_cluster(scenario), hub)
+    machine = Launcher(scenario_cluster(scenario))
     pfs = machine.pfs
     pfs.set_qos(qos)
     for spec in scenario.jobs:
         name = spec.name
         pfs.register_tenant(name, weight=spec.priority)
-        world = machine.add(
+        trace = TraceRecorder()
+        machine.add(
             spec.nranks,
             workloads[name].main,
             job=name,
@@ -253,11 +254,9 @@ def run_scenario(
                 FaultPlan(faults[name], scenario.seed, scope=f"tenancy:{name}")
                 if name in faults else None
             ),
-            trace=hub.add_job(name),
-            pfs=TenantPfs(pfs, name),
+            trace=trace,
+            pfs=TenantPfs(pfs, name, trace),
         )
-        for proc in world.procs:
-            hub.register_process(proc, name)
     elapsed = machine.run()
 
     results: dict[str, JobResult] = {}
@@ -301,7 +300,7 @@ def run_scenario(
         qos=qos,
         elapsed=elapsed,
         jobs=results,
-        shared=hub.shared,
+        shared=machine.trace,
         pfs=pfs,
         engine=machine.engine,
     )

@@ -1,6 +1,7 @@
 """Tracer: span nesting, virtual-time ordering, epoch continuation."""
 
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, Tracer
+from repro.obs.spans import NULL_SPAN, Tracer
+from repro.sim.trace import TraceRecorder
 
 
 class FakeClock:
@@ -29,7 +30,10 @@ class TestDisabled:
         assert t.spans == [] and t.instants == []
 
     def test_null_tracer_is_disabled(self):
-        assert NULL_TRACER.enabled is False
+        # There is no shared null tracer: a component built without a
+        # recorder gets a fresh one whose tracer records nothing.
+        assert Tracer().enabled is False
+        assert TraceRecorder().tracer.enabled is False
 
 
 class TestSpans:

@@ -19,10 +19,10 @@ from typing import Deque, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.obs.spans import NULL_TRACER
 from repro.pfs.lockmgr import LockManager, LockMode, verify_lock_history
 from repro.sim.engine import Engine, active_process
 from repro.sim.process import SimProcess
+from repro.sim.trace import TraceRecorder
 from repro.util.errors import LockTimeout, PfsError, SimulationError
 from repro.util.intervals import Extent
 
@@ -76,8 +76,8 @@ class LinearLockManager:
             raise PfsError("contention penalty must be >= 0")
         self.granularity = granularity
         self.contention_penalty = contention_penalty
-        self.trace = trace  # optional TraceRecorder hub
-        self._tracer = trace.tracer if trace is not None else NULL_TRACER
+        self.trace = trace = trace or TraceRecorder()
+        self._tracer = trace.tracer
         self._held: list[_OracleGrant] = []
         self._queue: Deque[_OracleWaiting] = deque()
         self.acquires = 0
@@ -97,8 +97,7 @@ class LinearLockManager:
         self.on_timeout = None
 
     def _count(self, name: str) -> None:
-        if self.trace is not None:
-            self.trace.count(name)
+        self.trace.count(name)
 
     def _note(self, event: str, owner: int, mode: LockMode, extent: Extent) -> None:
         if self.audit:
@@ -188,8 +187,7 @@ class LinearLockManager:
             if revoked:
                 if self.contention_penalty:
                     proc.charge(revoked * self.contention_penalty)
-                if self.trace is not None:
-                    self.trace.count("pfs.lock.revoke", revoked)
+                self.trace.count("pfs.lock.revoke", revoked)
             if not self._conflicts(mode, rounded, owner):
                 grant = _OracleGrant(owner, mode, rounded)
                 self._held.append(grant)

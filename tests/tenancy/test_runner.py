@@ -36,7 +36,7 @@ def small_scenario(seed=5, **kw):
 #: Metric names whose values depend only on WHAT a job did, never on
 #: WHEN the scheduler let it do it. The namespacing invariant is that a
 #: job's shared-run tree matches its solo-run tree exactly on these.
-STABLE_PREFIXES = ("pfs.write", "pfs.read", "crash.journal")
+STABLE_PREFIXES = ("pfs.write", "pfs.read", "crash.journal", "net.", "mpi.")
 
 
 def stable_counters(registry) -> dict:
@@ -281,3 +281,9 @@ class TestOneLauncher:
         assert shared.elapsed == job.elapsed == run.elapsed
         events = shared.shared.registry.get("host.engine.events")
         assert events.total == run.trace.registry.get("host.engine.events").total > 0
+        # The job counts all of its own traffic, engine-context rendezvous
+        # payloads included: its registry is run_mpi's, bar the machine's
+        # event count.
+        want = run.trace.registry.flat()
+        del want["counters"]["host.engine.events"]
+        assert job.recorder.registry.flat() == want
