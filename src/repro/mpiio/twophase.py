@@ -24,23 +24,30 @@ aggregator, flat or through the node leaders (:class:`NodeExchange`) —
 and ``cb_rounds_buffer`` the *window* — steps 2–3 run once over whole
 domains, or once per bounded slice of them (ROMIO's ``cb_buffer_size``
 rounds). See ``docs/architecture.md``.
+
+Every exchange message is whole arrays and travels by reference: a write
+message is *blocks* — ``(offsets, lengths, payload)``, int64 file offsets
+and lengths in stream order and their bytes packed back to back — a read
+request is ``(offsets, lengths)`` and a reply one payload. Each is charged
+the pickle of the ``[(offset, bytes), ...]`` or ``[(offset, length), ...]``
+list it stands for (:func:`_wire`, :func:`_ask_wire`), so the simulated
+wire is that of a per-element exchange.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.faults.retry import pfs_read, pfs_write
 from repro.simmpi import collectives
-from repro.simmpi.comm import CTX_COLL, pack_object, unpack_object, wait_all
+from repro.simmpi.comm import CTX_COLL, pack_object, wait_all, wire_size
 from repro.topo import (
     NodeTopology,
     StagingBuffer,
     charge_staging_copy,
-    coalesce_blocks,
+    coalesce_runs,
     split_by_node,
 )
 from repro.util.errors import MpiIoError
@@ -268,59 +275,96 @@ def _setup(mf: "MpiFile", nx: Optional[NodeExchange], stream_pos: int, nbytes: i
     return domains, domains.split_arrays(starts, lengths, mems), aggs, mine
 
 
-def _owner_runs(owners: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """``(domain, first, stop, bytes)`` of every maximal run of consecutive
-    pieces ``[first, stop)`` with one owner, in stream order. An access that
-    ascends through the file has one run per domain it touches."""
-    if len(owners) == 0:
-        return []
-    first = run_heads(owners[1:] != owners[:-1])
-    return list(zip(
-        owners[first].tolist(),
-        first.tolist(),
-        first[1:].tolist() + [len(owners)],
-        np.add.reduceat(lengths, first).tolist(),
-    ))
+_NO_PIECES = np.empty(0, np.int64)
+#: The write message of an edge with nothing to carry.
+_NO_BLOCKS = (_NO_PIECES, _NO_PIECES, b"")
 
 
-def _by_domain(runs, items: list) -> tuple[dict[int, list], dict[int, int]]:
-    """Per-domain lists of the stream-ordered per-piece *items*, and each
-    domain's byte total. Dict order is first appearance in the stream (it
-    fixes the order of the exchange's isends), list order stream order."""
-    lists: dict[int, list] = {}
-    nbytes: dict[int, int] = {}
-    for di, first, stop, size in runs:
-        lists.setdefault(di, []).extend(items[first:stop])
-        nbytes[di] = nbytes.get(di, 0) + size
-    return lists, nbytes
+def _slices(buf, starts: np.ndarray, lengths: np.ndarray):
+    """``buf[s : s + n]`` for every start and length, in order (an
+    iterator: no Python frame per piece)."""
+    return map(buf.__getitem__, map(slice, starts.tolist(), (starts + lengths).tolist()))
 
 
-def _pack_sends(split, win_lo: np.ndarray, win_hi: np.ndarray, data: bytes):
-    """The write exchange's payloads for one round: the part of every piece
-    of a split access that lies in its owner's window, as per-domain
-    ``(file offset, block)`` lists with each domain's byte total."""
+def _wire_pairs(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> list:
+    """The ``[(file offset, block), ...]`` list that blocks stand for.
+
+    Built only to be pickled for the wire size, then dropped. The blocks
+    are ``bytes`` slices of *payload*, as they were slices of the caller's
+    buffer when the list itself travelled: a 1-byte slice is CPython's
+    shared single-byte object, which pickle writes once and then refers
+    back to, so fresh copies would pickle longer.
+    """
+    starts = np.cumsum(lengths) - lengths
+    return list(zip(offsets.tolist(), _slices(payload, starts, lengths)))
+
+
+def _wire(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> int:
+    """Wire bytes of a write message or read reply (see :func:`_wire_pairs`)."""
+    return len(pack_object(_wire_pairs(offsets, lengths, payload)))
+
+
+def _merged_wire(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> int:
+    """Wire bytes of a leader's coalesced message. Its blocks were built
+    as fresh ``bytes`` (never a shared single-byte object), so they are
+    priced as fresh copies — a repeated 1-byte block is written out again."""
+    blocks = map(bytes, _slices(memoryview(payload), np.cumsum(lengths) - lengths, lengths))
+    return len(pack_object(list(zip(offsets.tolist(), blocks))))
+
+
+def _request_pairs(offsets: np.ndarray, lengths: np.ndarray) -> list:
+    """The ``[(file offset, length), ...]`` list a read request stands for."""
+    return list(zip(offsets.tolist(), lengths.tolist()))
+
+
+def _ask_wire(asks: list) -> int:
+    """Wire bytes of a node-router request message: ``(requester, offsets,
+    lengths)`` triples, charged as ``[(requester, pairs), ...]``."""
+    return len(pack_object([(r, _request_pairs(o, n)) for r, o, n in asks]))
+
+
+def _per_domain(owners: np.ndarray, *columns: np.ndarray) -> dict[int, tuple]:
+    """Each domain's part of the per-piece *columns*, in stream order.
+
+    Keyed by domain in order of first appearance in the stream, which
+    fixes the order of the exchange's sends.
+    """
+    if not len(owners):
+        return {}
+    order = np.argsort(owners, kind="stable")
+    grouped = owners[order]
+    heads = run_heads(grouped[1:] != grouped[:-1])
+    stops = heads[1:].tolist() + [len(order)]
+    columns = tuple(c[order] for c in columns)
+    firsts = sorted(zip(order[heads].tolist(), grouped[heads].tolist(), heads.tolist(), stops))
+    return {di: tuple(c[a:b] for c in columns) for _, di, a, b in firsts}
+
+
+def _pack_sends(split, win_lo: np.ndarray, win_hi: np.ndarray, data: bytes) -> dict:
+    """The write exchange's messages for one round: the part of every piece
+    of a split access that lies in its owner's window, as blocks per
+    domain (:func:`_per_domain` order). Each payload is cut from *data*
+    one run at a time — a run is consecutive pieces of one domain that
+    are adjacent in the buffer."""
     owners, starts, lengths, mems = split
     lo = np.maximum(starts, win_lo[owners])
     hi = np.minimum(starts + lengths, win_hi[owners])
     held = hi > lo
-    lo, sizes = lo[held], (hi - lo)[held]
-    mem_lo = mems[held] + (lo - starts[held])
-    blocks = [
-        (start, data[m : m + n])
-        for start, m, n in zip(lo.tolist(), mem_lo.tolist(), sizes.tolist())
-    ]
-    return _by_domain(_owner_runs(owners[held], sizes), blocks)
-
-
-def _paint(buf: bytearray, base: int, incoming) -> int:
-    """Copy every ``(file offset, block)`` of the *incoming* lists into
-    *buf*, which starts at file offset *base*; returns the bytes covered."""
-    covered = 0
-    for lst in incoming:
-        for off, block in lst:
-            buf[off - base : off - base + len(block)] = block
-            covered += len(block)
-    return covered
+    owners, lo, sizes = owners[held], lo[held], (hi - lo)[held]
+    if not len(owners):
+        return {}
+    mem = mems[held] + (lo - starts[held])
+    heads = run_heads((owners[1:] != owners[:-1]) | (mem[1:] != mem[:-1] + sizes[:-1]))
+    runs = _per_domain(owners[heads], mem[heads], np.add.reduceat(sizes, heads))
+    view = memoryview(data)
+    payloads = {
+        di: b"".join(_slices(view, run_mems, run_sizes))
+        for di, (run_mems, run_sizes) in runs.items()
+    }
+    return {
+        di: (offsets, lengths, payloads[di])
+        for di, (offsets, lengths) in _per_domain(owners, lo, sizes).items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -331,14 +375,14 @@ def _paint(buf: bytearray, base: int, incoming) -> int:
 # ----------------------------------------------------------------------
 
 
-def _flat_write_edges(mf: "MpiFile", send_lists: dict, send_bytes: dict, reserve):
+def _flat_write_edges(mf: "MpiFile", sends: dict, reserve):
     """Flat write router (coroutine): a counts alltoall, then one message
     per (rank, aggregator) pair that has data. ``reserve()`` runs once the
     incoming edges are known, before the first irecv."""
     comm = mf.comm
     out_counts = [0] * comm.size
-    for agg, nbytes in send_bytes.items():
-        out_counts[agg] = nbytes
+    for agg, (_, _, payload) in sends.items():
+        out_counts[agg] = len(payload)
     in_counts = yield from collectives.alltoall(comm, out_counts)
     tag = collectives._next_tag(comm)
     reserve()
@@ -346,31 +390,31 @@ def _flat_write_edges(mf: "MpiFile", send_lists: dict, send_bytes: dict, reserve
     for src in range(comm.size):
         if in_counts[src] > 0 and src != comm.rank:
             recv_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
-    for agg, lst in send_lists.items():
+    for agg, blocks in sends.items():
         if agg != comm.rank:
-            yield from comm.isend(pack_object(lst), agg, tag, context=CTX_COLL)
+            yield from comm.isend_ref(blocks, _wire(*blocks), agg, tag, context=CTX_COLL)
     return recv_reqs
 
 
-def _node_write_edges(
-    mf: "MpiFile", nx: NodeExchange, aggs, mine, send_lists: dict, send_bytes: dict, reserve
-):
-    """Node write router (coroutine): stage remote-bound pieces with the
+def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, sends: dict, reserve):
+    """Node write router (coroutine): stage remote-bound blocks with the
     node leader, then the fixed edge set of :class:`NodeExchange` — every
-    edge is always sent, even empty, so no counts round is needed."""
+    edge is always sent, even empty, so no counts round is needed. The
+    leader sends each remote aggregator its node's deposits merged into
+    maximal contiguous blocks (:func:`~repro.topo.coalesce_runs`)."""
     comm = mf.comm
     rank = comm.rank
     world = mf.env.world
     seq = nx.next_seq()
     tag = collectives._next_tag(comm)
     for di, agg in enumerate(aggs):
-        lst = send_lists.get(di)
-        if not lst or nx.routes_direct(rank, agg):
+        blocks = sends.get(di)
+        if blocks is None or nx.routes_direct(rank, agg):
             continue
-        nbytes = send_bytes[di]
+        nbytes = len(blocks[2])
         yield from charge_staging_copy(world, rank, nbytes)
         alloc = world.memory.allocate(rank, nbytes, "topo.staging")
-        nx.stage.deposit(("w", seq, di), lst, nbytes, allocation=alloc)
+        nx.stage.deposit(("w", seq, di), [blocks], nbytes, allocation=alloc)
     yield from collectives.barrier(nx.node_comm)  # deposits visible to leader
     reserve()
     recv_reqs = []
@@ -379,21 +423,22 @@ def _node_write_edges(
             recv_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
     for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
-            yield from comm.isend(
-                pack_object(send_lists.get(di, [])), agg, tag, context=CTX_COLL
-            )
+            blocks = sends.get(di, _NO_BLOCKS)
+            yield from comm.isend_ref(blocks, _wire(*blocks), agg, tag, context=CTX_COLL)
     if nx.is_leader and not nx.leader_down(nx.node):
         # One coalesced message per remote-node aggregator.
         for di, agg in enumerate(aggs):
             if nx.topo.node_of_rank(agg) == nx.node:
                 continue
-            staged = nx.stage.drain(("w", seq, di))
-            nbytes = sum([len(b) for _, b in staged])
+            staged = nx.stage.drain(("w", seq, di)) or [_NO_BLOCKS]
+            offsets, lengths, payloads = zip(*staged)
+            nbytes = sum([len(b) for b in payloads])
             if nbytes:
                 yield from charge_staging_copy(world, rank, nbytes)
-            yield from comm.isend(
-                pack_object(coalesce_blocks(staged)), agg, tag, context=CTX_COLL
+            merged = coalesce_runs(
+                np.concatenate(offsets), np.concatenate(lengths), b"".join(payloads)
             )
+            yield from comm.isend_ref(merged, _merged_wire(*merged), agg, tag, context=CTX_COLL)
             for stale in nx.stage.drain_allocs(("w", seq, di)):
                 world.memory.free(stale)
             world.trace.count("topo.drain.messages")
@@ -401,32 +446,34 @@ def _node_write_edges(
     return recv_reqs
 
 
-def _flat_read_edges(mf: "MpiFile", request_lists: dict):
+def _flat_read_edges(mf: "MpiFile", requests: dict):
     """Flat read router (coroutine): the requests travel inside one
     alltoall, so nothing stays posted. Returns ``(reply tag, posted request
-    receives, (requester, requests) pairs already at this aggregator)``."""
+    receives, (requester, offsets, lengths) triples already at this
+    aggregator)``."""
     comm = mf.comm
-    out_reqs = [request_lists.get(agg, []) for agg in range(comm.size)]
-    in_reqs = yield from collectives.alltoall(comm, out_reqs)
+    out = [requests.get(agg, (_NO_PIECES, _NO_PIECES)) for agg in range(comm.size)]
+    sizes = [wire_size(_request_pairs(*req)) for req in out]
+    in_reqs = yield from collectives.alltoall(comm, out, sizes)
     tag = collectives._next_tag(comm)
-    return tag, [], [(src, lst) for src, lst in enumerate(in_reqs) if lst]
+    return tag, [], [(src, *req) for src, req in enumerate(in_reqs) if len(req[0])]
 
 
-def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, request_lists: dict):
+def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, requests: dict):
     """Node read router (coroutine): requests ride the write exchange's
     fixed edges — same-node ranks ask their aggregator directly, every
     other node's leader merges its members' requests into one message.
-    A request message is a list of ``(requester, [(offset, length), ...])``
-    pairs so the aggregator can reply to each requester directly; replies
-    exist only for nonempty requests (the requester knows whether it
-    asked, so the reply edge needs no counts round either)."""
+    A request message is a list of ``(requester, offsets, lengths)``
+    triples so the aggregator can reply to each requester directly;
+    replies exist only for nonempty requests (the requester knows whether
+    it asked, so the reply edge needs no counts round either)."""
     comm = mf.comm
     rank = comm.rank
     world = mf.env.world
     seq = nx.next_seq()
     tag = collectives._next_tag(comm)  # requests
     reply_tag = collectives._next_tag(comm)
-    asks = {di: [(rank, lst)] for di, lst in request_lists.items()}
+    asks = {di: [(rank, *req)] for di, req in requests.items()}
     for di, agg in enumerate(aggs):
         if di in asks and not nx.routes_direct(rank, agg):
             nx.stage.deposit(("r", seq, di), asks[di], 0)
@@ -437,17 +484,16 @@ def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, request_lists:
             req_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
     for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
-            yield from comm.isend(
-                pack_object(asks.get(di, [])), agg, tag, context=CTX_COLL
-            )
+            ask = asks.get(di, [])
+            yield from comm.isend_ref(ask, _ask_wire(ask), agg, tag, context=CTX_COLL)
     if nx.is_leader and not nx.leader_down(nx.node):
         for di, agg in enumerate(aggs):
             if nx.topo.node_of_rank(agg) == nx.node:
                 continue
             merged = nx.stage.drain(("r", seq, di))
-            yield from comm.isend(pack_object(merged), agg, tag, context=CTX_COLL)
+            yield from comm.isend_ref(merged, _ask_wire(merged), agg, tag, context=CTX_COLL)
             world.trace.count("topo.drain.messages")
-    return reply_tag, req_reqs, asks.get(mine, [])
+    return reply_tag, req_reqs, list(asks.get(mine, []))
 
 
 # ----------------------------------------------------------------------
@@ -455,24 +501,30 @@ def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, request_lists:
 # ----------------------------------------------------------------------
 
 
-def _assemble_and_write(mf: "MpiFile", window: Extent, incoming, what: str, tracer):
+def _assemble_and_write(mf: "MpiFile", window: Extent, incoming: list, what: str, tracer):
     """I/O phase for one aggregator extent (coroutine): paint the received
-    blocks into a buffer the size of *window*, read-modify-write when they
-    leave holes, and issue one large contiguous write."""
-    chunk = bytearray(window.length)
-    covered = _paint(chunk, window.start, incoming)
+    blocks into a buffer the size of *window* — over the file's bytes when
+    they leave holes (read-modify-write preserves them) — and issue one
+    large contiguous write."""
+    covered = sum([len(payload) for _, _, payload in incoming])
     mf._copy_cost(covered)
     if window.is_empty():
         return
     world, rank = mf.env.world, mf.env.rank
     with tracer.span("ocio.io", bytes=window.length):
         if covered < window.length:
-            # Holes in the extent: read-modify-write preserves them.
             chunk = bytearray((yield from pfs_read(
                 world, mf.client, rank, mf.pfs_file,
                 what + ".read", window.start, window.length,
             )))
-            _paint(chunk, window.start, incoming)
+        else:
+            chunk = bytearray(window.length)
+        for offsets, lengths, payload in incoming:
+            view = memoryview(payload)
+            pos = 0
+            for off, n in zip((offsets - window.start).tolist(), lengths.tolist()):
+                chunk[off : off + n] = view[pos : pos + n]
+                pos += n
         yield from pfs_write(
             world, mf.client, rank, mf.pfs_file,
             what + ".write", window.start, bytes(chunk),
@@ -528,16 +580,15 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
     for rnd in range(max(1, -(-longest // span))):
         # ---- pack what this round's windows hold, per file domain ------
         win_lo, win_hi = domains.windows(rnd, span)
-        send_lists, send_bytes = _pack_sends(split, win_lo, win_hi, data)
-        mf._copy_cost(sum(send_bytes.values()))  # pack into messages
+        sends = _pack_sends(split, win_lo, win_hi, data)
+        # pack into messages
+        mf._copy_cost(sum([len(payload) for _, _, payload in sends.values()]))
 
         # ---- data exchange phase --------------------------------------
         if nx is None:
-            recv_reqs = yield from _flat_write_edges(mf, send_lists, send_bytes, reserve)
+            recv_reqs = yield from _flat_write_edges(mf, sends, reserve)
         else:
-            recv_reqs = yield from _node_write_edges(
-                mf, nx, aggs, mine, send_lists, send_bytes, reserve
-            )
+            recv_reqs = yield from _node_write_edges(mf, nx, aggs, mine, sends, reserve)
         if nx is None or mine is not None:  # node: only aggregators wait
             with tracer.span(
                 "ocio.exchange" if nx is None else "topo.exchange",
@@ -547,9 +598,7 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
 
         # ---- I/O phase ------------------------------------------------
         if mine is not None:
-            incoming = [send_lists.get(mine, [])] + [
-                unpack_object(req.payload) for req in recv_reqs
-            ]
+            incoming = [sends.get(mine, _NO_BLOCKS)] + [req.payload for req in recv_reqs]
             window = Extent(int(win_lo[mine]), int(win_hi[mine]))
             yield from _assemble_and_write(mf, window, incoming, what, tracer)
 
@@ -560,30 +609,29 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
     yield from collectives.barrier(comm)
 
 
-def _read_and_serve(mf: "MpiFile", domain: Extent, in_pairs, tag: int):
+def _read_and_serve(mf: "MpiFile", domain: Extent, in_reqs: list, tag: int):
     """Aggregator side of a collective read (coroutine): read the whole
-    file domain once and send each requester its blocks. Returns the
-    blocks this rank asked of itself."""
+    file domain once and send each requester one payload, its blocks back
+    to back in request order. Returns the payload this rank asked of
+    itself."""
     comm = mf.comm
     world = mf.env.world
-    served_local: list[tuple[int, bytes]] = []
-    if not in_pairs or domain.is_empty():
+    served_local = b""
+    if not in_reqs or domain.is_empty():
         return served_local
     alloc = world.memory.allocate(comm.rank, domain.length, "ocio.tempbuf")
-    blob = yield from pfs_read(
+    blob = memoryview((yield from pfs_read(
         world, mf.client, mf.env.rank, mf.pfs_file,
         "ocio.read.domain", domain.start, domain.length,
-    )
-    for src, lst in in_pairs:
-        blocks = [
-            (off, blob[off - domain.start : off - domain.start + ln])
-            for off, ln in lst
-        ]
-        mf._copy_cost(sum([ln for _, ln in lst]))
+    )))
+    for src, offsets, lengths in in_reqs:
+        payload = b"".join(_slices(blob, offsets - domain.start, lengths))
+        mf._copy_cost(len(payload))
         if src == comm.rank:
-            served_local = blocks
+            served_local = payload
         else:
-            yield from comm.isend(pack_object(blocks), src, tag, context=CTX_COLL)
+            wire = _wire(offsets, lengths, payload)
+            yield from comm.isend_ref(payload, wire, src, tag, context=CTX_COLL)
     world.memory.free(alloc)
     return served_local
 
@@ -604,43 +652,42 @@ def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
     if domains is None:
         return b""
     owners, starts, lengths, _ = split
-    runs = _owner_runs(owners, lengths)
 
     # ---- send my requests to the owning aggregators -----------------
-    request_lists, _ = _by_domain(runs, list(zip(starts.tolist(), lengths.tolist())))
+    requests = _per_domain(owners, starts, lengths)
     if nx is None:
-        tag, req_reqs, in_pairs = yield from _flat_read_edges(mf, request_lists)
+        tag, req_reqs, in_reqs = yield from _flat_read_edges(mf, requests)
     else:
-        tag, req_reqs, in_pairs = yield from _node_read_edges(
-            mf, nx, aggs, mine, request_lists
-        )
+        tag, req_reqs, in_reqs = yield from _node_read_edges(mf, nx, aggs, mine, requests)
     # one reply per aggregator this rank asked (nonempty only)
-    asked = [di for di in sorted(request_lists) if aggs[di] != rank]
+    asked = [di for di in sorted(requests) if aggs[di] != rank]
     reply_reqs = []
     for di in asked:
         reply_reqs.append((yield from comm.irecv(aggs[di], tag, context=CTX_COLL)))
 
     # ---- aggregators read their domains and serve --------------------
-    replies: dict[int, list[tuple[int, bytes]]] = {}
+    replies: dict[int, bytes] = {}
     if mine is not None:
         yield from wait_all(req_reqs)
         for req in req_reqs:
-            in_pairs.extend(unpack_object(req.payload))
-        replies[mine] = yield from _read_and_serve(
-            mf, domains.domain(mine), in_pairs, tag
-        )
+            in_reqs.extend(req.payload)
+        replies[mine] = yield from _read_and_serve(mf, domains.domain(mine), in_reqs, tag)
 
     # ---- assemble the local result ------------------------------------
     yield from wait_all(reply_reqs)
     for di, req in zip(asked, reply_reqs):
-        replies[di] = unpack_object(req.payload)
-    # A domain's blocks come back in request order, and the pieces tile the
-    # request buffer in stream order: the result is each run's blocks, run
+        replies[di] = req.payload
+    # A domain's reply holds its pieces in request order, and the pieces
+    # tile the request buffer in stream order: the result is each run of
+    # one domain's pieces cut from the front of that domain's reply, run
     # after run.
-    served = {di: iter([block for _, block in lst]) for di, lst in replies.items()}
-    stream: list[bytes] = []
-    for di, first, stop, _ in runs:
-        stream.extend(islice(served[di], stop - first))
+    stream: list[memoryview] = []
+    if len(owners):
+        heads = run_heads(owners[1:] != owners[:-1])
+        taken = dict.fromkeys(replies, 0)
+        for di, size in zip(owners[heads].tolist(), np.add.reduceat(lengths, heads).tolist()):
+            stream.append(memoryview(replies[di])[taken[di] : taken[di] + size])
+            taken[di] += size
     mf._copy_cost(nbytes)
     world.trace.count("ocio.read_all", nbytes)
     world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)

@@ -10,20 +10,21 @@ never cross-match.
 All-to-all delivers by reference (one engine, one address space): the
 receiver gets the very objects the sender passed, never an unpickled copy.
 Alltoall results are sender-owned; read-only. The pickled size
-(``len(pack_object(obj))``) is still what every message costs on the
-simulated wire.
+(:func:`~repro.simmpi.comm.wire_size`) is still what every message costs
+on the simulated wire, unless the caller prices its messages itself.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.simmpi.comm import (
     CTX_COLL,
     Communicator,
     pack_object,
     unpack_object,
+    wire_size,
 )
 from repro.sim.engine import active_process
 from repro.sim.sync import SimBarrier
@@ -159,7 +160,7 @@ def allgather(comm: Communicator, obj: Any):
     return [collected[r] for r in range(size)]
 
 
-def alltoall(comm: Communicator, send: Sequence[Any]):
+def alltoall(comm: Communicator, send: Sequence[Any], sizes: Optional[Sequence[int]] = None):
     """Personalized all-to-all of Python objects.
 
     Posts every receive, then every send, then waits — the exact pattern
@@ -171,6 +172,9 @@ def alltoall(comm: Communicator, send: Sequence[Any]):
     ``eager_limit``, RTS → CTS → data. The host side is not: the receives
     are one :class:`~repro.simmpi.comm.ExchangeSlot` per rank and the
     objects travel by reference (results are sender-owned; read-only).
+    Each message costs :func:`~repro.simmpi.comm.wire_size` of its object,
+    or ``sizes[dst]`` wire bytes when the caller gives *sizes* (an object
+    that stands in for the form it is priced as).
     """
     size, rank = comm.size, comm.rank
     if len(send) != size:
@@ -190,7 +194,7 @@ def alltoall(comm: Communicator, send: Sequence[Any]):
     for dst, peer in enumerate(ranks):
         if dst != rank:
             obj = send[dst]
-            nbytes = len(pack_object(obj))
+            nbytes = wire_size(obj) if sizes is None else sizes[dst]
             slot = world.exchange_slot(peer, context, tag, ranks)
             world.launch(me, peer, nbytes, partial(slot.deliver, rank, obj, nbytes))
     yield from mine.wait(proc)

@@ -50,6 +50,12 @@ def pack_object(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def wire_size(obj: Any) -> int:
+    """What a message carrying *obj* costs on the simulated wire: the
+    length of its pickle, whether the pickle travels or the object does."""
+    return len(pack_object(obj))
+
+
 def unpack_object(payload: bytes) -> Any:
     """Deserialize a metadata message produced by :func:`pack_object`."""
     return pickle.loads(payload)
@@ -88,12 +94,12 @@ class Request:
     def __init__(self, kind: str):
         self.kind = kind
         self.done = False
-        self.payload: Optional[bytes] = None
+        self.payload: Any = None  # bytes, or the object of a by-reference send
         self.status = Status()
         self._waiter: Optional[SimProcess] = None
         self._group: Optional[_WaitGroup] = None
 
-    def _complete(self, payload: Optional[bytes] = None) -> None:
+    def _complete(self, payload: Any = None) -> None:
         if self.done:
             raise MpiError(f"{self.kind} request completed twice")
         self.done = True
@@ -165,8 +171,8 @@ class _Envelope:
     src: int
     tag: int
     context: int
-    payload: bytes
-    size: int
+    payload: Any  # bytes, or the sender's object itself (isend_ref)
+    size: int  # wire bytes
     send_req: Optional[Request] = None
     rendezvous: bool = False  # only the RTS travelled; data follows the CTS
     consumed: bool = False  # matched to a receive (lazy queue removal)
@@ -509,15 +515,30 @@ class Communicator:
         ``req = yield from comm.isend(...)``.
         """
         yield from active_process().settle()
-        return self._post_send(_payload_bytes(data), self.world_rank(dest), tag, context)
+        payload = _payload_bytes(data)
+        return self._post_send(payload, len(payload), self.world_rank(dest), tag, context)
 
-    def _post_send(self, payload: bytes, dest: int, tag: int, context: int) -> Request:
-        """The body of :meth:`isend`, to world rank *dest*."""
+    def isend_ref(
+        self, obj: Any, nbytes: int, dest: int, tag: int = 0, *, context: int = CTX_PT2PT
+    ):
+        """Nonblocking send of *obj* by reference, charged *nbytes* on the wire.
+
+        The matching receive completes with *obj* itself, never a copy
+        (sender-owned; read-only), as :func:`~repro.simmpi.collectives.alltoall`
+        delivers. The caller prices the message: the simulated cost is that
+        of an ``isend`` of *nbytes* bytes. Coroutine returning the
+        :class:`Request`.
+        """
+        yield from active_process().settle()
+        return self._post_send(obj, nbytes, self.world_rank(dest), tag, context)
+
+    def _post_send(self, payload: Any, nbytes: int, dest: int, tag: int, context: int) -> Request:
+        """The body of :meth:`isend` and :meth:`isend_ref`, to world rank *dest*."""
         self._check_peer(dest)
         req = Request("isend")
-        env = _Envelope(self._rank, tag, self._ctx(context), payload, len(payload), req)
+        env = _Envelope(self._rank, tag, self._ctx(context), payload, nbytes, req)
         world = self.world
-        if world.launch(self._rank, dest, len(payload), partial(world.deliver, dest, env)):
+        if world.launch(self._rank, dest, nbytes, partial(world.deliver, dest, env)):
             # Eager: the sender completes locally; data lands at delivery.
             req._complete()
         else:
@@ -572,11 +593,7 @@ class Communicator:
     ):
         """Blocking receive; coroutine returning the payload bytes."""
         req = yield from self.irecv(source, tag, context=context)
-        hub = self.world.trace
-        if hub is not None:
-            with hub.span("mpi.recv", source=source, tag=tag):
-                payload = yield from req.wait()
-        else:
+        with self.world.trace.span("mpi.recv", source=source, tag=tag):
             payload = yield from req.wait()
         if status is not None:
             status.source = req.status.source

@@ -9,6 +9,7 @@ Owns the unreachable-owner set; exists only when ``world.faults`` is set
 from __future__ import annotations
 
 import warnings
+from typing import Sequence
 
 from repro.util.errors import RetryBudgetExceeded
 
@@ -93,7 +94,7 @@ class Degrade:
                 detail["job"] = job
             fh._plan.record("tcio.data_at_risk", **detail)
 
-    def pull_blocks(self, gseg: int, disps: list[int], lens: list[int]):
+    def pull_blocks(self, gseg: int, disps: Sequence[int], lens: Sequence[int]):
         """``level2.pull_blocks``, or the same ranges read from the PFS
         when the segment is degraded (coroutine)."""
         fh = self.fh

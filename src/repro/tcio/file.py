@@ -22,6 +22,7 @@ without file views or application-level combine buffers.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import Optional, Union
 
@@ -54,8 +55,9 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
-#: One segment's share of a fetch: parallel (disps, lengths, dests) lists.
-_Requests = tuple[list[int], list[int], list[memoryview]]
+#: One segment's share of a fetch: parallel disps and lengths
+#: (``array("q")``) and destination views.
+_Requests = tuple[array, array, list[memoryview]]
 
 
 def _as_payload(data: Buffer, count: Optional[int], datatype: Datatype) -> bytes:
@@ -400,13 +402,11 @@ class TcioFile:
         with self._tracer.span("tcio.fetch", requests=len(dests)):
             yield from self._fetch_pending(dests, offsets, lengths)
 
-    def _fetch_pending(
-        self, dests: list[memoryview], offsets: list[int], lengths: list[int]
-    ):
+    def _fetch_pending(self, dests: list[memoryview], offsets: array, lengths: array):
         # Group the requested byte ranges by global segment. A read inside
         # one segment (the common case) is equations (1)-(3) in integers;
         # only one that straddles a boundary takes the subdivision walk.
-        by_segment: dict[int, _Requests] = defaultdict(lambda: ([], [], []))
+        by_segment: dict[int, _Requests] = defaultdict(lambda: (array("q"), array("q"), []))
         seg_size = self.mapping.segment_size
         for dest, offset, length in zip(dests, offsets, lengths):
             gseg = offset // seg_size

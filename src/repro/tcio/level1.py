@@ -9,6 +9,7 @@ buffer stores *requests* (lazy loading): destination, length, displacement.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Optional
 
@@ -119,16 +120,17 @@ class ReadLog:
     real loading "when the file domain of cached reads exceeds the size of
     the level-1 buffer". A pending read is one entry in each of three
     parallel lists — the caller's writable buffer (the in-memory "address"
-    the paper's library retains), its file offset and its length — so the
-    log holds one GC-tracked object per read (the destination view), not a
-    record object around it.
+    the paper's library retains), its file offset and its length. The
+    offsets and lengths are machine integers (``array("q")``), so the log
+    holds one object per read (the destination view), neither a record
+    around it nor the caller's boxed ints.
     """
 
     def __init__(self, segment_size: int):
         self.segment_size = segment_size
         self.dests: list[memoryview] = []
-        self.offsets: list[int] = []
-        self.lengths: list[int] = []
+        self.offsets = array("q")
+        self.lengths = array("q")
         self._lo = self._hi = 0
 
     @property
@@ -157,10 +159,10 @@ class ReadLog:
         self.lengths.append(length)
         return True
 
-    def drain(self) -> tuple[list[memoryview], list[int], list[int]]:
+    def drain(self) -> tuple[list[memoryview], array, array]:
         """Return and clear the pending reads: ``(dests, offsets, lengths)``,
         parallel and in recording order."""
         out = self.dests, self.offsets, self.lengths
-        self.dests, self.offsets, self.lengths = [], [], []
+        self.dests, self.offsets, self.lengths = [], array("q"), array("q")
         self._lo = self._hi = 0
         return out

@@ -17,7 +17,7 @@ transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -321,7 +321,7 @@ class Level2Buffer:
         self.stats.inc("segment_loads")
         return payload
 
-    def pull_blocks(self, global_segment: int, disps: list[int], lens: list[int]):
+    def pull_blocks(self, global_segment: int, disps: Sequence[int], lens: Sequence[int]):
         """Fetch the ``(disp, len)`` ranges of a resident segment, packed
         back to back in order (coroutine).
 

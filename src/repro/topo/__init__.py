@@ -17,7 +17,12 @@ See ``docs/topology.md`` for the integration into TCIO
 (``TcioConfig.aggregation``) and two-phase OCIO (``IoHints.cb_aggregation``).
 """
 
-from repro.topo.staging import StagingBuffer, charge_staging_copy, coalesce_blocks
+from repro.topo.staging import (
+    StagingBuffer,
+    charge_staging_copy,
+    coalesce_blocks,
+    coalesce_runs,
+)
 from repro.topo.topology import NodeTopology, node_leader_ranks, split_by_node
 
 __all__ = [
@@ -27,4 +32,5 @@ __all__ = [
     "StagingBuffer",
     "charge_staging_copy",
     "coalesce_blocks",
+    "coalesce_runs",
 ]

@@ -13,11 +13,12 @@ charged-per-message network traffic for charged-per-byte memory traffic.
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.sim.engine import active_process
-from repro.util.intervals import merge_ranges
+from repro.util.intervals import run_heads
 
 
 class StagingBuffer:
@@ -98,22 +99,47 @@ def charge_staging_copy(world, rank: int, nbytes: int):
 def coalesce_blocks(
     pieces: Sequence[tuple[int, bytes]]
 ) -> list[tuple[int, bytes]]:
-    """Merge ``(offset, payload)`` pieces into maximal contiguous blocks.
+    """:func:`coalesce_runs` on a list of ``(offset, payload)`` pieces."""
+    starts, sizes, payload = coalesce_runs(
+        np.array([off for off, _ in pieces], np.int64),
+        np.array([len(blk) for _, blk in pieces], np.int64),
+        b"".join([blk for _, blk in pieces]),
+    )
+    ends = np.cumsum(sizes).tolist()
+    return [
+        (start, payload[end - n : end])
+        for start, n, end in zip(starts.tolist(), sizes.tolist(), ends)
+    ]
 
-    Touching or overlapping pieces collapse into one block per merged
-    extent; payloads are painted in input order, so on overlap the later
-    deposit wins — the same last-writer-wins the un-coalesced transfers
-    would produce when applied in deposit order.
+
+def coalesce_runs(
+    offsets: np.ndarray, lengths: np.ndarray, payload: bytes
+) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Merge pieces into maximal contiguous blocks.
+
+    The pieces are ``offsets``/``lengths`` (int64) with their bytes packed
+    back to back, in the same order, in *payload*; the blocks come back in
+    the same form, ascending. Touching or overlapping pieces collapse into
+    one block per merged extent; pieces are painted in input order, so on
+    overlap the later deposit wins — the same last-writer-wins the
+    un-coalesced transfers would produce when applied in deposit order.
     """
-    if not pieces:
-        return []
-    spans = merge_ranges((off, off + len(b)) for off, b in pieces)
-    starts = [lo for lo, _ in spans]
-    bufs = [bytearray(hi - lo) for lo, hi in spans]
-    for off, blk in pieces:
-        if not blk:
-            continue
-        i = bisect.bisect_right(starts, off) - 1
-        lo = off - starts[i]
-        bufs[i][lo : lo + len(blk)] = blk
-    return [(start, bytes(buf)) for start, buf in zip(starts, bufs)]
+    src = np.cumsum(lengths) - lengths  # each piece's place in *payload*
+    keep = lengths > 0
+    offsets, lengths, src = offsets[keep], lengths[keep], src[keep]
+    if not len(offsets):
+        return offsets, lengths, b""
+    order = np.argsort(offsets, kind="stable")
+    lo = offsets[order]
+    hi = np.maximum.accumulate(lo + lengths[order])
+    heads = run_heads(lo[1:] > hi[:-1])
+    starts = lo[heads]
+    sizes = hi[np.append(heads[1:], len(lo)) - 1] - starts
+    block = np.empty(len(lo), np.int64)
+    block[order] = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(lo))))
+    dst = (np.cumsum(sizes) - sizes)[block] + (offsets - starts[block])
+    out = bytearray(int(sizes.sum()))
+    view = memoryview(payload)
+    for d, s, n in zip(dst.tolist(), src.tolist(), lengths.tolist()):
+        out[d : d + n] = view[s : s + n]
+    return starts, sizes, bytes(out)

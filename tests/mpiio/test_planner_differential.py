@@ -26,6 +26,7 @@ from repro.mpiio.twophase import FileDomains
 from repro.simmpi.datatypes import (
     BYTE, DOUBLE, INT, SHORT, Contiguous, Indexed, Primitive, Subarray, Vector,
 )
+from repro.topo import coalesce_runs
 from repro.util.intervals import Extent
 from tests.conftest import make_test_cluster, run_small
 
@@ -299,9 +300,9 @@ class TestDomainSplit:
         longest = max(b - a for a, b in zip(bounds, bounds[1:]))
         sent = 0
         for rnd in range(-(-longest // span)):
-            send_lists, send_bytes = twophase._pack_sends(
-                split, *domains.windows(rnd, span), payload
-            )
+            sends = twophase._pack_sends(split, *domains.windows(rnd, span), payload)
+            send_lists = {di: twophase._wire_pairs(*blocks) for di, blocks in sends.items()}
+            send_bytes = {di: len(blocks[2]) for di, blocks in sends.items()}
             expected = oracle_send_lists(domain_pieces, bounds, rnd, span, payload)
             # the dict's insertion order is the order of the isends
             assert list(send_lists.items()) == list(expected.items())
@@ -334,7 +335,8 @@ class TestDomainSplit:
         view = FileView(0, BYTE, filetype)
         domains = FileDomains(0, 14, 2)
         split = domains.split_arrays(*view.map_arrays(0, 8))
-        send_lists, _ = twophase._pack_sends(split, *domains.windows(0, 14), bytes(range(8)))
+        sends = twophase._pack_sends(split, *domains.windows(0, 14), bytes(range(8)))
+        send_lists = {di: twophase._wire_pairs(*blocks) for di, blocks in sends.items()}
         assert list(send_lists.items()) == [
             (1, [(12, b"\x00\x01"), (8, b"\x02\x03")]),
             (0, [(4, b"\x04\x05"), (0, b"\x06\x07")]),
@@ -344,6 +346,61 @@ class TestDomainSplit:
 # ----------------------------------------------------------------------
 # the wire pin
 # ----------------------------------------------------------------------
+
+
+@st.composite
+def one_byte_cases(draw):
+    """``split_cases`` of 1-byte pieces: a byte-strided view whose pieces
+    touch nothing, over domains small enough that some pieces straddle
+    none and longer requests cross many."""
+    count, stride = draw(st.integers(1, 40)), draw(st.integers(2, 5))
+    filetype = Vector(count, 1, stride, BYTE)
+    stream_pos, nbytes = draw(st.integers(0, count)), draw(st.integers(1, 2 * count))
+    pieces = oracle_map_pieces(0, filetype, stream_pos, nbytes)
+    hi = max(e.stop for e, _ in pieces)
+    return filetype, 0, stream_pos, nbytes, pieces, 0, hi, draw(st.integers(1, 12)), 1
+
+
+class TestWireSize:
+    """Messages travel as arrays; the wire still carries the pairs list.
+
+    The payload bytes come from a three-letter alphabet, so 1-byte blocks
+    repeat inside a message: the parent's list shared those (CPython has
+    one object per single byte) and pickle wrote each repeat as a
+    reference, which the charged size must reproduce.
+    """
+
+    @given(st.one_of(split_cases(), one_byte_cases()), st.integers(1, 40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_array_form_is_charged_the_pickle_of_its_pairs(self, case, span, data):
+        filetype, displacement, stream_pos, nbytes, pieces, gmin, gmax, naggs, align = case
+        payload = bytes(data.draw(st.lists(st.sampled_from(b"abc"), min_size=nbytes, max_size=nbytes)))
+        domains = FileDomains(gmin, gmax, naggs, align)
+        bounds = domains.bounds.tolist()
+        view = FileView(displacement, BYTE, filetype)
+        split = domains.split_arrays(*view.map_arrays(stream_pos, nbytes))
+        domain_pieces = oracle_domain_pieces(pieces, bounds)
+        longest = max(b - a for a, b in zip(bounds, bounds[1:]))
+        for rnd in range(-(-longest // span)):
+            sends = twophase._pack_sends(split, *domains.windows(rnd, span), payload)
+            expected = oracle_send_lists(domain_pieces, bounds, rnd, span, payload)
+            assert list(sends) == list(expected)
+            for di, pairs in expected.items():
+                offsets, lengths, packed = sends[di]
+                assert offsets.dtype == lengths.dtype == np.int64
+                assert packed == b"".join(block for _, block in pairs)
+                assert twophase._wire(*sends[di]) == len(twophase.pack_object(pairs))
+                asked = [(off, len(block)) for off, block in pairs]
+                assert twophase._request_pairs(offsets, lengths) == asked
+
+    def test_a_coalesced_message_is_charged_as_fresh_blocks(self):
+        """The node leader's merged blocks were new ``bytes`` objects, so a
+        repeated 1-byte block is written out each time, not referenced."""
+        merged = coalesce_runs(np.array([0, 2, 4, 5]), np.array([1, 1, 1, 2]), b"aaabc")
+        fresh = [(0, bytes(bytearray(b"a"))), (2, bytes(bytearray(b"a"))), (4, b"abc")]
+        shared = len(twophase.pack_object(twophase._wire_pairs(*merged)))
+        assert twophase._merged_wire(*merged) == len(twophase.pack_object(fresh)) > shared
+
 
 NRANKS, BLK, NB = 8, 24, 6
 

@@ -32,6 +32,8 @@ RECORDED_LAYERS = (
     "pfs/file.py",
     "pfs/lockmgr.py",
     "simmpi/mpi.py",
+    "simmpi/comm.py",
+    "simmpi/collectives.py",
     "simmpi/rma.py",
     "simmpi/ft.py",
     "mpiio/independent.py",
@@ -41,7 +43,7 @@ RECORDED_LAYERS = (
 )
 
 #: What a recorder or tracer is called where it is held.
-RECORDER_NAMES = {"trace", "_trace", "tracer", "_tracer", "_hub"}
+RECORDER_NAMES = {"trace", "_trace", "tracer", "_tracer", "hub", "_hub"}
 
 
 def calls(path: Path, name: str) -> list[str]:

@@ -79,7 +79,7 @@ class TestReadLog:
         assert not log.empty
         dests, offsets, lengths = log.drain()
         assert len(dests) == 2
-        assert (offsets, lengths) == ([0, 50], [10, 10])
+        assert (list(offsets), list(lengths)) == ([0, 50], [10, 10])
         assert log.empty
 
     def test_overflow_detection(self):
@@ -88,7 +88,7 @@ class TestReadLog:
         assert not self._record(log, 95, 10)  # span would be 105 > 100
         assert self._record(log, 50, 10)
         assert self._record(log, 90, 10)  # exactly 100 is allowed
-        assert log.drain()[1] == [0, 50, 90]  # a refused read records nothing
+        assert list(log.drain()[1]) == [0, 50, 90]  # a refused read records nothing
 
     def test_empty_log_never_overflows(self):
         log = ReadLog(10)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.topo import StagingBuffer, charge_staging_copy, coalesce_blocks
+import bisect
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.topo import StagingBuffer, charge_staging_copy, coalesce_blocks, coalesce_runs
+from repro.util.intervals import merge_ranges
 
 
 class TestStagingBuffer:
@@ -103,3 +109,34 @@ class TestCoalesceBlocks:
     def test_gap_preserved(self):
         out = coalesce_blocks([(0, b"a"), (2, b"b")])
         assert out == [(0, b"a"), (2, b"b")]
+
+
+def oracle_coalesce(pieces):
+    """The interval-merge-and-paint loop over ``(offset, payload)`` pieces
+    that the array form replaced."""
+    spans = merge_ranges((off, off + len(b)) for off, b in pieces)
+    starts = [lo for lo, _ in spans]
+    bufs = [bytearray(hi - lo) for lo, hi in spans]
+    for off, blk in pieces:
+        if blk:
+            i = bisect.bisect_right(starts, off) - 1
+            bufs[i][off - starts[i] : off - starts[i] + len(blk)] = blk
+    return [(start, bytes(buf)) for start, buf in zip(starts, bufs)]
+
+
+class TestCoalesceRuns:
+    """The array form and its list adapter against the loop."""
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.binary(max_size=6)), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_loop(self, pieces):
+        offsets = np.array([off for off, _ in pieces], np.int64)
+        lengths = np.array([len(b) for _, b in pieces], np.int64)
+        starts, sizes, payload = coalesce_runs(
+            offsets, lengths, b"".join(b for _, b in pieces)
+        )
+        expected = oracle_coalesce(pieces)
+        assert starts.tolist() == [start for start, _ in expected]
+        assert sizes.tolist() == [len(b) for _, b in expected]
+        assert payload == b"".join(b for _, b in expected)
+        assert coalesce_blocks(pieces) == expected
