@@ -15,7 +15,7 @@ import pickle
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Optional, TYPE_CHECKING
+from typing import Any, Deque, Optional, TYPE_CHECKING, TypeVar, Union
 
 import numpy as np
 
@@ -32,6 +32,11 @@ ANY_TAG = -1
 #: match contexts: user point-to-point vs. library-internal collectives
 CTX_PT2PT = 0
 CTX_COLL = 1
+
+_T = TypeVar("_T")
+#: One key's queued entries in a ``Mailbox`` index: the entry itself while
+#: it is the only one, a FIFO deque from the second on.
+_Queued = Union[_T, Deque[_T]]
 
 
 def _payload_bytes(data: Any) -> bytes:
@@ -192,9 +197,11 @@ class _PostedRecv:
 class Mailbox:
     """Per-rank matching state.
 
-    Exact (context, source, tag) lookups are O(1) via keyed deques —
+    Exact (context, source, tag) lookups are O(1) via a keyed index —
     essential because a P=1024 two-phase exchange delivers ~P^2 messages
-    into P posted receives per rank. Wildcard posts/probes fall back to
+    into P posted receives per rank. A key with one queued entry holds the
+    entry itself; a second entry promotes it to a FIFO deque (most keys
+    of an exchange only ever see one). Wildcard posts/probes fall back to
     ordered scans of small side lists; consumed entries are removed
     lazily.
     """
@@ -210,9 +217,9 @@ class Mailbox:
     )
 
     def __init__(self) -> None:
-        self.unexpected_by_key: dict[tuple[int, int, int], Deque[_Envelope]] = {}
+        self.unexpected_by_key: dict[tuple[int, int, int], _Queued[_Envelope]] = {}
         self.unexpected_all: Deque[_Envelope] = deque()
-        self.posted_by_key: dict[tuple[int, int, int], Deque[_PostedRecv]] = {}
+        self.posted_by_key: dict[tuple[int, int, int], _Queued[_PostedRecv]] = {}
         self.posted_wild: Deque[_PostedRecv] = deque()
         self._seq = 0
         self.n_posted = 0  # live (unmatched) posted receives
@@ -236,16 +243,15 @@ class Mailbox:
         if post.src == ANY_SOURCE or post.tag == ANY_TAG:
             self.posted_wild.append(post)
         else:
-            key = (post.context, post.src, post.tag)
-            self.posted_by_key.setdefault(key, deque()).append(post)
+            _enqueue(self.posted_by_key, (post.context, post.src, post.tag), post)
 
     def match_posted(self, env: _Envelope) -> Optional[_PostedRecv]:
         """Earliest-posted receive matching *env* (marked matched)."""
         key = (env.context, env.src, env.tag)
         # exact posts only ever leave from the head, and a drained key
         # leaves the index
-        dq = self.posted_by_key.get(key)
-        exact = dq[0] if dq is not None else None
+        queued = self.posted_by_key.get(key)
+        exact = queued[0] if type(queued) is deque else queued
         wild: Optional[_PostedRecv] = None
         wilds = self.posted_wild
         while wilds and wilds[0].matched:
@@ -257,8 +263,9 @@ class Mailbox:
         chosen = None
         if exact is not None and (wild is None or exact.seq < wild.seq):
             chosen = exact
-            dq.popleft()  # type: ignore[union-attr]
-            if not dq:
+            if type(queued) is deque and len(queued) > 1:
+                queued.popleft()
+            else:
                 del self.posted_by_key[key]
         elif wild is not None:
             chosen = wild
@@ -272,8 +279,7 @@ class Mailbox:
         """Queue an arrived-but-unmatched message."""
         env.seq = self.next_seq()
         self.n_unexpected += 1
-        key = (env.context, env.src, env.tag)
-        self.unexpected_by_key.setdefault(key, deque()).append(env)
+        _enqueue(self.unexpected_by_key, (env.context, env.src, env.tag), env)
         self.unexpected_all.append(env)
 
     def match_unexpected(self, post: _PostedRecv) -> Optional[_Envelope]:
@@ -295,19 +301,33 @@ class Mailbox:
             key = (env.context, env.src, env.tag)
         else:
             key = (post.context, post.src, post.tag)
-            if key not in self.unexpected_by_key:
+            queued = self.unexpected_by_key.get(key)
+            if queued is None:
                 return None
-            env = self.unexpected_by_key[key][0]
+            env = queued[0] if type(queued) is deque else queued
         env.consumed = True
         self.n_unexpected -= 1
         same_key = self.unexpected_by_key[key]
-        while same_key and same_key[0].consumed:
-            same_key.popleft()
-        if not same_key:
+        if type(same_key) is deque:
+            while same_key and same_key[0].consumed:
+                same_key.popleft()
+        if type(same_key) is not deque or not same_key:  # a lone entry is env itself
             del self.unexpected_by_key[key]
         while everyone and everyone[0].consumed:
             everyone.popleft()
         return env
+
+
+def _enqueue(index: dict, key: tuple[int, int, int], entry) -> None:
+    """Queue *entry* last under *key*: stored as itself while it is the
+    key's only entry, in a deque from the second one on."""
+    queued = index.get(key)
+    if queued is None:
+        index[key] = entry
+    elif type(queued) is deque:
+        queued.append(entry)
+    else:
+        index[key] = deque((queued, entry))
 
 
 def _matches(env: _Envelope, post: _PostedRecv) -> bool:
@@ -625,9 +645,10 @@ class Communicator:
             candidates = (e for e in mailbox.unexpected_all if not e.consumed)
         else:
             key = (probe.context, probe.src, probe.tag)
-            candidates = (
-                e for e in mailbox.unexpected_by_key.get(key, ()) if not e.consumed
-            )
+            queued = mailbox.unexpected_by_key.get(key, ())
+            if type(queued) is _Envelope:
+                queued = (queued,)
+            candidates = (e for e in queued if not e.consumed)
         for env in candidates:
             if _matches(env, probe):
                 return Status(source=env.src, tag=env.tag, count=env.size)

@@ -55,9 +55,10 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
-#: One segment's share of a fetch: parallel disps and lengths
-#: (``array("q")``) and destination views.
-_Requests = tuple[array, array, list[memoryview]]
+#: One segment's share of a fetch, one piece per entry of four parallel
+#: ``array("q")`` columns: its disp and length in the segment (what a pull
+#: takes), and the base and byte offset it lands at (see ``ReadLog``).
+_Requests = tuple[array, array, array, array]
 
 
 def _as_payload(data: Buffer, count: Optional[int], datatype: Datatype) -> bytes:
@@ -395,35 +396,40 @@ class TcioFile:
     def fetch(self):
         """tcio_fetch: satisfy every recorded read (coroutine)."""
         self._check_open(reading=True)
-        dests, offsets, lengths = self.readlog.drain()
-        if not dests:
+        bases, which, at, offsets, lengths = self.readlog.drain()
+        if not offsets:
             return
         self.stats.inc("fetches")
-        with self._tracer.span("tcio.fetch", requests=len(dests)):
-            yield from self._fetch_pending(dests, offsets, lengths)
+        with self._tracer.span("tcio.fetch", requests=len(offsets)):
+            yield from self._fetch_pending(bases, which, at, offsets, lengths)
 
-    def _fetch_pending(self, dests: list[memoryview], offsets: array, lengths: array):
+    def _fetch_pending(self, bases: list[memoryview], which: array, at: array,
+                       offsets: array, lengths: array):
         # Group the requested byte ranges by global segment. A read inside
         # one segment (the common case) is equations (1)-(3) in integers;
-        # only one that straddles a boundary takes the subdivision walk.
-        by_segment: dict[int, _Requests] = defaultdict(lambda: (array("q"), array("q"), []))
+        # only one that straddles a boundary takes the subdivision walk,
+        # each piece landing that much further into its base.
+        by_segment: dict[int, _Requests] = defaultdict(
+            lambda: (array("q"), array("q"), array("q"), array("q"))
+        )
         seg_size = self.mapping.segment_size
-        for dest, offset, length in zip(dests, offsets, lengths):
+        for base, start, offset, length in zip(which, at, offsets, lengths):
             gseg = offset // seg_size
             disp = offset - gseg * seg_size
             if disp + length <= seg_size:
-                disps, takes, views = by_segment[gseg]
+                disps, takes, to_base, to_at = by_segment[gseg]
                 disps.append(disp)
                 takes.append(length)
-                views.append(dest)
+                to_base.append(base)
+                to_at.append(start)
                 continue
-            covered = 0
             for gseg, disp, take in self.mapping.locate(offset, length):
-                disps, takes, views = by_segment[gseg]
+                disps, takes, to_base, to_at = by_segment[gseg]
                 disps.append(disp)
                 takes.append(take)
-                views.append(dest[covered : covered + take])
-                covered += take
+                to_base.append(base)
+                to_at.append(start)
+                start += take
         # Service order matters: if every rank walked segments in file
         # order, the whole job would convoy behind one loader per segment.
         # Each rank serves the segments it owns first (it is that data's
@@ -453,7 +459,7 @@ class TcioFile:
                     raw_by_seg[gseg] = raw
         for gseg in order:  # pass 2: serve every request
             yield from self._fetch_segment(
-                gseg, by_segment[gseg], raw_by_seg.get(gseg)
+                gseg, bases, by_segment[gseg], raw_by_seg.get(gseg)
             )
 
     def _ensure_segment(self, gseg: int):
@@ -463,8 +469,9 @@ class TcioFile:
             lambda ext: self._pfs_read("tcio.segment_load", ext.start, ext.length),
         )
 
-    def _fetch_segment(self, gseg: int, requests: _Requests, raw: Optional[bytes] = None):
-        disps, lengths, dests = requests
+    def _fetch_segment(self, gseg: int, bases: list[memoryview], requests: _Requests,
+                       raw: Optional[bytes] = None):
+        disps, lengths, to_base, to_at = requests
         if raw is None:
             raw = yield from self._ensure_segment(gseg)
         if raw is not None:
@@ -473,9 +480,9 @@ class TcioFile:
             payload = memoryview(gather(memoryview(raw), 0, disps, lengths))
         else:
             payload = memoryview((yield from self._pull(gseg, disps, lengths)))
-        pos = 0
-        for dest, length in zip(dests, lengths):
-            dest[:] = payload[pos : pos + length]
+        pos = 0  # land in order, so where destinations overlap the later wins
+        for base, start, length in zip(to_base, to_at, lengths):
+            bases[base][start : start + length] = payload[pos : pos + length]
             pos += length
         self._charge_memcpy(pos)
 

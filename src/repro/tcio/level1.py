@@ -4,16 +4,25 @@ One reusable buffer, exactly one segment wide, aligned with whichever
 level-2 segment the current writes (or recorded reads) fall into. Write
 blocks land in the buffer at their displacement; the block list is kept
 merged so a flush ships the fewest possible indexed blocks. For reads the
-buffer stores *requests* (lazy loading): destination, length, displacement.
+log stores *requests* (lazy loading): address, length, file offset.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from ctypes import addressof, c_char
 from typing import Optional
 
+import numpy as np
+
 from repro.util.errors import TcioError
+
+#: ``addressof(_from_buffer(view))``: where a writable, non-empty buffer's
+#: first byte lives (the ``c_char`` is only a handle on that address).
+_from_buffer = c_char.from_buffer
+#: ``(address, bytes, index)`` of a base no destination lies inside.
+_NOWHERE = (0, -1, -1)
 
 
 class Level1Buffer:
@@ -118,35 +127,54 @@ class ReadLog:
 
     Tracks the file-domain span of pending requests: the paper triggers
     real loading "when the file domain of cached reads exceeds the size of
-    the level-1 buffer". A pending read is one entry in each of three
-    parallel lists — the caller's writable buffer (the in-memory "address"
-    the paper's library retains), its file offset and its length. The
-    offsets and lengths are machine integers (``array("q")``), so the log
-    holds one object per read (the destination view), neither a record
-    around it nor the caller's boxed ints.
+    the level-1 buffer". A pending read is "(address, length, offset)",
+    the in-memory address the paper's library retains, literally: four
+    machine integers, one entry in each of four parallel ``array("q")``
+    columns — which held base buffer it writes into (``which``) and its
+    byte offset in that base (``at``), together its address, then its
+    file offset and its length.
+
+    A base is one flat byte view per memory owner — the destination's
+    exporter (``dest.obj``), or the root array of a NumPy view — not one
+    per read. A read's ``at`` is its destination's address minus its
+    base's, taken once when it is recorded and checked against the base's
+    bounds; it is never dereferenced: the fetch writes through the held
+    base view, and the held view keeps the owner alive and its memory in
+    place (a ``bytearray`` with a pending read cannot be resized). A
+    destination whose owner does not cast to a flat, writable byte view,
+    or that does not lie inside it, is its own base. The bases the last
+    two reads landed in are tried first, by address alone.
     """
 
     def __init__(self, segment_size: int):
         self.segment_size = segment_size
-        self.dests: list[memoryview] = []
+        self.bases: list[memoryview] = []
+        self.which = array("q")
+        self.at = array("q")
         self.offsets = array("q")
         self.lengths = array("q")
+        # id(exporter) -> (base address, base bytes, base index); a held
+        # view keeps every exporter here alive, so its id is stable
+        self._held: dict[int, tuple[int, int, int]] = {}
+        # the bases the last two lookups found, tried before the exporter
+        self._near = self._far = _NOWHERE
         self._lo = self._hi = 0
 
     @property
     def empty(self) -> bool:
         """Whether no lazy reads are pending."""
-        return not self.dests
+        return not self.offsets
 
     def record(self, dest: memoryview, file_offset: int, length: int) -> bool:
-        """Append one lazy read and widen the pending domain.
+        """Append one lazy read of *length* bytes into the writable flat
+        byte view *dest* and widen the pending domain.
 
         Returns False — recording nothing — when the read would push the
         domain past one window: the caller fetches, then records again (an
         empty log takes any read).
         """
         lo, hi = file_offset, file_offset + length
-        if self.dests:
+        if self.offsets:
             if self._lo < lo:
                 lo = self._lo
             if self._hi > hi:
@@ -154,15 +182,64 @@ class ReadLog:
             if hi - lo > self.segment_size:
                 return False
         self._lo, self._hi = lo, hi
-        self.dests.append(dest)
+        addr = addressof(_from_buffer(dest))
+        start, size, which = self._near
+        if not start <= addr <= start + size - length:
+            start, size, which = self._far
+            if not start <= addr <= start + size - length:
+                start, size, which = self._find(dest, addr, length)
+        self.which.append(which)
+        self.at.append(addr - start)
         self.offsets.append(file_offset)
         self.lengths.append(length)
         return True
 
-    def drain(self) -> tuple[list[memoryview], array, array]:
-        """Return and clear the pending reads: ``(dests, offsets, lengths)``,
-        parallel and in recording order."""
-        out = self.dests, self.offsets, self.lengths
-        self.dests, self.offsets, self.lengths = [], array("q"), array("q")
+    def _find(self, dest: memoryview, addr: int, length: int) -> tuple[int, int, int]:
+        """The base *dest* lies in: its exporter's, held on first use, or —
+        when it does not lie inside that — *dest* itself as a new base."""
+        exporter = _owner(dest.obj)
+        found = self._held.get(id(exporter))
+        if found is None:
+            found = self._hold(exporter)
+        start, size, _ = found
+        if not start <= addr <= start + size - length:
+            found = (addr, length, len(self.bases))
+            self.bases.append(dest)
+        self._near, self._far = found, self._near
+        return found
+
+    def _hold(self, exporter) -> tuple[int, int, int]:
+        """Hold one flat, writable byte view of *exporter* as a new base;
+        an exporter that has none gets an entry no destination lies in."""
+        held = _NOWHERE
+        try:
+            base = memoryview(exporter).cast("B")
+        except (TypeError, ValueError):  # not C-contiguous, or no native format
+            pass
+        else:
+            if not base.readonly and base.nbytes:
+                held = (addressof(_from_buffer(base)), base.nbytes, len(self.bases))
+                self.bases.append(base)
+        self._held[id(exporter)] = held
+        return held
+
+    def drain(self) -> tuple[list[memoryview], array, array, array, array]:
+        """Return and clear the pending reads: ``(bases, which, at,
+        offsets, lengths)``, the four columns parallel and in recording
+        order."""
+        out = self.bases, self.which, self.at, self.offsets, self.lengths
+        self.bases = []
+        self.which, self.at = array("q"), array("q")
+        self.offsets, self.lengths = array("q"), array("q")
+        self._held = {}
+        self._near = self._far = _NOWHERE
         self._lo = self._hi = 0
         return out
+
+
+def _owner(exporter):
+    """What *exporter*'s memory belongs to: the root of a NumPy view chain
+    (so slices of one array share a base), else the exporter itself."""
+    while isinstance(exporter, np.ndarray) and exporter.base is not None:
+        exporter = exporter.base
+    return exporter

@@ -94,3 +94,19 @@ class TestBenchmarkMemoryGuard:
             tracemalloc.stop()
         assert not result.failed
         assert peak <= 20 * cfg.total_bytes, f"traced peak {peak / cfg.total_bytes:.2f}x the file"
+
+    def test_tcio_fine_grained_read_holds_no_per_read_objects(self):
+        # 16 ranks, 1-element accesses: 32,768 reads of 4 or 8 bytes, all
+        # pending at once. A pending read is four integers in the read log
+        # and lands through one held view per destination array: the
+        # traced peak is 4.48 MB, 22.8 file sizes. A log holding each
+        # read's destination memoryview peaked at 9.74 MB, 49.5 file sizes.
+        cfg = BenchConfig(method=Method.TCIO, nprocs=16, len_array=1024, size_access=1)
+        tracemalloc.start()
+        try:
+            result = run_benchmark(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.failed
+        assert peak <= 35 * cfg.total_bytes, f"traced peak {peak / cfg.total_bytes:.2f}x the file"

@@ -1,5 +1,9 @@
 """The per-rank matching queues: order of matches and bounded growth."""
 
+from collections import deque
+
+from hypothesis import given, strategies as st
+
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_mpi
 from repro.simmpi.comm import Mailbox, _Envelope, _PostedRecv
 from tests.conftest import make_test_cluster
@@ -114,3 +118,66 @@ class TestMatchedEntriesLeave:
             assert box.match_unexpected(_post(ANY_SOURCE, 7)) is not None
         assert box.unexpected_by_key == {} and not box.unexpected_all
         assert box.n_unexpected == 0
+
+
+class TestLoneEntries:
+    """A key with one queued entry holds the entry itself, not a deque; the
+    matching order is that of one earliest-first scan over everything."""
+
+    def test_a_key_is_a_deque_only_while_it_holds_two(self):
+        box = Mailbox()
+        first, second = _post(1, 7), _post(1, 7)
+        box.add_posted(first)
+        assert box.posted_by_key[(0, 1, 7)] is first
+        box.add_posted(second)
+        assert list(box.posted_by_key[(0, 1, 7)]) == [first, second]
+        assert box.match_posted(_env(1, 7)) is first
+        assert box.match_posted(_env(1, 7)) is second
+        assert box.posted_by_key == {}
+        env = _env(2, 5)
+        box.add_unexpected(env)
+        assert box.unexpected_by_key[(0, 2, 5)] is env
+        assert box.match_unexpected(_post(2, 5)) is env
+        assert box.unexpected_by_key == {}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["post", "arrive"]),
+                st.sampled_from([ANY_SOURCE, 0, 1]),
+                st.sampled_from([ANY_TAG, 3, 4]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_the_earliest_first_scan(self, ops):
+        box = Mailbox()
+        posted, arrived = [], []  # the model: live entries, oldest first
+        for op, src, tag in ops:
+            if op == "post":
+                post = _post(src, tag)
+                want = next((e for e in arrived if _fits(e, post)), None)
+                got = box.match_unexpected(post)
+                assert got is want
+                if want is None:
+                    box.add_posted(post)
+                    posted.append(post)
+                else:
+                    arrived.remove(want)
+            else:
+                env = _env(0 if src == ANY_SOURCE else src, 3 if tag == ANY_TAG else tag)
+                want = next((p for p in posted if _fits(env, p)), None)
+                got = box.match_posted(env)
+                assert got is want
+                if want is None:
+                    box.add_unexpected(env)
+                    arrived.append(env)
+                else:
+                    posted.remove(want)
+        assert box.n_posted == len(posted) and box.n_unexpected == len(arrived)
+        for index in (box.posted_by_key, box.unexpected_by_key):
+            assert all(not isinstance(q, deque) or len(q) > 0 for q in index.values())
+
+
+def _fits(env, post):
+    return post.src in (ANY_SOURCE, env.src) and post.tag in (ANY_TAG, env.tag)

@@ -9,10 +9,15 @@ the origin and a ``data[:length]`` copy into the destination. Now
 ``Level2Buffer.pull_blocks``, ``Degrade.pull_blocks`` and
 ``Window.get_indexed`` take the grouped ``(disps, lens)`` lists and return
 the requested bytes packed back to back, and the fetch copies them into
-the destinations in one pass. That may only be cheaper on the
-host, never different in simulated time: the same service order, the same
-lock epochs, the same byte totals, the same engine events. The old bodies
-are kept here, verbatim apart from being free functions, as the oracle;
+the destinations in one pass. The read log no longer holds each pending
+read's destination view either: a read is four integers — its base
+buffer, its offset there, its file offset and its length — and the fetch
+lands each segment's bytes through the held base. That may only be
+cheaper on the host, never different in simulated time: the same service
+order, the same lock epochs, the same byte totals, the same engine
+events. The old
+bodies — the view-holding log, its fetch and the per-request path — are
+kept here, verbatim apart from being free functions, as the oracle;
 Hypothesis drives identical read programs through both and compares every
 destination's bytes, the engine clock, the event count and the whole
 metrics registry, exactly.
@@ -20,6 +25,7 @@ metrics registry, exactly.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from contextlib import ExitStack
 from typing import Optional
@@ -33,6 +39,7 @@ from repro.sim.engine import active_process
 from repro.simmpi import collectives, run_mpi
 from repro.simmpi.rma import LOCK_SHARED, Window
 from repro.tcio import TCIO_RDONLY, TcioConfig, TcioFile
+from repro.tcio import file as tcio_file
 from repro.tcio.degrade import Degrade
 from repro.tcio.level2 import Level2Buffer
 from repro.util.errors import RetryBudgetExceeded, RmaError
@@ -46,6 +53,52 @@ SHARED = 64  # bytes of the one buffer that "view" destinations slice
 # ----------------------------------------------------------------------
 # the oracle: the per-request fetch path
 # ----------------------------------------------------------------------
+
+
+class OracleReadLog:
+    """The read log that held each pending read's destination view."""
+
+    def __init__(self, segment_size):
+        self.segment_size = segment_size
+        self.dests = []
+        self.offsets = array("q")
+        self.lengths = array("q")
+        self._lo = self._hi = 0
+
+    @property
+    def empty(self):
+        return not self.dests
+
+    def record(self, dest, file_offset, length):
+        lo, hi = file_offset, file_offset + length
+        if self.dests:
+            if self._lo < lo:
+                lo = self._lo
+            if self._hi > hi:
+                hi = self._hi
+            if hi - lo > self.segment_size:
+                return False
+        self._lo, self._hi = lo, hi
+        self.dests.append(dest)
+        self.offsets.append(file_offset)
+        self.lengths.append(length)
+        return True
+
+    def drain(self):
+        out = self.dests, self.offsets, self.lengths
+        self.dests, self.offsets, self.lengths = [], array("q"), array("q")
+        self._lo = self._hi = 0
+        return out
+
+
+def oracle_fetch(self):
+    self._check_open(reading=True)
+    dests, offsets, lengths = self.readlog.drain()
+    if not dests:
+        return
+    self.stats.inc("fetches")
+    with self._tracer.span("tcio.fetch", requests=len(dests)):
+        yield from self._fetch_pending(dests, offsets, lengths)
 
 
 def oracle_fetch_pending(self, dests, offsets, lengths):
@@ -186,6 +239,8 @@ def oracle_get_indexed(self, blocks, target):
 
 
 ORACLE = (
+    (tcio_file, "ReadLog", OracleReadLog),
+    (TcioFile, "fetch", oracle_fetch),
     (TcioFile, "_fetch_pending", oracle_fetch_pending),
     (TcioFile, "_fetch_segment", oracle_fetch_segment),
     (Level2Buffer, "pull_blocks", oracle_level2_pull_blocks),

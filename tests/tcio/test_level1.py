@@ -77,8 +77,8 @@ class TestReadLog:
         assert self._record(log, 0, 10)
         assert self._record(log, 50, 10)
         assert not log.empty
-        dests, offsets, lengths = log.drain()
-        assert len(dests) == 2
+        bases, which, at, offsets, lengths = log.drain()
+        assert len(which) == len(at) == 2
         assert (list(offsets), list(lengths)) == ([0, 50], [10, 10])
         assert log.empty
 
@@ -88,7 +88,7 @@ class TestReadLog:
         assert not self._record(log, 95, 10)  # span would be 105 > 100
         assert self._record(log, 50, 10)
         assert self._record(log, 90, 10)  # exactly 100 is allowed
-        assert list(log.drain()[1]) == [0, 50, 90]  # a refused read records nothing
+        assert list(log.drain()[3]) == [0, 50, 90]  # a refused read records nothing
 
     def test_empty_log_never_overflows(self):
         log = ReadLog(10)
@@ -138,10 +138,13 @@ class TestEarlyExitsMatchTheGeneralPath:
             if not overflows:
                 kept.append((dest, offset, length))
         assert log.empty is (not kept)
-        drained = list(zip(*log.drain()))
+        bases, *columns = log.drain()
+        drained = list(zip(*columns))
         assert len(drained) == len(kept)
+        # each read lands at the start of its own buffer, held once
         assert all(
-            d is dest and (o, n) == (offset, length)
-            for (d, o, n), (dest, offset, length) in zip(drained, kept)
+            bases[w].obj is dest.obj and a == 0 and (o, n) == (offset, length)
+            for (w, a, o, n), (dest, offset, length) in zip(drained, kept)
         )
+        assert len(bases) == len(kept)
         assert log.empty
