@@ -237,7 +237,8 @@ def _lost(
     ]
     for g in sorted(d.dirty - d.flushed):
         base = g * seg
-        for disp, length, _src in d.deposited.get(g, ()):
+        rows = d.deposited.get(g, ())
+        for disp, length in zip(rows[0::3], rows[1::3]):
             lo = base + disp
             hi = min(base + disp + length, d.eof)
             if lo < hi:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import add
 from typing import Deque, Sequence, TYPE_CHECKING
 
@@ -101,6 +102,28 @@ def gather(view: memoryview, base: int, disps: Sequence[int], lens: Sequence[int
     """The blocks ``view[base + d : base + d + n]`` packed back to back, in
     order: an indexed typemap applied to a byte view, one copy per block."""
     return b"".join([view[base + d : base + d + n] for d, n in zip(disps, lens)])
+
+
+def scatter(
+    view: memoryview, base: int, disps: Sequence[int], lens: Sequence[int], payload: bytes
+) -> None:
+    """:func:`gather` inverted: *payload*'s back-to-back blocks into
+    ``view[base + d : base + d + n]``, in order (on overlap the later wins)."""
+    src = memoryview(payload)
+    for d, n, end in zip(disps, lens, accumulate(lens)):
+        view[base + d : base + d + n] = src[end - n : end]
+
+
+def _check_bounds(
+    op: str, remote: memoryview, base: int, disps: Sequence[int], lens: Sequence[int]
+) -> None:
+    """Refuse an indexed access whose blocks leave the target window."""
+    if len(disps) and (
+        min(lens) < 0
+        or base + min(disps) < 0
+        or base + max(map(add, disps, lens)) > len(remote)
+    ):
+        raise RmaError(f"{op} outside window: blocks at base {base} leave [0, {len(remote)})")
 
 
 class _Epoch:
@@ -272,10 +295,15 @@ class Window:
     def put(self, data: bytes | np.ndarray, target: int, target_offset: int) -> None:
         """MPI_Put of one contiguous block."""
         payload = bytes(memoryview(data).cast("B")) if not isinstance(data, bytes) else data
-        self.put_indexed([(target_offset, payload)], target)
+        self.put_indexed(target, target_offset, (0,), (len(payload),), payload)
 
-    def put_indexed(self, blocks: Sequence[tuple[int, bytes]], target: int) -> None:
-        """One transfer carrying many disjoint blocks (MPI_Type_indexed).
+    def put_indexed(
+        self, target: int, base: int, disps: Sequence[int], lens: Sequence[int],
+        payload: bytes,
+    ) -> None:
+        """One transfer landing *payload*'s back-to-back blocks at ``[base +
+        d, base + d + n)`` for each ``(d, n)`` of ``zip(disps, lens)``: the
+        mirror of :meth:`get_indexed`.
 
         This is TCIO's combining optimization: "we use MPI_Type_indexed to
         combine multiple data blocks as one derived data type instance
@@ -284,24 +312,19 @@ class Window:
         epoch = self._require_epoch(target)
         world = self.world
         target_w = self.comm.world_rank(target)
-        total = sum(len(b) for _, b in blocks)
         remote = world.window_buffer(self.win_id, target_w)
-        for off, block in blocks:
-            if off < 0 or off + len(block) > len(remote):
-                raise RmaError(
-                    f"put outside window: [{off},{off + len(block)}) of {len(remote)}"
-                )
-        captured = [(off, bytes(b)) for off, b in blocks]
+        _check_bounds("put", remote, base, disps, lens)
+        data = bytes(payload)  # the origin buffer may change before delivery
+        total = len(data)
         self._maybe_fail("put", target_w)
 
         def land() -> None:
-            for off, block in captured:
-                remote[off : off + len(block)] = block
+            scatter(remote, base, disps, lens, data)
 
         t = world.fabric.transfer(self.my_world_rank, target_w, total, land, rma=True)
         epoch.last_completion = max(epoch.last_completion, t)
         self._c_put.add(total)
-        self._c_put_blocks.add(len(blocks))
+        self._c_put_blocks.add(len(disps))
         self._h_put_bytes.observe(total)
 
     def get_indexed(
@@ -322,12 +345,7 @@ class Window:
         target_w = self.comm.world_rank(target)
         remote = world.window_buffer(self.win_id, target_w)
         total = sum(lens)
-        if disps and (
-            min(lens) < 0
-            or base + min(disps) < 0
-            or base + max(map(add, disps, lens)) > len(remote)
-        ):
-            raise RmaError(f"get outside window: blocks at base {base} leave [0, {len(remote)})")
+        _check_bounds("get", remote, base, disps, lens)
 
         self._maybe_fail("get", target_w)
         # Request travels to the target; data is snapshotted there, then

@@ -9,6 +9,7 @@ Owns the unreachable-owner set; exists only when ``world.faults`` is set
 from __future__ import annotations
 
 import warnings
+from itertools import accumulate
 from typing import Sequence
 
 from repro.util.errors import RetryBudgetExceeded
@@ -24,19 +25,20 @@ class Degrade:
         #: fallback instead of burning retries again.
         self.unreachable: set[int] = set()
 
-    def deposit(self, gseg: int, blocks: list):
+    def deposit(self, gseg: int, disps: Sequence[int], lens: Sequence[int], payload: bytes):
         """``level2.push_blocks``, or the fallback when the owner is (or
         turns out to be) unreachable (coroutine)."""
         fh = self.fh
         owner = fh.mapping.owner_of_segment(gseg)
         if owner not in self.unreachable:
             try:
-                return (yield from fh.level2.push_blocks(gseg, blocks))
+                return (yield from fh.level2.push_blocks(gseg, disps, lens, payload))
             except RetryBudgetExceeded:
                 self.unreachable.add(owner)
-        yield from self.fallback_flush(gseg, blocks)
+        yield from self.fallback_flush(gseg, disps, lens, payload)
 
-    def fallback_flush(self, gseg: int, blocks: list):
+    def fallback_flush(self, gseg: int, disps: Sequence[int], lens: Sequence[int],
+                       payload: bytes):
         """Write one drained level-1 buffer straight to the PFS (coroutine).
 
         The written byte ranges are published in the shared directory so
@@ -46,16 +48,17 @@ class Degrade:
         fh = self.fh
         seg_start = fh.mapping.segment_extent(gseg).start
         ranges = fh.directory.fallback_ranges.setdefault(gseg, [])
-        nbytes = sum(length for _, length, _ in blocks)
-        self._warn_data_at_risk(gseg, blocks)
+        nbytes = len(payload)
+        self._warn_data_at_risk(gseg, disps, lens)
         with fh._tracer.span("tcio.fallback_flush", segment=gseg, bytes=nbytes, rank=fh.env.rank):
-            for disp, length, payload in blocks:
-                yield from fh._pfs_write("tcio.fallback_flush", seg_start + disp, payload)
+            for disp, length, end in zip(disps, lens, accumulate(lens)):
+                piece = payload[end - length : end]
+                yield from fh._pfs_write("tcio.fallback_flush", seg_start + disp, piece)
                 ranges.append((disp, disp + length))
         fh._plan.note_fallback("tcio.flush", segment=gseg, rank=fh.env.rank)
         fh.stats.inc("flushed_bytes", nbytes)
 
-    def _warn_data_at_risk(self, gseg: int, blocks: list) -> None:
+    def _warn_data_at_risk(self, gseg: int, disps: Sequence[int], lens: Sequence[int]) -> None:
         """Detect the silent-loss hazard of degraded (fallback) flushes.
 
         The ranges this fallback writes directly become skip ranges for
@@ -67,10 +70,11 @@ class Degrade:
         fh = self.fh
         at_risk = 0
         victims: set[int] = set()
-        for disp, length, src in fh.directory.deposited.get(gseg, ()):
+        rows = fh.directory.deposited.get(gseg, ())
+        for disp, length, src in zip(rows[0::3], rows[1::3], rows[2::3]):
             if src == fh.env.rank:
                 continue
-            for bdisp, blen, _payload in blocks:
+            for bdisp, blen in zip(disps, lens):
                 lo, hi = max(disp, bdisp), min(disp + length, bdisp + blen)
                 if hi > lo:
                     at_risk += hi - lo

@@ -189,7 +189,9 @@ class TcioFile:
             )
             self._allocs = [memory.allocate(env.rank, segment_size, "tcio.level1"), level2_alloc]
 
-            self.level1 = Level1Buffer(segment_size)
+            # Nothing on the read path places a byte in level 1: a read
+            # handle keeps the simulated allocation, not the host buffer.
+            self.level1 = Level1Buffer(segment_size) if writing else None
             self.readlog = ReadLog(segment_size * config.read_window_segments)
             self.level2 = yield from self._create_level2(
                 self.comm, self.mapping, config.segments_per_process
@@ -312,15 +314,15 @@ class TcioFile:
         if level1.empty:
             level1.aligned_segment = None
             return
-        gseg, blocks = level1.take()
+        drained = level1.take()
         if self._plan is None:
-            yield from self._deposit(gseg, blocks)
+            yield from self._deposit(*drained)
             return
         # Crash points bracket the deposit: before it, this rank's level-1
         # data dies with the rank; after it, the data sits in the owner's
         # volatile level-2 memory (journaling decides whether it survives).
         yield from self._crash_point("pre-deposit")
-        yield from self._deposit(gseg, blocks)
+        yield from self._deposit(*drained)
         yield from self._crash_point("post-deposit")
 
     def _crash_point(self, step: str):
@@ -396,12 +398,12 @@ class TcioFile:
     def fetch(self):
         """tcio_fetch: satisfy every recorded read (coroutine)."""
         self._check_open(reading=True)
-        bases, which, at, offsets, lengths = self.readlog.drain()
-        if not offsets:
+        log = self.readlog
+        if log.empty:
             return
         self.stats.inc("fetches")
-        with self._tracer.span("tcio.fetch", requests=len(offsets)):
-            yield from self._fetch_pending(bases, which, at, offsets, lengths)
+        with self._tracer.span("tcio.fetch", requests=len(log.offsets)):
+            yield from self._fetch_pending(*log.drain())
 
     def _fetch_pending(self, bases: list[memoryview], which: array, at: array,
                        offsets: array, lengths: array):
@@ -430,6 +432,8 @@ class TcioFile:
                 to_base.append(base)
                 to_at.append(start)
                 start += take
+        # Only the grouped columns stay alive while the segments are served.
+        del which, at, offsets, lengths
         # Service order matters: if every rank walked segments in file
         # order, the whole job would convoy behind one loader per segment.
         # Each rank serves the segments it owns first (it is that data's

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.simmpi.rma import gather
 from repro.util.errors import TcioError
 
 #: ``addressof(_from_buffer(view))``: where a writable, non-empty buffer's
@@ -102,24 +103,22 @@ class Level1Buffer:
             j += 1
         blocks[i:j] = [(lo, hi - lo)]
 
-    def take(self) -> tuple[int, list[tuple[int, int, bytes]]]:
+    def take(self) -> tuple[int, array, array, bytes]:
         """Drain the buffer for a flush.
 
-        Returns ``(global_segment, [(disp, length, payload), ...])`` and
-        leaves the buffer empty and unaligned (reusable).
+        Returns ``(global_segment, disps, lens, payload)``, one indexed
+        Put: the merged blocks as ``array("q")`` columns, their bytes
+        packed back to back. Leaves the buffer empty and unaligned.
         """
         if self.aligned_segment is None:
             raise TcioError("flush of an unaligned level-1 buffer")
         segment = self.aligned_segment
-        view = memoryview(self.data)
-        blocks = [
-            (disp, length, bytes(view[disp : disp + length]))
-            for disp, length in self._blocks
-        ]
-        view.release()
+        disps = array("q", [disp for disp, _ in self._blocks])
+        lens = array("q", [length for _, length in self._blocks])
+        payload = gather(memoryview(self.data), 0, disps, lens)
         self._blocks = []
         self.aligned_segment = None
-        return segment, blocks
+        return segment, disps, lens, payload
 
 
 class ReadLog:

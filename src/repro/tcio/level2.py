@@ -16,7 +16,9 @@ transfers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.sim.engine import active_process
 from repro.sim.sync import SimEvent
 from repro.simmpi.collectives import barrier
 from repro.simmpi.comm import Communicator
-from repro.simmpi.rma import LOCK_EXCLUSIVE, LOCK_SHARED, Window, gather
+from repro.simmpi.rma import LOCK_EXCLUSIVE, LOCK_SHARED, Window, gather, scatter
 from repro.tcio.mapping import SegmentMapping
 from repro.tcio.stats import TcioStats
 from repro.util.errors import RetryBudgetExceeded, RmaTransientError, TcioError
@@ -49,12 +51,12 @@ class SegmentDirectory:
     #: the owner's whole-segment writeback must skip them.
     direct: set[int] = field(default_factory=set)
     fallback_ranges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    #: Provenance of deposited write data: ``deposited[g]`` lists
-    #: ``(disp, length, src_rank)`` extents that *other* ranks pushed into
-    #: segment *g*'s owner slot. Crash tooling uses it to tell exactly
-    #: whose bytes sat in a dead rank's volatile memory, and the fallback
-    #: path checks it to report (not silently lose) data at risk.
-    deposited: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
+    #: Provenance of deposited write data: ``deposited[g]`` holds a ``(disp,
+    #: length, src_rank)`` row per block landed in segment *g*'s owner slot,
+    #: flat in one ``array("q")`` (:meth:`note_deposit`). Crash tooling uses
+    #: it to tell exactly whose bytes sat in a dead rank's volatile memory,
+    #: and the fallback path checks it to report (not silently lose) data at risk.
+    deposited: dict[int, array] = field(default_factory=dict)
     #: Epoched-durability state (``journal="epoch"``): the last epoch whose
     #: commit mark landed in the PFS, and the segments already journaled +
     #: written back by an earlier epoch (so later flushes skip them unless
@@ -64,6 +66,24 @@ class SegmentDirectory:
     #: Geometry mirror for offline crash tooling (set at collective open).
     segment_size: int = 0
     nranks: int = 0
+
+    def note_deposit(self, g: int, disps: Sequence[int], lens: Sequence[int], src: int) -> None:
+        """*src* landed the ``(disps, lens)`` blocks of segment *g* in its
+        owner's slot: *g* is dirty, and the next epoch re-journals it."""
+        self.dirty.add(g)
+        self.flushed.discard(g)
+        rows = zip(disps, lens, repeat(src))
+        self.deposited.setdefault(g, array("q")).extend(chain.from_iterable(rows))
+
+
+def concat_deposits(deposits: list) -> tuple[array, array, bytes]:
+    """Several ``(disps, lens, payload)`` deposits of one segment as one,
+    their blocks in deposit order."""
+    disps, lens = array("q"), array("q")
+    for d, n, _ in deposits:
+        disps.extend(d)
+        lens.extend(n)
+    return disps, lens, b"".join([p for _, _, p in deposits])
 
 
 class Level2Buffer:
@@ -145,66 +165,28 @@ class Level2Buffer:
     # ------------------------------------------------------------------
     # write path: level-1 flush -> owner's slot
     # ------------------------------------------------------------------
-    def push_blocks(
-        self, global_segment: int, blocks: list[tuple[int, int, bytes]]
-    ):
-        """Move one drained level-1 buffer into the owning slot (coroutine).
-
-        ``blocks`` is ``[(disp, length, payload), ...]`` within the segment.
-        """
-        if not blocks:
-            return
+    def push_blocks(self, global_segment: int, disps: Sequence[int],
+                    lens: Sequence[int], payload: bytes):
+        """Move one drained level-1 buffer (``Level1Buffer.take``'s form)
+        into the owning slot (coroutine)."""
         owner = self.mapping.owner_of_segment(global_segment)
         base = self._slot_base(global_segment)
-        yield from self._ship(
-            owner,
-            [(base + disp, payload) for disp, _length, payload in blocks],
-            self.tracer.span(
-                "tcio.push",
-                segment=global_segment,
-                target=owner,
-                bytes=sum(length for _, length, _ in blocks),
-            ),
-            f"tcio.push(seg={global_segment})",
+        what = f"tcio.push(seg={global_segment})"
+        span = self.tracer.span(
+            "tcio.push", segment=global_segment, target=owner, bytes=len(payload)
         )
-        self.directory.dirty.add(global_segment)
+        yield from self._ship(owner, base, disps, lens, payload, span, what)
+        self.directory.note_deposit(global_segment, disps, lens, self.rank)
 
-    def push_window_blocks(
-        self, owner: int, blocks: list[tuple[int, bytes]]
-    ):
-        """Leader drain: one RMA sequence of pre-coalesced window blocks
-        (coroutine).
-
-        ``blocks`` is ``[(window offset, payload), ...]`` already merged
-        across this node's depositors (``repro.topo``) — the hierarchical
-        counterpart of :meth:`push_blocks`, shipping many ranks' flushes
-        to *owner* at once. The caller marks the segments dirty.
-        """
-        if not blocks:
-            return
-        yield from self._ship(
-            owner,
-            blocks,
-            self.tracer.span(
-                "topo.drain",
-                target=owner,
-                bytes=sum(len(payload) for _, payload in blocks),
-                blocks=len(blocks),
-            ),
-            f"topo.drain(owner={owner})",
-        )
-
-    def _ship(self, owner: int, blocks: list[tuple[int, bytes]], span, what: str):
-        """Land ``[(window offset, payload), ...]`` in *owner*'s slice
-        (coroutine): a memcpy when local, else one RMA sequence under an
-        exclusive lock, timed by *span*. :class:`RetryBudgetExceeded`
-        propagates to the caller's fallback.
+    def _ship(self, owner: int, base: int, disps: Sequence[int], lens: Sequence[int],
+              payload: bytes, span, what: str):
+        """Land the blocks ``(disps, lens, payload)`` at window offset *base*
+        of *owner*'s slice (coroutine): a memcpy when local, else one RMA
+        sequence under an exclusive lock, timed by *span*. The caller
+        records provenance; :class:`RetryBudgetExceeded` propagates to it.
         """
         if owner == self.rank:
-            for off, payload in blocks:
-                self.data[off : off + len(payload)] = np.frombuffer(
-                    payload, dtype=np.uint8
-                )
+            scatter(self._data_view, base, disps, lens, payload)
             self.stats.inc("local_flushes")
         else:
             with span:
@@ -219,32 +201,20 @@ class Level2Buffer:
                     yield from self.window.lock(owner, LOCK_EXCLUSIVE)
                     try:
                         if self.combine_indexed:
-                            self.window.put_indexed(blocks, owner)
+                            self.window.put_indexed(owner, base, disps, lens, payload)
                         else:
                             # Ablation: one Put per block ("a large number of
                             # network connections, which would in turn degrade
                             # performance").
-                            for off, payload in blocks:
-                                self.window.put(payload, owner, off)
+                            for disp, n, end in zip(disps, lens, accumulate(lens)):
+                                self.window.put(payload[end - n : end], owner, base + disp)
                     finally:
                         self.window.unlock(owner)
 
                 yield from self._retry_rma(what, attempt)
             self.stats.inc("remote_flushes")
-            self.stats.inc("put_blocks", len(blocks))
-        # Provenance: map each window block back to its global segment
-        # (slot s of rank o holds segment s * P + o). Blocks never cross a
-        # slot boundary (level 1 drains, and staging coalesces, per segment).
-        d = self.directory
-        nprocs = self.comm.size
-        nbytes = 0
-        for off, payload in blocks:
-            slot, disp = divmod(off, self.segment_size)
-            g = slot * nprocs + owner
-            d.flushed.discard(g)  # re-dirtied: next epoch re-journals
-            d.deposited.setdefault(g, []).append((disp, len(payload), self.rank))
-            nbytes += len(payload)
-        self.stats.inc("flushed_bytes", nbytes)
+            self.stats.inc("put_blocks", len(disps))
+        self.stats.inc("flushed_bytes", len(payload))
 
     # ------------------------------------------------------------------
     # read path: reader-loads-and-caches, then one-sided gets

@@ -8,13 +8,16 @@ communicator, the staging buffer and the degraded flag.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.faults.plan import RMA_FAIL_DELAY
 from repro.sim.engine import active_process
 from repro.sim.sync import SimEvent
 from repro.simmpi import collectives
 from repro.topo import (
-    NodeTopology, StagingBuffer, charge_staging_copy, coalesce_blocks, split_by_node,
+    NodeTopology, StagingBuffer, charge_staging_copy, coalesce_runs, split_by_node,
 )
+from repro.tcio.level2 import concat_deposits
 from repro.util.errors import RetryBudgetExceeded, RmaTransientError
 
 
@@ -53,7 +56,7 @@ class NodeDrain:
         if fh.env.rank == self.leader:
             fh._allocs.append(fh.env.world.memory.allocate(fh.env.rank, capacity, "topo.staging"))
 
-    def deposit(self, gseg: int, blocks: list):
+    def deposit(self, gseg: int, disps, lens, payload: bytes):
         """Stage one drained level-1 buffer, or send it the flat way
         (coroutine; the handle's ``_deposit``).
 
@@ -70,16 +73,19 @@ class NodeDrain:
             and owner != me
             and not self.topo.same_node(owner, me)
             and (degrade is None or owner not in degrade.unreachable)
-            and (yield from self._stage(gseg, owner, blocks))
+            and (yield from self._stage(owner, (gseg, disps, lens, payload)))
         ):
             return
         yield from self._ship(owner)
-        yield from (degrade.deposit if degrade else fh.level2.push_blocks)(gseg, blocks)
+        push = degrade.deposit if degrade else fh.level2.push_blocks
+        yield from push(gseg, disps, lens, payload)
 
-    def _stage(self, gseg: int, owner: int, blocks: list):
-        """Try to put *blocks* into the staging buffer (coroutine -> bool)."""
+    def _stage(self, owner: int, item: tuple):
+        """Try to stage one deposit ``(gseg, disps, lens, payload)``
+        (coroutine -> bool)."""
         fh, plan, stage = self.fh, self.fh._plan, self.staging
-        nbytes = sum(length for _, length, _ in blocks)
+        gseg, disps, _lens, payload = item
+        nbytes = len(payload)
         if stage.would_overflow(nbytes):
             fh._trace.count("topo.staging.overflow", nbytes)
             return False
@@ -101,9 +107,9 @@ class NodeDrain:
                 plan.note_fallback("topo.deposit", rank=fh.env.rank, leader=self.leader)
                 return False
         yield from charge_staging_copy(fh.env.world, fh.env.rank, nbytes)
-        stage.deposit(owner, [(gseg, disp, p) for disp, _length, p in blocks], nbytes)
+        stage.deposit(owner, [item], nbytes)
         fh._trace.count("topo.deposit.bytes", nbytes)
-        fh._trace.count("topo.deposit.blocks", len(blocks))
+        fh._trace.count("topo.deposit.blocks", len(disps))
         fh._trace.registry.histogram("topo.staging.occupancy").observe(stage.used)
         return True
 
@@ -131,39 +137,47 @@ class NodeDrain:
             landed.fire()
 
     def _send(self, owner: int, pieces: list):
-        """One merged indexed RMA sequence to *owner* — or direct PFS
-        writes when it stays unreachable past the retry budget (coroutine)."""
-        fh, degrade = self.fh, self.fh._degrade
+        """One merged indexed RMA sequence of the staged deposits *pieces*
+        to *owner* — or direct PFS writes when it stays unreachable past
+        the retry budget (coroutine)."""
+        fh, degrade, level2 = self.fh, self.fh._degrade, self.fh.level2
         if degrade is not None and owner in degrade.unreachable:
             yield from self._drain_fallback(pieces)
             return
-        nbytes = sum(len(payload) for _, _, payload in pieces)
+        gsegs, disps, lens, payloads = zip(*pieces)
+        nbytes = sum(map(len, payloads))
         # Pickup: reading the deposits out of node memory to build the
         # merged message is a second memcpy pass.
         yield from charge_staging_copy(fh.env.world, fh.env.rank, nbytes)
-        win_blocks = coalesce_blocks(
-            [(fh.level2._slot_base(g) + disp, payload) for g, disp, payload in pieces]
+        offsets = [np.asarray(d) + level2._slot_base(g) for g, d in zip(gsegs, disps)]
+        starts, sizes, payload = coalesce_runs(
+            np.concatenate(offsets), np.concatenate(lens), b"".join(payloads)
+        )
+        span = level2.tracer.span(
+            "topo.drain", target=owner, bytes=len(payload), blocks=len(starts)
         )
         try:
-            yield from fh.level2.push_window_blocks(owner, win_blocks)
+            yield from level2._ship(owner, 0, starts, sizes, payload, span, f"topo.drain({owner=})")
         except RetryBudgetExceeded:
             degrade.unreachable.add(owner)
             fh._plan.note_fallback("topo.drain", owner=owner, rank=fh.env.rank)
             yield from self._drain_fallback(pieces)
             return
-        fh.directory.dirty.update({g for g, _, _ in pieces})
+        for g, d, n in zip(gsegs, disps, lens):
+            fh.directory.note_deposit(g, d, n, level2.rank)
         fh._trace.count("topo.drain.messages", 1)
         fh._trace.count("topo.drain.bytes", nbytes)
 
     def _drain_fallback(self, pieces: list):
         """Write one owner's staged deposits straight to the PFS.
 
-        Reuses the flat fallback machinery segment by segment, so the
-        written ranges are published and the (unreachable) owner's
-        writeback skips them.
+        Reuses the flat fallback machinery segment by segment, in
+        ascending segment order with each segment's deposits in the order
+        they were staged, so the written ranges are published and the
+        (unreachable) owner's writeback skips them.
         """
-        by_seg: dict[int, list[tuple[int, int, bytes]]] = {}
-        for g, disp, payload in pieces:
-            by_seg.setdefault(g, []).append((disp, len(payload), payload))
+        by_seg: dict[int, list] = {}
+        for g, disps, lens, payload in pieces:
+            by_seg.setdefault(g, []).append((disps, lens, payload))
         for g in sorted(by_seg):
-            yield from self.fh._degrade.fallback_flush(g, by_seg[g])
+            yield from self.fh._degrade.fallback_flush(g, *concat_deposits(by_seg[g]))

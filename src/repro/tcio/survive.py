@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.crash.journal import rank_journal, scan_journals
 from repro.simmpi import collectives
+from repro.tcio.level2 import concat_deposits
 from repro.tcio.mapping import SegmentMapping
 from repro.util.errors import RankUnreachable
 
@@ -20,11 +21,11 @@ class Survive:
 
     def __init__(self, fh):
         self.fh = fh
-        #: This rank's own deposits of the current (uncommitted) epoch,
-        #: ``{gseg: [(disp, payload), ...]}`` — kept so a survivor can
-        #: re-deposit them after a dead segment owner's volatile slot is
-        #: re-partitioned away. Cleared once the epoch commits.
-        self.shadow: dict[int, list[tuple[int, bytes]]] = {}
+        #: This rank's own deposits of the current (uncommitted) epoch as
+        #: drained, ``{gseg: [(disps, lens, payload), ...]}`` — kept so a
+        #: survivor can re-deposit them after a dead segment owner's volatile
+        #: slot is re-partitioned away. Cleared once the epoch commits.
+        self.shadow: dict[int, list[tuple]] = {}
 
     def guard(self, attempt, *args):
         """Run coroutine ``attempt(*args)`` to completion over whoever
@@ -47,14 +48,16 @@ class Survive:
             except RankUnreachable:
                 failed = True
 
-    def deposit(self, gseg: int, blocks: list):
+    def deposit(self, gseg: int, disps, lens, payload: bytes):
         """The guarded level-1 drain (coroutine; the handle's ``_deposit``)."""
-        return self.guard(self._shadowed_push, gseg, blocks)
+        return self.guard(self._shadowed_push, gseg, disps, lens, payload)
 
-    def _shadowed_push(self, gseg: int, blocks: list):
+    def _shadowed_push(self, gseg: int, disps, lens, payload: bytes):
         fh = self.fh
-        self.shadow.setdefault(gseg, []).extend((disp, p) for disp, _length, p in blocks)
-        return (fh._degrade.deposit if fh._degrade else fh.level2.push_blocks)(gseg, blocks)
+        self.shadow.setdefault(gseg, []).append((disps, lens, payload))
+        return (fh._degrade.deposit if fh._degrade else fh.level2.push_blocks)(
+            gseg, disps, lens, payload
+        )
 
     def collective_point(self, final: bool):
         """The guarded ``flush`` / ``close`` (collective coroutine)."""
@@ -180,15 +183,14 @@ class Survive:
                         # rank's deposits, the dead one's included) to the
                         # segment's new owner.
                         payload = old_level2.local_slot(g)[: limit(g)].tobytes()
-                        yield from new_level2.push_blocks(g, [(0, limit(g), payload)])
+                        yield from new_level2.push_blocks(g, (0,), (len(payload),), payload)
                 yield from collectives.barrier(new_comm)
                 shadow_bytes = 0
-                for g, blocks in sorted(self.shadow.items()):
+                for g, deposits in sorted(self.shadow.items()):
                     if g in d.dirty and g not in d.flushed and old_owner(g) in world.dead_ranks:
-                        yield from new_level2.push_blocks(
-                            g, [(disp, len(p), p) for disp, p in blocks]
-                        )
-                        shadow_bytes += sum(len(p) for _disp, p in blocks)
+                        disps, lens, payload = concat_deposits(deposits)
+                        yield from new_level2.push_blocks(g, disps, lens, payload)
+                        shadow_bytes += len(payload)
                 if shadow_bytes:
                     fh._trace.count("tcio.ft.shadow_bytes", shadow_bytes)
                 abandoned_bytes = 0

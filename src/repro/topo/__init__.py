@@ -20,7 +20,6 @@ See ``docs/topology.md`` for the integration into TCIO
 from repro.topo.staging import (
     StagingBuffer,
     charge_staging_copy,
-    coalesce_blocks,
     coalesce_runs,
 )
 from repro.topo.topology import NodeTopology, node_leader_ranks, split_by_node
@@ -31,6 +30,5 @@ __all__ = [
     "split_by_node",
     "StagingBuffer",
     "charge_staging_copy",
-    "coalesce_blocks",
     "coalesce_runs",
 ]

@@ -13,7 +13,7 @@ charged-per-message network traffic for charged-per-byte memory traffic.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -94,22 +94,6 @@ def charge_staging_copy(world, rank: int, nbytes: int):
     now = world.engine.now
     if t > now:
         yield from active_process().sleep(t - now)
-
-
-def coalesce_blocks(
-    pieces: Sequence[tuple[int, bytes]]
-) -> list[tuple[int, bytes]]:
-    """:func:`coalesce_runs` on a list of ``(offset, payload)`` pieces."""
-    starts, sizes, payload = coalesce_runs(
-        np.array([off for off, _ in pieces], np.int64),
-        np.array([len(blk) for _, blk in pieces], np.int64),
-        b"".join([blk for _, blk in pieces]),
-    )
-    ends = np.cumsum(sizes).tolist()
-    return [
-        (start, payload[end - n : end])
-        for start, n, end in zip(starts.tolist(), sizes.tolist(), ends)
-    ]
 
 
 def coalesce_runs(

@@ -62,7 +62,7 @@ class TestCloseDegradation:
     def test_close_propagates_when_degradation_fails(self, monkeypatch):
         # Contract: the except-RetryBudgetExceeded around the deposit
         # must not also absorb a failure of the fallback itself.
-        def broken_fallback(self, gseg, blocks):
+        def broken_fallback(self, gseg, disps, lens, payload):
             raise RetryBudgetExceeded("tcio.fallback_flush", attempts=4)
 
         monkeypatch.setattr(Degrade, "fallback_flush", broken_fallback)

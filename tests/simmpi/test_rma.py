@@ -7,6 +7,7 @@ import pytest
 
 from repro.simmpi import LOCK_EXCLUSIVE, LOCK_SHARED, Window, run_mpi
 from repro.simmpi import collectives as coll
+from repro.simmpi.rma import gather, scatter
 from repro.util.errors import MpiError, RmaError
 from tests.conftest import make_test_cluster
 
@@ -47,7 +48,7 @@ class TestPutGet:
             win = yield from Window.create(env.comm, buf)
             if env.rank == 1:
                 (yield from win.lock(0))
-                win.put_indexed([(0, b"AA"), (10, b"BB"), (20, b"CC")], 0)
+                win.put_indexed(0, 0, [0, 10, 20], [2, 2, 2], b"AABBCC")
                 win.unlock(0)
             (yield from coll.barrier(env.comm))
             if env.rank == 0:
@@ -68,6 +69,11 @@ class TestPutGet:
             # the blocks come back packed, in the order asked for
             assert got == bytes([4, 5, 20, 21, 22])
             assert based == bytes([20, 21, 16, 17, 18])
+            # scatter undoes gather: the packed blocks land back in place
+            copy = bytearray(32)
+            scatter(memoryview(copy), 16, [4, 0], [2, 3], based)
+            assert copy[16:19] == bytes([16, 17, 18]) and copy[20:22] == bytes([20, 21])
+            assert gather(memoryview(copy), 16, [4, 0], [2, 3]) == based
 
         run(2, main)
 

@@ -14,9 +14,9 @@ class TestLevel1Buffer:
         b.align(5)
         b.place(10, b"abc")
         b.place(50, b"xy")
-        seg, blocks = b.take()
+        seg, disps, lens, payload = b.take()
         assert seg == 5
-        assert blocks == [(10, 3, b"abc"), (50, 2, b"xy")]
+        assert (list(disps), list(lens), payload) == ([10, 50], [3, 2], b"abcxy")
         assert b.empty
         assert b.aligned_segment is None
 
@@ -26,24 +26,24 @@ class TestLevel1Buffer:
         b.place(0, b"aa")
         b.place(2, b"bb")
         b.place(4, b"cc")
-        _, blocks = b.take()
-        assert blocks == [(0, 6, b"aabbcc")]
+        _, disps, lens, payload = b.take()
+        assert (list(disps), list(lens), payload) == ([0], [6], b"aabbcc")
 
     def test_overlapping_blocks_coalesce_with_last_writer_wins(self):
         b = Level1Buffer(100)
         b.align(0)
         b.place(0, b"aaaa")
         b.place(2, b"BB")
-        _, blocks = b.take()
-        assert blocks == [(0, 4, b"aaBB")]
+        _, disps, lens, payload = b.take()
+        assert (list(disps), list(lens), payload) == ([0], [4], b"aaBB")
 
     def test_out_of_order_placement_sorts(self):
         b = Level1Buffer(100)
         b.align(0)
         b.place(50, b"late")
         b.place(0, b"early")
-        _, blocks = b.take()
-        assert [d for d, _, _ in blocks] == [0, 50]
+        _, disps, _, _ = b.take()
+        assert list(disps) == [0, 50]
 
     def test_realign_nonempty_rejected(self):
         b = Level1Buffer(100)
@@ -118,8 +118,9 @@ class TestEarlyExitsMatchTheGeneralPath:
                 placed.append((disp, disp + len(payload)))
         merged = merge_ranges(placed)
         assert b.data == model
-        _, blocks = b.take()
-        assert blocks == [(lo, hi - lo, bytes(model[lo:hi])) for lo, hi in merged]
+        _, disps, lens, payload = b.take()
+        assert list(zip(disps, lens)) == [(lo, hi - lo) for lo, hi in merged]
+        assert payload == b"".join(bytes(model[lo:hi]) for lo, hi in merged)
 
     @given(
         st.integers(1, 200),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.mpiio import IoHints, MODE_CREATE, MODE_RDONLY, MODE_RDWR, MpiFile
 from repro.simmpi.datatypes import BYTE, Contiguous
 from repro.tcio import TCIO_WRONLY, TcioConfig, TcioFile
@@ -137,6 +139,39 @@ class TestTcioNodeAggregation:
         assert summary.get("topo.staging.overflow", (0, 0))[0] > 0
         assert flat[128:168] == b"C" * 40 and flat[192:232] == b"D" * 40
         assert node == flat
+
+
+@pytest.mark.parametrize("flushes", [1, 2])
+@pytest.mark.parametrize("aggregation", ["flat", "node"])
+@pytest.mark.parametrize("journal", ["off", "epoch"])
+def test_every_round_reaches_the_file_with_per_segment_provenance(journal, aggregation, flushes):
+    # The leader coalesces one owner's slots 0 and 1 into one block; each
+    # deposit must still mark its own segment re-dirtied, or a journaled
+    # second round skips that segment's write-back.
+    def round_payload(rank: int, i: int, r: int) -> bytes:
+        return bytes([(rank * NBLOCKS + i + 97 * r) % 251]) * BLK
+
+    def main(env):
+        cfg = replace(_tcio_cfg(env, aggregation), journal=journal)
+        assert cfg.segments_per_process == 2  # every owner has a slot 1
+        fh = yield from TcioFile.open(env, "na.dat", TCIO_WRONLY, cfg)
+        for r in range(flushes):
+            if r:
+                yield from fh.flush()
+            for i in range(NBLOCKS):
+                yield from fh.write_at((i * env.size + env.rank) * BLK, round_payload(env.rank, i, r))
+        yield from fh.close()
+        return fh.directory
+
+    res = run_small(NPROCS, main, cluster=_cluster())
+    d = res.returns[0]
+    assert d.segment_size == 4096
+    assert res.pfs.lookup("na.dat").contents() == b"".join(
+        round_payload(r, i, flushes - 1) for i in range(NBLOCKS) for r in range(NPROCS)
+    )
+    assert set(d.deposited) == d.dirty
+    for rows in d.deposited.values():  # (disp, length, src) rows
+        assert all(0 <= disp and disp + n <= d.segment_size for disp, n in zip(rows[::3], rows[1::3]))
 
 
 class TestOcioNodeAggregation:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.topo import StagingBuffer, charge_staging_copy, coalesce_blocks, coalesce_runs
+from repro.topo import StagingBuffer, charge_staging_copy, coalesce_runs
 from repro.util.intervals import merge_ranges
 
 
@@ -89,25 +89,37 @@ class TestChargeStagingCopy:
         assert res.returns == [0.0]
 
 
+def coalesce_pieces(pieces):
+    """``coalesce_runs`` over ``(offset, payload)`` pieces, as ``(start, bytes)`` blocks."""
+    offsets = np.array([off for off, _ in pieces], np.int64)
+    lengths = np.array([len(b) for _, b in pieces], np.int64)
+    starts, sizes, payload = coalesce_runs(offsets, lengths, b"".join(b for _, b in pieces))
+    ends = np.cumsum(sizes).tolist()
+    return [
+        (start, payload[end - size : end])
+        for start, size, end in zip(starts.tolist(), sizes.tolist(), ends)
+    ]
+
+
 class TestCoalesceBlocks:
     def test_empty(self):
-        assert coalesce_blocks([]) == []
-        assert coalesce_blocks([(3, b"")]) == []
+        assert coalesce_pieces([]) == []
+        assert coalesce_pieces([(3, b"")]) == []
 
     def test_touching_pieces_merge(self):
-        out = coalesce_blocks([(0, b"ab"), (2, b"cd"), (10, b"z")])
+        out = coalesce_pieces([(0, b"ab"), (2, b"cd"), (10, b"z")])
         assert out == [(0, b"abcd"), (10, b"z")]
 
     def test_out_of_order_input(self):
-        out = coalesce_blocks([(4, b"cd"), (0, b"ab"), (2, b"xy")])
+        out = coalesce_pieces([(4, b"cd"), (0, b"ab"), (2, b"xy")])
         assert out == [(0, b"abxycd")]
 
     def test_overlap_later_deposit_wins(self):
-        out = coalesce_blocks([(0, b"aaaa"), (1, b"BB")])
+        out = coalesce_pieces([(0, b"aaaa"), (1, b"BB")])
         assert out == [(0, b"aBBa")]
 
     def test_gap_preserved(self):
-        out = coalesce_blocks([(0, b"a"), (2, b"b")])
+        out = coalesce_pieces([(0, b"a"), (2, b"b")])
         assert out == [(0, b"a"), (2, b"b")]
 
 
@@ -125,9 +137,15 @@ def oracle_coalesce(pieces):
 
 
 class TestCoalesceRuns:
-    """The array form and its list adapter against the loop."""
+    """The array form against the loop."""
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.binary(max_size=6)), max_size=10))
+    @example([])
+    @example([(3, b"")])
+    @example([(0, b"ab"), (2, b"cd"), (10, b"z")])  # touching pieces merge
+    @example([(4, b"cd"), (0, b"ab"), (2, b"xy")])  # out-of-order input
+    @example([(0, b"aaaa"), (1, b"BB")])  # on overlap the later deposit wins
+    @example([(0, b"a"), (2, b"b")])  # a gap is preserved
     @settings(max_examples=300, deadline=None)
     def test_equals_the_loop(self, pieces):
         offsets = np.array([off for off, _ in pieces], np.int64)
@@ -139,4 +157,3 @@ class TestCoalesceRuns:
         assert starts.tolist() == [start for start, _ in expected]
         assert sizes.tolist() == [len(b) for _, b in expected]
         assert payload == b"".join(b for _, b in expected)
-        assert coalesce_blocks(pieces) == expected
