@@ -127,11 +127,14 @@ class Pfs:
         *,
         stripe_count: Optional[int] = None,
         trace: Optional[TraceRecorder] = None,
+        first_ost: Optional[int] = None,
     ) -> PfsFile:
         """Create (or return existing) file; stripes start round-robin.
 
-        A new file's lock manager records into *trace*, the creating job's
-        recorder (this file system's by default).
+        *first_ost* pins the start OST instead (``lfs setstripe -i``); a
+        pinned file leaves the round-robin cursor where it was, so no
+        later file moves. A new file's lock manager records into *trace*,
+        the creating job's recorder (this file system's by default).
         """
         if name in self._files:
             return self._files[name]
@@ -139,10 +142,11 @@ class Pfs:
         layout = StripeLayout(
             stripe_size=self.spec.stripe_size,
             stripe_count=count,
-            first_ost=self._next_first_ost,
+            first_ost=self._next_first_ost if first_ost is None else first_ost,
             n_osts=self.spec.n_osts,
         )
-        self._next_first_ost = (self._next_first_ost + count) % self.spec.n_osts
+        if first_ost is None:
+            self._next_first_ost = (self._next_first_ost + count) % self.spec.n_osts
         f = PfsFile(name, layout, self.spec.lock_contention_penalty, trace or self.trace)
         self._arm_locks(f)
         self._files[name] = f

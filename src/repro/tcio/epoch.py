@@ -17,9 +17,18 @@ class EpochJournal:
     def __init__(self, fh):
         self.fh = fh
         pfs = fh.env.pfs
+        # One stripe on its own OST, as file-per-process logs are placed
+        # (``lfs setstripe -c 1 -i <rank>``): full-width journals would
+        # not move the round-robin cursor, so all would start on one OST
+        # and every rank's small records would queue there.
+        rank = fh.env.rank
+        self.journal = pfs.create(
+            rank_journal(fh.name, rank),
+            stripe_count=1,
+            first_ost=rank % fh.pfs_file.layout.n_osts,
+        )
         # Fresh-file semantics, like the data file's: records from an
         # earlier open of this name must not replay.
-        self.journal = pfs.create(rank_journal(fh.name, fh.env.rank))
         self.journal.truncate(0)
         self.pos = 0  # append offset into this rank's journal
         if fh.comm.rank == 0:

@@ -331,9 +331,8 @@ class Level2Buffer:
 
     # ------------------------------------------------------------------
     def owned_dirty_segments(self) -> list[int]:
-        """Global segments this rank must write back at close, in order."""
-        return sorted(
-            g
-            for g in self.directory.dirty
-            if self.mapping.owner_of_segment(g) == self.rank
-        )
+        """Global segments this rank must write back at close, in order:
+        its own slots' segments ``rank + k*P`` that are dirty."""
+        dirty, nranks = self.directory.dirty, self.mapping.nranks
+        stop = self.segments_per_process * nranks
+        return [g for g in range(self.rank, stop, nranks) if g in dirty]

@@ -52,9 +52,18 @@ class TenantPfs:
     def _qualify(self, name: str) -> str:
         return self._prefix + name
 
-    def create(self, name: str, *, stripe_count: Optional[int] = None) -> "PfsFile":
+    def create(
+        self,
+        name: str,
+        *,
+        stripe_count: Optional[int] = None,
+        first_ost: Optional[int] = None,
+    ) -> "PfsFile":
         return self.base.create(
-            self._qualify(name), stripe_count=stripe_count, trace=self.trace
+            self._qualify(name),
+            stripe_count=stripe_count,
+            trace=self.trace,
+            first_ost=first_ost,
         )
 
     def lookup(self, name: str) -> "PfsFile":

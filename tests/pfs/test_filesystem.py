@@ -50,6 +50,16 @@ class TestNamespace:
         f2 = pfs.create("b")
         assert f1.layout.first_ost != f2.layout.first_ost
 
+    def test_pinned_first_ost_leaves_the_cursor(self):
+        _, pfs = make_pfs()
+        pfs.create("a")
+        pinned = pfs.create("log", stripe_count=1, first_ost=3)
+        assert (pinned.layout.stripe_count, pinned.layout.first_ost) == (1, 3)
+        # "b" starts where it would have had "log" never been created
+        assert pfs.create("b").layout.first_ost == 2
+        with pytest.raises(PfsError):
+            pfs.create("bad", first_ost=4)
+
     def test_stripe_count_override(self):
         _, pfs = make_pfs()
         f = pfs.create("wide", stripe_count=4)

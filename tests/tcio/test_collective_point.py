@@ -8,7 +8,10 @@ counts, and the two numbers that move if a collective, crash point or
 PFS request is added, dropped or reordered: the job's simulated seconds
 and its engine event count. The golden values were recorded on the
 three-routine implementation (``_flush_write_body`` /
-``_close_write_body`` / ``_flush_epoch``) this one replaced.
+``_close_write_body`` / ``_flush_epoch``) this one replaced. The
+``epoch`` cells' seconds were re-recorded, lower, when each rank's
+journal became one stripe on OST ``rank % n_osts``: the same requests
+then stopped queueing on one OST. Their counts stayed as recorded.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crash.fsck import fsck
+from repro.crash.journal import rank_journal
 from repro.tcio import TCIO_WRONLY, TcioConfig, tcio_open
 from tests.conftest import make_test_cluster, run_small
 
@@ -81,12 +85,12 @@ GOLDEN = {
     ("off", "flat", "two-flushes", False): (12, 0, 0.00011507416824442156, 233),
     ("off", "node", "close", False): (6, 0, 6.859064640146494e-05, 120),
     ("off", "node", "two-flushes", False): (12, 0, 0.00011934081791979081, 208),
-    ("epoch", "flat", "close", False): (6, 1, 0.00013576588443642862, 191),
-    ("epoch", "flat", "close", True): (6, 1, 0.00013576588443642862, 191),
-    ("epoch", "flat", "two-flushes", False): (12, 2, 0.00026255690758049546, 418),
-    ("epoch", "flat", "two-flushes", True): (12, 2, 0.00026255690758049546, 418),
-    ("epoch", "node", "close", False): (6, 1, 0.00013950930811291938, 180),
-    ("epoch", "node", "two-flushes", False): (12, 2, 0.0002659235572558647, 391),
+    ("epoch", "flat", "close", False): (6, 1, 0.00010522813617509606, 191),
+    ("epoch", "flat", "close", True): (6, 1, 0.00010522813617509606, 191),
+    ("epoch", "flat", "two-flushes", False): (12, 2, 0.00021287854445832982, 418),
+    ("epoch", "flat", "two-flushes", True): (12, 2, 0.00021287854445832982, 418),
+    ("epoch", "node", "close", False): (6, 1, 0.00010897155985158683, 180),
+    ("epoch", "node", "two-flushes", False): (12, 2, 0.0002162451941336991, 391),
 }
 
 
@@ -104,3 +108,8 @@ def test_replays_recorded_schedule(journal, aggregation, script, ft):
     assert (writebacks, commits, res.elapsed, events) == GOLDEN[
         (journal, aggregation, script, ft)
     ]
+    if journal == "epoch":  # each journal is one stripe on its own OST
+        n_osts = res.pfs.spec.n_osts
+        for r in range(NRANKS):
+            layout = res.pfs.lookup(rank_journal("f", r)).layout
+            assert (layout.stripe_count, layout.first_ost) == (1, r % n_osts)

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.crash.harness import STEPS, crash_free_reference, run_cell
 from repro.simmpi import run_mpi
 from repro.simmpi import collectives as coll
 from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioConfig, TcioFile
+from repro.tcio.level2 import Level2Buffer
 from repro.util.errors import TcioError
 from tests.conftest import make_test_cluster
+from tests.tcio.test_collective_point import GOLDEN, run_case
 
 
 def run(n, fn):
@@ -137,3 +140,41 @@ class TestReadProtocol:
             assert got == b"".join(bytes([r]) * 4 for r in range(env.size))
 
         run(3, main)
+
+
+class TestOwnedDirtySegments:
+    """The own-slot walk returns what a scan of every rank's dirty
+    segments did, in the same order, at every call of the collective
+    point and survive cells."""
+
+    @pytest.fixture
+    def mismatches(self, monkeypatch):
+        walk = Level2Buffer.owned_dirty_segments
+        seen = {"calls": 0, "bad": []}
+
+        def checked(level2):
+            owned = walk(level2)
+            scan = sorted(
+                g
+                for g in level2.directory.dirty
+                if level2.mapping.owner_of_segment(g) == level2.rank
+            )
+            seen["calls"] += 1
+            if owned != scan:
+                seen["bad"].append((level2.rank, owned, scan))
+            return owned
+
+        monkeypatch.setattr(Level2Buffer, "owned_dirty_segments", checked)
+        return seen
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids=str)
+    def test_collective_point_cells(self, key, mismatches):
+        run_case(*key)
+        assert mismatches["calls"] and not mismatches["bad"]
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_survive_cells(self, step, mismatches):
+        reference = crash_free_reference(aggregation="flat", nranks=4, cores_per_node=2)
+        cell = run_cell(step, survive=True, reference=reference)
+        assert cell.ok, cell.summary()
+        assert mismatches["calls"] and not mismatches["bad"]
