@@ -1,9 +1,10 @@
 """The delegate-server wire protocol, configuration, and placement.
 
-Requests travel as :class:`~repro.simmpi.rpc.RpcEnvelope` objects whose
-``op`` is a trace verb (``open``/``write``/``flush``/``fetch``/``close``)
-plus the session-control verb ``shutdown``. Replies are small tagged
-tuples; the first element is one of:
+Requests travel as :class:`~repro.simmpi.rpc.RpcEnvelope` objects on
+``TAG_REQUEST`` whose ``op`` is a trace verb
+(``open``/``write``/``flush``/``fetch``/``close``) plus the
+session-control verb ``shutdown``. Replies are small tagged tuples on
+``TAG_REPLY``; the first element is one of:
 
 * ``ADMIT`` — the request was placed in the delegate's bounded queue.
   Writes are acknowledged **here**, before the data is applied: that is
@@ -29,6 +30,11 @@ from typing import Sequence, Union
 
 from repro.topo import node_leader_ranks
 from repro.util.errors import IoServerError
+
+#: The request/reply tag pair, chosen high so ad-hoc user tags (small
+#: ints) never land in the servers' match space by accident.
+TAG_REQUEST = 71
+TAG_REPLY = 72
 
 ADMIT = "admit"
 BUSY = "busy"

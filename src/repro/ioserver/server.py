@@ -19,21 +19,22 @@ out before the first reply is awaited, since a delegate completes a
 barrier only once *every* client subscribed.
 
 Both sides move every message one way — ``isend``/``irecv`` on the
-:class:`~repro.simmpi.rpc.RpcEndpoint` tags, then a wait — and route a
-fail-stop interrupt (:class:`RankUnreachable`) at any of those points
-through one recovery policy per side. ``IoServerConfig.failover`` is that
-policy. Off, the interrupt is re-raised and the job aborts. On, the
-shared TCIO handle runs with ``ft=True`` (the survivors shrink and
-complete the flush); a delegate joins that survivor recovery, adopts the
-dead delegate's clients into its expected set and answers their stale
-barrier subscriptions with catch-up ``DONE``\\ s via per-verb round
-counters; a client whose delegate died redirects to the ring-next alive
-delegate (:func:`~repro.ioserver.protocol.failover_delegate`) and replays
-every acknowledged-but-uncommitted write there — the write-behind data
-only the dead delegate's volatile queue held — while a client whose peer
-is alive re-waits the same request. Failover also defers the real
-``tcio_close`` to service exit so late-replayed writes still have an
-open handle to land in. See ``docs/io-server.md``.
+``TAG_REQUEST``/``TAG_REPLY`` pair of :mod:`repro.ioserver.protocol`,
+then a wait — and route a fail-stop interrupt (:class:`RankUnreachable`)
+at any of those points through one recovery policy per side.
+``IoServerConfig.failover`` is that policy. Off, the interrupt is
+re-raised and the job aborts. On, the shared TCIO handle runs with
+``ft=True`` (the survivors shrink and complete the flush); a delegate
+joins that survivor recovery, adopts the dead delegate's clients into its
+expected set and answers their stale barrier subscriptions with catch-up
+``DONE``\\ s via per-verb round counters; a client whose delegate died
+redirects to the ring-next alive delegate
+(:func:`~repro.ioserver.protocol.failover_delegate`) and replays every
+acknowledged-but-uncommitted write there — the write-behind data only the
+dead delegate's volatile queue held — while a client whose peer is alive
+re-waits the same request. Failover also defers the real ``tcio_close``
+to service exit so late-replayed writes still have an open handle to land
+in. See ``docs/io-server.md``.
 
 Crash instrumentation mirrors TCIO's: the service loop announces the
 named steps ``srv-admit`` / ``srv-apply`` / ``srv-flush`` / ``srv-close``
@@ -53,6 +54,8 @@ from repro.ioserver.protocol import (
     DONE,
     PEER_DONE,
     SHUTDOWN,
+    TAG_REPLY,
+    TAG_REQUEST,
     IoServerConfig,
     Placement,
     adopted_clients,
@@ -60,8 +63,8 @@ from repro.ioserver.protocol import (
 )
 from repro.ioserver.trace import WorkloadTrace, payload_bytes
 from repro.sim.api import run_coroutine
-from repro.simmpi.comm import ANY_SOURCE, pack_object, unpack_object, wait_all
-from repro.simmpi.rpc import RpcEndpoint, RpcEnvelope
+from repro.simmpi.comm import ANY_SOURCE, wait_all
+from repro.simmpi.rpc import RpcEnvelope
 from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioFile
 from repro.util.errors import IoServerError, RankUnreachable, ServerBusy
 from repro.util.rng import derive_seed
@@ -106,7 +109,7 @@ class _Delegate:
         self.failover = config.failover
         self.tcio_config = tcio_config
         self.placement = placement
-        self.rpc = RpcEndpoint(env.comm)
+        self.comm = env.comm
         self.hub = env.world.trace
         self.tracer = self.hub.tracer
         self.expected = frozenset(clients)
@@ -157,7 +160,7 @@ class _Delegate:
             except RankUnreachable as exc:
                 yield from self.recover(exc)
 
-    def isend(self, payload: bytes, dest: int, tag: int):
+    def isend(self, message, dest: int, tag: int):
         """``isend`` under the recovery policy (coroutine); ``None`` once
         *dest* itself is dead.
 
@@ -166,7 +169,7 @@ class _Delegate:
         """
         while True:
             try:
-                return (yield from self.rpc.comm.isend(payload, dest, tag))
+                return (yield from self.comm.isend(message, dest, tag))
             except RankUnreachable as exc:
                 yield from self.recover(exc)
             if dest in self.env.world.dead_ranks:
@@ -181,16 +184,16 @@ class _Delegate:
         """
         while True:
             try:
-                req = yield from self.rpc.comm.irecv(source, self.rpc.tag_request)
+                req = yield from self.comm.irecv(source, TAG_REQUEST)
                 break
             except RankUnreachable as exc:
                 yield from self.recover(exc)
-        payload = yield from self.retry(req.wait)
-        return req.status.source, unpack_object(payload)
+        envelope = yield from self.retry(req.wait)
+        return req.status.source, envelope
 
-    def reply(self, dest: int, payload):
+    def reply(self, dest: int, message):
         """Send one reply (coroutine)."""
-        req = yield from self.isend(pack_object(payload), dest, self.rpc.tag_reply)
+        req = yield from self.isend(message, dest, TAG_REPLY)
         if req is not None:
             yield from self.retry(req.wait)
 
@@ -232,14 +235,12 @@ class _Delegate:
         if self.announced:
             return
         self.announced = True
-        payload = pack_object(
-            RpcEnvelope(-1, -1, PEER_DONE, (tuple(sorted(self.done)),))
-        )
+        envelope = RpcEnvelope(-1, -1, PEER_DONE, (tuple(sorted(self.done)),))
         reqs = []
         for peer in self.placement.delegates:
             if peer == self.env.rank or peer in self.env.world.dead_ranks:
                 continue
-            req = yield from self.isend(payload, peer, self.rpc.tag_request)
+            req = yield from self.isend(envelope, peer, TAG_REQUEST)
             if req is not None:
                 reqs.append(req)
         yield from self.retry(lambda: wait_all(reqs))
@@ -263,7 +264,7 @@ class _Delegate:
                 break
             progressed = False
             while True:  # drain every arrived request (cheap admission pass)
-                status = self.rpc.poll()
+                status = self.comm.iprobe(ANY_SOURCE, TAG_REQUEST)
                 if status is None:
                     break
                 src, envelope = yield from self.recv(status.source)
@@ -440,10 +441,9 @@ class _Delegate:
         # Schedule every DONE before the first interruptible point (isend
         # delivers regardless), so a fail-stop interrupt mid-batch cannot
         # split the round's acknowledgements.
-        done = pack_object((DONE,))
         reqs = []
         for client in sorted(waiters):
-            req = yield from self.isend(done, waiters[client], self.rpc.tag_reply)
+            req = yield from self.isend((DONE,), waiters[client], TAG_REPLY)
             if req is not None:
                 reqs.append(req)
         yield from self.retry(lambda: wait_all(reqs))
@@ -514,7 +514,6 @@ class _ClientSession:
         self.placement = placement
         self.trace = trace
         self.hub = env.world.trace
-        self.rpc = RpcEndpoint(env.comm)
         self.delegate = placement.delegate_of_rank[env.rank]
         #: (client, verb) -> collective rounds this client completed.
         self.rounds: dict[tuple[int, str], int] = {}
@@ -546,17 +545,15 @@ class _ClientSession:
 
     def _isend(self, envelope):
         return self._retry(
-            lambda: self.comm.isend(
-                pack_object(envelope), self.delegate, self.rpc.tag_request
-            )
+            lambda: self.comm.isend(envelope, self.delegate, TAG_REQUEST)
         )
 
     def _recv_reply(self):
         """The next reply from the current delegate (coroutine)."""
         req = yield from self._retry(
-            lambda: self.comm.irecv(self.delegate, self.rpc.tag_reply)
+            lambda: self.comm.irecv(self.delegate, TAG_REPLY)
         )
-        return unpack_object((yield from self._retry(req.wait)))
+        return (yield from self._retry(req.wait))
 
     def sleep(self, seconds: float):
         """Think-time/backoff sleep; a fail-stop interrupt cuts it short."""

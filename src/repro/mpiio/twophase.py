@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.faults.retry import pfs_read, pfs_write
 from repro.simmpi import collectives
-from repro.simmpi.comm import CTX_COLL, pack_object, wait_all, wire_size
+from repro.simmpi.comm import CTX_COLL, wait_all, wire_size
 from repro.topo import (
     NodeTopology,
     StagingBuffer,
@@ -301,7 +301,7 @@ def _wire_pairs(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> lis
 
 def _wire(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> int:
     """Wire bytes of a write message or read reply (see :func:`_wire_pairs`)."""
-    return len(pack_object(_wire_pairs(offsets, lengths, payload)))
+    return wire_size(_wire_pairs(offsets, lengths, payload))
 
 
 def _merged_wire(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> int:
@@ -309,7 +309,7 @@ def _merged_wire(offsets: np.ndarray, lengths: np.ndarray, payload: bytes) -> in
     as fresh ``bytes`` (never a shared single-byte object), so they are
     priced as fresh copies — a repeated 1-byte block is written out again."""
     blocks = map(bytes, _slices(memoryview(payload), np.cumsum(lengths) - lengths, lengths))
-    return len(pack_object(list(zip(offsets.tolist(), blocks))))
+    return wire_size(list(zip(offsets.tolist(), blocks)))
 
 
 def _request_pairs(offsets: np.ndarray, lengths: np.ndarray) -> list:
@@ -320,7 +320,7 @@ def _request_pairs(offsets: np.ndarray, lengths: np.ndarray) -> list:
 def _ask_wire(asks: list) -> int:
     """Wire bytes of a node-router request message: ``(requester, offsets,
     lengths)`` triples, charged as ``[(requester, pairs), ...]``."""
-    return len(pack_object([(r, _request_pairs(o, n)) for r, o, n in asks]))
+    return wire_size([(r, _request_pairs(o, n)) for r, o, n in asks])
 
 
 def _per_domain(owners: np.ndarray, *columns: np.ndarray) -> dict[int, tuple]:
@@ -392,7 +392,7 @@ def _flat_write_edges(mf: "MpiFile", sends: dict, reserve):
             recv_reqs.append((yield from comm.irecv(src, tag, context=CTX_COLL)))
     for agg, blocks in sends.items():
         if agg != comm.rank:
-            yield from comm.isend_ref(blocks, _wire(*blocks), agg, tag, context=CTX_COLL)
+            yield from comm.isend(blocks, agg, tag, nbytes=_wire(*blocks), context=CTX_COLL)
     return recv_reqs
 
 
@@ -424,7 +424,7 @@ def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, sends: dict, 
     for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
             blocks = sends.get(di, _NO_BLOCKS)
-            yield from comm.isend_ref(blocks, _wire(*blocks), agg, tag, context=CTX_COLL)
+            yield from comm.isend(blocks, agg, tag, nbytes=_wire(*blocks), context=CTX_COLL)
     if nx.is_leader and not nx.leader_down(nx.node):
         # One coalesced message per remote-node aggregator.
         for di, agg in enumerate(aggs):
@@ -438,7 +438,7 @@ def _node_write_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, sends: dict, 
             merged = coalesce_runs(
                 np.concatenate(offsets), np.concatenate(lengths), b"".join(payloads)
             )
-            yield from comm.isend_ref(merged, _merged_wire(*merged), agg, tag, context=CTX_COLL)
+            yield from comm.isend(merged, agg, tag, nbytes=_merged_wire(*merged), context=CTX_COLL)
             for stale in nx.stage.drain_allocs(("w", seq, di)):
                 world.memory.free(stale)
             world.trace.count("topo.drain.messages")
@@ -485,13 +485,13 @@ def _node_read_edges(mf: "MpiFile", nx: NodeExchange, aggs, mine, requests: dict
     for di, agg in enumerate(aggs):  # direct edges
         if agg != rank and nx.routes_direct(rank, agg):
             ask = asks.get(di, [])
-            yield from comm.isend_ref(ask, _ask_wire(ask), agg, tag, context=CTX_COLL)
+            yield from comm.isend(ask, agg, tag, nbytes=_ask_wire(ask), context=CTX_COLL)
     if nx.is_leader and not nx.leader_down(nx.node):
         for di, agg in enumerate(aggs):
             if nx.topo.node_of_rank(agg) == nx.node:
                 continue
             merged = nx.stage.drain(("r", seq, di))
-            yield from comm.isend_ref(merged, _ask_wire(merged), agg, tag, context=CTX_COLL)
+            yield from comm.isend(merged, agg, tag, nbytes=_ask_wire(merged), context=CTX_COLL)
             world.trace.count("topo.drain.messages")
     return reply_tag, req_reqs, list(asks.get(mine, []))
 
@@ -631,7 +631,7 @@ def _read_and_serve(mf: "MpiFile", domain: Extent, in_reqs: list, tag: int):
             served_local = payload
         else:
             wire = _wire(offsets, lengths, payload)
-            yield from comm.isend_ref(payload, wire, src, tag, context=CTX_COLL)
+            yield from comm.isend(payload, src, tag, nbytes=wire, context=CTX_COLL)
     world.memory.free(alloc)
     return served_local
 

@@ -33,7 +33,7 @@ from repro.simmpi.group import (
 )
 from repro.simmpi.ft import agree, failed_ranks, shrink
 from repro.simmpi.rma import Window, LOCK_EXCLUSIVE, LOCK_SHARED
-from repro.simmpi.rpc import RpcEndpoint, RpcEnvelope, TAG_REPLY, TAG_REQUEST
+from repro.simmpi.rpc import RpcEnvelope
 from repro.simmpi.mpi import MpiWorld, MpiRunResult, run_mpi
 
 __all__ = [
@@ -67,10 +67,7 @@ __all__ = [
     "Window",
     "LOCK_EXCLUSIVE",
     "LOCK_SHARED",
-    "RpcEndpoint",
     "RpcEnvelope",
-    "TAG_REQUEST",
-    "TAG_REPLY",
     "MpiWorld",
     "MpiRunResult",
     "run_mpi",

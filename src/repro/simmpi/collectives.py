@@ -7,11 +7,11 @@ describes for ROMIO's exchange phase. Every collective allocates a fresh
 tag from the communicator's collective sequence so back-to-back collectives
 never cross-match.
 
-All-to-all delivers by reference (one engine, one address space): the
-receiver gets the very objects the sender passed, never an unpickled copy.
-Alltoall results are sender-owned; read-only. The pickled size
-(:func:`~repro.simmpi.comm.wire_size`) is still what every message costs
-on the simulated wire, unless the caller prices its messages itself.
+Every collective delivers by reference (one engine, one address space):
+the receiver gets the very objects the sender passed, never a copy.
+Results are sender-owned; read-only. The pickled size
+(:func:`~repro.simmpi.comm.wire_size`) is what every message costs on the
+simulated wire, unless the caller prices its messages itself.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from repro.simmpi.comm import (
-    CTX_COLL,
-    Communicator,
-    pack_object,
-    unpack_object,
-    wire_size,
-)
+from repro.simmpi.comm import CTX_COLL, Communicator, Status, wire_size
 from repro.sim.engine import active_process
 from repro.sim.sync import SimBarrier
 from repro.util.errors import MpiError
@@ -99,22 +93,27 @@ def bcast(comm: Communicator, obj: Any, root: int = 0):
         return obj
     tag = _next_tag(comm)
     vrank = (rank - root) % size  # virtual rank with root at 0
-    payload: bytes | None = pack_object(obj) if rank == root else None
-    if vrank != 0:
-        # Receive from parent: clear the lowest set bit of vrank.
+    if vrank == 0:
+        nbytes = wire_size(obj)
+    else:
+        # Receive from parent: clear the lowest set bit of vrank. Every
+        # edge forwards the root's object at the root's price.
         parent_v = vrank & (vrank - 1)
         parent = (parent_v + root) % size
-        payload = yield from comm.recv(parent, tag, context=CTX_COLL)
-    assert payload is not None
+        status = Status()
+        obj = yield from comm.recv(parent, tag, status=status, context=CTX_COLL)
+        nbytes = status.count
     # Forward to children: vrank | (1 << k) for k above our lowest set bit.
     low = _lowest_set_bit_exclusive(vrank, size)
     mask = 1
     while mask < low:
         child_v = vrank | mask
         if child_v < size:
-            yield from comm.isend(payload, (child_v + root) % size, tag, context=CTX_COLL)
+            yield from comm.isend(
+                obj, (child_v + root) % size, tag, nbytes=nbytes, context=CTX_COLL
+            )
         mask <<= 1
-    return unpack_object(payload)
+    return obj
 
 
 def _lowest_set_bit_exclusive(vrank: int, size: int) -> int:
@@ -148,10 +147,9 @@ def allgather(comm: Communicator, obj: Any):
         dst = (rank - mask) % size
         src = (rank + mask) % size
         req = yield from comm.irecv(src, tag + round_no, context=CTX_COLL)
-        yield from comm.isend(pack_object(collected), dst, tag + round_no, context=CTX_COLL)
-        payload = yield from req.wait()
-        assert payload is not None
-        collected.update(unpack_object(payload))
+        # A copy: the receiver holds it, and this rank's dict keeps growing.
+        yield from comm.isend(dict(collected), dst, tag + round_no, context=CTX_COLL)
+        collected.update((yield from req.wait()))
         mask <<= 1
         round_no += 1
     comm._coll_seq += round_no
@@ -223,12 +221,13 @@ def reduce(
     while mask < size:
         if vrank & mask:
             parent = ((vrank & ~mask) + root) % size
-            yield from comm.send_object(acc, parent, tag, context=CTX_COLL)
+            # Priced here, so a bytes-like value travels as itself too.
+            yield from comm.send(acc, parent, tag, nbytes=wire_size(acc), context=CTX_COLL)
             return None
         child_v = vrank | mask
         if child_v < size:
             child = (child_v + root) % size
-            received = yield from comm.recv_object(child, tag, context=CTX_COLL)
+            received = yield from comm.recv(child, tag, context=CTX_COLL)
             acc = op(acc, received)
         mask <<= 1
     return acc if rank == root else None

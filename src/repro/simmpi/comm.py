@@ -39,31 +39,15 @@ _T = TypeVar("_T")
 _Queued = Union[_T, Deque[_T]]
 
 
-def _payload_bytes(data: Any) -> bytes:
-    """Normalize a send payload to bytes (numpy arrays are C-order copies)."""
-    if isinstance(data, bytes):
-        return data
-    if isinstance(data, (bytearray, memoryview)):
-        return bytes(data)
-    if isinstance(data, np.ndarray):
-        return np.ascontiguousarray(data).tobytes()
-    raise MpiError(f"unsupported send payload type {type(data).__name__}")
-
-
-def pack_object(obj: Any) -> bytes:
-    """Serialize a Python object for metadata messages (pickle)."""
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def wire_size(obj: Any) -> int:
     """What a message carrying *obj* costs on the simulated wire: the
-    length of its pickle, whether the pickle travels or the object does."""
-    return len(pack_object(obj))
-
-
-def unpack_object(payload: bytes) -> Any:
-    """Deserialize a metadata message produced by :func:`pack_object`."""
-    return pickle.loads(payload)
+    length of its pickle. The pickle only prices the message; the object
+    itself is what travels. An object that does not pickle has no price
+    and cannot be sent."""
+    try:
+        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise MpiError(f"unsupported send payload type {type(obj).__name__}") from exc
 
 
 @dataclass
@@ -99,7 +83,7 @@ class Request:
     def __init__(self, kind: str):
         self.kind = kind
         self.done = False
-        self.payload: Any = None  # bytes, or the object of a by-reference send
+        self.payload: Any = None  # what the matched send carried
         self.status = Status()
         self._waiter: Optional[SimProcess] = None
         self._group: Optional[_WaitGroup] = None
@@ -176,7 +160,7 @@ class _Envelope:
     src: int
     tag: int
     context: int
-    payload: Any  # bytes, or the sender's object itself (isend_ref)
+    payload: Any  # bytes, or the sender's object itself
     size: int  # wire bytes
     send_req: Optional[Request] = None
     rendezvous: bool = False  # only the RTS travelled; data follows the CTS
@@ -355,7 +339,7 @@ class ExchangeSlot:
     matching engine's cost reads those counters, so every arrival at this
     rank is charged what the request path charges. ``out[src]`` is
     ``_IDLE``, ``_POSTED`` or the sender's object itself: messages travel
-    by reference and are never unpickled.
+    by reference.
     """
 
     __slots__ = ("world", "dst", "ranks", "mailbox", "out", "remaining", "rts", "waiter")
@@ -528,32 +512,37 @@ class Communicator:
     # ------------------------------------------------------------------
     # sends
     # ------------------------------------------------------------------
-    def isend(self, data: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
-        """Nonblocking send; payload is captured (copied) immediately.
-
-        Coroutine returning the :class:`Request`:
-        ``req = yield from comm.isend(...)``.
-        """
-        yield from active_process().settle()
-        payload = _payload_bytes(data)
-        return self._post_send(payload, len(payload), self.world_rank(dest), tag, context)
-
-    def isend_ref(
-        self, obj: Any, nbytes: int, dest: int, tag: int = 0, *, context: int = CTX_PT2PT
+    def isend(
+        self,
+        data: Any,
+        dest: int,
+        tag: int = 0,
+        *,
+        nbytes: Optional[int] = None,
+        context: int = CTX_PT2PT,
     ):
-        """Nonblocking send of *obj* by reference, charged *nbytes* on the wire.
+        """Nonblocking send; coroutine returning the :class:`Request`:
+        ``req = yield from comm.isend(...)``.
 
-        The matching receive completes with *obj* itself, never a copy
-        (sender-owned; read-only), as :func:`~repro.simmpi.collectives.alltoall`
-        delivers. The caller prices the message: the simulated cost is that
-        of an ``isend`` of *nbytes* bytes. Coroutine returning the
-        :class:`Request`.
+        A bytes-like *data* (``bytes``, ``bytearray``, ``memoryview``,
+        ``ndarray``) is copied now and priced at its length. Any other
+        object travels by reference: the matching receive completes with
+        *data* itself, never a copy, priced at :func:`wire_size`. A caller
+        that prices its own message passes *nbytes*; the message then
+        travels as is, whatever its type, at that price. Either way the
+        simulated cost is that of an ``isend`` of that many bytes.
         """
         yield from active_process().settle()
-        return self._post_send(obj, nbytes, self.world_rank(dest), tag, context)
+        if nbytes is None:
+            if isinstance(data, np.ndarray):  # a C-order copy
+                data = np.ascontiguousarray(data).tobytes()
+            elif isinstance(data, (bytearray, memoryview)):
+                data = bytes(data)
+            nbytes = len(data) if isinstance(data, bytes) else wire_size(data)
+        return self._post_send(data, nbytes, self.world_rank(dest), tag, context)
 
     def _post_send(self, payload: Any, nbytes: int, dest: int, tag: int, context: int) -> Request:
-        """The body of :meth:`isend` and :meth:`isend_ref`, to world rank *dest*."""
+        """The body of :meth:`isend`, to world rank *dest*."""
         self._check_peer(dest)
         req = Request("isend")
         env = _Envelope(self._rank, tag, self._ctx(context), payload, nbytes, req)
@@ -566,14 +555,19 @@ class Communicator:
             env.rendezvous = True
         return req
 
-    def send(self, data: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
-        """Blocking send (completes when the send request does)."""
-        req = yield from self.isend(data, dest, tag, context=context)
+    def send(
+        self,
+        data: Any,
+        dest: int,
+        tag: int = 0,
+        *,
+        nbytes: Optional[int] = None,
+        context: int = CTX_PT2PT,
+    ):
+        """Blocking send (completes when the send request does); *data*
+        and *nbytes* as for :meth:`isend`."""
+        req = yield from self.isend(data, dest, tag, nbytes=nbytes, context=context)
         yield from req.wait()
-
-    def send_object(self, obj: Any, dest: int, tag: int = 0, *, context: int = CTX_PT2PT):
-        """Blocking send of a pickled Python object (coroutine)."""
-        yield from self.send(pack_object(obj), dest, tag, context=context)
 
     # ------------------------------------------------------------------
     # receives
@@ -581,7 +575,12 @@ class Communicator:
     def irecv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, context: int = CTX_PT2PT
     ):
-        """Nonblocking receive; coroutine returning the :class:`Request`."""
+        """Nonblocking receive; coroutine returning the :class:`Request`.
+
+        ``req.wait()`` returns what the matched send carried: a bytes
+        payload, or the sender's object itself. Results are sender-owned;
+        read-only.
+        """
         yield from active_process().settle()
         if source != ANY_SOURCE:
             source = self.world_rank(source)
@@ -611,7 +610,9 @@ class Communicator:
         status: Optional[Status] = None,
         context: int = CTX_PT2PT,
     ):
-        """Blocking receive; coroutine returning the payload bytes."""
+        """Blocking receive; coroutine returning what the matched send
+        carried (see :meth:`irecv`). Results are sender-owned; read-only.
+        *status*, if given, receives the source, tag and wire bytes."""
         req = yield from self.irecv(source, tag, context=context)
         with self.world.trace.span("mpi.recv", source=source, tag=tag):
             payload = yield from req.wait()
@@ -619,15 +620,7 @@ class Communicator:
             status.source = req.status.source
             status.tag = req.status.tag
             status.count = req.status.count
-        assert payload is not None
         return payload
-
-    def recv_object(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, context: int = CTX_PT2PT
-    ):
-        """Blocking receive of a pickled Python object (coroutine)."""
-        payload = yield from self.recv(source, tag, context=context)
-        return unpack_object(payload)
 
     # ------------------------------------------------------------------
     # probing and combined send/recv

@@ -556,11 +556,12 @@ class TcioFile:
         MPI_barrier to synchronize among processes before outputting data
         from the level-2 buffers to file system"). A journal-off flush
         stops there. Otherwise agree on eof and write every owned dirty
-        segment back in place, marking it ``flushed`` as it lands (fsck
-        counts dirty-but-unflushed segments as lost after a journal-off
-        crash). With ``journal="epoch"`` the write-back is phase 2 of an
-        epoch: phase 1 (``EpochJournal.write_ahead``) has every owner
-        journal its segments and rank 0 append the commit mark first.
+        segment back in place, marking it ``flushed`` as it lands and
+        dropping its provenance rows (fsck counts dirty-but-unflushed
+        segments as lost after a journal-off crash). With
+        ``journal="epoch"`` the write-back is phase 2 of an epoch: phase 1
+        (``EpochJournal.write_ahead``) has every owner journal its segments
+        and rank 0 append the commit mark first.
         """
         yield from self._flush_level1()
         if self._nodedrain is not None:
@@ -594,7 +595,7 @@ class TcioFile:
                         for offset, data in pieces:
                             yield from self._pfs_write("tcio.writeback", offset, data)
                     self.stats.inc("segment_writebacks")
-                d.flushed.add(gseg)
+                d.note_flushed(gseg)
             if epoch:
                 d.committed_epoch = epoch
             yield from collectives.barrier(self.comm)

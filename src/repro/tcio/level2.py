@@ -52,9 +52,10 @@ class SegmentDirectory:
     direct: set[int] = field(default_factory=set)
     fallback_ranges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Provenance of deposited write data: ``deposited[g]`` holds a ``(disp,
-    #: length, src_rank)`` row per block landed in segment *g*'s owner slot,
-    #: flat in one ``array("q")`` (:meth:`note_deposit`). Crash tooling uses
-    #: it to tell exactly whose bytes sat in a dead rank's volatile memory,
+    #: length, src_rank)`` row per block landed in segment *g*'s owner slot
+    #: since its last write-back, flat in one ``array("q")``
+    #: (:meth:`note_deposit`, :meth:`note_flushed`). Crash tooling uses it
+    #: to tell exactly whose bytes sat in a dead rank's volatile memory,
     #: and the fallback path checks it to report (not silently lose) data at risk.
     deposited: dict[int, array] = field(default_factory=dict)
     #: Epoched-durability state (``journal="epoch"``): the last epoch whose
@@ -74,6 +75,12 @@ class SegmentDirectory:
         self.flushed.discard(g)
         rows = zip(disps, lens, repeat(src))
         self.deposited.setdefault(g, array("q")).extend(chain.from_iterable(rows))
+
+    def note_flushed(self, g: int) -> None:
+        """Segment *g* was written back: its deposits are in the file, so
+        its provenance rows go until a later deposit re-dirties it."""
+        self.flushed.add(g)
+        self.deposited.pop(g, None)
 
 
 def concat_deposits(deposits: list) -> tuple[array, array, bytes]:

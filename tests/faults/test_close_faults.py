@@ -17,6 +17,9 @@ and the contract when degradation itself fails:
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
@@ -100,4 +103,33 @@ class TestDataAtRiskAlarm:
         assert count == 1 and at_risk == n
         assert any(i.kind == "tcio.data_at_risk" for i in plan.injections)
         # the fallback writer's bytes win; the overlapped deposit is the loss
+        assert res.pfs.lookup("f").contents()[off : off + n] == pattern(0, n)
+
+    def test_fallback_over_a_written_back_range_is_not_at_risk(self):
+        # As above, but the first flush is journaled: it writes rank 1's
+        # deposit back, so the bytes rank 0's fallback later covers are
+        # already in the file and nothing is at risk.
+        off, n = SEGMENT, 32  # inside segment 1, owned by rank 1
+
+        def main(env):
+            journaled = replace(cfg(env.size), journal="epoch")
+            fh = (yield from tcio_open(env, "f", TCIO_WRONLY, journaled))
+            if env.rank == 1:
+                (yield from tcio_write_at(fh, off, pattern(1, n)))
+            (yield from fh.flush())  # journaled: segment 1 is written back
+            d = fh.directory
+            assert 1 in d.flushed and not d.flushed & set(d.deposited)
+            if env.rank == 0:
+                (yield from tcio_write_at(fh, off, pattern(0, n)))
+            (yield from fh.flush())  # rank 0's push degrades over written-back bytes
+            (yield from fh.close())
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res, plan = run(2, main, FaultSpec(unreachable_ranks=(1,)))
+        assert res.aborted is None
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert res.trace.get("faults.data_at_risk").total == 0
+        assert not any(i.kind == "tcio.data_at_risk" for i in plan.injections)
+        assert any(what == "tcio.flush" for what, _ in plan.fallbacks)
         assert res.pfs.lookup("f").contents()[off : off + n] == pattern(0, n)

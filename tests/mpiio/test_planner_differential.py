@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mpiio import IoHints, MODE_CREATE, MODE_RDWR, MpiFile, twophase
 from repro.mpiio.fileview import FileView
 from repro.mpiio.twophase import FileDomains
+from repro.simmpi.comm import wire_size
 from repro.simmpi.datatypes import (
     BYTE, DOUBLE, INT, SHORT, Contiguous, Indexed, Primitive, Subarray, Vector,
 )
@@ -389,7 +392,7 @@ class TestWireSize:
                 offsets, lengths, packed = sends[di]
                 assert offsets.dtype == lengths.dtype == np.int64
                 assert packed == b"".join(block for _, block in pairs)
-                assert twophase._wire(*sends[di]) == len(twophase.pack_object(pairs))
+                assert twophase._wire(*sends[di]) == wire_size(pairs)
                 asked = [(off, len(block)) for off, block in pairs]
                 assert twophase._request_pairs(offsets, lengths) == asked
 
@@ -398,8 +401,8 @@ class TestWireSize:
         repeated 1-byte block is written out each time, not referenced."""
         merged = coalesce_runs(np.array([0, 2, 4, 5]), np.array([1, 1, 1, 2]), b"aaabc")
         fresh = [(0, bytes(bytearray(b"a"))), (2, bytes(bytearray(b"a"))), (4, b"abc")]
-        shared = len(twophase.pack_object(twophase._wire_pairs(*merged)))
-        assert twophase._merged_wire(*merged) == len(twophase.pack_object(fresh)) > shared
+        shared = wire_size(twophase._wire_pairs(*merged))
+        assert twophase._merged_wire(*merged) == wire_size(fresh) > shared
 
 
 NRANKS, BLK, NB = 8, 24, 6
@@ -410,8 +413,9 @@ WIRE_MODES = {
     "rounds": IoHints(cb_align_stripes=False, cb_rounds_buffer=40, cb_nodes=3),
 }
 
-#: mode -> (pack_object calls, pickled bytes, SHA-256 of the payloads in
-#: call order, mpi.send count, mpi.send bytes), recorded at the parent commit.
+#: mode -> (priced messages, pickled bytes, SHA-256 of the pickles in
+#: call order, mpi.send count, mpi.send bytes), recorded at the scalar
+#: planner's commit, when the messages were priced by ``pack_object``.
 WIRE_GOLDEN = {
     "flat": (
         84, 3930, "03363f9d97e9efa7fbb1d7ca43561e99415634740fa18dc4636b0a1bfc66c8e7",
@@ -434,19 +438,26 @@ def _only_int_and_bytes(obj) -> bool:
     return type(obj) in (int, bytes)
 
 
+#: The pricing helpers whose messages the golden pins. The flat read
+#: path's request sizes (``_flat_read_edges``) were never recorded.
+_PRICED_BY = {"_wire", "_merged_wire", "_ask_wire"}
+
+
 def _record_wire(monkeypatch, hints: IoHints):
     objects, digest, nbytes = [], hashlib.sha256(), 0
-    real = twophase.pack_object
 
     def recording(obj):
         nonlocal nbytes
-        payload = real(obj)
-        objects.append(obj)
-        digest.update(payload)
-        nbytes += len(payload)
-        return payload
+        size = wire_size(obj)
+        if sys._getframe(1).f_code.co_name in _PRICED_BY:
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            assert len(payload) == size
+            objects.append(obj)
+            digest.update(payload)
+            nbytes += size
+        return size
 
-    monkeypatch.setattr(twophase, "pack_object", recording)
+    monkeypatch.setattr(twophase, "wire_size", recording)
 
     def main(env):
         etype = Contiguous(BLK, BYTE)

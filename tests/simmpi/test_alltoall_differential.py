@@ -15,6 +15,7 @@ whole metrics registry, exactly.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -22,9 +23,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.lonestar import make_lonestar
 from repro.simmpi import collectives, run_mpi
-from repro.simmpi.comm import CTX_COLL, pack_object, unpack_object, wait_all
+from repro.simmpi.comm import CTX_COLL, wait_all
 from repro.simmpi.group import comm_split
 from repro.util.errors import MpiError, RankUnreachable
+
+def pack_object(obj) -> bytes:
+    """The pickle the request path sent (the oracle's own serializer)."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def unpack_object(payload: bytes):
+    """The unpickle the request path received with."""
+    return pickle.loads(payload)
+
 
 #: The scaled Lonestar preset's eager limit: payloads straddle it.
 EAGER_LIMIT = make_lonestar().network.eager_limit

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.ioserver.protocol import TAG_REPLY, TAG_REQUEST
 from repro.simmpi import (
     ANY_SOURCE,
     LOCK_EXCLUSIVE,
-    RpcEndpoint,
     Status,
     Window,
     comm_from_ranks,
@@ -81,9 +81,9 @@ class TestCommSplit:
             sub = (yield from comm_split(env.comm, color=env.rank % 2))
             # everyone sends in its own group with the same local ranks/tags
             if sub.rank == 0:
-                (yield from sub.send_object(("group", env.rank % 2), 1, tag=9))
+                (yield from sub.send(("group", env.rank % 2), 1, tag=9))
             elif sub.rank == 1:
-                got = (yield from sub.recv_object(0, 9))
+                got = (yield from sub.recv(0, 9))
                 assert got == ("group", env.rank % 2)
 
         run(4, main)
@@ -212,19 +212,18 @@ class TestSubCommunicatorSources:
 
         def main(env):
             sub = yield from comm_split(env.comm, color=0, key=-env.rank)
-            rpc = RpcEndpoint(sub)
             if sub.rank == 0:  # the server
                 for _ in range(sub.size - 1):
-                    status = rpc.poll()
+                    status = sub.iprobe(ANY_SOURCE, TAG_REQUEST)
                     while status is None:
                         env.compute(1e-4)
                         yield from env.settle()
-                        status = rpc.poll()
-                    request = yield from sub.recv_object(status.source, rpc.tag_request)
-                    yield from sub.send_object(("ack", request), status.source, rpc.tag_reply)
+                        status = sub.iprobe(ANY_SOURCE, TAG_REQUEST)
+                    request = yield from sub.recv(status.source, TAG_REQUEST)
+                    yield from sub.send(("ack", request), status.source, TAG_REPLY)
                 return None
-            yield from sub.send_object(sub.rank, 0, rpc.tag_request)
-            return (yield from sub.recv_object(0, rpc.tag_reply))
+            yield from sub.send(sub.rank, 0, TAG_REQUEST)
+            return (yield from sub.recv(0, TAG_REPLY))
 
         res = run(4, main)
         # world rank w is local rank 3 - w; every client got its own answer

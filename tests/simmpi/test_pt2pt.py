@@ -40,9 +40,9 @@ class TestBasicSendRecv:
     def test_object_round_trip(self):
         def main(env):
             if env.rank == 0:
-                (yield from env.comm.send_object({"k": [1, 2, 3]}, 1, tag=9))
+                (yield from env.comm.send({"k": [1, 2, 3]}, 1, tag=9))
             elif env.rank == 1:
-                assert (yield from env.comm.recv_object(0, 9)) == {"k": [1, 2, 3]}
+                assert (yield from env.comm.recv(0, 9)) == {"k": [1, 2, 3]}
 
         run(2, main)
 
@@ -99,11 +99,11 @@ class TestMatching:
     def test_wildcard_source(self):
         def main(env):
             if env.rank > 0:
-                (yield from env.comm.send_object(env.rank, 0, tag=5))
+                (yield from env.comm.send(env.rank, 0, tag=5))
             else:
                 got = []
                 for _ in range(3):
-                    got.append((yield from env.comm.recv_object(ANY_SOURCE, 5)))
+                    got.append((yield from env.comm.recv(ANY_SOURCE, 5)))
                 got.sort()
                 assert got == [1, 2, 3]
 

@@ -15,6 +15,7 @@ import pytest
 from repro.mpiio import IoHints, MODE_CREATE, MODE_RDONLY, MODE_RDWR, MpiFile
 from repro.simmpi.datatypes import BYTE, Contiguous
 from repro.tcio import TCIO_WRONLY, TcioConfig, TcioFile
+from repro.tcio.level2 import SegmentDirectory
 from tests.conftest import make_test_cluster, run_small
 
 NPROCS = 16
@@ -144,10 +145,21 @@ class TestTcioNodeAggregation:
 @pytest.mark.parametrize("flushes", [1, 2])
 @pytest.mark.parametrize("aggregation", ["flat", "node"])
 @pytest.mark.parametrize("journal", ["off", "epoch"])
-def test_every_round_reaches_the_file_with_per_segment_provenance(journal, aggregation, flushes):
+def test_every_round_reaches_the_file_with_per_segment_provenance(
+    monkeypatch, journal, aggregation, flushes
+):
     # The leader coalesces one owner's slots 0 and 1 into one block; each
     # deposit must still mark its own segment re-dirtied, or a journaled
     # second round skips that segment's write-back.
+    noted: dict[int, list[tuple[int, int]]] = {}  # segment -> (disp, length) rows
+    note_deposit = SegmentDirectory.note_deposit
+
+    def recording(directory, g, disps, lens, src):
+        noted.setdefault(g, []).extend(zip(disps, lens))
+        note_deposit(directory, g, disps, lens, src)
+
+    monkeypatch.setattr(SegmentDirectory, "note_deposit", recording)
+
     def round_payload(rank: int, i: int, r: int) -> bytes:
         return bytes([(rank * NBLOCKS + i + 97 * r) % 251]) * BLK
 
@@ -169,9 +181,12 @@ def test_every_round_reaches_the_file_with_per_segment_provenance(journal, aggre
     assert res.pfs.lookup("na.dat").contents() == b"".join(
         round_payload(r, i, flushes - 1) for i in range(NBLOCKS) for r in range(NPROCS)
     )
-    assert set(d.deposited) == d.dirty
-    for rows in d.deposited.values():  # (disp, length, src) rows
-        assert all(0 <= disp and disp + n <= d.segment_size for disp, n in zip(rows[::3], rows[1::3]))
+    assert set(noted) == d.dirty
+    for rows in noted.values():
+        assert all(0 <= disp and disp + n <= d.segment_size for disp, n in rows)
+    # close wrote every dirty segment back, and a written-back segment
+    # keeps no provenance rows
+    assert d.flushed == d.dirty and not d.deposited
 
 
 class TestOcioNodeAggregation:
