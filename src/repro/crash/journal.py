@@ -16,8 +16,9 @@ Layout
     extents  n * <qq  absolute [start, stop) file byte ranges
     payload  concatenated bytes of the extents, in order
 
-The header+extents and the payload are two separate PFS writes (with a
-crash point between them), so a mid-flush crash leaves a *torn* record:
+A rank's records for one epoch are one append of two PFS writes, the
+first record's header+extents and then (after a crash point) the rest,
+so a mid-flush crash leaves exactly one *torn* record at the tail:
 header present, payload short or checksum-mismatched. Recovery discards
 torn records — their epoch never committed, by construction.
 
@@ -66,7 +67,7 @@ def is_journal_file(candidate: str, name: str) -> bool:
 def pack_record_head(
     epoch: int, gseg: int, extents: list[tuple[int, int]], payload: bytes
 ) -> bytes:
-    """Header + extent table of one journal record (write 1 of 2)."""
+    """Header + extent table of one journal record (the payload follows)."""
     head = _HEAD.pack(RECORD_MAGIC, epoch, gseg, len(extents), zlib.crc32(payload))
     return head + b"".join(_EXTENT.pack(lo, hi) for lo, hi in extents)
 

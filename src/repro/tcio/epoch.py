@@ -1,5 +1,5 @@
-"""The epoch journal (``TcioConfig.journal == "epoch"``): write-ahead
-records and the commit mark, phase 1 of a journaled collective point.
+"""The epoch journal (``TcioConfig.journal == "epoch"``): one write-ahead
+append per epoch, then the commit mark: phase 1 of a collective point.
 Owns this rank's journal file and its append offset. The byte format is
 :mod:`repro.crash.journal`'s; ``TcioFile._collective_point`` decides when
 an epoch runs and does the in-place write-back (phase 2) after it.
@@ -39,15 +39,35 @@ class EpochJournal:
 
         ``segments`` yields ``(gseg, pieces)`` for every owned segment the
         epoch writes back (``pieces`` as ``TcioFile._segment_pieces`` gives
-        them). Every owner appends its records; after a barrier proving
+        them). Every owner appends its records, one
+        ``pack_record_head(...) + payload`` per segment, as one contiguous
+        append of two PFS writes: the first record's header+extents, then
+        everything else, with the ``mid-flush`` crash point between them.
+        A crash there leaves exactly one torn record at the journal's
+        tail, the artifact recovery must tolerate. After a barrier proving
         every record durable, rank 0 appends the commit mark — only then
         does the epoch count, and ``repro.crash.recover`` can replay it
         after a crash anywhere (``docs/faults.md``).
         """
         fh = self.fh
+        chunks: list[bytes] = []  # head, payload, head, payload, ...
         for gseg, pieces in segments:
             if pieces is not None:
-                yield from self._record(epoch, gseg, pieces)
+                payload = b"".join(data for _, data in pieces)
+                extents = [(lo, lo + len(data)) for lo, data in pieces]
+                chunks += (pack_record_head(epoch, gseg, extents, payload), payload)
+        if chunks:
+            head, rest = chunks[0], b"".join(chunks[1:])
+            records, nbytes = len(chunks) // 2, len(head) + len(rest)
+            pos, journal = self.pos, self.journal
+            with fh._tracer.span("tcio.journal_append", epoch=epoch, records=records, bytes=nbytes):
+                yield from fh._pfs_write("tcio.journal.head", pos, head, journal)
+                yield from fh._crash_point("mid-flush")
+                yield from fh._pfs_write("tcio.journal.payload", pos + len(head), rest, journal)
+            self.pos += nbytes
+            fh.stats.registry.counter("tcio.journal.records").inc(records)
+            fh.stats.registry.counter("tcio.journal.bytes").inc(nbytes)
+            fh._trace.count("crash.journal.bytes", nbytes)
         yield from collectives.barrier(fh.comm)
         yield from fh._crash_point("pre-commit")
         # This barrier is what makes "pre-commit" mean what it says:
@@ -65,25 +85,3 @@ class EpochJournal:
             fh._trace.count("crash.journal.commits", 1)
         yield from collectives.barrier(fh.comm)
         yield from fh._crash_point("post-commit")
-
-    def _record(self, epoch: int, gseg: int, pieces: list[tuple[int, bytes]]):
-        """Append one segment's write-ahead record (coroutine).
-
-        The record goes out as two PFS writes (header+extents, then the
-        checksummed payload) with a crash point between them, so a
-        mid-flush crash produces exactly the torn-record artifact the
-        recovery path must tolerate.
-        """
-        fh = self.fh
-        payload = b"".join(data for _, data in pieces)
-        extents = [(lo, lo + len(data)) for lo, data in pieces]
-        head = pack_record_head(epoch, gseg, extents, payload)
-        nbytes, body = len(head) + len(payload), self.pos + len(head)
-        with fh._tracer.span("tcio.journal_record", segment=gseg, epoch=epoch, bytes=len(payload)):
-            yield from fh._pfs_write("tcio.journal.head", self.pos, head, self.journal)
-            yield from fh._crash_point("mid-flush")
-            yield from fh._pfs_write("tcio.journal.payload", body, payload, self.journal)
-        self.pos += nbytes
-        fh.stats.registry.counter("tcio.journal.records").inc()
-        fh.stats.registry.counter("tcio.journal.bytes").inc(nbytes)
-        fh._trace.count("crash.journal.bytes", nbytes)

@@ -585,11 +585,11 @@ class TcioFile:
             else NULL_SPAN
         )
         with span:
-            if epoch:
-                records = ((g, self._segment_pieces(g, eof)) for g in todo)
-                yield from journal.write_ahead(epoch, eof, records)
-            for gseg in todo:
-                pieces = self._segment_pieces(gseg, eof)
+            pieces_of = (self._segment_pieces(g, eof) for g in todo)
+            if epoch:  # once for both phases; journal-off, one at a time
+                pieces_of = list(pieces_of)
+                yield from journal.write_ahead(epoch, eof, zip(todo, pieces_of))
+            for gseg, pieces in zip(todo, pieces_of):
                 if pieces is not None:
                     with self._tracer.span("tcio.writeback", segment=gseg):
                         for offset, data in pieces:
