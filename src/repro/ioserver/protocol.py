@@ -83,7 +83,6 @@ class IoServerConfig:
     queue_depth: int = 8
     max_retries: int = 24
     journal: str = "epoch"
-    segment_size: int = 64
     failover: bool = False
 
     def validate(self) -> None:

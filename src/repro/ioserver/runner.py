@@ -51,11 +51,13 @@ def plan_for(
     )
 
 
-def _tcio_config(trace: WorkloadTrace, ndelegates: int, config: IoServerConfig):
+def _tcio_config(trace: WorkloadTrace, nranks: int, config: IoServerConfig, stripe: int):
+    """The shared TCIO handle's config: one segment per *stripe*, the
+    file system's lock unit, so no two owners write into one lock."""
     from repro.tcio import TcioConfig
 
-    total = max(len(expected_image(trace)), config.segment_size)
-    base = TcioConfig.sized_for(total, ndelegates, config.segment_size)
+    total = max(len(expected_image(trace)), stripe)
+    base = TcioConfig.sized_for(total, nranks, stripe)
     return replace(base, journal=config.journal, ft=config.failover)
 
 
@@ -198,11 +200,14 @@ def run_ioserver(
                 f"delegate rank {d} would serve no clients; "
                 f"use fewer delegates or more clients"
             )
-    tcio_config = _tcio_config(trace, len(placement.delegates), config)
+    cluster = ablation_cluster(nranks, cores_per_node)
+    tcio_config = _tcio_config(
+        trace, len(placement.delegates), config, cluster.lustre.stripe_size
+    )
     result = run_mpi(
         nranks,
         _session_main(trace, config, placement, tcio_config),
-        cluster=ablation_cluster(nranks, cores_per_node),
+        cluster=cluster,
         trace=recorder,
         faults=faults,
     )
@@ -264,7 +269,7 @@ def _tcio_main(trace, nranks):
     def main(env):
         mine = {c for c in range(trace.nclients) if c % env.size == env.rank}
         ops = [op for op in trace.ops if op.client in mine]
-        config = _tcio_config(trace, env.size, IoServerConfig())
+        config = _tcio_config(trace, env.size, IoServerConfig(), env.pfs.spec.stripe_size)
         fh = None
         fetched = {}
         for op, _ in op_runs(ops):

@@ -67,7 +67,6 @@ class EpochJournal:
             self.pos += nbytes
             fh.stats.registry.counter("tcio.journal.records").inc(records)
             fh.stats.registry.counter("tcio.journal.bytes").inc(nbytes)
-            fh._trace.count("crash.journal.bytes", nbytes)
         yield from collectives.barrier(fh.comm)
         yield from fh._crash_point("pre-commit")
         # This barrier is what makes "pre-commit" mean what it says:

@@ -93,13 +93,16 @@ class Survive:
         3. replays the dead ranks' committed-but-not-written-back journal
            records into the data file (what ``crash.recover`` would do,
            but online and charged through the PFS client),
-        4. rebuilds the level-2 partition over the survivors: alive old
+        4. rebuilds the level-2 partition over the survivors, so every
+           segment inside eof holds its bytes on its new owner: alive old
            owners migrate their full slot images; dead-owned segments are
            rebased from the (replayed) file image and the survivors'
-           shadow deposits are re-pushed; segments inside eof that no one
-           ever deposited (the dead rank's level-1-only writes) are
-           adopted so the next epoch keeps fsck's byte accounting
-           complete,
+           shadow deposits are re-pushed. Segments an earlier epoch wrote
+           back count too: a later epoch that re-dirties one writes its
+           whole slot back, so a zeroed slot would overwrite committed
+           bytes. Segments inside eof that no one ever deposited (the dead
+           rank's level-1-only writes) are adopted so the next epoch keeps
+           fsck's byte accounting complete,
         5. swaps the handle onto the new communicator/mapping/buffer.
 
         The only data lost is what existed solely in dead volatile
@@ -143,10 +146,8 @@ class Survive:
             def limit(g: int) -> int:
                 return min(seg, d.eof - g * seg)  # g's bytes inside eof
 
-            pending = sorted(g for g in d.dirty if g not in d.flushed and limit(g) > 0)
-            abandoned = [
-                g for g in range(total_segments) if g not in d.dirty and g not in d.flushed
-            ]
+            held = sorted(g for g in d.dirty if limit(g) > 0)  # pending or written back
+            abandoned = [g for g in range(total_segments) if g not in d.dirty]
             # Preserve the aggregate capacity of the old partition: the
             # handle stays open after recovery (delegate failover keeps
             # writing), so the survivors must be able to hold every
@@ -170,7 +171,7 @@ class Survive:
                     base = yield from fh._pfs_read("tcio.ft.rebase", g * seg, limit(g))
                     new_level2.local_slot(g)[: len(base)] = np.frombuffer(base, dtype=np.uint8)
 
-                for g in pending:
+                for g in held:
                     if old_owner(g) in world.dead_ranks:
                         # Dead owner: its slot is gone. The new owner
                         # rebases from the file image (current after the

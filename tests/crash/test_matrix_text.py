@@ -25,8 +25,8 @@ from repro.crash.harness import SERVER_STEPS, STEPS, run_cell, run_matrix
 RENDER_SHA256 = {
     ("tcio", False): "81fe24ae4080b443f40e500bcb7d9c7be8a9840dce4b66ad22edc39f3922e2ec",
     ("tcio", True): "4229021eabf54a9c504415da0d1eebe59aeed14570186e7e3c8a7a47b5a2feed",
-    ("server", False): "751a2b6929f24c1547c8c5deffd240c51217cc9e37cfdc19666264d6eeda5794",
-    ("server", True): "20087c41fbd42a25ce4c00c58aaa0537a4790dab2fdf60608be4cd35805b8539",
+    ("server", False): "20c7023593ccdbb57d9560b41eaf4e9bb37f67e76b3ca301a09a83c216ed4449",
+    ("server", True): "23d92ef8308c31d6846b933ce7d449e4c5a3736dc77c311faceb7b8b3556f950",
 }
 
 

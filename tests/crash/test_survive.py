@@ -17,6 +17,7 @@ from repro.crash import fsck
 from repro.crash.harness import (
     PER_RANK,
     STEPS,
+    _pattern,
     crash_free_reference,
     run_cell,
 )
@@ -105,3 +106,61 @@ class TestSurvivorFlushByHand:
             TcioConfig(ft=True, journal="off").validate()
         with pytest.raises(TcioError):
             TcioConfig(ft=True, journal="epoch", aggregation="node").validate()
+
+
+class TestWrittenBackSegmentSurvivesRound:
+    """A survive round must keep segments an earlier epoch wrote back.
+
+    Segments here are wider than an epoch's region, so epoch 2 re-dirties
+    the segment epoch 1 already wrote back. The survivor partition is
+    rebuilt after that write-back; if it came back zeroed, epoch 2's
+    whole-slot write-back would overwrite epoch 1's committed bytes.
+    """
+
+    NRANKS, PER, VICTIM = 4, 32, 1  # segment 0's owner, rank 0, survives
+
+    def _main(self, config):
+        from repro.tcio import TCIO_WRONLY, TcioFile
+
+        n, per = self.NRANKS, self.PER
+
+        def main(env):
+            fh = yield from TcioFile.open(env, "wide.dat", TCIO_WRONLY, config)
+            yield from fh.write_at(env.rank * per, _pattern(env.rank, 1, per))
+            yield from fh.flush()  # epoch 1: part of segment 0
+            yield from fh.ft_join_recovery()  # the delegates' pattern
+            yield from fh.write_at(n * per + env.rank * per, _pattern(env.rank, 2, per))
+            yield from fh.close()  # epoch 2: the rest of segment 0
+
+        return main
+
+    def test_epoch_one_bytes_survive(self):
+        from repro.experiments.topo_ablation import ablation_cluster
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.simmpi import run_mpi
+        from repro.tcio import TcioConfig
+
+        n, per, victim = self.NRANKS, self.PER, self.VICTIM
+        seg = 1024  # one segment holds both epochs' regions
+        config = TcioConfig(segment_size=seg, segments_per_process=1, journal="epoch", ft=True)
+        spec = FaultSpec(crash_rank=victim, crash_step="post-commit", crash_after=1)
+        result = run_mpi(
+            n,
+            self._main(config),
+            cluster=ablation_cluster(n, 2),
+            faults=FaultPlan(spec, 7, scope="crash"),
+        )
+        assert result.aborted is None
+        assert result.dead_ranks == {victim}
+        assert result.trace.get("tcio.ft.survives").total >= 1
+        image = result.pfs.lookup("wide.dat").contents()
+        # Epoch 1 committed before the victim died: every rank's bytes.
+        epoch1 = b"".join(_pattern(r, 1, per) for r in range(n))
+        assert image[: n * per] == epoch1
+        # Epoch 2: the survivors' bytes; the victim never wrote its slot.
+        for r in range(n):
+            lo = n * per + r * per
+            want = bytes(per) if r == victim else _pattern(r, 2, per)
+            assert image[lo : lo + per] == want, f"rank {r}'s epoch-2 bytes"
+        report = fsck(result.pfs, "wide.dat")
+        assert report.clean, report.summary()
